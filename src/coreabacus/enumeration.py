@@ -1,8 +1,8 @@
 """Exhaustive generators for (s,t)-cores and multi-cores.
 
-The fast route enumerates down-closed subsets of the gap poset of the
-numerical semigroup <s, t>; each subset, read as a set of first-column hook
-lengths, is the minimal bead set of one (s,t)-core.  The slow route generates
+The fast route walks Anderson's lattice paths, one per order ideal of the gap
+poset of <s, t>, streaming the minimal bead set (first-column hook lengths) of
+each (s,t)-core as a bitmask indexed by bead value.  The slow route generates
 all partitions up to a weight bound and filters by hook multiset; it exists
 only as an independent oracle for tests and verification.
 """
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import partitions as pt
-from .abacus import beadset_to_partition, is_t_core
+from .abacus import beadset_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
@@ -39,10 +39,11 @@ class GapPoset:
     s: int
     t: int
     gaps: tuple  # ascending
-    covers: dict  # gap -> tuple of lower covers
 
     def __post_init__(self):
-        assert len(self.gaps) == (self.s - 1) * (self.t - 1) // 2
+        expected = (self.s - 1) * (self.t - 1) // 2
+        if len(self.gaps) != expected:
+            raise ArithmeticError(f"<{self.s}, {self.t}> has {expected} gaps, got {len(self.gaps)}")
 
 
 @dataclass(frozen=True)
@@ -66,61 +67,66 @@ def gap_poset(s: int, t: int) -> GapPoset:
     _check_coprime(s, t)
     frob = s * t - s - t
     if frob < 0:  # s or t is 1: every value is representable
-        return GapPoset(s, t, (), {})
+        return GapPoset(s, t, ())
     reachable = [False] * (frob + 1)
     reachable[0] = True
     for v in range(1, frob + 1):
         reachable[v] = (v >= s and reachable[v - s]) or (v >= t and reachable[v - t])
-    gaps = tuple(v for v in range(frob + 1) if not reachable[v])
-    gapset = set(gaps)
-    covers = {g: tuple(x for x in (g - s, g - t) if x in gapset) for g in gaps}
-    return GapPoset(s, t, gaps, covers)
+    return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
 
 
-def _ideal_masks(poset: GapPoset) -> list[int]:
-    """Bitmasks of all down-closed gap subsets, gaps indexed in ascending order."""
-    index = {g: i for i, g in enumerate(poset.gaps)}
-    ideals = [0]
-    for i, g in enumerate(poset.gaps):
-        bit = 1 << i
-        need = sum(1 << index[c] for c in poset.covers[g])
-        ideals.extend([m | bit for m in ideals if m & need == need])
-    return ideals
+def _bead_masks(s: int, t: int) -> Iterator[tuple]:
+    """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core.
+
+    The s-abacus runners holding t, 2t, ... (mod s) get bottom-justified beads
+    in turn; each first spacer lies at most t above the previous runner's (the
+    multiples of s hold none), which closes the set under subtracting s and t.
+    """
+    _check_coprime(s, t)
+    runners = []  # per runner, each stack it can hold: (first spacer, mask, n, total)
+    for j in range(1, s):
+        stacks, mask, n, total, spacer = [], 0, 0, 0, j * t % s
+        while spacer <= j * t:
+            stacks.append((spacer, mask, n, total))
+            mask, n, total, spacer = mask | 1 << spacer, n + 1, total + spacer, spacer + s
+        runners.append(stacks)
+    pending = [(0, 0, 0, 0, t)]  # (runner, mask, n, total, bound on its first spacer)
+    while pending:
+        j, mask, n, total, bound = pending.pop()
+        if j == len(runners):
+            yield mask, n, total
+            continue
+        for spacer, m, k, sigma in runners[j]:
+            if spacer > bound:
+                break
+            pending.append((j + 1, mask | m, n + k, total + sigma, spacer + t))
 
 
-def _mask_beads(poset: GapPoset, mask: int) -> list[int]:
-    return [g for i, g in enumerate(poset.gaps) if mask >> i & 1]
-
-
-def _mask_weight(poset: GapPoset, mask: int) -> int:
-    # weight = sum over sorted beads b_k of (b_k - k), the spacer count below b_k
-    return sum(b - k for k, b in enumerate(_mask_beads(poset, mask)))
+def _family(moduli: tuple, masks: Iterable[int]) -> CoreFamily:
+    """The partitions of value-indexed bead masks, in lexicographic part order."""
+    members = [
+        beadset_to_partition([b for b, bit in enumerate(f"{m:b}"[::-1]) if bit == "1"]) for m in masks
+    ]
+    members.sort(key=lambda p: p.parts)
+    return CoreFamily(moduli=moduli, members=tuple(members))
 
 
 def count_st_cores(s: int, t: int) -> int:
-    """Number of (s,t)-cores, without materializing partitions."""
-    return len(_ideal_masks(gap_poset(s, t)))
+    """Number of (s,t)-cores: Anderson's C(s+t, s)/(s+t)."""
+    _check_coprime(s, t)
+    return math.comb(s + t, s) // (s + t)
 
 
 def enumerate_st_cores(s: int, t: int) -> CoreFamily:
     """Every (s,t)-core exactly once, in lexicographic part order."""
-    poset = gap_poset(s, t)
-    members = [
-        beadset_to_partition(frozenset(_mask_beads(poset, mask)))
-        for mask in _ideal_masks(poset)
-    ]
-    members.sort(key=lambda p: p.parts)
-    return CoreFamily(moduli=(s, t), members=tuple(members))
+    return _family((s, t), (mask for mask, _, _ in _bead_masks(s, t)))
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
     """(max weight, number of members attaining it) over all (s,t)-cores."""
-    poset = gap_poset(s, t)
-    best, hits = 0, 1  # the empty core has weight 0
-    for mask in _ideal_masks(poset):
-        if mask == 0:
-            continue
-        w = _mask_weight(poset, mask)
+    best, hits = 0, 0
+    for _, n, total in _bead_masks(s, t):
+        w = total - n * (n - 1) // 2  # sum over sorted beads b_k of b_k - k
         if w > best:
             best, hits = w, 1
         elif w == best:
@@ -171,11 +177,9 @@ def enumerate_multi_cores(moduli: Iterable[int]) -> CoreFamily:
     if pair is None:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     rest = [t for t in moduli if t not in pair]
-    family = enumerate_st_cores(*pair)
-    members = tuple(
-        p for p in family.members if all(is_t_core(p, t) for t in rest)
-    )
-    return CoreFamily(moduli=moduli, members=members)
+    # a bead set is an r-core iff every bead b >= r has a bead at b - r
+    masks = (mask for mask, _, _ in _bead_masks(*pair) if all((mask >> r) & ~mask == 0 for r in rest))
+    return _family(moduli, masks)
 
 
 def longest_member(f: CoreFamily) -> Partition:

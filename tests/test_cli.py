@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from coreabacus.cli import main
+from coreabacus.enumeration import enumerate_multi_cores, longest_member
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,3 +131,13 @@ class TestMaximalAndLongest:
         assert code == 0
         payload = json.loads(out)
         assert payload["parts"] == 16 and payload["weight"] == 63
+
+    def test_longest_matches_brute_force(self, capsys):
+        for s in range(1, 8):
+            for m in range(1, 4):
+                moduli = tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
+                brute = longest_member(enumerate_multi_cores(moduli))
+                code, out, _ = run(capsys, "longest", "--s", str(s), "--m", str(m), "--format", "json")
+                assert code == 0
+                assert json.loads(out) == {"s": s, "m": m, "partition": list(brute.parts),
+                                           "parts": len(brute), "weight": brute.weight}, (s, m)

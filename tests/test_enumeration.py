@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from coreabacus import enumeration as en
@@ -9,11 +11,32 @@ def P(*parts):
     return Partition(parts)
 
 
+# every coprime pair with st <= 150, in both orders
+SMALL_PAIRS = [
+    (s, t) for s in range(1, 151) for t in range(1, 151 // s + 1) if math.gcd(s, t) == 1
+]
+
+
+def reference_masks(s, t):
+    """Order ideals of the gap poset as value-indexed masks, built without lattice
+    paths: each gap in ascending order joins every ideal that already holds its
+    lower covers, the values g - s and g - t that are gaps."""
+    gaps = en.gap_poset(s, t).gaps
+    ideals = [0]
+    for g in gaps:
+        need = sum(1 << c for c in (g - s, g - t) if c in gaps)
+        ideals.extend([m | 1 << g for m in ideals if m & need == need])
+    return ideals
+
+
 class TestGapPoset:
     def test_3_4(self):
         poset = en.gap_poset(3, 4)
         assert poset.gaps == (1, 2, 5)
-        assert poset.covers == {1: (), 2: (), 5: (2, 1)}
+
+    def test_wrong_gap_count_raises(self):
+        with pytest.raises(ArithmeticError):
+            en.GapPoset(3, 4, (1, 2))
 
     def test_trivial_when_s_is_1(self):
         assert en.gap_poset(1, 7).gaps == ()
@@ -151,3 +174,31 @@ class TestLongestMember:
         with pytest.raises(en.AmbiguousLongestError) as err:
             en.longest_member(family)
         assert set(err.value.members) == {P(2, 1), P(3, 1)}
+
+
+class TestLatticePathStream:
+    def test_matches_ideal_list(self):
+        for s, t in SMALL_PAIRS:
+            masks = [mask for mask, _, _ in en._bead_masks(s, t)]
+            assert len(masks) == len(set(masks)), (s, t)
+            assert set(masks) == set(reference_masks(s, t)), (s, t)
+
+    def test_count_and_profile_match_family(self):
+        for s, t in SMALL_PAIRS:
+            assert sum(1 for _ in en._bead_masks(s, t)) == en.count_st_cores(s, t), (s, t)
+            if s <= t:  # one build serves both orders: (s,t)- and (t,s)-cores coincide
+                weights = [p.weight for p in en.enumerate_st_cores(s, t).members]
+                profile = (max(weights), weights.count(max(weights)))
+                assert en.st_core_weight_profile(s, t) == en.st_core_weight_profile(t, s) == profile, (s, t)
+
+    def test_matches_hook_sweep(self):
+        bound = 25
+        pairs = [
+            (s, t) for s in range(2, 8) for t in range(s + 1, 30)
+            if math.gcd(s, t) == 1 and (s * s - 1) * (t * t - 1) // 24 <= bound
+        ]
+        sweep = [(p, set(pt.hook_length_multiset(p))) for p in pt.partitions_up_to(bound)]
+        for s, t in pairs:
+            expected = sorted((p for p, hooks in sweep if not hooks & {s, t}), key=lambda p: p.parts)
+            assert en.enumerate_st_cores(s, t).members == tuple(expected), (s, t)
+            assert en.enumerate_st_cores(t, s).members == tuple(expected), (t, s)
