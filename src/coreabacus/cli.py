@@ -7,6 +7,7 @@ guard-rail breach, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -14,13 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
 from .abacus import beadset_to_partition, from_abacus, render_abacus
 from .constructions import CONSTRUCTIONS, build_l, build_named
 from .enumeration import (
     GuardRailError,
     enumerate_multi_cores,
-    filter_distinct,
     filter_self_conjugate,
     maximal_st_core,
 )
@@ -44,6 +43,16 @@ def _cache_dir() -> Path:
     return Path(base) / "coreabacus"
 
 
+@functools.cache
+def _source_hash() -> str:
+    """sha256 of the package's sources and guard rails, so no entry outlives the code that wrote it."""
+    package = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")) + [package / "data" / "guardrails.json"]:
+        digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, params: dict) -> str:
     return json.dumps({"command": command, "params": params}, sort_keys=True)
 
@@ -54,7 +63,7 @@ def _cache_load(key: str) -> dict | None:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if entry.get("key") != key or entry.get("tool_version") != __version__:
+    if entry.get("key") != key or entry.get("source_hash") != _source_hash():
         return None
     return entry["payload"]
 
@@ -67,7 +76,7 @@ def _cache_store(key: str, payload: dict) -> None:
             "key": key,
             "payload": payload,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "tool_version": __version__,
+            "source_hash": _source_hash(),
         }
         path = directory / (hashlib.sha256(key.encode()).hexdigest() + ".json")
         path.write_text(json.dumps(entry))
@@ -114,9 +123,7 @@ def _parse_grid(text: str) -> dict:
 
 
 def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool) -> dict:
-    family = enumerate_multi_cores(moduli)
-    if distinct:
-        family = filter_distinct(family)
+    family = enumerate_multi_cores(moduli, distinct=distinct)
     if self_conjugate:
         family = filter_self_conjugate(family)
     return {

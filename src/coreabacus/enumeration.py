@@ -2,9 +2,12 @@
 
 The fast route walks Anderson's lattice paths, one per order ideal of the gap
 poset of <s, t>, streaming the minimal bead set (first-column hook lengths) of
-each (s,t)-core as a bitmask indexed by bead value.  The slow route generates
-all partitions up to a weight bound and filters by hook multiset; it exists
-only as an independent oracle for tests and verification.
+each (s,t)-core as a bitmask indexed by bead value.  Asked for distinct parts,
+the walk drops every partial path whose mask already holds two adjacent beads:
+equal parts are adjacent beads, and the walk only adds beads, so no completion
+of such a path has distinct parts.  The slow route generates all partitions up
+to a weight bound and filters by hook multiset; it exists only as an
+independent oracle for tests and verification.
 """
 
 from __future__ import annotations
@@ -75,12 +78,13 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
 
 
-def _bead_masks(s: int, t: int) -> Iterator[tuple]:
+def _bead_masks(s: int, t: int, distinct: bool = False) -> Iterator[tuple]:
     """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core.
 
     The s-abacus runners holding t, 2t, ... (mod s) get bottom-justified beads
     in turn; each first spacer lies at most t above the previous runner's (the
     multiples of s hold none), which closes the set under subtracting s and t.
+    With `distinct`, only the cores with distinct parts (no adjacent beads).
     """
     _check_coprime(s, t)
     runners = []  # per runner, each stack it can hold: (first spacer, mask, n, total)
@@ -97,18 +101,19 @@ def _bead_masks(s: int, t: int) -> Iterator[tuple]:
             yield mask, n, total
             continue
         for spacer, m, k, sigma in runners[j]:
-            if spacer > bound:
+            m |= mask
+            if spacer > bound or distinct and m & m >> 1:  # taller stacks only add beads
                 break
-            pending.append((j + 1, mask | m, n + k, total + sigma, spacer + t))
+            pending.append((j + 1, m, n + k, total + sigma, spacer + t))
 
 
-def _family(moduli: tuple, masks: Iterable[int]) -> CoreFamily:
+def _family(moduli: tuple, masks: Iterable[int], distinct: bool) -> CoreFamily:
     """The partitions of value-indexed bead masks, in lexicographic part order."""
     members = [
         beadset_to_partition([b for b, bit in enumerate(f"{m:b}"[::-1]) if bit == "1"]) for m in masks
     ]
     members.sort(key=lambda p: p.parts)
-    return CoreFamily(moduli=moduli, members=tuple(members))
+    return CoreFamily(moduli=moduli, members=tuple(members), distinct=distinct)
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -117,9 +122,9 @@ def count_st_cores(s: int, t: int) -> int:
     return math.comb(s + t, s) // (s + t)
 
 
-def enumerate_st_cores(s: int, t: int) -> CoreFamily:
-    """Every (s,t)-core exactly once, in lexicographic part order."""
-    return _family((s, t), (mask for mask, _, _ in _bead_masks(s, t)))
+def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
+    """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
+    return _family((s, t), (mask for mask, _, _ in _bead_masks(s, t, distinct)), distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
@@ -168,8 +173,8 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
     return replace(f, members=members, self_conjugate=True)
 
 
-def enumerate_multi_cores(moduli: Iterable[int]) -> CoreFamily:
-    """Enumerate a coprime pair, then filter by the remaining moduli."""
+def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False) -> CoreFamily:
+    """Enumerate a coprime pair, pruned to distinct parts if `distinct`, then filter by the other moduli."""
     moduli = tuple(sorted(set(moduli)))
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
@@ -178,8 +183,10 @@ def enumerate_multi_cores(moduli: Iterable[int]) -> CoreFamily:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     rest = [t for t in moduli if t not in pair]
     # a bead set is an r-core iff every bead b >= r has a bead at b - r
-    masks = (mask for mask, _, _ in _bead_masks(*pair) if all((mask >> r) & ~mask == 0 for r in rest))
-    return _family(moduli, masks)
+    masks = (
+        mask for mask, _, _ in _bead_masks(*pair, distinct) if all((mask >> r) & ~mask == 0 for r in rest)
+    )
+    return _family(moduli, masks, distinct)
 
 
 def longest_member(f: CoreFamily) -> Partition:

@@ -30,19 +30,13 @@ from .constructions import (
 )
 from .enumeration import (
     GuardRailError,
-    count_st_cores,
     enumerate_multi_cores,
     enumerate_st_cores,
-    filter_distinct,
     filter_self_conjugate,
     maximal_st_core,
     st_core_weight_profile,
 )
 from .partitions import Partition
-
-# Above this family size the self-conjugate claims fall back to the staircase
-# oracle instead of filtering a multi-million member enumeration.
-FILTER_ROUTE_LIMIT = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +241,8 @@ def verify_claim(claim: str, grid: dict | None = None) -> VerificationReport:
         for key, (lo, hi) in grid.items():
             if key not in resolved:
                 raise GuardRailError(f"claim {claim!r} has no parameter {key!r}")
+            if lo > hi:
+                raise GuardRailError(f"grid {key}={lo}..{hi} is empty: {lo} > {hi}")
             rail_lo, rail_hi = resolved[key]
             if lo < rail_lo or hi > rail_hi:
                 raise GuardRailError(
@@ -268,7 +264,7 @@ def _span(grid: dict, key: str) -> range:
 def _claim_xiong(grid: dict) -> Iterator[Cell]:
     for s in _span(grid, "s"):
         expected = fib_count(s)
-        observed = len(filter_distinct(enumerate_st_cores(s, s + 1)))
+        observed = len(enumerate_st_cores(s, s + 1, distinct=True))
         yield Cell({"s": s}, expected, observed, expected == observed)
 
 
@@ -282,7 +278,7 @@ def _claim_straub(sign: int, grid: dict) -> Iterator[Cell]:
                            note=f"degenerate modulus {t}")
                 continue
             expected = formula(m, s)
-            observed = len(filter_distinct(enumerate_st_cores(s, t)))
+            observed = len(enumerate_st_cores(s, t, distinct=True))
             yield Cell({"m": m, "s": s}, expected, observed, expected == observed)
 
 
@@ -372,7 +368,7 @@ def _claim_row_structure(grid: dict) -> Iterator[Cell]:
                                note=f"degenerate modulus {t}")
                     continue
                 violations = 0
-                for p in filter_distinct(enumerate_st_cores(s, t)).members:
+                for p in enumerate_st_cores(s, t, distinct=True).members:
                     a = to_abacus(partition_to_minimal_beadset(p), m * s)
                     if a.max_row() > 0 or not is_sub_abacus(a, envelope):
                         violations += 1
@@ -388,14 +384,8 @@ def _claim_two_conj(grid: dict) -> Iterator[Cell]:
 
 
 def _star_cell(params: dict, expected: int, s: int, t: int) -> Cell:
-    if count_st_cores(s, t) <= FILTER_ROUTE_LIMIT:
-        family = filter_distinct(filter_self_conjugate(enumerate_st_cores(s, t)))
-        observed = len(family)
-        note = "filtered-family route"
-    else:
-        observed = staircase_core_count((s, t))
-        note = "staircase-oracle route (family too large to filter)"
-    return Cell(params, expected, observed, expected == observed, note=note)
+    observed = len(filter_self_conjugate(enumerate_st_cores(s, t, distinct=True)))
+    return Cell(params, expected, observed, expected == observed, note="filtered-family route")
 
 
 def _claim_fstar(grid: dict) -> Iterator[Cell]:

@@ -63,6 +63,16 @@ class TestEnumerateAndCount:
         assert code == 0
         assert "(3,1,1)" in out and "count=5" in out
 
+    def test_count_distinct_9_28(self, capsys):
+        # the distinct-parts walk never builds the 3,362,260 (9,28)-cores
+        code, out, _ = run(capsys, "count", "--moduli", "9,28", "--distinct", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["count", "1159"]
+        code, out, _ = run(capsys, "count", "--moduli", "9,28", "--distinct", "--self-conjugate",
+                           "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["count", "5"]
+
     def test_self_conjugate_filter(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--moduli", "8,9",
@@ -88,6 +98,19 @@ class TestEnumerateAndCount:
         _, second, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert first == second
 
+    def test_cache_ignores_entry_from_other_sources(self, capsys, tmp_path):
+        _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
+        (path,) = (tmp_path / "cache").iterdir()
+        entry = json.loads(path.read_text())
+        entry["payload"]["count"] = 999
+        path.write_text(json.dumps(entry))
+        _, replayed, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
+        assert json.loads(replayed)["count"] == 999  # the entry is read when the sources match
+        entry["source_hash"] = "0" * 64
+        path.write_text(json.dumps(entry))
+        _, fresh, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
+        assert fresh == first
+
 
 class TestVerify:
     def test_xiong_exit_zero(self, capsys):
@@ -108,6 +131,10 @@ class TestVerify:
     def test_guard_rail_exit_two(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "xiong", "--grid", "s=1..50")
         assert code == 2 and "guard rail" in err
+
+    def test_reversed_grid_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--claim", "xiong", "--grid", "s=5..3")
+        assert code == 2 and "empty" in err and "all cells pass" not in out
 
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "xiong", "--grid", "nonsense")

@@ -156,6 +156,13 @@ class TestMultiCores:
         with pytest.raises(ValueError):
             en.enumerate_multi_cores({0, 3})
 
+    def test_distinct_walk_matches_filter(self):
+        for s in range(1, 7):
+            for m in range(1, 4):
+                moduli = tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
+                expected = en.filter_distinct(en.enumerate_multi_cores(moduli))
+                assert en.enumerate_multi_cores(moduli, distinct=True) == expected, moduli
+
 
 class TestLongestMember:
     def test_3_2_4(self):
@@ -187,9 +194,14 @@ class TestLatticePathStream:
         for s, t in SMALL_PAIRS:
             assert sum(1 for _ in en._bead_masks(s, t)) == en.count_st_cores(s, t), (s, t)
             if s <= t:  # one build serves both orders: (s,t)- and (t,s)-cores coincide
-                weights = [p.weight for p in en.enumerate_st_cores(s, t).members]
+                family = en.enumerate_st_cores(s, t)
+                weights = [p.weight for p in family.members]
                 profile = (max(weights), weights.count(max(weights)))
                 assert en.st_core_weight_profile(s, t) == en.st_core_weight_profile(t, s) == profile, (s, t)
+                distinct = en.filter_distinct(family)
+                assert en.enumerate_st_cores(s, t, distinct=True) == distinct, (s, t)
+                pruned = en.enumerate_st_cores(t, s, distinct=True)
+                assert (pruned.members, pruned.distinct) == (distinct.members, True), (t, s)
 
     def test_matches_hook_sweep(self):
         bound = 25

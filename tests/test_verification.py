@@ -145,6 +145,8 @@ class TestHarness:
             vf.verify_claim("xiong", {"s": (1, 11)})
         with pytest.raises(GuardRailError):
             vf.verify_claim("xiong", {"m": (1, 2)})
+        with pytest.raises(GuardRailError):
+            vf.verify_claim("xiong", {"s": (5, 3)})
 
     def test_report_json_schema(self):
         report = vf.verify_claim("middle", {"s": (3, 5), "m": (1, 2)})
@@ -168,6 +170,16 @@ class TestHarness:
         report = vf.verify_claim("fstar", {"s": (1, 5)})
         assert report.all_passed
         assert all("route" in c.note for c in report.cells)
+
+    def test_star_cells_match_staircase_oracle(self):
+        moduli = {"fstar": lambda p: (p["s"], p["s"] + 1),
+                  "e-minus-star": lambda p: (p["s"], p["m"] * p["s"] - 1),
+                  "e-plus-star": lambda p: (p["s"], p["m"] * p["s"] + 1)}
+        for claim, pair in moduli.items():
+            cells = [c for c in vf.verify_claim(claim).cells if c.status != "UNTESTED"]
+            assert cells
+            for cell in cells:
+                assert cell.observed == vf.staircase_core_count(pair(cell.params)), (claim, cell.params)
 
     def test_guardrails_cover_all_claims(self):
         rails = vf.claim_guardrails()
