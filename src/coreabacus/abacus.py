@@ -75,9 +75,13 @@ def partition_to_minimal_beadset(p: Partition) -> BeadSet:
 
 
 def beadset_to_partition(x: BeadSet) -> Partition:
-    """Partition whose part for bead b is the number of spacers below b."""
+    """Partition whose part for bead b is the number of spacers below b.
+
+    Over distinct sorted beads b_0 < b_1 < ..., the part b_k - k never
+    decreases in k, so the reversed positive parts form a valid partition.
+    """
     parts = [b - k for k, b in enumerate(sorted(x))]
-    return Partition(p for p in reversed(parts) if p > 0)
+    return Partition._trusted(tuple(p for p in reversed(parts) if p > 0))
 
 
 def normalize(x: BeadSet) -> BeadSet:
@@ -127,27 +131,15 @@ def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:
     """Mirror axis theta with beads and spacers exchanged, if one exists.
 
-    Searches half-integers in (-1/2, max(x)+1/2]; beyond the largest bead all
-    positions are spacers, so no axis can lie there.  Agrees with the
-    partition-level self-conjugacy predicate.
+    Only 2*theta = 2|x| - 1 can work: beyond the axis every position is a
+    spacer, and [0, 2*theta] splits into mirror pairs holding one bead each.
+    So the axis exists iff every bead lies at or below 2*theta with a spacer
+    as its mirror.  Agrees with the partition-level self-conjugacy predicate.
     """
-    top = max(x, default=0)
-    for twice in range(-1, 2 * top + 2, 2):
-        if _axis_holds(x, twice):
-            return AxisTheta(twice)
+    twice = 2 * len(x) - 1
+    if all(b <= twice and twice - b not in x for b in x):
+        return AxisTheta(twice)
     return None
-
-
-def _axis_holds(x: BeadSet, twice_theta: int) -> bool:
-    hi = max(max(x, default=-1), twice_theta)
-    for p in range(hi + 1):
-        q = twice_theta - p
-        if q < 0:
-            if p in x:  # bead beyond the axis range has no spacer to mirror
-                return False
-        elif (p in x) == (q in x):
-            return False
-    return True
 
 
 def render_abacus(a: Abacus, rows: int | None = None) -> str:

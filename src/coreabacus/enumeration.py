@@ -21,10 +21,11 @@ from .abacus import beadset_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
+FAMILY_MAX_CORES = 250_000  # guard rail on the (s,t)-cores a multi-core family walks
 
 
 class GuardRailError(ValueError):
-    """A brute-force request exceeded its desk-scale guard rail."""
+    """A request exceeded its desk-scale guard rail."""
 
 
 class AmbiguousLongestError(ValueError):
@@ -181,6 +182,12 @@ def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False) -> Core
     pair = _coprime_pair(moduli)
     if pair is None:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
+    size = count_st_cores(*pair)
+    if not distinct and size > FAMILY_MAX_CORES:  # the pruned distinct walk has no size prediction
+        raise GuardRailError(
+            f"moduli {moduli} walk all {size} ({pair[0]},{pair[1]})-cores, "
+            f"beyond the guard rail of {FAMILY_MAX_CORES}"
+        )
     rest = [t for t in moduli if t not in pair]
     # a bead set is an r-core iff every bead b >= r has a bead at b - r
     masks = (

@@ -20,6 +20,11 @@ class Partition:
 
     Immutable and hashable; equality is part-sequence equality.  The empty
     partition (weight 0) is a first-class value.
+
+    The constructor and `from_json` validate their input.  `_trusted(parts)`
+    skips that check; only routes in `partitions` and `abacus` whose output is
+    valid by construction (the generator, `conjugate`, `beadset_to_partition`)
+    may call it, always with a tuple of positive, weakly decreasing ints.
     """
 
     __slots__ = ("parts",)
@@ -32,6 +37,13 @@ class Partition:
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _trusted(cls, parts: tuple) -> "Partition":
+        """A partition of `parts` without validation; see the class docstring."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -68,14 +80,15 @@ EMPTY = Partition()
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: column lengths become parts."""
-    if not p.parts:
-        return EMPTY
-    cols = [0] * p.parts[0]
-    for part in p.parts:
-        for j in range(part):
-            cols[j] += 1
-    return Partition(cols)
+    """Transpose of the Young diagram: column lengths become parts.
+
+    Part i exceeds part i+1 by the number of columns of height exactly i.
+    """
+    parts, cols, below = p.parts, [], 0
+    for i in range(len(parts), 0, -1):
+        cols += [i] * (parts[i - 1] - below)
+        below = parts[i - 1]
+    return Partition._trusted(tuple(cols))
 
 
 def first_column_hooks(p: Partition) -> frozenset[int]:
@@ -104,7 +117,8 @@ def has_distinct_parts(p: Partition) -> bool:
 
 
 def is_self_conjugate(p: Partition) -> bool:
-    return conjugate(p) == p
+    # the conjugate's first part is the number of parts
+    return not p.parts or p.parts[0] == len(p.parts) and conjugate(p) == p
 
 
 def is_two_core(p: Partition) -> bool:
@@ -119,21 +133,23 @@ def staircase(k: int) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of weight exactly n."""
-    for parts in _partition_tuples(n, n):
-        yield Partition(parts)
+    """All partitions of weight exactly n, in reverse lexicographic order."""
+    if n < 0:
+        return
+    parts = [n] if n else []
+    while True:
+        yield Partition._trusted(tuple(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            ones += parts.pop()
+        if not parts:
+            return
+        k = parts.pop() - 1  # lower the last part above 1 and refill greedily below it
+        q, r = divmod(ones + k + 1, k)
+        parts += [k] * q + ([r] if r else [])
 
 
 def partitions_up_to(max_weight: int) -> Iterator[Partition]:
     """All partitions of weight 0..max_weight, including the empty partition."""
     for n in range(max_weight + 1):
         yield from partitions_of(n)
-
-
-def _partition_tuples(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            yield (first,) + rest

@@ -290,15 +290,15 @@ def _claim_middle(grid: dict) -> Iterator[Cell]:
             yield Cell({"m": m, "s": s}, expected, observed, expected == observed)
 
 
-def _coprime_pairs(t_hi: int) -> Iterator[tuple[int, int]]:
-    for t in range(2, t_hi + 1):
+def _coprime_pairs(grid: dict) -> Iterator[tuple[int, int]]:
+    for t in _span(grid, "t"):
         for s in range(2, t):
             if math.gcd(s, t) == 1:
                 yield s, t
 
 
 def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
-    for s, t in _coprime_pairs(grid["t"][1]):
+    for s, t in _coprime_pairs(grid):
         expected = max_weight_formula(s, t)
         best, hits = st_core_weight_profile(s, t)
         yield Cell(
@@ -310,7 +310,7 @@ def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
 
 
 def _claim_sylvester(grid: dict) -> Iterator[Cell]:
-    for s, t in _coprime_pairs(grid["t"][1]):
+    for s, t in _coprime_pairs(grid):
         expected = s * t - s - t
         observed = max(
             max(partition_to_minimal_beadset(p), default=0)
@@ -377,9 +377,10 @@ def _claim_row_structure(grid: dict) -> Iterator[Cell]:
 
 def _claim_two_conj(grid: dict) -> Iterator[Cell]:
     mismatches = 0
-    for p in pt.partitions_up_to(grid["w"][1]):
-        if pt.is_two_core(p) != (pt.is_self_conjugate(p) and pt.has_distinct_parts(p)):
-            mismatches += 1
+    for w in _span(grid, "w"):
+        for p in pt.partitions_of(w):
+            if pt.is_two_core(p) != (pt.is_self_conjugate(p) and pt.has_distinct_parts(p)):
+                mismatches += 1
     yield Cell({"w": grid["w"][1]}, 0, mismatches, mismatches == 0)
 
 

@@ -10,6 +10,15 @@ def P(*parts):
     return Partition(parts)
 
 
+def reference_axis(x):
+    """Doubled axis found by trying every half-integer in (-1/2, max(x)+1/2], or None."""
+    for twice in range(-1, 2 * max(x, default=0) + 2, 2):
+        top = max(max(x, default=-1), twice)
+        if all(p not in x if twice - p < 0 else (p in x) != (twice - p in x) for p in range(top + 1)):
+            return twice
+    return None
+
+
 class TestBeadSetConversions:
     def test_minimal_beadset_examples(self):
         assert ab.partition_to_minimal_beadset(P(4, 3, 2)) == {2, 4, 6}
@@ -33,6 +42,11 @@ class TestBeadSetConversions:
     def test_round_trip_small(self):
         for p in pt.partitions_up_to(16):
             assert ab.beadset_to_partition(ab.partition_to_minimal_beadset(p)) == p
+
+    def test_partition_of_any_beadset_passes_validation(self):
+        for mask in range(1 << 13):
+            p = ab.beadset_to_partition(frozenset(b for b in range(13) if mask >> b & 1))
+            assert Partition(p.parts) == p
 
     def test_shift_invariance(self):
         x = ab.partition_to_minimal_beadset(P(4, 3, 2))
@@ -122,6 +136,12 @@ class TestAxisCheck:
     def test_twice_theta_must_be_odd(self):
         with pytest.raises(ValueError):
             ab.AxisTheta(2)
+
+    def test_matches_search_over_every_theta(self):
+        for mask in range(1 << 13):
+            x = frozenset(b for b in range(13) if mask >> b & 1)
+            axis = ab.self_conjugate_axis_check(x)
+            assert (axis.twice_theta if axis else None) == reference_axis(x), sorted(x)
 
     def test_agrees_with_conjugation(self):
         for p in pt.partitions_up_to(16):

@@ -82,6 +82,12 @@ class TestEnumerateAndCount:
         assert payload["count"] == 5
         assert [4, 3, 2, 1] in payload["partitions"]
 
+    def test_count_beyond_guard_rail_exit_two(self, capsys):
+        for moduli in ("13,14", "20,21"):
+            code, out, err = run(capsys, "count", "--moduli", moduli, "--no-cache")
+            assert code == 2 and out == "", moduli
+            assert "guard rail of 250000" in err, moduli
+
     def test_bad_moduli(self, capsys):
         code, _, err = run(capsys, "count", "--moduli", "4,6")
         assert code == 2 and "error" in err

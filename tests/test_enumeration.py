@@ -156,6 +156,15 @@ class TestMultiCores:
         with pytest.raises(ValueError):
             en.enumerate_multi_cores({0, 3})
 
+    def test_guard_rail_on_full_walk(self):
+        assert en.count_st_cores(12, 13) <= en.FAMILY_MAX_CORES < en.count_st_cores(13, 14)
+        with pytest.raises(en.GuardRailError, match="742900.*250000"):
+            en.enumerate_multi_cores({13, 14})
+        with pytest.raises(en.GuardRailError):
+            en.enumerate_multi_cores({20, 21, 41})
+        # the pruned distinct walk is not railed: (9,28) has 3,362,260 cores
+        assert len(en.enumerate_multi_cores({9, 28}, distinct=True)) == 1159
+
     def test_distinct_walk_matches_filter(self):
         for s in range(1, 7):
             for m in range(1, 4):
@@ -195,6 +204,7 @@ class TestLatticePathStream:
             assert sum(1 for _ in en._bead_masks(s, t)) == en.count_st_cores(s, t), (s, t)
             if s <= t:  # one build serves both orders: (s,t)- and (t,s)-cores coincide
                 family = en.enumerate_st_cores(s, t)
+                assert all(Partition(p.parts) == p for p in family.members), (s, t)
                 weights = [p.weight for p in family.members]
                 profile = (max(weights), weights.count(max(weights)))
                 assert en.st_core_weight_profile(s, t) == en.st_core_weight_profile(t, s) == profile, (s, t)

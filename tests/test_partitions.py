@@ -8,6 +8,27 @@ def P(*parts):
     return Partition(parts)
 
 
+def reference_partition_tuples(n, largest):
+    """The recursive generator `partitions_of` replaced: reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in reference_partition_tuples(n - first, first):
+            yield (first,) + rest
+
+
+def reference_conjugate(parts):
+    """Column lengths counted box by box, as `conjugate` did before it went linear."""
+    if not parts:
+        return ()
+    cols = [0] * parts[0]
+    for part in parts:
+        for j in range(part):
+            cols[j] += 1
+    return tuple(cols)
+
+
 class TestPartition:
     def test_validation_rejects_increasing_parts(self):
         with pytest.raises(ValueError):
@@ -122,3 +143,24 @@ class TestSmallExhaustiveInvariants:
         # p(n) for n = 0..10
         counts = [sum(1 for _ in pt.partitions_of(n)) for n in range(11)]
         assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+class TestAgainstReferences:
+    # weight <= 30 is 28,629 partitions
+
+    def test_generator_order(self):
+        for n in range(31):
+            assert [p.parts for p in pt.partitions_of(n)] == list(reference_partition_tuples(n, n)), n
+        assert list(pt.partitions_of(-1)) == []
+
+    def test_conjugate_and_self_conjugacy(self):
+        for p in pt.partitions_up_to(30):
+            expected = reference_conjugate(p.parts)
+            assert pt.conjugate(p).parts == expected, p
+            assert pt.is_self_conjugate(p) == (expected == p.parts), p
+
+    def test_trusted_outputs_pass_validation(self):
+        for p in pt.partitions_up_to(30):
+            assert Partition(p.parts) == p
+            q = pt.conjugate(p)
+            assert Partition(q.parts) == q

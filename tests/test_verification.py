@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from coreabacus import partitions as pt
 from coreabacus import verification as vf
 from coreabacus.enumeration import GuardRailError, enumerate_multi_cores
+from coreabacus.partitions import is_two_core
 
 
 class TestFibCount:
@@ -147,6 +149,25 @@ class TestHarness:
             vf.verify_claim("xiong", {"m": (1, 2)})
         with pytest.raises(GuardRailError):
             vf.verify_claim("xiong", {"s": (5, 3)})
+
+    def test_t_grid_lower_end(self):
+        for claim in ("olsson-stanton", "sylvester"):
+            report = vf.verify_claim(claim, {"t": (9, 9)})
+            assert report.all_passed
+            assert [(c.params["s"], c.params["t"]) for c in report.cells] == [(2, 9), (4, 9), (5, 9), (7, 9), (8, 9)]
+
+    def test_two_conj_sweeps_from_grid_lower_end(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return is_two_core(p)
+
+        monkeypatch.setattr(pt, "is_two_core", counted)
+        report = vf.verify_claim("two-conj", {"w": (5, 5)})
+        assert report.all_passed and [c.params for c in report.cells] == [{"w": 5}]
+        assert len(calls) == 7  # p(5)
+        assert {p.weight for p in calls} == {5}
 
     def test_report_json_schema(self):
         report = vf.verify_claim("middle", {"s": (3, 5), "m": (1, 2)})
