@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional
 
-from .partitions import EMPTY, Partition, first_column_hooks
+from .partitions import Partition, first_column_hooks
 
 BeadSet = frozenset  # frozenset[int]
 
@@ -37,9 +38,6 @@ class Abacus:
         for i, j in self.positions:
             if not (0 <= i < self.runners and j >= 0):
                 raise ValueError(f"position {(i, j)} outside {self.runners}-runner grid")
-
-    def bead_values(self) -> frozenset:
-        return from_abacus(self)
 
     def max_row(self) -> int:
         """Largest occupied row; -1 when empty."""
@@ -75,13 +73,21 @@ def partition_to_minimal_beadset(p: Partition) -> BeadSet:
 
 
 def beadset_to_partition(x: BeadSet) -> Partition:
-    """Partition whose part for bead b is the number of spacers below b.
+    """Partition whose part for bead b is the number of spacers below b."""
+    return _mask_to_partition(sum(1 << b for b in x))
 
-    Over distinct sorted beads b_0 < b_1 < ..., the part b_k - k never
-    decreases in k, so the reversed positive parts form a valid partition.
+
+def _mask_to_partition(mask: int) -> Partition:
+    """Partition of the bead set whose bead b is bit b of `mask`.
+
+    The solid prefix {0..k-1} gives zero parts, so it is shifted off first.
+    Split at each bead, the binary digits, most significant first, leave the
+    runs of spacers between consecutive beads; summed from the bottom, the
+    runs give each bead's spacers below it, the parts in increasing order.
     """
-    parts = [b - k for k, b in enumerate(sorted(x))]
-    return Partition._trusted(tuple(p for p in reversed(parts) if p > 0))
+    mask >>= (~mask & (mask + 1)).bit_length() - 1
+    parts = tuple(accumulate(map(len, f"{mask:b}".split("1")[:0:-1])))
+    return Partition._trusted(parts[::-1])
 
 
 def normalize(x: BeadSet) -> BeadSet:
@@ -117,8 +123,15 @@ def is_core_abacus(a: Abacus) -> bool:
 
 
 def is_t_core(p: Partition, t: int) -> bool:
-    """True iff p has no hook of length t (abacus criterion)."""
-    return is_core_abacus(to_abacus(partition_to_minimal_beadset(p), t))
+    """True iff p has no hook of length t: every bead b >= t has a bead at b - t.
+
+    That is the bottom-justified runner test of `is_core_abacus`, read off the
+    minimal bead set without building its t-runner grid.
+    """
+    if t < 1:
+        raise ValueError(f"runner count must be positive, got {t}")
+    x = partition_to_minimal_beadset(p)
+    return all(b - t in x for b in x if b >= t)
 
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:

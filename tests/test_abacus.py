@@ -10,6 +10,12 @@ def P(*parts):
     return Partition(parts)
 
 
+def reference_partition(x):
+    """Parts b_k - k over the sorted beads b_0 < b_1 < ..., largest first, zeros dropped."""
+    parts = [b - k for k, b in enumerate(sorted(x))]
+    return P(*(p for p in reversed(parts) if p > 0))
+
+
 def reference_axis(x):
     """Doubled axis found by trying every half-integer in (-1/2, max(x)+1/2], or None."""
     for twice in range(-1, 2 * max(x, default=0) + 2, 2):
@@ -45,8 +51,10 @@ class TestBeadSetConversions:
 
     def test_partition_of_any_beadset_passes_validation(self):
         for mask in range(1 << 13):
-            p = ab.beadset_to_partition(frozenset(b for b in range(13) if mask >> b & 1))
+            x = frozenset(b for b in range(13) if mask >> b & 1)
+            p = ab.beadset_to_partition(x)
             assert Partition(p.parts) == p
+            assert p == reference_partition(x), sorted(x)
 
     def test_shift_invariance(self):
         x = ab.partition_to_minimal_beadset(P(4, 3, 2))

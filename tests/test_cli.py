@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import coreabacus
 from coreabacus.cli import main
 from coreabacus.enumeration import enumerate_multi_cores, longest_member
 
@@ -104,6 +105,15 @@ class TestEnumerateAndCount:
         _, second, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert first == second
 
+    def test_count_caches_no_members(self, capsys, tmp_path):
+        code, counted, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
+        assert code == 0 and "partitions" not in json.loads(counted)
+        (path,) = (tmp_path / "cache").iterdir()
+        assert "partitions" not in json.loads(path.read_text())["payload"]
+        code, out, _ = run(capsys, "enumerate", "--moduli", "5,14", "--format", "json")
+        assert code == 0 and len(json.loads(out)["partitions"]) == 612
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
     def test_cache_ignores_entry_from_other_sources(self, capsys, tmp_path):
         _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         (path,) = (tmp_path / "cache").iterdir()
@@ -116,6 +126,13 @@ class TestEnumerateAndCount:
         path.write_text(json.dumps(entry))
         _, fresh, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert fresh == first
+
+
+def test_package_holds_only_top_level_sources():
+    # the cache's source hash covers the package's top-level .py files, so nothing else may feed it
+    package = Path(coreabacus.__file__).parent
+    files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert files and all(p.parent == package and p.suffix == ".py" for p in files), files
 
 
 class TestVerify:

@@ -1,8 +1,12 @@
-"""Hypothesis round trips: bead set <-> partition <-> abacus, conjugation, mirror axes."""
+"""Hypothesis round trips: bead set <-> partition <-> abacus, conjugation, mirror axes;
+and the lattice-path bead-mask stream on pairs beyond the exhaustive st <= 150 grid."""
+
+import math
 
 import pytest
 
 from coreabacus import abacus as ab
+from coreabacus import enumeration as en
 from coreabacus import partitions as pt
 from coreabacus.partitions import Partition
 
@@ -13,6 +17,14 @@ settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True
 
 beadsets = st.frozensets(st.integers(0, 60), max_size=24)
 partitions = st.lists(st.integers(1, 16), max_size=16).map(lambda xs: Partition(sorted(xs, reverse=True)))
+
+
+# coprime s < t <= 200 with st > 150 and at most 20,000 (s,t)-cores; sampled, not filtered,
+# since filtering draws this sparse trips Hypothesis's filter_too_much health check
+large_pairs = st.sampled_from([
+    (s, t) for s in range(2, 201) for t in range(s + 1, 201)
+    if math.gcd(s, t) == 1 and s * t > 150 and en.count_st_cores(s, t) <= 20_000
+])
 
 
 def symmetrize(p):
@@ -53,3 +65,19 @@ def test_conjugate_is_an_involution(p):
 def test_axis_exists_iff_self_conjugate(p, k):
     x = shifted(ab.partition_to_minimal_beadset(p), k)
     assert (ab.self_conjugate_axis_check(x) is not None) == pt.is_self_conjugate(p)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(large_pairs, st.booleans())
+def test_bead_mask_stream_beyond_exhaustive_grid(pair, swap):
+    s, t = pair[::-1] if swap else pair
+    stream = list(en._bead_masks(s, t))
+    masks = [mask for mask, _, _ in stream]
+    assert len(set(masks)) == len(masks) == en.count_st_cores(s, t)
+    for mask, n, total in stream:
+        assert not mask & 1
+        beads = {b for b in range(mask.bit_length()) if mask >> b & 1}
+        assert (n, total) == (len(beads), sum(beads))
+        for r in (s, t):
+            assert all(b - r in beads for b in beads if b >= r), (sorted(beads), r)
+    assert list(en._bead_masks(s, t, distinct=True)) == [x for x in stream if not x[0] & x[0] >> 1]
