@@ -90,6 +90,20 @@ def _mask_to_partition(mask: int) -> Partition:
     return Partition._trusted(parts[::-1])
 
 
+def _mask_is_core(mask: int, r: int) -> bool:
+    """The bit form of `is_t_core`: every bead b >= r has a bead at b - r."""
+    return (mask >> r) & ~mask == 0
+
+
+def _mask_is_self_conjugate(mask: int, n: int) -> bool:
+    """The bit form of `self_conjugate_axis_check` for a mask holding n beads.
+
+    Every bead lies at or below 2n - 1 and its mirror 2n - 1 - b, the same bit
+    of the 2n-bit reversal, is a spacer.
+    """
+    return mask >> 2 * n == 0 and mask & int(f"{mask:0{2 * n}b}"[::-1], 2) == 0
+
+
 def normalize(x: BeadSet) -> BeadSet:
     """Minimal form: strip the solid prefix {0..k-1} and shift down by k."""
     k = 0

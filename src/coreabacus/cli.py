@@ -17,12 +17,7 @@ from pathlib import Path
 
 from .abacus import beadset_to_partition, from_abacus, render_abacus
 from .constructions import CONSTRUCTIONS, build_l, build_named
-from .enumeration import (
-    GuardRailError,
-    enumerate_multi_cores,
-    filter_self_conjugate,
-    maximal_st_core,
-)
+from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
 from .verification import CLAIM_IDS, verify_claim
 
 EXIT_OK = 0
@@ -123,17 +118,17 @@ def _parse_grid(text: str) -> dict:
 
 
 def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_members: bool) -> dict:
-    family = enumerate_multi_cores(moduli, distinct=distinct)
-    if self_conjugate:
-        family = filter_self_conjugate(family)
+    """The family's statistics from its bead masks; its members only if `with_members`."""
+    stats = family_stats(moduli, distinct, self_conjugate)
     payload = {
-        "moduli": list(family.moduli),
-        "filters": {"distinct": family.distinct, "self_conjugate": family.self_conjugate},
-        "count": len(family),
-        "max_weight": family.max_weight(),
-        "longest_parts": max((len(p) for p in family.members), default=0),
+        "moduli": list(moduli),
+        "filters": {"distinct": distinct, "self_conjugate": self_conjugate},
+        "count": stats.count,
+        "max_weight": stats.max_weight,
+        "longest_parts": stats.longest_parts,
     }
     if with_members:
+        family = enumerate_multi_cores(moduli, distinct, self_conjugate)
         payload["partitions"] = [list(p.parts) for p in family.members]
     return payload
 

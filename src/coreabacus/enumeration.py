@@ -5,7 +5,9 @@ poset of <s, t>, streaming the minimal bead set (first-column hook lengths) of
 each (s,t)-core as a bitmask indexed by bead value.  Asked for distinct parts,
 the walk drops every partial path whose mask already holds two adjacent beads:
 equal parts are adjacent beads, and the walk only adds beads, so no completion
-of such a path has distinct parts.  The slow route generates all partitions up
+of such a path has distinct parts.  A family's count and extremes fold the
+stream without building a `Partition`, and the weight profile is a dynamic
+programme over the same runners.  The slow route generates all partitions up
 to a weight bound and filters by hook multiset; it exists only as an
 independent oracle for tests and verification.
 """
@@ -13,15 +15,17 @@ independent oracle for tests and verification.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
-from .abacus import _mask_to_partition, beadset_to_partition
+from .abacus import _mask_is_core, _mask_is_self_conjugate, _mask_to_partition, beadset_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
 FAMILY_MAX_CORES = 250_000  # guard rail on the (s,t)-cores a multi-core family walks
+_PARTS = operator.attrgetter("parts")
 
 
 class GuardRailError(ValueError):
@@ -34,6 +38,15 @@ class AmbiguousLongestError(ValueError):
     def __init__(self, members):
         self.members = tuple(members)
         super().__init__(f"longest member is not unique: {sorted(m.parts for m in self.members)}")
+
+
+class FamilyStats(NamedTuple):
+    """A family's size and extremes, read off its bead masks by `family_stats`."""
+
+    count: int
+    max_weight: int  # 0 for a family of the empty partition alone
+    longest_parts: int
+    largest_bead: int  # largest first-column hook length; -1 when no member has a part
 
 
 @dataclass(frozen=True)
@@ -87,14 +100,7 @@ def _bead_masks(s: int, t: int, distinct: bool = False) -> Iterator[tuple]:
     multiples of s hold none), which closes the set under subtracting s and t.
     With `distinct`, only the cores with distinct parts (no adjacent beads).
     """
-    _check_coprime(s, t)
-    runners = []  # per runner, each stack it can hold: (first spacer, mask, n, total)
-    for j in range(1, s):
-        stacks, mask, n, total, spacer = [], 0, 0, 0, j * t % s
-        while spacer <= j * t:
-            stacks.append((spacer, mask, n, total))
-            mask, n, total, spacer = mask | 1 << spacer, n + 1, total + spacer, spacer + s
-        runners.append(stacks)
+    runners = _runner_stacks(s, t)
     pending = [(0, 0, 0, 0, t)]  # (runner, mask, n, total, bound on its first spacer)
     while pending:
         j, mask, n, total, bound = pending.pop()
@@ -108,11 +114,53 @@ def _bead_masks(s: int, t: int, distinct: bool = False) -> Iterator[tuple]:
             pending.append((j + 1, m, n + k, total + sigma, spacer + t))
 
 
-def _family(moduli: tuple, masks: Iterable[int], distinct: bool) -> CoreFamily:
+def _runner_stacks(s: int, t: int) -> list:
+    """Per s-abacus runner holding t, 2t, ... (mod s), each bottom-justified stack
+    it can hold, shortest first: (first spacer, mask, bead count, bead sum)."""
+    _check_coprime(s, t)
+    runners = []
+    for j in range(1, s):
+        stacks, mask, n, total, spacer = [], 0, 0, 0, j * t % s
+        while spacer <= j * t:
+            stacks.append((spacer, mask, n, total))
+            mask, n, total, spacer = mask | 1 << spacer, n + 1, total + spacer, spacer + s
+        runners.append(stacks)
+    return runners
+
+
+def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool) -> Iterator[tuple]:
+    """The walk's (mask, n, bead sum) for every member of a multi-core family.
+
+    Walks the coprime pair of `moduli` with the smallest product, pruned to
+    distinct parts if `distinct`, and keeps the masks that are cores for the
+    other moduli and, if `self_conjugate`, self-conjugate.  The rail is checked
+    before the walk starts.
+    """
+    if any(t < 1 for t in moduli):
+        raise ValueError(f"moduli must be positive, got {moduli}")
+    pair = _coprime_pair(moduli)
+    if pair is None:
+        raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
+    size = count_st_cores(*pair)
+    if not distinct and size > FAMILY_MAX_CORES:  # the pruned distinct walk has no size prediction
+        raise GuardRailError(
+            f"moduli {moduli} walk all {size} ({pair[0]},{pair[1]})-cores, "
+            f"beyond the guard rail of {FAMILY_MAX_CORES}"
+        )
+    stream = _bead_masks(*pair, distinct)
+    rest = [t for t in moduli if t not in pair]
+    if rest:
+        stream = ((mask, n, total) for mask, n, total in stream if all(_mask_is_core(mask, r) for r in rest))
+    if self_conjugate:
+        stream = ((mask, n, total) for mask, n, total in stream if _mask_is_self_conjugate(mask, n))
+    return stream
+
+
+def _family(moduli: tuple, masks: Iterable[int], distinct: bool, self_conjugate: bool = False) -> CoreFamily:
     """The partitions of value-indexed bead masks, in lexicographic part order."""
-    members = [_mask_to_partition(m) for m in masks]
-    members.sort(key=lambda p: p.parts)
-    return CoreFamily(moduli=moduli, members=tuple(members), distinct=distinct)
+    members = list(map(_mask_to_partition, masks))
+    members.sort(key=_PARTS)
+    return CoreFamily(moduli=moduli, members=tuple(members), distinct=distinct, self_conjugate=self_conjugate)
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -127,14 +175,35 @@ def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
-    """(max weight, number of members attaining it) over all (s,t)-cores."""
+    """(max weight, number of members attaining it) over all (s,t)-cores.
+
+    A dynamic programme over the runners of `_bead_masks`: the walk's only
+    constraint on the next runner is its bound, the last first spacer + t, and
+    a core's weight is its bead sum less n(n-1)/2 for n beads.  So the states
+    (bound, n) -> (largest bead sum, number of paths reaching it) give the
+    profile exactly.
+    """
+    states = {(t, 0): (0, 1)}
+    for stacks in _runner_stacks(s, t):
+        reached = {}
+        for (bound, n), (sigma, paths) in states.items():
+            for spacer, _, k, total in stacks:
+                if spacer > bound:
+                    break
+                key, value = (spacer + t, n + k), sigma + total
+                old = reached.get(key)
+                if old is None or value > old[0]:
+                    reached[key] = (value, paths)
+                elif value == old[0]:
+                    reached[key] = (value, old[1] + paths)
+        states = reached
     best, hits = 0, 0
-    for _, n, total in _bead_masks(s, t):
-        w = total - n * (n - 1) // 2  # sum over sorted beads b_k of b_k - k
+    for (_, n), (sigma, paths) in states.items():
+        w = sigma - n * (n - 1) // 2  # sum over sorted beads b_k of b_k - k
         if w > best:
-            best, hits = w, 1
+            best, hits = w, paths
         elif w == best:
-            hits += 1
+            hits += paths
     return best, hits
 
 
@@ -172,26 +241,33 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
     return replace(f, members=members, self_conjugate=True)
 
 
-def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False) -> CoreFamily:
-    """Enumerate a coprime pair, pruned to distinct parts if `distinct`, then filter by the other moduli."""
+def enumerate_multi_cores(
+    moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
+) -> CoreFamily:
+    """Every core for all of `moduli`, optionally only those with distinct parts or self-conjugate."""
     moduli = tuple(sorted(set(moduli)))
-    if any(t < 1 for t in moduli):
-        raise ValueError(f"moduli must be positive, got {moduli}")
-    pair = _coprime_pair(moduli)
-    if pair is None:
-        raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
-    size = count_st_cores(*pair)
-    if not distinct and size > FAMILY_MAX_CORES:  # the pruned distinct walk has no size prediction
-        raise GuardRailError(
-            f"moduli {moduli} walk all {size} ({pair[0]},{pair[1]})-cores, "
-            f"beyond the guard rail of {FAMILY_MAX_CORES}"
-        )
-    rest = [t for t in moduli if t not in pair]
-    # a bead set is an r-core iff every bead b >= r has a bead at b - r
-    masks = (
-        mask for mask, _, _ in _bead_masks(*pair, distinct) if all((mask >> r) & ~mask == 0 for r in rest)
-    )
-    return _family(moduli, masks, distinct)
+    masks = (mask for mask, _, _ in _core_masks(moduli, distinct, self_conjugate))
+    return _family(moduli, masks, distinct, self_conjugate)
+
+
+def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
+    """The statistics of `enumerate_multi_cores(...)`, folded from the bead masks.
+
+    A minimal bead set holds one bead per part, so a mask with n beads and
+    bead sum S has n parts and weight S - n(n-1)/2.
+    """
+    count = max_weight = longest = 0
+    top = 0  # the largest mask has the largest bead
+    for mask, n, total in _core_masks(tuple(sorted(set(moduli))), distinct, self_conjugate):
+        count += 1
+        weight = total - n * (n - 1) // 2
+        if weight > max_weight:
+            max_weight = weight
+        if n > longest:
+            longest = n
+        if mask > top:
+            top = mask
+    return FamilyStats(count, max_weight, longest, top.bit_length() - 1)
 
 
 def longest_member(f: CoreFamily) -> Partition:
@@ -206,10 +282,11 @@ def longest_member(f: CoreFamily) -> Partition:
 
 
 def _coprime_pair(moduli: tuple) -> tuple | None:
+    # (1, 1) counts: the 1-cores are the empty partition alone
     pairs = [
         (a, b)
         for i, a in enumerate(moduli)
-        for b in moduli[i + 1 :]
+        for b in moduli[i:]
         if math.gcd(a, b) == 1
     ]
     if not pairs:

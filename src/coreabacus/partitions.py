@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -30,10 +31,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        parts = tuple(map(int, parts))
+        if not all(map(operator.ge, parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -123,8 +123,8 @@ def is_self_conjugate(p: Partition) -> bool:
 
 def is_two_core(p: Partition) -> bool:
     """True iff the parts form a staircase (k, k-1, ..., 1), k >= 0."""
-    k = len(p.parts)
-    return p.parts == tuple(range(k, 0, -1))
+    parts = p.parts
+    return not parts or parts[0] == len(parts) and parts == tuple(range(len(parts), 0, -1))
 
 
 def staircase(k: int) -> Partition:
@@ -133,20 +133,36 @@ def staircase(k: int) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of weight exactly n, in reverse lexicographic order."""
-    if n < 0:
+    """All partitions of weight exactly n, in reverse lexicographic order.
+
+    Zoghbi and Stojmenovic's ZS1, at constant amortised cost per partition:
+    the parts fill x[:m], x[h] is the last part above 1, and every slot past h
+    holds a 1, so a trailing run of ones is never rewritten one part at a time.
+    """
+    if n < 1:
+        if n == 0:
+            yield Partition._trusted(())
         return
-    parts = [n] if n else []
-    while True:
-        yield Partition._trusted(tuple(parts))
-        ones = 0
-        while parts and parts[-1] == 1:
-            ones += parts.pop()
-        if not parts:
-            return
-        k = parts.pop() - 1  # lower the last part above 1 and refill greedily below it
-        q, r = divmod(ones + k + 1, k)
-        parts += [k] * q + ([r] if r else [])
+    x = [1] * n
+    x[0], m, h = n, 1, 0
+    yield Partition._trusted((n,))
+    while x[0] != 1:
+        if x[h] == 2:  # a 2 splits into two 1s
+            x[h], m, h = 1, m + 1, h - 1
+        else:  # lower x[h] to r and refill greedily below it with the ones it absorbs
+            r, rest = x[h] - 1, m - h
+            x[h] = r
+            while rest >= r:
+                h += 1
+                x[h] = r
+                rest -= r
+            m = h + 1
+            if rest:
+                m += 1
+                if rest > 1:
+                    h += 1
+                    x[h] = rest
+        yield Partition._trusted(tuple(x[:m]))
 
 
 def partitions_up_to(max_weight: int) -> Iterator[Partition]:

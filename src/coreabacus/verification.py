@@ -31,7 +31,7 @@ from .enumeration import (
     GuardRailError,
     enumerate_multi_cores,
     enumerate_st_cores,
-    filter_self_conjugate,
+    family_stats,
     maximal_st_core,
     st_core_weight_profile,
 )
@@ -155,8 +155,7 @@ def corollary3_check(s: int, m: int) -> bool:
     """For even s: does m^2 divide the brute-forced maximal triple-core weight?"""
     if s % 2:
         raise ValueError(f"s must be even, got {s}")
-    family = enumerate_multi_cores(_triple_moduli(s, m))
-    return family.max_weight() % (m * m) == 0
+    return family_stats(_triple_moduli(s, m)).max_weight % (m * m) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def _span(grid: dict, key: str) -> range:
 def _claim_xiong(grid: dict) -> Iterator[Cell]:
     for s in _span(grid, "s"):
         expected = fib_count(s)
-        observed = len(enumerate_st_cores(s, s + 1, distinct=True))
+        observed = family_stats((s, s + 1), distinct=True).count
         yield Cell({"s": s}, expected, observed, expected == observed)
 
 
@@ -258,7 +257,7 @@ def _claim_straub(sign: int, grid: dict) -> Iterator[Cell]:
                            note=f"degenerate modulus {t}")
                 continue
             expected = formula(m, s)
-            observed = len(enumerate_st_cores(s, t, distinct=True))
+            observed = family_stats((s, t), distinct=True).count
             yield Cell({"m": m, "s": s}, expected, observed, expected == observed)
 
 
@@ -292,10 +291,7 @@ def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
 def _claim_sylvester(grid: dict) -> Iterator[Cell]:
     for s, t in _coprime_pairs(grid):
         expected = s * t - s - t
-        observed = max(
-            max(partition_to_minimal_beadset(p), default=0)
-            for p in enumerate_st_cores(s, t).members
-        )
+        observed = family_stats((s, t)).largest_bead
         yield Cell({"s": s, "t": t}, expected, observed, expected == observed)
 
 
@@ -365,8 +361,8 @@ def _claim_two_conj(grid: dict) -> Iterator[Cell]:
 
 
 def _star_cell(params: dict, expected: int, s: int, t: int) -> Cell:
-    observed = len(filter_self_conjugate(enumerate_st_cores(s, t, distinct=True)))
-    return Cell(params, expected, observed, expected == observed, note="filtered-family route")
+    observed = family_stats((s, t), distinct=True, self_conjugate=True).count
+    return Cell(params, expected, observed, expected == observed, note="bead-mask route")
 
 
 def _claim_fstar(grid: dict) -> Iterator[Cell]:

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 import coreabacus
+from coreabacus import abacus, enumeration
 from coreabacus.cli import main
 from coreabacus.enumeration import enumerate_multi_cores, longest_member
+from coreabacus.partitions import Partition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +84,19 @@ class TestEnumerateAndCount:
         payload = json.loads(out)
         assert payload["count"] == 5
         assert [4, 3, 2, 1] in payload["partitions"]
+
+    def test_count_builds_no_partition(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("count built a Partition")
+
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        monkeypatch.setattr(Partition, "_trusted", refuse)
+        monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
+        monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
+        for argv, count in [(["10,11"], 16796), (["5,14,16"], 284), (["10,13", "--self-conjugate"], 462),
+                            (["9,28", "--distinct"], 1159)]:
+            code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
+            assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 
     def test_count_beyond_guard_rail_exit_two(self, capsys):
         for moduli in ("13,14", "20,21"):

@@ -4,6 +4,7 @@ import pytest
 
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
+from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
 
 
@@ -27,6 +28,17 @@ def reference_masks(s, t):
         need = sum(1 << c for c in (g - s, g - t) if c in gaps)
         ideals.extend([m | 1 << g for m in ideals if m & need == need])
     return ideals
+
+
+def stats_of(family):
+    """FamilyStats read off built members; a member's largest bead is its largest first-column hook."""
+    members = family.members
+    return FamilyStats(
+        len(members),
+        family.max_weight(),
+        max(map(len, members), default=0),
+        max((p.parts[0] + len(p) - 1 for p in members if p.parts), default=-1),
+    )
 
 
 class TestGapPoset:
@@ -98,6 +110,21 @@ class TestMaximalCore:
         assert en.st_core_weight_profile(3, 4) == (5, 1)
         assert en.st_core_weight_profile(5, 14) == (195, 1)
 
+    def test_profile_dp_beyond_the_walk(self):
+        for s, t in [(20, 21), (30, 31)]:
+            assert en.st_core_weight_profile(s, t) == ((s * s - 1) * (t * t - 1) // 24, 1), (s, t)
+
+    def test_profile_dp_on_made_up_runners(self, monkeypatch):
+        # every coprime pair has one maximal core, and the bound rarely decides
+        # it, so made-up tables of (first spacer, mask, beads, bead sum) stacks
+        # test the ties and the bound: all four paths of the first weigh 1, two
+        # of them meeting in each final (bound, n) state
+        runners = [[(1, 0, 1, 1), (2, 0, 1, 1)], [(1, 0, 0, 0), (2, 0, 1, 1)]]
+        monkeypatch.setattr(en, "_runner_stacks", lambda s, t: runners)
+        assert en.st_core_weight_profile(3, 4) == (1, 4)
+        runners[1].append((6, 0, 5, 50))  # within the bound 2 + 4 only
+        assert en.st_core_weight_profile(3, 4) == (51 - 15, 1)
+
     def test_maximal_member(self):
         kappa = en.maximal_st_core(3, 4)
         assert kappa == P(3, 1, 1)
@@ -147,6 +174,22 @@ class TestMultiCores:
     def test_4_7_9(self):
         family = en.enumerate_multi_cores({4, 7, 9})
         assert family.max_weight() == 12
+
+    def test_modulus_one_alone(self):
+        assert en.enumerate_multi_cores({1}).members == (EMPTY,)
+        assert en.family_stats({1}, distinct=True, self_conjugate=True) == FamilyStats(1, 0, 0, -1)
+
+    def test_mask_filters_match_built_filters(self):
+        for s in range(1, 7):
+            for m in range(1, 4):
+                moduli = tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
+                family = en.enumerate_multi_cores(moduli)
+                assert en.family_stats(moduli) == stats_of(family), moduli
+                for distinct in (False, True):
+                    expected = en.filter_self_conjugate(en.filter_distinct(family) if distinct else family)
+                    observed = en.enumerate_multi_cores(moduli, distinct=distinct, self_conjugate=True)
+                    assert observed == expected, (moduli, distinct)
+                    assert en.family_stats(moduli, distinct, True) == stats_of(expected), (moduli, distinct)
 
     def test_no_coprime_pair(self):
         with pytest.raises(ValueError):
@@ -212,6 +255,16 @@ class TestLatticePathStream:
                 assert en.enumerate_st_cores(s, t, distinct=True) == distinct, (s, t)
                 pruned = en.enumerate_st_cores(t, s, distinct=True)
                 assert (pruned.members, pruned.distinct) == (distinct.members, True), (t, s)
+                assert en.family_stats((t, s), distinct=True) == stats_of(distinct), (s, t)
+                conjugates = en.filter_self_conjugate(family)
+                assert en.family_stats((s, t), self_conjugate=True) == stats_of(conjugates), (s, t)
+
+    def test_self_conjugate_count_is_ford_mai_sze(self):
+        # Ford, Mai and Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate (s,t)-cores
+        for s, t in SMALL_PAIRS:
+            if s <= t:
+                expected = math.comb(s // 2 + t // 2, s // 2)
+                assert en.family_stats((s, t), self_conjugate=True).count == expected, (s, t)
 
     def test_matches_hook_sweep(self):
         bound = 25

@@ -153,6 +153,13 @@ class TestAgainstReferences:
             assert [p.parts for p in pt.partitions_of(n)] == list(reference_partition_tuples(n, n)), n
         assert list(pt.partitions_of(-1)) == []
 
+    def test_generator_counts_match_coin_change(self):
+        p = [1] + [0] * 40
+        for k in range(1, 41):
+            for i in range(k, 41):
+                p[i] += p[i - k]
+        assert [sum(1 for _ in pt.partitions_of(n)) for n in range(41)] == p
+
     def test_conjugate_and_self_conjugacy(self):
         for p in pt.partitions_up_to(30):
             expected = reference_conjugate(p.parts)
