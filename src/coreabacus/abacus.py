@@ -1,7 +1,9 @@
 """Bead sets, s-abaci, conversions to/from partitions, and core predicates.
 
-Bead sets are plain frozensets of non-negative integers; the abacus grid is a
-derived view of a bead set, never the source of truth.
+Internally a bead set is a bitmask whose bit b is bead b, and each bead rule
+is stated once, on masks.  The frozensets of non-negative integers and the
+abacus grids derived from them are adapters at the public edge: their
+functions convert with `_beads_mask` and call the mask rule.
 """
 
 from __future__ import annotations
@@ -74,7 +76,12 @@ def partition_to_minimal_beadset(p: Partition) -> BeadSet:
 
 def beadset_to_partition(x: BeadSet) -> Partition:
     """Partition whose part for bead b is the number of spacers below b."""
-    return _mask_to_partition(sum(1 << b for b in x))
+    return _mask_to_partition(_beads_mask(x))
+
+
+def _beads_mask(x: Iterable[int]) -> int:
+    """The bitmask of a bead set: bit b is set iff b is a bead."""
+    return sum(1 << b for b in x)
 
 
 def _mask_to_partition(mask: int) -> Partition:
@@ -91,15 +98,17 @@ def _mask_to_partition(mask: int) -> Partition:
 
 
 def _mask_is_core(mask: int, r: int) -> bool:
-    """The bit form of `is_t_core`: every bead b >= r has a bead at b - r."""
+    """True iff every bead b >= r has a bead at b - r: every r-abacus runner is bottom-justified."""
     return (mask >> r) & ~mask == 0
 
 
 def _mask_is_self_conjugate(mask: int, n: int) -> bool:
-    """The bit form of `self_conjugate_axis_check` for a mask holding n beads.
+    """True iff a mask holding n beads has a mirror axis with beads and spacers exchanged.
 
-    Every bead lies at or below 2n - 1 and its mirror 2n - 1 - b, the same bit
-    of the 2n-bit reversal, is a spacer.
+    Only 2*theta = 2n - 1 can work: beyond the axis every position is a
+    spacer, and [0, 2*theta] splits into mirror pairs holding one bead each.
+    So the axis exists iff every bead lies at or below 2n - 1 and its mirror
+    2n - 1 - b, the same bit of the 2n-bit reversal, is a spacer.
     """
     return mask >> 2 * n == 0 and mask & int(f"{mask:0{2 * n}b}"[::-1], 2) == 0
 
@@ -133,19 +142,14 @@ def is_sub_abacus(inner: Abacus, outer: Abacus) -> bool:
 
 def is_core_abacus(a: Abacus) -> bool:
     """True iff every runner is bottom-justified (no spacer below a bead)."""
-    return all(j == 0 or (i, j - 1) in a.positions for i, j in a.positions)
+    return _mask_is_core(_beads_mask(from_abacus(a)), a.runners)
 
 
 def is_t_core(p: Partition, t: int) -> bool:
-    """True iff p has no hook of length t: every bead b >= t has a bead at b - t.
-
-    That is the bottom-justified runner test of `is_core_abacus`, read off the
-    minimal bead set without building its t-runner grid.
-    """
+    """True iff p has no hook of length t, read off its minimal bead set."""
     if t < 1:
         raise ValueError(f"runner count must be positive, got {t}")
-    x = partition_to_minimal_beadset(p)
-    return all(b - t in x for b in x if b >= t)
+    return _mask_is_core(_beads_mask(first_column_hooks(p)), t)
 
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
@@ -156,16 +160,9 @@ def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
 
 
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:
-    """Mirror axis theta with beads and spacers exchanged, if one exists.
-
-    Only 2*theta = 2|x| - 1 can work: beyond the axis every position is a
-    spacer, and [0, 2*theta] splits into mirror pairs holding one bead each.
-    So the axis exists iff every bead lies at or below 2*theta with a spacer
-    as its mirror.  Agrees with the partition-level self-conjugacy predicate.
-    """
-    twice = 2 * len(x) - 1
-    if all(b <= twice and twice - b not in x for b in x):
-        return AxisTheta(twice)
+    """Mirror axis theta with beads and spacers exchanged, if one exists; see `_mask_is_self_conjugate`."""
+    if _mask_is_self_conjugate(_beads_mask(x), len(x)):
+        return AxisTheta(2 * len(x) - 1)
     return None
 
 

@@ -52,10 +52,13 @@ def _cache_key(command: str, params: dict) -> str:
     return json.dumps({"command": command, "params": params}, sort_keys=True)
 
 
+def _cache_path(key: str) -> Path:
+    return _cache_dir() / (hashlib.sha256(key.encode()).hexdigest() + ".json")
+
+
 def _cache_load(key: str) -> dict | None:
-    path = _cache_dir() / (hashlib.sha256(key.encode()).hexdigest() + ".json")
     try:
-        entry = json.loads(path.read_text())
+        entry = json.loads(_cache_path(key).read_text())
     except (OSError, ValueError):
         return None
     if entry.get("key") != key or entry.get("source_hash") != _source_hash():
@@ -64,16 +67,15 @@ def _cache_load(key: str) -> dict | None:
 
 
 def _cache_store(key: str, payload: dict) -> None:
-    directory = _cache_dir()
+    path = _cache_path(key)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": key,
             "payload": payload,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "source_hash": _source_hash(),
         }
-        path = directory / (hashlib.sha256(key.encode()).hexdigest() + ".json")
         path.write_text(json.dumps(entry))
     except OSError:
         pass  # cache is best-effort

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
-from .abacus import _mask_is_core, _mask_is_self_conjugate, _mask_to_partition, beadset_to_partition
+from .abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
@@ -209,8 +209,7 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
 
 def maximal_st_core(s: int, t: int) -> Partition:
     """The core whose bead set is the full gap set of <s, t>."""
-    poset = gap_poset(s, t)
-    return beadset_to_partition(frozenset(poset.gaps))
+    return _mask_to_partition(_beads_mask(gap_poset(s, t).gaps))
 
 
 def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:

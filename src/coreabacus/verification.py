@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import partitions as pt
-from .abacus import (
-    beadset_to_partition,
-    from_abacus,
-    is_sub_abacus,
-    partition_to_minimal_beadset,
-    to_abacus,
-)
+from .abacus import _beads_mask, beadset_to_partition, from_abacus
 from .constructions import (
     build_e_minus,
     build_e_plus,
@@ -29,8 +23,9 @@ from .constructions import (
 )
 from .enumeration import (
     GuardRailError,
+    _bead_masks,
+    _check_coprime,
     enumerate_multi_cores,
-    enumerate_st_cores,
     family_stats,
     maximal_st_core,
     st_core_weight_profile,
@@ -80,10 +75,7 @@ def middle_identity_check(m: int, s: int) -> bool:
 
 def max_weight_formula(s: int, t: int) -> int:
     """Weight of the unique maximal (s,t)-core: (s^2-1)(t^2-1)/24."""
-    if s < 1 or t < 1:
-        raise ValueError(f"moduli must be positive, got ({s}, {t})")
-    if math.gcd(s, t) != 1:
-        raise ValueError(f"moduli must be coprime, got ({s}, {t})")
+    _check_coprime(s, t)
     num = (s * s - 1) * (t * t - 1)
     if num % 24:
         raise ArithmeticError(f"({s}^2-1)({t}^2-1) = {num} is not divisible by 24")
@@ -343,11 +335,9 @@ def _claim_row_structure(grid: dict) -> Iterator[Cell]:
                     yield Cell(params, None, None, True, status="UNTESTED",
                                note=f"degenerate modulus {t}")
                     continue
-                violations = 0
-                for p in enumerate_st_cores(s, t, distinct=True).members:
-                    a = to_abacus(partition_to_minimal_beadset(p), m * s)
-                    if a.max_row() > 0 or not is_sub_abacus(a, envelope):
-                        violations += 1
+                # a core's beads must sit in row 0 of the ms-abacus, inside the envelope's row 0
+                row0 = _beads_mask(from_abacus(envelope)) & ((1 << m * s) - 1)
+                violations = sum(1 for mask, _, _ in _bead_masks(s, t, True) if mask & ~row0)
                 yield Cell(params, 0, violations, violations == 0)
 
 

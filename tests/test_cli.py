@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -148,6 +149,18 @@ def test_package_holds_only_top_level_sources():
     package = Path(coreabacus.__file__).parent
     files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
     assert files and all(p.parent == package and p.suffix == ".py" for p in files), files
+
+
+def test_package_states_invariants_without_assert():
+    # `python -O` strips assert statements, so an invariant must be an explicit raise
+    package = Path(coreabacus.__file__).parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 class TestVerify:

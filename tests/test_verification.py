@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from coreabacus import abacus, enumeration
 from coreabacus import partitions as pt
 from coreabacus import verification as vf
+from coreabacus.abacus import Abacus
 from coreabacus.enumeration import GuardRailError, enumerate_multi_cores
-from coreabacus.partitions import is_two_core
+from coreabacus.partitions import Partition, is_two_core
 
 
 class TestFibCount:
@@ -205,3 +207,43 @@ class TestHarness:
     def test_guardrails_cover_all_claims(self):
         rails = vf.claim_guardrails()
         assert set(rails) == set(vf.CLAIM_IDS)
+
+
+@pytest.mark.parametrize("claim", vf.CLAIM_IDS)
+def test_every_claim_passes_at_its_default_rails(claim):
+    report = vf.verify_claim(claim)
+    assert report.cells and report.all_passed, [c for c in report.cells if not c.passed]
+
+
+class TestRowStructure:
+    def test_default_rails_observe_no_violation(self):
+        cells = [c for c in vf.verify_claim("row-structure").cells if c.status != "UNTESTED"]
+        assert cells and all(c.observed == 0 and c.passed for c in cells)
+
+    def test_empty_envelope_flags_every_nonempty_core(self, monkeypatch):
+        monkeypatch.setattr(vf, "build_e_plus", lambda s, m: Abacus(m * s, frozenset()))
+        cells = [c for c in vf.verify_claim("row-structure").cells if c.params["sign"] == +1]
+        assert cells
+        for cell in cells:
+            m, s = cell.params["m"], cell.params["s"]
+            assert cell.observed == vf.straub_plus(m, s) - 1, cell.params  # all but the empty core
+            assert cell.passed == (s == 1), cell.params  # s = 1 leaves the empty core alone
+
+    def test_bead_in_row_one_of_the_envelope_is_a_violation(self, monkeypatch):
+        s, m = 3, 2
+        row_one = {}
+        for sign, build in ((-1, vf.build_e_minus), (+1, vf.build_e_plus)):
+            envelope = build(s, m)
+            row_one[m * s + sign] = min(i + j * envelope.runners for i, j in envelope.positions if j == 1)
+        monkeypatch.setattr(vf, "_bead_masks", lambda s, t, distinct: iter([(1 << row_one[t], 1, row_one[t])]))
+        report = vf.verify_claim("row-structure", {"s": (s, s), "m": (m, m)})
+        assert [(c.params["sign"], c.observed, c.passed) for c in report.cells] == [(-1, 1, False), (+1, 1, False)]
+
+    def test_builds_no_partition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("row-structure built a Partition")
+
+        monkeypatch.setattr(Partition, "_trusted", refuse)
+        monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
+        monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
+        assert vf.verify_claim("row-structure").all_passed
