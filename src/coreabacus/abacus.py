@@ -9,6 +9,7 @@ functions convert with `_beads_mask` and call the mask rule.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
@@ -34,11 +35,11 @@ class Abacus:
     positions: frozenset  # frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.runners < 1:
+        if operator.index(self.runners) < 1:
             raise ValueError(f"runner count must be positive, got {self.runners}")
         object.__setattr__(self, "positions", frozenset(self.positions))
         for i, j in self.positions:
-            if not (0 <= i < self.runners and j >= 0):
+            if not (0 <= operator.index(i) < self.runners and operator.index(j) >= 0):
                 raise ValueError(f"position {(i, j)} outside {self.runners}-runner grid")
 
     def max_row(self) -> int:
@@ -63,7 +64,7 @@ class AxisTheta:
 
 def beadset(values: Iterable[int]) -> BeadSet:
     """Validated bead set: a finite set of non-negative integers."""
-    beads = frozenset(int(v) for v in values)
+    beads = frozenset(map(operator.index, values))
     if any(v < 0 for v in beads):
         raise ValueError("bead positions must be non-negative")
     return beads

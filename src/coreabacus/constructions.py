@@ -151,24 +151,25 @@ def project_block(a: Abacus, s: int, ell: int) -> Abacus:
     )
 
 
-CONSTRUCTIONS = ("A", "B0", "B1", "C0", "C1", "E-", "E+", "L")
+# CLI name -> builder of (s, m)
+_BUILDERS = {
+    "A": lambda s, m: build_a(s),
+    "B0": lambda s, m: build_b(s, 0),
+    "B1": lambda s, m: build_b(s, 1),
+    "C0": lambda s, m: build_c(s, 0),
+    "C1": lambda s, m: build_c(s, 1),
+    "E-": build_e_minus,
+    "E+": build_e_plus,
+    "L": build_l,
+}
+CONSTRUCTIONS = tuple(_BUILDERS)
 
 
 def build_named(name: str, s: int, m: int = 1) -> Abacus:
     """Look up a construction by its CLI name."""
-    builders = {
-        "A": lambda: build_a(s),
-        "B0": lambda: build_b(s, 0),
-        "B1": lambda: build_b(s, 1),
-        "C0": lambda: build_c(s, 0),
-        "C1": lambda: build_c(s, 1),
-        "E-": lambda: build_e_minus(s, m),
-        "E+": lambda: build_e_plus(s, m),
-        "L": lambda: build_l(s, m),
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ValueError(f"unknown construction {name!r}; expected one of {CONSTRUCTIONS}")
-    return builders[name]()
+    return _BUILDERS[name](s, m)
 
 
 def _check_s(s: int) -> None:

@@ -171,7 +171,8 @@ def count_st_cores(s: int, t: int) -> int:
 
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
-    return _family((s, t), (mask for mask, _, _ in _bead_masks(s, t, distinct)), distinct)
+    _check_coprime(s, t)
+    return _family((s, t), (mask for mask, _, _ in _core_masks((s, t), distinct, False)), distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:

@@ -31,7 +31,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(map(int, parts))
+        parts = tuple(map(operator.index, parts))
         if not all(map(operator.ge, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 1:

@@ -1,7 +1,10 @@
 """Closed forms, recurrences, and the claim-checking harness.
 
 Every identity is checked with exact integer arithmetic; a formula producing a
-non-integer on valid input is a hard failure, never a rounding event.
+non-integer on valid input is a hard failure, never a rounding event.  The
+(s, ms±1) claims share one walker over their (m, s) grid points and signs, and
+`xiong` and `fstar` are its m = 1 rows: the (s, s+1)-cores are (s, ms+1)-cores
+at m = 1.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from typing import Iterator
 
 from . import partitions as pt
@@ -232,33 +237,46 @@ def _span(grid: dict, key: str) -> range:
     return range(lo, hi + 1)
 
 
-def _claim_xiong(grid: dict) -> Iterator[Cell]:
-    for s in _span(grid, "s"):
-        expected = fib_count(s)
-        observed = family_stats((s, s + 1), distinct=True).count
-        yield Cell({"s": s}, expected, observed, expected == observed)
+def _points(grid: dict) -> Iterator[tuple[dict, int, int]]:
+    """(params, m, s) at every grid point, m outermost; a grid with no m rail means m = 1."""
+    if "m" not in grid:
+        return (({"s": s}, 1, s) for s in _span(grid, "s"))
+    return (({"m": m, "s": s}, m, s) for m, s in product(_span(grid, "m"), _span(grid, "s")))
 
 
-def _claim_straub(sign: int, grid: dict) -> Iterator[Cell]:
-    formula = straub_minus if sign < 0 else straub_plus
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
+def _walk(grid: dict, signs: tuple, cell_of) -> Iterator[Cell]:
+    """`cell_of(params, m, s, t)` at every grid point and sign, t = ms + sign.
+
+    params carry the sign only when the claim takes both; t < 1 is an UNTESTED cell.
+    """
+    for params, m, s in _points(grid):
+        for sign in signs:
+            at = {**params, "sign": sign} if len(signs) > 1 else params
             t = m * s + sign
             if t < 1:
-                yield Cell({"m": m, "s": s}, None, None, True, status="UNTESTED",
-                           note=f"degenerate modulus {t}")
-                continue
-            expected = formula(m, s)
-            observed = family_stats((s, t), distinct=True).count
-            yield Cell({"m": m, "s": s}, expected, observed, expected == observed)
+                yield Cell(at, None, None, True, status="UNTESTED", note=f"degenerate modulus {t}")
+            else:
+                yield cell_of(at, m, s, t)
+
+
+def _count_claim(formula, sign: int, self_conjugate: bool = False):
+    """Cells comparing formula(m, s) with the number of distinct-part (s, ms + sign)-cores,
+    only the self-conjugate ones if `self_conjugate`."""
+
+    def cell_of(params: dict, m: int, s: int, t: int) -> Cell:
+        expected = formula(m, s)
+        observed = family_stats((s, t), distinct=True, self_conjugate=self_conjugate).count
+        note = "bead-mask route" if self_conjugate else ""
+        return Cell(params, expected, observed, expected == observed, note=note)
+
+    return lambda grid: _walk(grid, (sign,), cell_of)
 
 
 def _claim_middle(grid: dict) -> Iterator[Cell]:
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
-            expected = straub_minus(m, s)
-            observed = straub_plus(m, s - 1) + (m - 1) * straub_plus(m, s - 2)
-            yield Cell({"m": m, "s": s}, expected, observed, expected == observed)
+    for params, m, s in _points(grid):
+        expected = straub_minus(m, s)
+        observed = straub_plus(m, s - 1) + (m - 1) * straub_plus(m, s - 2)
+        yield Cell(params, expected, observed, expected == observed)
 
 
 def _coprime_pairs(grid: dict) -> Iterator[tuple[int, int]]:
@@ -287,58 +305,41 @@ def _claim_sylvester(grid: dict) -> Iterator[Cell]:
         yield Cell({"s": s, "t": t}, expected, observed, expected == observed)
 
 
-def _claim_emax(grid: dict) -> Iterator[Cell]:
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
-            for sign, built, coords in (
-                (-1, build_e_minus(s, m), e_minus_from_coordinates(s, m)),
-                (+1, build_e_plus(s, m), e_plus_from_coordinates(s, m)),
-            ):
-                params = {"m": m, "s": s, "sign": sign}
-                t = m * s + sign
-                if t < 1:
-                    yield Cell(params, None, None, True, status="UNTESTED",
-                               note=f"degenerate modulus {t}")
-                    continue
-                part = beadset_to_partition(from_abacus(built))
-                expected = max_weight_formula(s, t)
-                observed = part.weight
-                problems = []
-                if built != coords:
-                    problems.append("wedge and coordinate routes disagree")
-                if set(pt.hook_length_multiset(part)) & {s, t}:
-                    problems.append(f"not an ({s},{t})-core by the hook oracle")
-                if part != maximal_st_core(s, t):
-                    problems.append("differs from the full-gap-set core")
-                frob = s * t - s - t
-                if frob >= 0 and max(from_abacus(built), default=-1) != frob:
-                    problems.append("largest bead misses the Frobenius number")
-                passed = observed == expected and not problems
-                yield Cell(params, expected, observed, passed, note="; ".join(problems))
+def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
+    if t < m * s:
+        built, coords = build_e_minus(s, m), e_minus_from_coordinates(s, m)
+    else:
+        built, coords = build_e_plus(s, m), e_plus_from_coordinates(s, m)
+    part = beadset_to_partition(from_abacus(built))
+    expected = max_weight_formula(s, t)
+    observed = part.weight
+    problems = []
+    if built != coords:
+        problems.append("wedge and coordinate routes disagree")
+    if set(pt.hook_length_multiset(part)) & {s, t}:
+        problems.append(f"not an ({s},{t})-core by the hook oracle")
+    if part != maximal_st_core(s, t):
+        problems.append("differs from the full-gap-set core")
+    frob = s * t - s - t
+    if frob >= 0 and max(from_abacus(built), default=-1) != frob:
+        problems.append("largest bead misses the Frobenius number")
+    passed = observed == expected and not problems
+    return Cell(params, expected, observed, passed, note="; ".join(problems))
 
 
 def _claim_longest_m2(grid: dict) -> Iterator[Cell]:
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
-            expected = longest_weight_formula(s, m)
-            observed = beadset_to_partition(from_abacus(build_l(s, m))).weight
-            yield Cell({"m": m, "s": s}, expected, observed, expected == observed)
+    for params, m, s in _points(grid):
+        expected = longest_weight_formula(s, m)
+        observed = beadset_to_partition(from_abacus(build_l(s, m))).weight
+        yield Cell(params, expected, observed, expected == observed)
 
 
-def _claim_row_structure(grid: dict) -> Iterator[Cell]:
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
-            for sign, envelope in ((-1, build_e_minus(s, m)), (+1, build_e_plus(s, m))):
-                params = {"m": m, "s": s, "sign": sign}
-                t = m * s + sign
-                if t < 1:
-                    yield Cell(params, None, None, True, status="UNTESTED",
-                               note=f"degenerate modulus {t}")
-                    continue
-                # a core's beads must sit in row 0 of the ms-abacus, inside the envelope's row 0
-                row0 = _beads_mask(from_abacus(envelope)) & ((1 << m * s) - 1)
-                violations = sum(1 for mask, _, _ in _bead_masks(s, t, True) if mask & ~row0)
-                yield Cell(params, 0, violations, violations == 0)
+def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
+    envelope = build_e_minus(s, m) if t < m * s else build_e_plus(s, m)
+    # a core's beads must sit in row 0 of the ms-abacus, inside the envelope's row 0
+    row0 = _beads_mask(from_abacus(envelope)) & ((1 << m * s) - 1)
+    violations = sum(1 for mask, _, _ in _bead_masks(s, t, True) if mask & ~row0)
+    return Cell(params, 0, violations, violations == 0)
 
 
 def _claim_two_conj(grid: dict) -> Iterator[Cell]:
@@ -350,73 +351,50 @@ def _claim_two_conj(grid: dict) -> Iterator[Cell]:
     yield Cell({"w": grid["w"][1]}, 0, mismatches, mismatches == 0)
 
 
-def _star_cell(params: dict, expected: int, s: int, t: int) -> Cell:
-    observed = family_stats((s, t), distinct=True, self_conjugate=True).count
-    return Cell(params, expected, observed, expected == observed, note="bead-mask route")
-
-
-def _claim_fstar(grid: dict) -> Iterator[Cell]:
-    for s in _span(grid, "s"):
-        yield _star_cell({"s": s}, self_conjugate_counts("plain", 1, s), s, s + 1)
-
-
-def _claim_e_star(sign: int, grid: dict) -> Iterator[Cell]:
-    kind = "minus" if sign < 0 else "plus"
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
-            t = m * s + sign
-            if t < 1:
-                yield Cell({"m": m, "s": s}, None, None, True, status="UNTESTED",
-                           note=f"degenerate modulus {t}")
-                continue
-            expected = self_conjugate_counts(kind, m, s)
-            yield _star_cell({"m": m, "s": s}, expected, s, t)
-
-
 def _triple_moduli(s: int, m: int) -> tuple:
     return tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
 
 
 def _claim_berger(grid: dict) -> Iterator[Cell]:
-    for m in _span(grid, "m"):
-        for s in _span(grid, "s"):
-            params = {"m": m, "s": s}
-            family = enumerate_multi_cores(_triple_moduli(s, m))
-            expected = longest_weight_formula(s, m)
-            best = family.max_weight()
-            maximal = {p for p in family.members if p.weight == best}
-            longest = beadset_to_partition(from_abacus(build_l(s, m)))
-            conj_pair = {longest, pt.conjugate(longest)}
-            supported = best == expected and maximal == conj_pair
-            status = "SUPPORTED" if supported else f"REFUTED-AT({s},{m})"
-            notes = [f"maximal members: {sorted(list(p.parts) for p in maximal)}"]
-            if s % 2 == 0:
-                notes.append(f"m^2 divides max weight: {best % (m * m) == 0}")
-            yield Cell(
-                params,
-                {"max_weight": expected, "maximal_members": 2 if len(conj_pair) == 2 else 1},
-                {"max_weight": best, "maximal_members": len(maximal)},
-                supported,
-                status=status,
-                note="; ".join(notes),
-            )
+    for params, m, s in _points(grid):
+        family = enumerate_multi_cores(_triple_moduli(s, m))
+        expected = longest_weight_formula(s, m)
+        best = family.max_weight()
+        maximal = {p for p in family.members if p.weight == best}
+        longest = beadset_to_partition(from_abacus(build_l(s, m)))
+        conj_pair = {longest, pt.conjugate(longest)}
+        supported = best == expected and maximal == conj_pair
+        status = "SUPPORTED" if supported else f"REFUTED-AT({s},{m})"
+        notes = [f"maximal members: {sorted(list(p.parts) for p in maximal)}"]
+        if s % 2 == 0:
+            notes.append(f"m^2 divides max weight: {best % (m * m) == 0}")
+        yield Cell(
+            params,
+            {"max_weight": expected, "maximal_members": 2 if len(conj_pair) == 2 else 1},
+            {"max_weight": best, "maximal_members": len(maximal)},
+            supported,
+            status=status,
+            note="; ".join(notes),
+        )
 
 
 # every claim: id -> (cell generator, guard rails {parameter: (lo, hi)}), in `cores verify` order
 _CLAIMS = {
-    "xiong": (_claim_xiong, {"s": (1, 10)}),
-    "straub-minus": (lambda g: _claim_straub(-1, g), {"s": (1, 6), "m": (1, 3)}),
-    "straub-plus": (lambda g: _claim_straub(+1, g), {"s": (1, 6), "m": (1, 3)}),
+    "xiong": (_count_claim(lambda m, s: fib_count(s), +1), {"s": (1, 10)}),
+    "straub-minus": (_count_claim(straub_minus, -1), {"s": (1, 6), "m": (1, 3)}),
+    "straub-plus": (_count_claim(straub_plus, +1), {"s": (1, 6), "m": (1, 3)}),
     "middle": (_claim_middle, {"s": (3, 20), "m": (1, 6)}),
     "olsson-stanton": (_claim_olsson_stanton, {"t": (2, 12)}),
     "sylvester": (_claim_sylvester, {"t": (2, 10)}),
-    "emax": (_claim_emax, {"s": (1, 6), "m": (1, 3)}),
+    "emax": (lambda g: _walk(g, (-1, +1), _emax_cell), {"s": (1, 6), "m": (1, 3)}),
     "longest-m2": (_claim_longest_m2, {"s": (1, 8), "m": (1, 3)}),
-    "row-structure": (_claim_row_structure, {"s": (1, 6), "m": (1, 3)}),
+    "row-structure": (lambda g: _walk(g, (-1, +1), _row_structure_cell), {"s": (1, 6), "m": (1, 3)}),
     "two-conj": (_claim_two_conj, {"w": (0, 40)}),
-    "fstar": (_claim_fstar, {"s": (1, 9)}),
-    "e-minus-star": (lambda g: _claim_e_star(-1, g), {"s": (1, 9), "m": (1, 3)}),
-    "e-plus-star": (lambda g: _claim_e_star(+1, g), {"s": (1, 9), "m": (1, 3)}),
+    "fstar": (_count_claim(partial(self_conjugate_counts, "plain"), +1, True), {"s": (1, 9)}),
+    "e-minus-star": (_count_claim(partial(self_conjugate_counts, "minus"), -1, True),
+                     {"s": (1, 9), "m": (1, 3)}),
+    "e-plus-star": (_count_claim(partial(self_conjugate_counts, "plus"), +1, True),
+                    {"s": (1, 9), "m": (1, 3)}),
     "berger": (_claim_berger, {"s": (1, 6), "m": (1, 3)}),
 }
 CLAIM_IDS = tuple(_CLAIMS)

@@ -45,6 +45,10 @@ class TestBeadSetConversions:
         with pytest.raises(ValueError):
             ab.beadset([-1, 2])
 
+    def test_beadset_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            ab.beadset([1.5, 2.9])
+
     def test_round_trip_small(self):
         for p in pt.partitions_up_to(16):
             assert ab.beadset_to_partition(ab.partition_to_minimal_beadset(p)) == p
@@ -80,6 +84,13 @@ class TestAbacusGrid:
             Abacus(3, frozenset({(3, 0)}))
         with pytest.raises(ValueError):
             Abacus(0, frozenset())
+
+    def test_rejects_non_integer_coordinates_and_runners(self):
+        for position in ((1.5, 0), (1, 0.0)):
+            with pytest.raises(TypeError):
+                Abacus(5, {position})
+        with pytest.raises(TypeError):
+            Abacus(2.5, {(1, 1)})
 
     def test_is_sub_abacus(self):
         small = Abacus(4, frozenset({(1, 0)}))

@@ -203,6 +203,9 @@ class TestMultiCores:
         assert en.count_st_cores(12, 13) <= en.FAMILY_MAX_CORES < en.count_st_cores(13, 14)
         with pytest.raises(en.GuardRailError, match="742900.*250000"):
             en.enumerate_multi_cores({13, 14})
+        for s, t in ((13, 14), (14, 13)):
+            with pytest.raises(en.GuardRailError, match="742900.*250000"):
+                en.enumerate_st_cores(s, t)
         with pytest.raises(en.GuardRailError):
             en.enumerate_multi_cores({20, 21, 41})
         # the pruned distinct walk is not railed: (9,28) has 3,362,260 cores

@@ -38,6 +38,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((3, 0))
 
+    def test_validation_rejects_non_integer_parts(self):
+        for parts in ([2.7, 1], ["3", "1"]):
+            with pytest.raises(TypeError):
+                Partition(parts)
+        with pytest.raises(TypeError):
+            Partition.from_json("[2.7, 1.2]")
+
     def test_weight_and_empty(self):
         assert P(8, 6, 5, 5, 3, 2, 2, 2, 1).weight == 34
         assert EMPTY.weight == 0

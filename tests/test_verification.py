@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,36 @@ class TestRowStructure:
         monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
         monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
         assert vf.verify_claim("row-structure").all_passed
+
+
+GOLDEN_REPORTS = (Path(__file__).parent / "golden" / "verify_reports.json").read_text().splitlines()
+GOLDEN_IDS = [f"{claim}-{grid}" for grid in ("rails", "narrowed") for claim in vf.CLAIM_IDS]
+
+
+def _report_line(claim, grid=None):
+    payload = json.loads(vf.verify_claim(claim, grid).to_json())
+    del payload["elapsed_ms"]
+    return json.dumps(payload)
+
+
+class TestGoldenReports:
+    """Each line is a full report (cells, params key order, statuses, notes) without `elapsed_ms`.
+
+    The first 14 lines are every claim at its default rails; the next 14 narrow each
+    claim's grid to lower ends above the rail's.  A line names its own claim and grid.
+    """
+
+    def test_covers_every_claim_at_its_rails_and_narrowed(self):
+        reports = [json.loads(line) for line in GOLDEN_REPORTS]
+        rails = vf.claim_guardrails()
+        assert [r["claim"] for r in reports] == 2 * list(vf.CLAIM_IDS)
+        for r in reports[: len(vf.CLAIM_IDS)]:
+            assert r["grid"] == {k: list(v) for k, v in rails[r["claim"]].items()}
+        for r in reports[len(vf.CLAIM_IDS):]:
+            assert all(lo > rails[r["claim"]][k][0] for k, (lo, _) in r["grid"].items()), r
+
+    @pytest.mark.parametrize("line", GOLDEN_REPORTS, ids=GOLDEN_IDS)
+    def test_report_is_byte_identical(self, line):
+        report = json.loads(line)
+        grid = {k: tuple(v) for k, v in report["grid"].items()}
+        assert _report_line(report["claim"], grid) == line
