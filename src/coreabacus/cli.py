@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .abacus import beadset_to_partition, from_abacus, render_abacus
-from .constructions import CONSTRUCTIONS, build_l, build_named
+from .constructions import _M_FOLDS, CONSTRUCTIONS, build_l, build_named
 from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
 from .verification import CLAIM_IDS, verify_claim
 
@@ -162,10 +162,11 @@ def _emit_family(payload: dict, fmt: str) -> None:
 
 def cmd_show(args) -> int:
     abacus = build_named(args.name, args.s, args.m)
-    print(f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in ("E-", "E+", "L") else "") + ")")
+    grid = render_abacus(abacus, rows=args.rows)
+    print(f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")")
     if not abacus.positions:
         print("(no beads)")
-    print(render_abacus(abacus, rows=args.rows))
+    print(grid)
     return EXIT_OK
 
 

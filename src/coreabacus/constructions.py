@@ -1,16 +1,16 @@
 """Named abaci behind the maximal and longest simultaneous cores.
 
 A(s) carries the maximal (s, s+1)-core, B1(s) the maximal (s-1, s)-core, and
-their m-fold wedges E-(s, m) / E+(s, m) the maximal (s, ms-1)- and
-(s, ms+1)-cores.  Intersections C0/C1 are pyramids whose wedge L(s, m) carries
-the longest (s, ms-1, ms+1)-core.
+the intersections C0/C1 of A with B0/B1 are pyramids.  E-(s, m), E+(s, m) and
+L(s, m) are m-fold wedges: m - 1 copies of B0, A or C0, then B1, A or C1.  They
+carry the maximal (s, ms-1)- and (s, ms+1)-cores and the longest
+(s, ms-1, ms+1)-core, and m = 1 gives B1, A and C1 themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Optional
+from typing import Iterable, Optional
 
 from .abacus import Abacus, RunnerMismatchError
 
@@ -50,14 +50,18 @@ def build_c(s: int, k: int) -> Abacus:
 
 def wedge(a: Abacus, b: Abacus) -> Abacus:
     """Append b to a on the right, concatenating runner blocks."""
-    shifted = frozenset((i + a.runners, j) for i, j in b.positions)
-    return Abacus(a.runners + b.runners, a.positions | shifted)
+    return wedge_all([a, b])
 
 
-def wedge_all(abaci: list[Abacus]) -> Abacus:
-    if not abaci:
+def wedge_all(abaci: Iterable[Abacus]) -> Abacus:
+    """Concatenate the runner blocks left to right in one pass over the operands."""
+    runners, positions = 0, []
+    for a in abaci:
+        positions.extend((i + runners, j) for i, j in a.positions)
+        runners += a.runners
+    if not runners:
         raise ValueError("wedge of zero abaci is undefined")
-    return reduce(wedge, abaci)
+    return Abacus(runners, frozenset(positions))
 
 
 def intersect(a: Abacus, b: Abacus) -> Abacus:
@@ -70,16 +74,13 @@ def intersect(a: Abacus, b: Abacus) -> Abacus:
 
 def build_e_minus(s: int, m: int) -> Abacus:
     """ms-runner abacus of the maximal (s, ms-1)-core: (m-1) B0 wedges then B1."""
-    _check_s(s)
-    _check_m(m)
-    return wedge_all([build_b(s, 0)] * (m - 1) + [build_b(s, 1)])
+    return _m_fold(m, build_b(s, 0), build_b(s, 1))
 
 
 def build_e_plus(s: int, m: int) -> Abacus:
     """ms-runner abacus of the maximal (s, ms+1)-core: m wedge copies of A(s)."""
-    _check_s(s)
-    _check_m(m)
-    return wedge_all([build_a(s)] * m)
+    a = build_a(s)
+    return _m_fold(m, a, a)
 
 
 def e_minus_from_coordinates(s: int, m: int) -> Abacus:
@@ -112,9 +113,13 @@ def e_plus_from_coordinates(s: int, m: int) -> Abacus:
 
 def build_l(s: int, m: int) -> Abacus:
     """ms-runner abacus of the longest (s, ms-1, ms+1)-core: pyramid wedges."""
-    _check_s(s)
+    return _m_fold(m, build_c(s, 0), build_c(s, 1))
+
+
+def _m_fold(m: int, body: Abacus, last: Abacus) -> Abacus:
+    """Wedge of m - 1 copies of body, then last."""
     _check_m(m)
-    return wedge_all([build_c(s, 0)] * (m - 1) + [build_c(s, 1)])
+    return wedge_all([body] * (m - 1) + [last])
 
 
 def is_pyramid(a: Abacus) -> Optional[Pyramid]:
@@ -151,16 +156,15 @@ def project_block(a: Abacus, s: int, ell: int) -> Abacus:
     )
 
 
-# CLI name -> builder of (s, m)
+# CLI name -> builder of (s, m); only the m-fold wedges read m
+_M_FOLDS = {"E-": build_e_minus, "E+": build_e_plus, "L": build_l}
 _BUILDERS = {
     "A": lambda s, m: build_a(s),
     "B0": lambda s, m: build_b(s, 0),
     "B1": lambda s, m: build_b(s, 1),
     "C0": lambda s, m: build_c(s, 0),
     "C1": lambda s, m: build_c(s, 1),
-    "E-": build_e_minus,
-    "E+": build_e_plus,
-    "L": build_l,
+    **_M_FOLDS,
 }
 CONSTRUCTIONS = tuple(_BUILDERS)
 

@@ -3,8 +3,8 @@
 Every identity is checked with exact integer arithmetic; a formula producing a
 non-integer on valid input is a hard failure, never a rounding event.  The
 (s, ms±1) claims share one walker over their (m, s) grid points and signs, and
-`xiong` and `fstar` are its m = 1 rows: the (s, s+1)-cores are (s, ms+1)-cores
-at m = 1.
+`xiong` and `fstar` are its m = 1 rows, on the `straub-plus` and `e-plus-star`
+formulas: the (s, s+1)-cores are the (s, ms+1)-cores at m = 1.
 """
 
 from __future__ import annotations
@@ -43,13 +43,8 @@ from .partitions import Partition
 
 
 def fib_count(s: int) -> int:
-    """Number of (s, s+1)-cores with distinct parts: Fibonacci with seeds 1, 2."""
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    a, b = 1, 2  # values at s = 1 and s = 2
-    for _ in range(s - 1):
-        a, b = b, a + b
-    return a
+    """Number of (s, s+1)-cores with distinct parts: `straub_plus` at m = 1, Fibonacci with seeds 1, 2."""
+    return straub_plus(1, s)
 
 
 def straub_minus(m: int, s: int) -> int:
@@ -108,22 +103,18 @@ def self_conjugate_counts(kind: str, m: int, s: int) -> int:
     """Piecewise counts of self-conjugate distinct-part cores.
 
     kind selects the family: "plain" for (s, s+1), "minus" for (s, ms-1),
-    "plus" for (s, ms+1); m is ignored for "plain".
+    "plus" for (s, ms+1); "plain" is "plus" at m = 1, so m is ignored for it.
     """
     if s < 1 or m < 1:
         raise ValueError(f"s and m must be at least 1, got ({s}, {m})")
-    alpha = s // 2
     if kind == "plain":
-        return 1 if s == 1 else alpha + 1
-    if kind == "minus":
-        if s == 1:
-            return 1
-        return m * alpha if s % 2 == 0 else alpha + 1
-    if kind == "plus":
-        if s == 1:
-            return 1
-        return m * alpha + 1 if s % 2 == 0 else alpha + 1
-    raise ValueError(f"unknown kind {kind!r}")
+        kind, m = "plus", 1
+    if kind not in ("minus", "plus"):
+        raise ValueError(f"unknown kind {kind!r}")
+    alpha = s // 2
+    if s % 2:  # s = 2*alpha + 1, s = 1 included
+        return alpha + 1
+    return m * alpha if kind == "minus" else m * alpha + 1
 
 
 def staircase_core_count(moduli) -> int:
@@ -380,7 +371,7 @@ def _claim_berger(grid: dict) -> Iterator[Cell]:
 
 # every claim: id -> (cell generator, guard rails {parameter: (lo, hi)}), in `cores verify` order
 _CLAIMS = {
-    "xiong": (_count_claim(lambda m, s: fib_count(s), +1), {"s": (1, 10)}),
+    "xiong": (_count_claim(straub_plus, +1), {"s": (1, 10)}),
     "straub-minus": (_count_claim(straub_minus, -1), {"s": (1, 6), "m": (1, 3)}),
     "straub-plus": (_count_claim(straub_plus, +1), {"s": (1, 6), "m": (1, 3)}),
     "middle": (_claim_middle, {"s": (3, 20), "m": (1, 6)}),
@@ -390,7 +381,7 @@ _CLAIMS = {
     "longest-m2": (_claim_longest_m2, {"s": (1, 8), "m": (1, 3)}),
     "row-structure": (lambda g: _walk(g, (-1, +1), _row_structure_cell), {"s": (1, 6), "m": (1, 3)}),
     "two-conj": (_claim_two_conj, {"w": (0, 40)}),
-    "fstar": (_count_claim(partial(self_conjugate_counts, "plain"), +1, True), {"s": (1, 9)}),
+    "fstar": (_count_claim(partial(self_conjugate_counts, "plus"), +1, True), {"s": (1, 9)}),
     "e-minus-star": (_count_claim(partial(self_conjugate_counts, "minus"), -1, True),
                      {"s": (1, 9), "m": (1, 3)}),
     "e-plus-star": (_count_claim(partial(self_conjugate_counts, "plus"), +1, True),

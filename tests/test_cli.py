@@ -45,6 +45,13 @@ class TestShow:
         code, _, err = run(capsys, "show", "A", "--s", "0")
         assert code == 2 and "error" in err
 
+    def test_too_few_rows_print_nothing(self, capsys):
+        # A(5) occupies rows 0..3
+        for rows in ("0", "1", "3"):
+            code, out, err = run(capsys, "show", "A", "--s", "5", "--rows", rows)
+            assert (code, out) == (2, ""), rows
+            assert "error" in err, rows
+
 
 class TestEnumerateAndCount:
     def test_count_distinct_5_14(self, capsys):

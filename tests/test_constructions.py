@@ -78,6 +78,42 @@ class TestWedge:
     def test_wedge_all_requires_operands(self):
         with pytest.raises(ValueError):
             cx.wedge_all([])
+        with pytest.raises(ValueError):
+            cx.wedge_all(iter([]))
+
+    def test_wedge_all_offsets_each_block_by_the_runners_before_it(self):
+        blocks = [
+            Abacus(3, frozenset()),
+            Abacus(2, frozenset({(1, 0)})),
+            Abacus(1, frozenset({(0, 0), (0, 2)})),
+            Abacus(4, frozenset()),
+            Abacus(2, frozenset({(0, 1), (1, 0)})),
+        ]
+        expected = [
+            (3, set()),
+            (5, {(4, 0)}),
+            (6, {(4, 0), (5, 0), (5, 2)}),
+            (10, {(4, 0), (5, 0), (5, 2)}),
+            (12, {(4, 0), (5, 0), (5, 2), (10, 1), (11, 0)}),
+        ]
+        for k, (runners, positions) in enumerate(expected, start=1):
+            assert cx.wedge_all(blocks[:k]) == Abacus(runners, frozenset(positions)), k
+            assert cx.wedge_all(iter(blocks[:k])) == Abacus(runners, frozenset(positions)), k
+
+    def test_wedge_all_constructs_one_abacus(self, monkeypatch):
+        blocks = [cx.build_a(4), Abacus(2, frozenset()), cx.build_c(5, 1)] * 3
+        built = []
+        validate = Abacus.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Abacus, "__post_init__", counted)
+        for k in (1, 2, len(blocks)):
+            built.clear()
+            joined = cx.wedge_all(blocks[:k])
+            assert built == [joined], k
 
     def test_e_plus_is_wedge_power_of_a(self):
         assert cx.build_e_plus(5, 3) == cx.wedge_all([cx.build_a(5)] * 3)
@@ -190,6 +226,13 @@ class TestProjectBlock:
 
     def test_empty_block(self):
         assert cx.project_block(Abacus(6, frozenset()), 3, 0) == Abacus(3, frozenset())
+
+    def test_wedge_of_the_blocks_rebuilds_the_m_folds(self):
+        for build in (cx.build_e_minus, cx.build_e_plus, cx.build_l):
+            for s in range(1, 8):
+                for m in range(1, 5):
+                    a = build(s, m)
+                    assert cx.wedge_all([cx.project_block(a, s, ell) for ell in range(m)]) == a, (build, s, m)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,28 @@ from coreabacus.enumeration import GuardRailError, enumerate_multi_cores
 from coreabacus.partitions import Partition, is_two_core
 
 
+def fib_reference(s):
+    """Fibonacci with seeds 1, 2, by its own loop: an oracle for `fib_count`."""
+    a, b = 1, 2  # values at s = 1 and s = 2
+    for _ in range(s - 1):
+        a, b = b, a + b
+    return a
+
+
+def self_conjugate_reference(kind, m, s):
+    """The piecewise counts case by case, s = 1 apart: an oracle for `self_conjugate_counts`."""
+    alpha = s // 2
+    if kind == "plain":
+        return 1 if s == 1 else alpha + 1
+    if kind == "minus":
+        if s == 1:
+            return 1
+        return m * alpha if s % 2 == 0 else alpha + 1
+    if s == 1:
+        return 1
+    return m * alpha + 1 if s % 2 == 0 else alpha + 1
+
+
 class TestFibCount:
     def test_seeds(self):
         assert vf.fib_count(1) == 1
@@ -22,6 +44,9 @@ class TestFibCount:
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
             vf.fib_count(0)
+
+    def test_matches_fibonacci_loop(self):
+        assert [vf.fib_count(s) for s in range(1, 61)] == [fib_reference(s) for s in range(1, 61)]
 
 
 class TestStraubRecurrences:
@@ -105,6 +130,12 @@ class TestSelfConjugateCounts:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             vf.self_conjugate_counts("other", 1, 2)
+
+    def test_matches_piecewise_cases(self):
+        for kind in ("plain", "minus", "plus"):
+            for m in range(1, 6):
+                for s in range(1, 61):
+                    assert vf.self_conjugate_counts(kind, m, s) == self_conjugate_reference(kind, m, s), (kind, m, s)
 
 
 class TestStaircaseOracle:
@@ -212,8 +243,10 @@ class TestHarness:
 
 @pytest.mark.parametrize("claim", vf.CLAIM_IDS)
 def test_every_claim_passes_at_its_default_rails(claim):
-    report = vf.verify_claim(claim)
-    assert report.cells and report.all_passed, [c for c in report.cells if not c.passed]
+    # reads the golden rails report, which TestGoldenReports recomputes byte for byte
+    rails = {k: list(v) for k, v in vf.claim_guardrails()[claim].items()}
+    (report,) = [r for r in map(json.loads, GOLDEN_REPORTS) if r["claim"] == claim and r["grid"] == rails]
+    assert report["cells"] and all(c["pass"] for c in report["cells"]), [c for c in report["cells"] if not c["pass"]]
 
 
 class TestRowStructure:
