@@ -81,8 +81,20 @@ def beadset_to_partition(x: BeadSet) -> Partition:
 
 
 def _beads_mask(x: Iterable[int]) -> int:
-    """The bitmask of a bead set: bit b is set iff b is a bead."""
-    return sum(1 << b for b in x)
+    """The bitmask of a bead set: bit b is set iff b is a bead.
+
+    Summing many beads re-adds the growing mask per bead, quadratic in the
+    largest bead, so beyond a few they are written as binary digits instead.
+    """
+    if not hasattr(x, "__len__"):  # an iterator: read it once
+        x = list(x)
+    if len(x) < 64:
+        return sum(1 << b for b in x)
+    top = max(x)
+    digits = bytearray(b"0") * (top + 1)
+    for b in x:
+        digits[top - b] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def _mask_to_partition(mask: int) -> Partition:
@@ -94,8 +106,9 @@ def _mask_to_partition(mask: int) -> Partition:
     runs give each bead's spacers below it, the parts in increasing order.
     """
     mask >>= (~mask & (mask + 1)).bit_length() - 1
-    parts = tuple(accumulate(map(len, f"{mask:b}".split("1")[:0:-1])))
-    return Partition._trusted(parts[::-1])
+    parts = list(accumulate(map(len, f"{mask:b}".split("1")[:0:-1])))
+    parts.reverse()
+    return Partition._trusted(parts)
 
 
 def _mask_is_core(mask: int, r: int) -> bool:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .abacus import beadset_to_partition, from_abacus, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, build_l, build_named
 from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
-from .verification import CLAIM_IDS, verify_claim
+from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -227,7 +227,7 @@ def cmd_longest(args) -> int:
         print(json.dumps({"s": args.s, "m": args.m, "partition": list(p.parts),
                           "parts": len(p), "weight": p.weight}))
     else:
-        print(f"longest ({args.s},{args.m * args.s - 1},{args.m * args.s + 1})-core: "
+        print(f"longest ({','.join(map(str, _triple_moduli(args.s, args.m)))})-core: "
               f"{list(p.parts)} parts={len(p)} weight={p.weight}")
     return EXIT_OK
 

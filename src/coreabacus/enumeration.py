@@ -15,7 +15,6 @@ independent oracle for tests and verification.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
@@ -25,7 +24,6 @@ from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
 FAMILY_MAX_CORES = 250_000  # guard rail on the (s,t)-cores a multi-core family walks
-_PARTS = operator.attrgetter("parts")
 
 
 class GuardRailError(ValueError):
@@ -158,8 +156,7 @@ def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool) -> Iterator
 
 def _family(moduli: tuple, masks: Iterable[int], distinct: bool, self_conjugate: bool = False) -> CoreFamily:
     """The partitions of value-indexed bead masks, in lexicographic part order."""
-    members = list(map(_mask_to_partition, masks))
-    members.sort(key=_PARTS)
+    members = sorted(map(_mask_to_partition, masks))
     return CoreFamily(moduli=moduli, members=tuple(members), distinct=distinct, self_conjugate=self_conjugate)
 
 
@@ -222,12 +219,11 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
         raise GuardRailError(
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
         )
-    members = [
+    members = sorted(
         p
         for p in pt.partitions_up_to(max_weight)
         if not set(moduli) & set(pt.hook_length_multiset(p))
-    ]
-    members.sort(key=lambda p: p.parts)
+    )
     return CoreFamily(moduli=moduli, members=tuple(members))
 
 

@@ -16,60 +16,40 @@ class HookLength(NamedTuple):
     length: int
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integer parts.
+class Partition(tuple):
+    """A weakly decreasing sequence of positive integer parts, as the tuple of its parts.
 
-    Immutable and hashable; equality is part-sequence equality.  The empty
+    It equals, hashes and orders like that plain tuple, so partitions sort
+    lexicographically; it can be indexed, copied and pickled, and unpickling
+    (pickle protocol 2 and up, the default) re-validates.  The empty
     partition (weight 0) is a first-class value.
 
     The constructor and `from_json` validate their input.  `_trusted(parts)`
     skips that check; only routes in `partitions` and `abacus` whose output is
     valid by construction (the generator, `conjugate`, `_mask_to_partition`)
-    may call it, always with a tuple of positive, weakly decreasing ints.
+    may call it, always with a tuple or list of positive, weakly decreasing ints.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
         if not all(map(operator.ge, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
-    @classmethod
-    def _trusted(cls, parts: tuple) -> "Partition":
-        """A partition of `parts` without validation; see the class docstring."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    _trusted = classmethod(tuple.__new__)  # copies `parts` once, unchecked; see above
+    parts = property(tuple, doc="The parts, largest first, as a plain tuple.")
+    weight = property(sum, doc="The sum of the parts.")
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def to_json(self) -> str:
         """JSON array of parts, largest first; the empty partition is []."""
-        return json.dumps(list(self.parts))
+        return json.dumps(list(self))
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
@@ -84,24 +64,24 @@ def conjugate(p: Partition) -> Partition:
 
     Part i exceeds part i+1 by the number of columns of height exactly i.
     """
-    parts, cols, below = p.parts, [], 0
-    for i in range(len(parts), 0, -1):
-        cols += [i] * (parts[i - 1] - below)
-        below = parts[i - 1]
-    return Partition._trusted(tuple(cols))
+    cols, below = [], 0
+    for i in range(len(p), 0, -1):
+        cols += [i] * (p[i - 1] - below)
+        below = p[i - 1]
+    return Partition._trusted(cols)
 
 
 def first_column_hooks(p: Partition) -> frozenset[int]:
     """Hook lengths of the boxes in the left-most column, one per row."""
-    r = len(p.parts)
-    return frozenset(part + r - (i + 1) for i, part in enumerate(p.parts))
+    r = len(p)
+    return frozenset(part + r - (i + 1) for i, part in enumerate(p))
 
 
 def hook_lengths(p: Partition) -> tuple[HookLength, ...]:
     """All hook lengths of the Young diagram, one entry per box."""
-    conj = conjugate(p).parts
+    conj = conjugate(p)
     hooks = []
-    for i, part in enumerate(p.parts, start=1):
+    for i, part in enumerate(p, start=1):
         for j in range(1, part + 1):
             hooks.append(HookLength(i, j, part - j + conj[j - 1] - i + 1))
     return tuple(hooks)
@@ -113,18 +93,17 @@ def hook_length_multiset(p: Partition) -> Counter:
 
 
 def has_distinct_parts(p: Partition) -> bool:
-    return len(set(p.parts)) == len(p.parts)
+    return len(set(p)) == len(p)
 
 
 def is_self_conjugate(p: Partition) -> bool:
     # the conjugate's first part is the number of parts
-    return not p.parts or p.parts[0] == len(p.parts) and conjugate(p) == p
+    return not p or p[0] == len(p) and conjugate(p) == p
 
 
 def is_two_core(p: Partition) -> bool:
     """True iff the parts form a staircase (k, k-1, ..., 1), k >= 0."""
-    parts = p.parts
-    return not parts or parts[0] == len(parts) and parts == tuple(range(len(parts), 0, -1))
+    return not p or p[0] == len(p) and p == tuple(range(len(p), 0, -1))
 
 
 def staircase(k: int) -> Partition:
@@ -162,7 +141,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
                 if rest > 1:
                     h += 1
                     x[h] = rest
-        yield Partition._trusted(tuple(x[:m]))
+        yield Partition._trusted(x[:m])
 
 
 def partitions_up_to(max_weight: int) -> Iterator[Partition]:

@@ -220,6 +220,9 @@ def verify_claim(claim: str, grid: dict | None = None) -> VerificationReport:
     start = time.perf_counter()
     cells = list(cells_of(resolved))
     elapsed = (time.perf_counter() - start) * 1000
+    if not cells:
+        span = ",".join(f"{key}={lo}..{hi}" for key, (lo, hi) in resolved.items())
+        raise GuardRailError(f"claim {claim!r} has no cell on grid {span}")
     return VerificationReport(claim=claim, grid=resolved, cells=cells, elapsed_ms=elapsed)
 
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from coreabacus import abacus as ab
 from coreabacus import partitions as pt
 from coreabacus.abacus import Abacus, RunnerMismatchError
+from coreabacus.constructions import build_l
 from coreabacus.partitions import EMPTY, Partition
 
 
@@ -180,6 +183,20 @@ class TestMaskRules:
                 assert ab._mask_is_core(mask, r) == (r not in hooks), (sorted(x), r)
             axis = reference_axis(x) is not None
             assert ab._mask_is_self_conjugate(mask, len(x)) == axis == pt.is_self_conjugate(p), sorted(x)
+
+
+class TestBeadsMask:
+    def test_matches_sum_of_powers_of_two(self):
+        rng = random.Random(10)
+        sets = [(), frozenset(), [0], [63], {5, 1, 3}]
+        for size in (1, 10, 63, 64, 65, 200, 3000):
+            sets.append(frozenset(rng.sample(range(2 * size + 5), size)))
+            sets.append(rng.sample(range(10 * size), size))
+        sets.append(ab.from_abacus(build_l(40, 5)))
+        for x in sets:
+            assert ab._beads_mask(x) == sum(1 << b for b in x), sorted(x)[:5]
+            assert ab._beads_mask(b for b in x) == sum(1 << b for b in x), sorted(x)[:5]
+        assert ab._beads_mask(iter([])) == 0
 
 
 class TestRendering:

@@ -194,6 +194,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--claim", "xiong", "--grid", "s=5..3")
         assert code == 2 and "empty" in err and "all cells pass" not in out
 
+    def test_grid_without_cells_exit_two(self, capsys):
+        for claim in ("olsson-stanton", "sylvester"):
+            code, out, err = run(capsys, "verify", "--claim", claim, "--grid", "t=2..2")
+            assert (code, out) == (2, ""), claim
+            assert claim in err and "t=2..2" in err, claim
+
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "xiong", "--grid", "nonsense")
         assert code == 2
@@ -216,6 +222,13 @@ class TestMaximalAndLongest:
         assert code == 0
         payload = json.loads(out)
         assert payload["parts"] == 16 and payload["weight"] == 63
+
+    def test_longest_table_header_names_the_moduli(self, capsys):
+        code, out, _ = run(capsys, "longest", "--s", "1", "--m", "1")
+        assert (code, out) == (0, "longest (1,2)-core: [] parts=0 weight=0\n")
+        code, out, _ = run(capsys, "longest", "--s", "5", "--m", "3")
+        assert (code, out) == (0, "longest (5,14,16)-core: [12, 9, 9, 6, 6, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1] "
+                                  "parts=16 weight=63\n")
 
     def test_longest_matches_brute_force(self, capsys):
         for s in range(1, 8):

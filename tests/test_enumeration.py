@@ -77,6 +77,11 @@ class TestEnumerateStCores:
         family = en.enumerate_st_cores(4, 5)
         assert [p.parts for p in family.members] == sorted(p.parts for p in family.members)
 
+    def test_members_sort_as_partitions(self):
+        for s, t, distinct in [(3, 4, False), (4, 7, False), (7, 9, False), (7, 9, True), (9, 7, False)]:
+            members = en.enumerate_st_cores(s, t, distinct).members
+            assert list(members) == sorted(members), (s, t, distinct)
+
     def test_degenerate(self):
         assert en.enumerate_st_cores(1, 9).members == (EMPTY,)
 
@@ -135,6 +140,11 @@ class TestOracle:
     def test_3_4(self):
         family = en.oracle_enumerate({3, 4}, 5)
         assert set(family.members) == {EMPTY, P(1), P(2), P(1, 1), P(3, 1, 1)}
+
+    def test_members_sort_as_partitions(self):
+        for moduli, max_weight in [({3, 4}, 5), ({4, 5}, 12), ({5}, 14), ({4, 6, 9}, 20)]:
+            members = en.oracle_enumerate(moduli, max_weight).members
+            assert list(members) == sorted(members), moduli
 
     def test_weight_zero(self):
         assert en.oracle_enumerate({5}, 0).members == (EMPTY,)

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from coreabacus import partitions as pt
+from coreabacus.enumeration import enumerate_st_cores
 from coreabacus.partitions import EMPTY, Partition
 
 
@@ -63,6 +67,46 @@ class TestPartition:
         assert P(4, 3, 2).to_json() == "[4, 3, 2]"
         assert Partition.from_json("[]") == EMPTY
         assert Partition.from_json(P(5, 5, 1).to_json()) == P(5, 5, 1)
+
+    def test_copy_and_pickle_keep_type_and_value(self):
+        for p in (P(3, 1, 1), EMPTY, P(5)):
+            copies = [copy.copy(p), copy.deepcopy(p)]
+            copies += [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for q in copies:
+                assert type(q) is Partition and q == p and q.parts == p.parts
+
+    def test_deepcopy_of_a_family(self):
+        family = enumerate_st_cores(4, 7)
+        assert copy.deepcopy(family) == family
+
+    def test_unpickling_revalidates(self):
+        payload = pickle.dumps(Partition._trusted((1, 2)))
+        with pytest.raises(ValueError):
+            pickle.loads(payload)
+
+    def test_equals_and_hashes_like_its_tuple(self):
+        assert P(3, 1, 1) == (3, 1, 1)
+        assert hash(P(3, 1, 1)) == hash((3, 1, 1))
+        assert EMPTY == ()
+
+    def test_indexes_and_orders_like_its_tuple(self):
+        assert P(4, 3, 2)[0] == 4 and P(4, 3, 2)[-1] == 2
+        assert sorted([P(3), P(2, 1), EMPTY, P(1, 1, 1), P(2, 2)]) == [EMPTY, P(1, 1, 1), P(2, 1), P(2, 2), P(3)]
+
+    def test_parts_is_a_plain_tuple(self):
+        assert type(P(4, 3, 2).parts) is tuple and P(4, 3, 2).parts == (4, 3, 2)
+        assert type(EMPTY.parts) is tuple
+
+    def test_no_attribute_can_be_set(self):
+        p = P(2, 1)
+        for name in ("parts", "weight", "label"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (3,))
+        assert p == P(2, 1)
+
+    def test_trusted_takes_a_list(self):
+        p = Partition._trusted([2, 1])
+        assert type(p) is Partition and p == P(2, 1)
 
 
 class TestFirstColumnHooks:

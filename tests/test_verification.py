@@ -190,6 +190,12 @@ class TestHarness:
             assert report.all_passed
             assert [(c.params["s"], c.params["t"]) for c in report.cells] == [(2, 9), (4, 9), (5, 9), (7, 9), (8, 9)]
 
+    def test_grid_without_cells_is_refused(self):
+        for claim in ("olsson-stanton", "sylvester"):
+            with pytest.raises(GuardRailError, match=f"{claim}.*t=2..2"):
+                vf.verify_claim(claim, {"t": (2, 2)})
+            assert vf.verify_claim(claim, {"t": (2, 3)}).cells
+
     def test_two_conj_sweeps_from_grid_lower_end(self, monkeypatch):
         calls = []
 
