@@ -1,9 +1,9 @@
 """Bead sets, s-abaci, conversions to/from partitions, and core predicates.
 
 Internally a bead set is a bitmask whose bit b is bead b, and each bead rule
-is stated once, on masks.  The frozensets of non-negative integers and the
-abacus grids derived from them are adapters at the public edge: their
-functions convert with `_beads_mask` and call the mask rule.
+is stated once, on masks; an `Abacus` is a runner count and such a mask.  The
+frozensets of non-negative integers and the (i, j) grids of `positions` are
+adapters at the public edge, converted with `_beads_mask` and `from_abacus`.
 """
 
 from __future__ import annotations
@@ -23,28 +23,42 @@ class RunnerMismatchError(ValueError):
     """Two abaci with different runner counts were combined or compared."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Abacus:
-    """An s-runner grid view of a bead set.
+    """An s-runner view of a bead set: its runner count and bead mask.
 
     Position (i, j) with runner 0 <= i <= runners-1 and row j >= 0 carries the
-    bead value i + j*runners.
+    bead value i + j*runners, bit i + j*runners of `mask`, so row j is
+    `mask >> j*runners & ((1 << runners) - 1)`.  Equality, hashing and the repr
+    `Abacus(runners=..., mask=...)` read that pair; `positions` is the read-only
+    frozenset of (i, j) derived from the mask.  `Abacus(runners, positions)`
+    validates its input; `_trusted(runners, mask)` does not, so only `abacus`
+    and `constructions` call it, with a positive int and a non-negative int.
     """
 
     runners: int
-    positions: frozenset  # frozenset[tuple[int, int]]
+    mask: int
 
-    def __post_init__(self):
-        if operator.index(self.runners) < 1:
-            raise ValueError(f"runner count must be positive, got {self.runners}")
-        object.__setattr__(self, "positions", frozenset(self.positions))
-        for i, j in self.positions:
-            if not (0 <= operator.index(i) < self.runners and operator.index(j) >= 0):
-                raise ValueError(f"position {(i, j)} outside {self.runners}-runner grid")
+    def __init__(self, runners: int, positions: Iterable[tuple[int, int]]):
+        if operator.index(runners) < 1:
+            raise ValueError(f"runner count must be positive, got {runners}")
+        positions = frozenset(positions)
+        for i, j in positions:
+            if not (0 <= operator.index(i) < runners and operator.index(j) >= 0):
+                raise ValueError(f"position {(i, j)} outside {runners}-runner grid")
+        self.__dict__.update(runners=runners, mask=_beads_mask(i + j * runners for i, j in positions))
+
+    @classmethod
+    def _trusted(cls, runners: int, mask: int) -> "Abacus":
+        self = object.__new__(cls)
+        self.__dict__.update(runners=runners, mask=mask)
+        return self
+
+    positions = property(lambda a: frozenset((b % a.runners, b // a.runners) for b in from_abacus(a)))
 
     def max_row(self) -> int:
         """Largest occupied row; -1 when empty."""
-        return max((j for _, j in self.positions), default=-1)
+        return (self.mask.bit_length() - 1) // self.runners
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,8 @@ def _beads_mask(x: Iterable[int]) -> int:
     if len(x) < 64:
         return sum(1 << b for b in x)
     top = max(x)
+    if min(x) < 0:  # `1 << b` rejects a negative bead; a digit index would not
+        raise ValueError("bead positions must be non-negative")
     digits = bytearray(b"0") * (top + 1)
     for b in x:
         digits[top - b] = 49  # ord("1")
@@ -137,13 +153,13 @@ def normalize(x: BeadSet) -> BeadSet:
 
 def to_abacus(x: BeadSet, s: int) -> Abacus:
     """Arrange a bead set on s runners: bead b sits at (b mod s, b div s)."""
-    if s < 1:
+    if operator.index(s) < 1:
         raise ValueError(f"runner count must be positive, got {s}")
-    return Abacus(s, frozenset((b % s, b // s) for b in x))
+    return Abacus._trusted(s, _beads_mask(x))
 
 
 def from_abacus(a: Abacus) -> BeadSet:
-    return frozenset(i + j * a.runners for i, j in a.positions)
+    return frozenset(b for b, digit in enumerate(reversed(f"{a.mask:b}")) if digit == "1")
 
 
 def is_sub_abacus(inner: Abacus, outer: Abacus) -> bool:
@@ -151,12 +167,12 @@ def is_sub_abacus(inner: Abacus, outer: Abacus) -> bool:
         raise RunnerMismatchError(
             f"cannot compare {inner.runners}-runner and {outer.runners}-runner abaci"
         )
-    return inner.positions <= outer.positions
+    return inner.mask & ~outer.mask == 0
 
 
 def is_core_abacus(a: Abacus) -> bool:
     """True iff every runner is bottom-justified (no spacer below a bead)."""
-    return _mask_is_core(_beads_mask(from_abacus(a)), a.runners)
+    return _mask_is_core(a.mask, a.runners)
 
 
 def is_t_core(p: Partition, t: int) -> bool:
@@ -175,7 +191,7 @@ def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
 
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:
     """Mirror axis theta with beads and spacers exchanged, if one exists; see `_mask_is_self_conjugate`."""
-    if _mask_is_self_conjugate(_beads_mask(x), len(x)):
+    if not x or (max(x) < 2 * len(x) and _mask_is_self_conjugate(_beads_mask(x), len(x))):
         return AxisTheta(2 * len(x) - 1)
     return None
 
@@ -196,10 +212,10 @@ def render_abacus(a: Abacus, rows: int | None = None) -> str:
     width = len(str(a.runners * rows - 1))
     lines = []
     for j in range(rows - 1, -1, -1):
-        cells = []
+        row, cells = a.mask >> j * a.runners, []
         for i in range(a.runners):
             value = str(i + j * a.runners).rjust(width)
-            cells.append(f"[{value}]" if (i, j) in a.positions else f" {value} ")
+            cells.append(f"[{value}]" if row >> i & 1 else f" {value} ")
         lines.append(" ".join(cells).rstrip())
     return "\n".join(lines)
 

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .abacus import beadset_to_partition, from_abacus, render_abacus
+from .abacus import _mask_to_partition, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, build_l, build_named
 from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
@@ -164,7 +164,7 @@ def cmd_show(args) -> int:
     abacus = build_named(args.name, args.s, args.m)
     grid = render_abacus(abacus, rows=args.rows)
     print(f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")")
-    if not abacus.positions:
+    if not abacus.mask:
         print("(no beads)")
     print(grid)
     return EXIT_OK
@@ -222,7 +222,7 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_longest(args) -> int:
-    p = beadset_to_partition(from_abacus(build_l(args.s, args.m)))
+    p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
         print(json.dumps({"s": args.s, "m": args.m, "partition": list(p.parts),
                           "parts": len(p), "weight": p.weight}))

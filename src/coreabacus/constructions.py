@@ -4,7 +4,8 @@ A(s) carries the maximal (s, s+1)-core, B1(s) the maximal (s-1, s)-core, and
 the intersections C0/C1 of A with B0/B1 are pyramids.  E-(s, m), E+(s, m) and
 L(s, m) are m-fold wedges: m - 1 copies of B0, A or C0, then B1, A or C1.  They
 carry the maximal (s, ms-1)- and (s, ms+1)-cores and the longest
-(s, ms-1, ms+1)-core, and m = 1 gives B1, A and C1 themselves.
+(s, ms-1, ms+1)-core, and m = 1 gives B1, A and C1 themselves.  Each is a
+bead mask whose rows are runner intervals; a wedge sets rows side by side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class Pyramid:
 def build_a(s: int) -> Abacus:
     """Triangle abacus: beads at (i, j) for 0 < i <= s-1 and 0 <= j <= i-1."""
     _check_s(s)
-    return Abacus(s, frozenset((i, j) for i in range(1, s) for j in range(i)))
+    return _interval_rows(s, 1, s - 1, 1, 0)
 
 
 def build_b(s: int, k: int) -> Abacus:
@@ -38,9 +39,7 @@ def build_b(s: int, k: int) -> Abacus:
     _check_s(s)
     if k not in (0, 1):
         raise ValueError(f"only k in {{0, 1}} is supported, got {k}")
-    return Abacus(
-        s, frozenset((i, j) for i in range(1, s - k) for j in range(s - i - k))
-    )
+    return _interval_rows(s, 1, s - 1 - k, 0, 1)
 
 
 def build_c(s: int, k: int) -> Abacus:
@@ -54,14 +53,18 @@ def wedge(a: Abacus, b: Abacus) -> Abacus:
 
 
 def wedge_all(abaci: Iterable[Abacus]) -> Abacus:
-    """Concatenate the runner blocks left to right in one pass over the operands."""
-    runners, positions = 0, []
-    for a in abaci:
-        positions.extend((i + runners, j) for i, j in a.positions)
-        runners += a.runners
-    if not runners:
+    """Concatenate the runner blocks left to right, row j beside row j, in one pass over the operands."""
+    blocks = [(a.runners, a.mask) for a in abaci]
+    if not blocks:
         raise ValueError("wedge of zero abaci is undefined")
-    return Abacus(runners, frozenset(positions))
+    mask = 0
+    for j in range(max(m.bit_length() // r for r, m in blocks) + 1):
+        row, runners = 0, 0
+        for r, m in blocks:
+            row |= (m >> j * r & ((1 << r) - 1)) << runners
+            runners += r
+        mask |= row << j * runners
+    return Abacus._trusted(runners, mask)
 
 
 def intersect(a: Abacus, b: Abacus) -> Abacus:
@@ -69,7 +72,7 @@ def intersect(a: Abacus, b: Abacus) -> Abacus:
         raise RunnerMismatchError(
             f"cannot intersect {a.runners}-runner and {b.runners}-runner abaci"
         )
-    return Abacus(a.runners, a.positions & b.positions)
+    return Abacus._trusted(a.runners, a.mask & b.mask)
 
 
 def build_e_minus(s: int, m: int) -> Abacus:
@@ -128,20 +131,9 @@ def is_pyramid(a: Abacus) -> Optional[Pyramid]:
     The base is inferred from row 0; an empty abacus has no base and returns
     None.
     """
-    row0 = sorted(i for i, j in a.positions if j == 0)
-    if not row0:
-        return None
-    lo, hi = row0[0], row0[-1]
-    if row0 != list(range(lo, hi + 1)):
-        return None
-    expected = set()
-    j = 0
-    while lo + j <= hi - j:
-        expected.update((i, j) for i in range(lo + j, hi - j + 1))
-        j += 1
-    if a.positions != expected:
-        return None
-    return Pyramid(lo, hi)
+    row0 = a.mask & ((1 << a.runners) - 1)
+    lo, hi = (row0 & -row0).bit_length() - 1, row0.bit_length() - 1
+    return Pyramid(lo, hi) if row0 and a == _interval_rows(a.runners, lo, hi, 1, 1) else None
 
 
 def project_block(a: Abacus, s: int, ell: int) -> Abacus:
@@ -150,10 +142,18 @@ def project_block(a: Abacus, s: int, ell: int) -> Abacus:
         raise ValueError(f"{a.runners} runners do not split into blocks of {s}")
     if not 0 <= ell < a.runners // s:
         raise ValueError(f"block index {ell} out of range for {a.runners // s} blocks")
-    lo = ell * s
-    return Abacus(
-        s, frozenset((i - lo, j) for i, j in a.positions if lo <= i < lo + s)
-    )
+    rows = range(a.mask.bit_length() // a.runners + 1)
+    block = sum((a.mask >> j * a.runners + ell * s & (1 << s) - 1) << j * s for j in rows)
+    return Abacus._trusted(s, block)
+
+
+def _interval_rows(runners: int, lo: int, hi: int, lo_step: int, hi_step: int) -> Abacus:
+    """Row j holds the runners lo + j*lo_step .. hi - j*hi_step, while that interval is non-empty."""
+    mask, j = 0, 0
+    while lo <= hi:
+        mask |= ((1 << hi - lo + 1) - 1) << lo + j * runners
+        lo, hi, j = lo + lo_step, hi - hi_step, j + 1
+    return Abacus._trusted(runners, mask)
 
 
 # CLI name -> builder of (s, m); only the m-fold wedges read m

@@ -20,8 +20,8 @@ class Partition(tuple):
     """A weakly decreasing sequence of positive integer parts, as the tuple of its parts.
 
     It equals, hashes and orders like that plain tuple, so partitions sort
-    lexicographically; it can be indexed, copied and pickled, and unpickling
-    (pickle protocol 2 and up, the default) re-validates.  The empty
+    lexicographically; it can be indexed, copied and pickled, and copying and
+    unpickling (at every pickle protocol) re-validate.  The empty
     partition (weight 0) is a first-class value.
 
     The constructor and `from_json` validate their input.  `_trusted(parts)`
@@ -43,6 +43,9 @@ class Partition(tuple):
     _trusted = classmethod(tuple.__new__)  # copies `parts` once, unchecked; see above
     parts = property(tuple, doc="The parts, largest first, as a plain tuple.")
     weight = property(sum, doc="The sum of the parts.")
+
+    def __reduce__(self):
+        return Partition, (tuple(self),)
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator
 
 from . import partitions as pt
-from .abacus import _beads_mask, beadset_to_partition, from_abacus
+from .abacus import _mask_to_partition
 from .constructions import (
     build_e_minus,
     build_e_plus,
@@ -304,7 +304,7 @@ def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
         built, coords = build_e_minus(s, m), e_minus_from_coordinates(s, m)
     else:
         built, coords = build_e_plus(s, m), e_plus_from_coordinates(s, m)
-    part = beadset_to_partition(from_abacus(built))
+    part = _mask_to_partition(built.mask)
     expected = max_weight_formula(s, t)
     observed = part.weight
     problems = []
@@ -315,7 +315,7 @@ def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
     if part != maximal_st_core(s, t):
         problems.append("differs from the full-gap-set core")
     frob = s * t - s - t
-    if frob >= 0 and max(from_abacus(built), default=-1) != frob:
+    if frob >= 0 and built.mask.bit_length() - 1 != frob:
         problems.append("largest bead misses the Frobenius number")
     passed = observed == expected and not problems
     return Cell(params, expected, observed, passed, note="; ".join(problems))
@@ -324,14 +324,14 @@ def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
 def _claim_longest_m2(grid: dict) -> Iterator[Cell]:
     for params, m, s in _points(grid):
         expected = longest_weight_formula(s, m)
-        observed = beadset_to_partition(from_abacus(build_l(s, m))).weight
+        observed = _mask_to_partition(build_l(s, m).mask).weight
         yield Cell(params, expected, observed, expected == observed)
 
 
 def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
     envelope = build_e_minus(s, m) if t < m * s else build_e_plus(s, m)
     # a core's beads must sit in row 0 of the ms-abacus, inside the envelope's row 0
-    row0 = _beads_mask(from_abacus(envelope)) & ((1 << m * s) - 1)
+    row0 = envelope.mask & ((1 << m * s) - 1)
     violations = sum(1 for mask, _, _ in _bead_masks(s, t, True) if mask & ~row0)
     return Cell(params, 0, violations, violations == 0)
 
@@ -355,7 +355,7 @@ def _claim_berger(grid: dict) -> Iterator[Cell]:
         expected = longest_weight_formula(s, m)
         best = family.max_weight()
         maximal = {p for p in family.members if p.weight == best}
-        longest = beadset_to_partition(from_abacus(build_l(s, m)))
+        longest = _mask_to_partition(build_l(s, m).mask)
         conj_pair = {longest, pt.conjugate(longest)}
         supported = best == expected and maximal == conj_pair
         status = "SUPPORTED" if supported else f"REFUTED-AT({s},{m})"

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -48,6 +51,14 @@ class TestBeadSetConversions:
         with pytest.raises(ValueError):
             ab.beadset([-1, 2])
 
+    def test_negative_bead_is_a_value_error_on_both_mask_paths(self):
+        # fewer than 64 beads go through 1 << b, 64 or more through binary digits
+        for x in (frozenset({-1, 2}), frozenset(range(-1, 70)), frozenset(range(-100, -30))):
+            with pytest.raises(ValueError):
+                ab.beadset_to_partition(x)
+            with pytest.raises(ValueError):
+                ab.to_abacus(x, 3)
+
     def test_beadset_rejects_non_integers(self):
         with pytest.raises(TypeError):
             ab.beadset([1.5, 2.9])
@@ -81,6 +92,25 @@ class TestAbacusGrid:
         for beads in [frozenset(), frozenset({2, 4, 6}), frozenset({0, 5, 11})]:
             for s in (1, 2, 5, 7):
                 assert ab.from_abacus(ab.to_abacus(beads, s)) == beads
+
+    def test_holds_its_runner_count_and_bead_mask(self):
+        a = Abacus(4, frozenset({(1, 0), (2, 1)}))
+        assert [f.name for f in dataclasses.fields(Abacus)] == ["runners", "mask"]
+        assert a.mask == 1 << 1 | 1 << 6 and repr(a) == "Abacus(runners=4, mask=66)"
+        assert a == Abacus._trusted(4, 66) and hash(a) == hash(Abacus._trusted(4, 66))
+        assert a != Abacus._trusted(5, 66) and a != Abacus._trusted(4, 67)
+        assert a.positions == {(1, 0), (2, 1)} and a.max_row() == 1
+        for name in ("runners", "mask", "positions"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+
+    def test_copy_and_pickle_keep_runners_and_mask(self):
+        for a in (build_l(7, 3), Abacus(3, frozenset()), Abacus(4, frozenset({(1, 2)}))):
+            copies = [copy.copy(a), copy.deepcopy(a)]
+            copies += [pickle.loads(pickle.dumps(a, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for b in copies:
+                assert type(b) is Abacus and b == a and (b.runners, b.mask) == (a.runners, a.mask)
+                assert hash(b) == hash(a) and b.positions == a.positions
 
     def test_position_validation(self):
         with pytest.raises(ValueError):

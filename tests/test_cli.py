@@ -170,6 +170,25 @@ def test_package_states_invariants_without_assert():
     assert asserts == []
 
 
+def test_only_abacus_reads_the_positions_grid():
+    # beyond `abacus`, code reads an abacus's mask; `.positions` and `from_abacus` are public-edge adapters
+    def is_grid_read(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+            return getattr(node, "id", None) == "from_abacus" or getattr(node, "attr", None) == "from_abacus"
+        return isinstance(node, ast.Attribute) and node.attr == "positions"
+
+    package = Path(coreabacus.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "abacus.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if is_grid_read(node)
+    ]
+    assert reads == []
+
+
 class TestVerify:
     def test_xiong_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "xiong", "--grid", "s=1..6")

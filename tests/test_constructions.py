@@ -20,6 +20,32 @@ def part_of(a: Abacus) -> Partition:
     return beadset_to_partition(from_abacus(a))
 
 
+def grid_a(s: int) -> frozenset:
+    """A(s) as (i, j) positions, written cell by cell."""
+    return frozenset((i, j) for i in range(1, s) for j in range(i))
+
+
+def grid_b(s: int, k: int) -> frozenset:
+    """B_k(s) as (i, j) positions, written cell by cell."""
+    return frozenset((i, j) for i in range(1, s - k) for j in range(s - i - k))
+
+
+def grid_wedge(grids, s: int) -> Abacus:
+    """Wedge of s-runner position sets, each offset by the runners before it."""
+    positions = frozenset((i + block * s, j) for block, grid in enumerate(grids) for i, j in grid)
+    return Abacus(len(grids) * s, positions)
+
+
+def grid_pyramid(a: Abacus):
+    """Base (lo, hi) of row 0 when every row j is exactly lo+j .. hi-j, compared cell by cell; else None."""
+    row0 = sorted(i for i, j in a.positions if j == 0)
+    if not row0 or row0 != list(range(row0[0], row0[-1] + 1)):
+        return None
+    lo, hi = row0[0], row0[-1]
+    expected = {(i, j) for j in range(hi - lo + 1) for i in range(lo + j, hi - j + 1)}
+    return (lo, hi) if a.positions == expected else None
+
+
 class TestBuildA:
     def test_figure_values(self):
         assert from_abacus(cx.build_a(5)) == {1, 2, 3, 4, 7, 8, 9, 13, 14, 19}
@@ -63,6 +89,27 @@ class TestBuildB:
             assert part_of(cx.build_b(s, 1)) == maximal_st_core(s - 1, s)
 
 
+class TestRowsMatchTheCellByCellRoute:
+    def test_a_b_and_c_rows(self):
+        for s in range(1, 13):
+            assert cx.build_a(s) == Abacus(s, grid_a(s)), s
+            for k in (0, 1):
+                assert cx.build_b(s, k) == Abacus(s, grid_b(s, k)), (s, k)
+                assert cx.build_c(s, k) == Abacus(s, grid_a(s) & grid_b(s, k)), (s, k)
+
+    def test_m_fold_masks(self):
+        for s, m in ((5, 3), (7, 3), (12, 5), (40, 5)):
+            a, b0, b1 = grid_a(s), grid_b(s, 0), grid_b(s, 1)
+            routes = {
+                cx.build_e_minus: [b0] * (m - 1) + [b1],
+                cx.build_e_plus: [a] * m,
+                cx.build_l: [a & b0] * (m - 1) + [a & b1],
+            }
+            for build, grids in routes.items():
+                built, oracle = build(s, m), grid_wedge(grids, s)
+                assert built.runners == oracle.runners and built.mask == oracle.mask, (build.__name__, s, m)
+
+
 class TestWedge:
     def test_runner_concatenation(self):
         left = Abacus(2, frozenset({(1, 0)}))
@@ -103,13 +150,19 @@ class TestWedge:
     def test_wedge_all_constructs_one_abacus(self, monkeypatch):
         blocks = [cx.build_a(4), Abacus(2, frozenset()), cx.build_c(5, 1)] * 3
         built = []
-        validate = Abacus.__post_init__
+        trusted, validated = Abacus._trusted.__func__, Abacus.__init__
 
-        def counted(self):
+        def counted_trusted(cls, runners, mask):
+            built.append(trusted(cls, runners, mask))
+            return built[-1]
+
+        def counted_init(self, runners, positions):
             built.append(self)
-            validate(self)
+            validated(self, runners, positions)
 
-        monkeypatch.setattr(Abacus, "__post_init__", counted)
+        # an Abacus is built either by the validating constructor or by the trusted entry
+        monkeypatch.setattr(Abacus, "_trusted", classmethod(counted_trusted))
+        monkeypatch.setattr(Abacus, "__init__", counted_init)
         for k in (1, 2, len(blocks)):
             built.clear()
             joined = cx.wedge_all(blocks[:k])
@@ -200,6 +253,13 @@ class TestPyramid:
 
     def test_empty_has_no_base(self):
         assert cx.is_pyramid(Abacus(4, frozenset())) is None
+
+    def test_every_subset_of_a_small_grid(self):
+        cells = [(i, j) for j in range(3) for i in range(4)]
+        for subset in range(1 << len(cells)):
+            a = Abacus(4, frozenset(c for n, c in enumerate(cells) if subset >> n & 1))
+            found = cx.is_pyramid(a)
+            assert (found and (found.base_lo, found.base_hi)) == grid_pyramid(a), sorted(a.positions)
 
     def test_diagonal_support_property(self):
         for s in range(2, 9):

@@ -80,9 +80,10 @@ class TestPartition:
         assert copy.deepcopy(family) == family
 
     def test_unpickling_revalidates(self):
-        payload = pickle.dumps(Partition._trusted((1, 2)))
-        with pytest.raises(ValueError):
-            pickle.loads(payload)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            payload = pickle.dumps(Partition._trusted((1, 2)), protocol)
+            with pytest.raises(ValueError):
+                pickle.loads(payload)
 
     def test_equals_and_hashes_like_its_tuple(self):
         assert P(3, 1, 1) == (3, 1, 1)
