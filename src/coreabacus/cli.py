@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
@@ -48,48 +47,31 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-def _cache_key(command: str, params: dict) -> str:
-    return json.dumps({"command": command, "params": params}, sort_keys=True)
+def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
+    """`compute()`, or the payload an earlier run stored for the same request under the same sources.
 
-
-def _cache_path(key: str) -> Path:
-    return _cache_dir() / (hashlib.sha256(key.encode()).hexdigest() + ".json")
-
-
-def _cache_load(key: str) -> dict | None:
+    An entry is the JSON object {key, payload, source_hash}, stored in `_cache_dir()` under the
+    sha256 of its request key. It is a hit only when both its key and its source hash match, and
+    the hit returns the stored payload as written, elapsed times included. An unreadable or
+    malformed entry is a miss: the payload is computed again and the entry rewritten.
+    """
+    if no_cache:
+        return compute()
+    key = json.dumps({"command": command, "params": params}, sort_keys=True)
+    path = _cache_dir() / (hashlib.sha256(key.encode()).hexdigest() + ".json")
     try:
-        entry = json.loads(_cache_path(key).read_text())
+        entry = json.loads(path.read_text())
     except (OSError, ValueError):
-        return None
-    if entry.get("key") != key or entry.get("source_hash") != _source_hash():
-        return None
-    return entry["payload"]
-
-
-def _cache_store(key: str, payload: dict) -> None:
-    path = _cache_path(key)
+        entry = None
+    if (isinstance(entry, dict) and "payload" in entry
+            and entry.get("key") == key and entry.get("source_hash") == _source_hash()):
+        return entry["payload"]
+    payload = compute()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": key,
-            "payload": payload,
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "source_hash": _source_hash(),
-        }
-        path.write_text(json.dumps(entry))
+        path.write_text(json.dumps({"key": key, "payload": payload, "source_hash": _source_hash()}))
     except OSError:
-        pass  # cache is best-effort
-
-
-def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
-    key = _cache_key(command, params)
-    if not no_cache:
-        hit = _cache_load(key)
-        if hit is not None:
-            return hit
-    payload = compute()
-    if not no_cache:
-        _cache_store(key, payload)
+        pass  # the cache is best-effort
     return payload
 
 
@@ -120,7 +102,7 @@ def _parse_grid(text: str) -> dict:
 
 
 def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_members: bool) -> dict:
-    """The family's statistics from its bead masks; its members only if `with_members`."""
+    """The family's statistics from its bead masks; its `Partition` members only if `with_members`."""
     stats = family_stats(moduli, distinct, self_conjugate)
     payload = {
         "moduli": list(moduli),
@@ -130,34 +112,27 @@ def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_me
         "longest_parts": stats.longest_parts,
     }
     if with_members:
-        family = enumerate_multi_cores(moduli, distinct, self_conjugate)
-        payload["partitions"] = [list(p.parts) for p in family.members]
+        payload["partitions"] = enumerate_multi_cores(moduli, distinct, self_conjugate).members
     return payload
 
 
 def _emit_family(payload: dict, fmt: str) -> None:
-    with_members = "partitions" in payload
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        if with_members:
-            print("weight,parts")
-            for parts in payload["partitions"]:
-                print(f"{sum(parts)},{' '.join(map(str, parts))}")
+        if "partitions" in payload:
+            rows = (f"{sum(parts)},{' '.join(map(str, parts))}" for parts in payload["partitions"])
+            print("\n".join(["weight,parts", *rows]))
         else:
-            print("count")
-            print(payload["count"])
+            print(f"count\n{payload['count']}")
     else:
         moduli = ",".join(map(str, payload["moduli"]))
         flags = [k for k, v in payload["filters"].items() if v]
         label = f"({moduli})-cores" + (f" [{' '.join(flags)}]" if flags else "")
-        if with_members:
-            for parts in payload["partitions"]:
-                print("()" if not parts else "(" + ",".join(map(str, parts)) + ")")
-        print(
-            f"{label}: count={payload['count']} max_weight={payload['max_weight']} "
-            f"longest_parts={payload['longest_parts']}"
-        )
+        rows = ["(" + ",".join(map(str, parts)) + ")" for parts in payload.get("partitions", ())]
+        rows.append(f"{label}: count={payload['count']} max_weight={payload['max_weight']} "
+                    f"longest_parts={payload['longest_parts']}")
+        print("\n".join(rows))
 
 
 def cmd_show(args) -> int:
@@ -215,20 +190,20 @@ def cmd_verify(args) -> int:
 def cmd_maximal(args) -> int:
     p = maximal_st_core(args.s, args.t)
     if args.format == "json":
-        print(json.dumps({"s": args.s, "t": args.t, "partition": list(p.parts), "weight": p.weight}))
+        print(json.dumps({"s": args.s, "t": args.t, "partition": list(p), "weight": p.weight}))
     else:
-        print(f"maximal ({args.s},{args.t})-core: {list(p.parts)} weight={p.weight}")
+        print(f"maximal ({args.s},{args.t})-core: {list(p)} weight={p.weight}")
     return EXIT_OK
 
 
 def cmd_longest(args) -> int:
     p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
-        print(json.dumps({"s": args.s, "m": args.m, "partition": list(p.parts),
+        print(json.dumps({"s": args.s, "m": args.m, "partition": list(p),
                           "parts": len(p), "weight": p.weight}))
     else:
         print(f"longest ({','.join(map(str, _triple_moduli(args.s, args.m)))})-core: "
-              f"{list(p.parts)} parts={len(p)} weight={p.weight}")
+              f"{list(p)} parts={len(p)} weight={p.weight}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import coreabacus
-from coreabacus import abacus, enumeration
+from coreabacus import abacus, cli, enumeration
 from coreabacus.cli import main
 from coreabacus.enumeration import enumerate_multi_cores, longest_member
 from coreabacus.partitions import Partition
@@ -120,6 +120,14 @@ class TestEnumerateAndCount:
         _, first, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")
         _, second, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")
         assert first == second
+        # a miss writes the members as `Partition` tuples and a hit as the cached lists; the bytes agree
+        for family in (["5,6"], ["9,28", "--distinct"], ["8,9", "--distinct", "--self-conjugate"]):
+            for fmt in ("json", "csv", "table"):
+                argv = ["enumerate", "--moduli", *family, "--format", fmt]
+                _, first, _ = run(capsys, *argv, "--no-cache")
+                for _ in range(2):  # the first cached run is a miss, the second a hit
+                    _, second, _ = run(capsys, *argv)
+                    assert first == second, argv
 
     def test_cache_round_trip(self, capsys, tmp_path):
         _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
@@ -149,6 +157,25 @@ class TestEnumerateAndCount:
         path.write_text(json.dumps(entry))
         _, fresh, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert fresh == first
+
+    def test_malformed_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, monkeypatch):
+        argv = ["count", "--moduli", "5,14", "--format", "csv"]
+        fresh = run(capsys, *argv, "--no-cache")
+        assert run(capsys, *argv) == fresh
+        (path,) = (tmp_path / "cache").iterdir()
+        entry = json.loads(path.read_text())
+        assert list(entry) == ["key", "payload", "source_hash"]
+        key, source_hash = entry["key"], entry["source_hash"]
+        malformed = ["[]", "1", "null", "{}", json.dumps({"key": key}), '{"key"',
+                     json.dumps({"key": key, "source_hash": source_hash}),
+                     json.dumps({"key": key + " ", "payload": entry["payload"], "source_hash": source_hash})]
+        for text in malformed:
+            path.write_text(text)
+            assert run(capsys, *argv) == fresh, text
+            assert json.loads(path.read_text()) == entry, text
+            with monkeypatch.context() as patch:  # the rewritten entry answers the next run alone
+                patch.setattr(cli, "family_stats", None)
+                assert run(capsys, *argv) == fresh, text
 
 
 def test_package_holds_only_top_level_sources():
