@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, build_l, build_named
-from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
+from .enumeration import GuardRailError, _family_with_stats, family_stats, maximal_st_core
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
@@ -47,13 +47,22 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
+# the payload fields each cached command prints
+_PRINTED = {
+    "count": frozenset({"moduli", "filters", "count", "max_weight", "longest_parts"}),
+    "enumerate": frozenset({"moduli", "filters", "count", "max_weight", "longest_parts", "partitions"}),
+    "verify": frozenset({"claim", "cells", "elapsed_ms"}),
+}
+
+
 def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
     """`compute()`, or the payload an earlier run stored for the same request under the same sources.
 
     An entry is the JSON object {key, payload, source_hash}, stored in `_cache_dir()` under the
-    sha256 of its request key. It is a hit only when both its key and its source hash match, and
-    the hit returns the stored payload as written, elapsed times included. An unreadable or
-    malformed entry is a miss: the payload is computed again and the entry rewritten.
+    sha256 of its request key. It is a hit only when both its key and its source hash match and
+    its payload holds every field the command prints; the hit returns the stored payload as
+    written, elapsed times included. An unreadable or malformed entry is a miss: the payload is
+    computed again and the entry rewritten.
     """
     if no_cache:
         return compute()
@@ -63,9 +72,10 @@ def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
         entry = None
-    if (isinstance(entry, dict) and "payload" in entry
+    payload = entry.get("payload") if isinstance(entry, dict) else None
+    if (isinstance(payload, dict) and payload.keys() >= _PRINTED[command]
             and entry.get("key") == key and entry.get("source_hash") == _source_hash()):
-        return entry["payload"]
+        return payload
     payload = compute()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -102,8 +112,12 @@ def _parse_grid(text: str) -> dict:
 
 
 def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_members: bool) -> dict:
-    """The family's statistics from its bead masks; its `Partition` members only if `with_members`."""
-    stats = family_stats(moduli, distinct, self_conjugate)
+    """The family's statistics from its bead masks; with `with_members`, its `Partition` members
+    and the statistics from the one walk that builds them."""
+    if with_members:
+        family, stats = _family_with_stats(moduli, distinct, self_conjugate)
+    else:
+        stats = family_stats(moduli, distinct, self_conjugate)
     payload = {
         "moduli": list(moduli),
         "filters": {"distinct": distinct, "self_conjugate": self_conjugate},
@@ -112,7 +126,7 @@ def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_me
         "longest_parts": stats.longest_parts,
     }
     if with_members:
-        payload["partitions"] = enumerate_multi_cores(moduli, distinct, self_conjugate).members
+        payload["partitions"] = family.members
     return payload
 
 

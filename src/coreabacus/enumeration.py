@@ -1,21 +1,25 @@
 """Exhaustive generators for (s,t)-cores and multi-cores.
 
-The fast route walks Anderson's lattice paths, one per order ideal of the gap
-poset of <s, t>, streaming the minimal bead set (first-column hook lengths) of
-each (s,t)-core as a bitmask indexed by bead value.  Asked for distinct parts,
-the walk drops every partial path whose mask already holds two adjacent beads:
-equal parts are adjacent beads, and the walk only adds beads, so no completion
-of such a path has distinct parts.  A family's count and extremes fold the
-stream without building a `Partition`, and the weight profile is a dynamic
-programme over the same runners.  The slow route generates all partitions up
-to a weight bound and filters by hook multiset; it exists only as an
-independent oracle for tests and verification.
+The fast route walks the s-abacus of s < t row by row, and every node of the
+walk is an (s,t)-core: its minimal bead set (first-column hook lengths) as a
+bitmask indexed by bead value.  A child adds one row of beads above all of
+its parent's, so its parts are the parent's with the row's in front, and the
+only masks turned into parts are rows' runner sets.  Asked for distinct
+parts, the walk keeps row 0 free of adjacent runners: equal parts are
+adjacent beads, and every later row lies within row 0's runners.  Asked for
+more moduli, it prunes each node that is not a core for them, since beads
+added above cannot fill the missing bead below.  A family's count and
+extremes fold the stream without building a `Partition`, and the weight
+profile is a dynamic programme over the runners.  The slow route generates
+all partitions up to a weight bound and filters by hook multiset; it exists
+only as an independent oracle for tests and verification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
@@ -90,31 +94,94 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
 
 
-def _bead_masks(s: int, t: int, distinct: bool = False) -> Iterator[tuple]:
-    """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core.
+def _bead_masks(s: int, t: int, distinct: bool = False, rest: tuple = (), parts: bool = False) -> Iterator[tuple]:
+    """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core,
+    with its parts as a fourth field if `parts`.
 
-    The s-abacus runners holding t, 2t, ... (mod s) get bottom-justified beads
-    in turn; each first spacer lies at most t above the previous runner's (the
-    multiples of s hold none), which closes the set under subtracting s and t.
-    With `distinct`, only the cores with distinct parts (no adjacent beads).
+    The walk reads the s-abacus of s < t row by row, and every node is a core.
+    Row j holds beads r + js for a set of runners within row j - 1's (runner
+    0 never holds a bead), and runner r may join it only if r + js < t or bead
+    r + js - t, which lies in a lower row, is already set; so every nonempty
+    subset of the allowed runners makes a child, yielded as it is made.  A row
+    of one allowed runner is followed up its column without a stack entry.  A
+    new row lies above every bead, so the parent's parts keep their values and
+    the row's parts go in front.  With `distinct`, only row 0 is checked: no
+    two adjacent runners.  A node that is not an r-core for some r in `rest`
+    has no r-core descendant, so its subtree is pruned; pruning keeps the
+    order of the nodes that remain.
     """
-    runners = _runner_stacks(s, t)
-    pending = [(0, 0, 0, 0, t)]  # (runner, mask, n, total, bound on its first spacer)
+    _check_coprime(s, t)
+    s, t = min(s, t), max(s, t)
+    yield (0, 0, 0, pt.EMPTY) if parts else (0, 0, 0)
+    children_of, shapes = {}, {}  # allowed runners -> their nonempty subsets; a row above row 0 -> its parts
+    pending = [(0, 0, 0, pt.EMPTY, 0, _row_sets((1 << s) - 2, distinct))]  # (mask, n, bead sum, parts, js, subsets)
     while pending:
-        j, mask, n, total, bound = pending.pop()
-        if j == len(runners):
-            yield mask, n, total
-            continue
-        for spacer, m, k, sigma in runners[j]:
-            m |= mask
-            if spacer > bound or distinct and m & m >> 1:  # taller stacks only add beads
-                break
-            pending.append((j + 1, m, n + k, total + sigma, spacer + t))
+        mask, n, total, p, js, subsets = pending.pop()
+        lift = js + s - t  # runner r may join the next row iff r + lift < 0 or bead r + lift is set
+        for row, k, sigma in subsets:
+            m = mask | row << js
+            if rest and not all(_mask_is_core(m, r) for r in rest):
+                continue
+            count, beads = n + k, total + sigma + k * js
+            if parts:  # row j's parts are those of its runner set raised by the js - n spacers below it
+                if js:
+                    shape = shapes.get(row)
+                    if shape is None:
+                        shape = shapes[row] = _mask_to_partition(row)
+                    q = Partition._trusted(tuple(map((js - n).__add__, shape)) + p)
+                else:
+                    q = _mask_to_partition(row)
+            yield (m, count, beads, q) if parts else (m, count, beads)
+            allowed = row & (m >> lift if lift >= 0 else m << -lift | (1 << -lift) - 1)
+            if allowed & (allowed - 1):
+                children = children_of.get(allowed)
+                if children is None:
+                    children = children_of[allowed] = list(_row_sets(allowed, False))
+                pending.append((m, count, beads, q if parts else (), js + s, children))
+            elif allowed:  # one runner: its column grows a bead per row while the bead t below is set
+                b = js + s + allowed.bit_length() - 1
+                while b < t or m >> b - t & 1:
+                    m |= 1 << b
+                    if rest and not all(_mask_is_core(m, r) for r in rest):
+                        break
+                    if parts:
+                        q = Partition._trusted((b - count,) + q)
+                    count, beads = count + 1, beads + b
+                    yield (m, count, beads, q) if parts else (m, count, beads)
+                    b += s
+
+
+def _row_sets(runners: int, distinct: bool) -> Iterator[tuple]:
+    """(set, size, runner sum) for every nonempty subset of the runner bitmask, with no
+    two adjacent runners if `distinct`, in the same order with or without it.
+
+    A subset is one of the upper half of the runners joined to one of the lower
+    half, so the halves' lists stay near the square root of the subset count.
+    """
+    bits = [r for r in range(runners.bit_length()) if runners >> r & 1]
+
+    def sets(half):
+        found = [(0, 0, 0)]
+        for r in half:
+            found += [(row | 1 << r, k + 1, sigma + r) for row, k, sigma in found if not (distinct and row >> r - 1 & 1)]
+        return found
+
+    low, high = sets(bits[: len(bits) // 2]), sets(bits[len(bits) // 2 :])
+    for upper, k, sigma in high:
+        clash = upper >> 1 if distinct else 0
+        for lower, j, tau in low if upper else low[1:]:
+            if not lower & clash:
+                yield upper | lower, k + j, sigma + tau
 
 
 def _runner_stacks(s: int, t: int) -> list:
     """Per s-abacus runner holding t, 2t, ... (mod s), each bottom-justified stack
-    it can hold, shortest first: (first spacer, mask, bead count, bead sum)."""
+    it can hold, shortest first: (first spacer, mask, bead count, bead sum).
+
+    Taken in that order, each runner's first spacer lies at most t above the
+    previous runner's (the multiples of s hold none), which closes the bead set
+    under subtracting s and t.
+    """
     _check_coprime(s, t)
     runners = []
     for j in range(1, s):
@@ -126,13 +193,13 @@ def _runner_stacks(s: int, t: int) -> list:
     return runners
 
 
-def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool) -> Iterator[tuple]:
-    """The walk's (mask, n, bead sum) for every member of a multi-core family.
+def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool = False) -> Iterator[tuple]:
+    """The walk's (mask, n, bead sum), with the parts if `parts`, for every member of a multi-core family.
 
     Walks the coprime pair of `moduli` with the smallest product, pruned to
-    distinct parts if `distinct`, and keeps the masks that are cores for the
-    other moduli and, if `self_conjugate`, self-conjugate.  The rail is checked
-    before the walk starts.
+    distinct parts if `distinct` and to cores for the other moduli, and keeps
+    the self-conjugate masks if `self_conjugate`.  The rail, on the pair's
+    size, is checked before the walk starts.
     """
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
@@ -145,19 +212,16 @@ def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool) -> Iterator
             f"moduli {moduli} walk all {size} ({pair[0]},{pair[1]})-cores, "
             f"beyond the guard rail of {FAMILY_MAX_CORES}"
         )
-    stream = _bead_masks(*pair, distinct)
-    rest = [t for t in moduli if t not in pair]
-    if rest:
-        stream = ((mask, n, total) for mask, n, total in stream if all(_mask_is_core(mask, r) for r in rest))
+    stream = _bead_masks(*pair, distinct, tuple(t for t in moduli if t not in pair), parts)
     if self_conjugate:
-        stream = ((mask, n, total) for mask, n, total in stream if _mask_is_self_conjugate(mask, n))
+        stream = (node for node in stream if _mask_is_self_conjugate(node[0], node[1]))
     return stream
 
 
-def _family(moduli: tuple, masks: Iterable[int], distinct: bool, self_conjugate: bool = False) -> CoreFamily:
-    """The partitions of value-indexed bead masks, in lexicographic part order."""
-    members = sorted(map(_mask_to_partition, masks))
-    return CoreFamily(moduli=moduli, members=tuple(members), distinct=distinct, self_conjugate=self_conjugate)
+def _family(moduli: tuple, parts: Iterable[tuple], distinct: bool, self_conjugate: bool = False) -> CoreFamily:
+    """The family whose members have these parts, in lexicographic part order."""
+    members = tuple(sorted(parts))
+    return CoreFamily(moduli=moduli, members=members, distinct=distinct, self_conjugate=self_conjugate)
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -169,15 +233,15 @@ def count_st_cores(s: int, t: int) -> int:
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
-    return _family((s, t), (mask for mask, _, _ in _core_masks((s, t), distinct, False)), distinct)
+    return _family((s, t), map(itemgetter(3), _core_masks((s, t), distinct, False, parts=True)), distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
     """(max weight, number of members attaining it) over all (s,t)-cores.
 
-    A dynamic programme over the runners of `_bead_masks`: the walk's only
-    constraint on the next runner is its bound, the last first spacer + t, and
-    a core's weight is its bead sum less n(n-1)/2 for n beads.  So the states
+    A dynamic programme over `_runner_stacks`: the only constraint on the
+    next runner is its bound, the last first spacer + t, and a core's weight
+    is its bead sum less n(n-1)/2 for n beads.  So the states
     (bound, n) -> (largest bead sum, number of paths reaching it) give the
     profile exactly.
     """
@@ -242,19 +306,40 @@ def enumerate_multi_cores(
 ) -> CoreFamily:
     """Every core for all of `moduli`, optionally only those with distinct parts or self-conjugate."""
     moduli = tuple(sorted(set(moduli)))
-    masks = (mask for mask, _, _ in _core_masks(moduli, distinct, self_conjugate))
-    return _family(moduli, masks, distinct, self_conjugate)
+    parts = map(itemgetter(3), _core_masks(moduli, distinct, self_conjugate, parts=True))
+    return _family(moduli, parts, distinct, self_conjugate)
 
 
 def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
-    """The statistics of `enumerate_multi_cores(...)`, folded from the bead masks.
+    """The statistics of `enumerate_multi_cores(...)`, folded from the bead masks."""
+    return _fold(_core_masks(tuple(sorted(set(moduli))), distinct, self_conjugate))
+
+
+def _family_with_stats(
+    moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
+) -> tuple[CoreFamily, FamilyStats]:
+    """`enumerate_multi_cores(...)` and `family_stats(...)` from one walk."""
+    moduli = tuple(sorted(set(moduli)))
+    parts = []
+
+    def masks():
+        for mask, n, total, p in _core_masks(moduli, distinct, self_conjugate, parts=True):
+            parts.append(p)
+            yield mask, n, total
+
+    stats = _fold(masks())
+    return _family(moduli, parts, distinct, self_conjugate), stats
+
+
+def _fold(masks: Iterable[tuple]) -> FamilyStats:
+    """A family's statistics from its (mask, n, bead sum) triples.
 
     A minimal bead set holds one bead per part, so a mask with n beads and
     bead sum S has n parts and weight S - n(n-1)/2.
     """
     count = max_weight = longest = 0
     top = 0  # the largest mask has the largest bead
-    for mask, n, total in _core_masks(tuple(sorted(set(moduli))), distinct, self_conjugate):
+    for mask, n, total in masks:
         count += 1
         weight = total - n * (n - 1) // 2
         if weight > max_weight:

@@ -25,9 +25,10 @@ class Partition(tuple):
     partition (weight 0) is a first-class value.
 
     The constructor and `from_json` validate their input.  `_trusted(parts)`
-    skips that check; only routes in `partitions` and `abacus` whose output is
-    valid by construction (the generator, `conjugate`, `_mask_to_partition`)
-    may call it, always with a tuple or list of positive, weakly decreasing ints.
+    skips that check; only routes whose output is valid by construction (the
+    generator, `conjugate`, `abacus._mask_to_partition` and the row walk of
+    `enumeration._bead_masks`) may call it, always with a tuple or list of
+    positive, weakly decreasing ints.
     """
 
     __slots__ = ()

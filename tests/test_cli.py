@@ -168,6 +168,10 @@ class TestEnumerateAndCount:
         key, source_hash = entry["key"], entry["source_hash"]
         malformed = ["[]", "1", "null", "{}", json.dumps({"key": key}), '{"key"',
                      json.dumps({"key": key, "source_hash": source_hash}),
+                     json.dumps({"key": key, "payload": {}, "source_hash": source_hash}),
+                     json.dumps({"key": key, "payload": [], "source_hash": source_hash}),
+                     json.dumps({"key": key, "payload": {k: v for k, v in entry["payload"].items() if k != "count"},
+                                 "source_hash": source_hash}),
                      json.dumps({"key": key + " ", "payload": entry["payload"], "source_hash": source_hash})]
         for text in malformed:
             path.write_text(text)

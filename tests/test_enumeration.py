@@ -4,8 +4,10 @@ import pytest
 
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
+from coreabacus.abacus import _mask_is_core, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
+from coreabacus.verification import fib_count
 
 
 def P(*parts):
@@ -271,6 +273,34 @@ class TestLatticePathStream:
                 assert en.family_stats((t, s), distinct=True) == stats_of(distinct), (s, t)
                 conjugates = en.filter_self_conjugate(family)
                 assert en.family_stats((s, t), self_conjugate=True) == stats_of(conjugates), (s, t)
+
+    def test_parts_field_is_the_partition_of_the_mask(self):
+        # the walk builds each member's parts from its parent's; the one beads-to-parts formula checks them
+        for s, t in SMALL_PAIRS:
+            if s <= t:  # the walk runs on the smaller modulus's abacus in either order
+                for distinct in (False, True):
+                    walks = zip(en._bead_masks(s, t, distinct, parts=True), en._bead_masks(t, s, distinct, parts=True),
+                                en._bead_masks(s, t, distinct), strict=True)
+                    assert all(node == swapped and node[:3] == triple and node[3] == _mask_to_partition(node[0])
+                               for node, swapped, triple in walks), (s, t, distinct)
+
+    def test_pruned_walk_is_the_filtered_pair_walk(self):
+        # a node that is not an r-core has no r-core descendant, so pruning keeps the stream and its order
+        triples = [(s, m * s - 1, m * s + 1) for s in range(1, 7) for m in range(1, 4)]
+        for moduli in triples + [(4, 11, 13), (5, 14, 16)]:
+            moduli = tuple(sorted({t for t in moduli if t >= 1}))
+            pair = en._coprime_pair(moduli)
+            rest = tuple(t for t in moduli if t not in pair)
+            for distinct in (False, True):
+                full = en._bead_masks(*pair, distinct, (), True)
+                kept = [node for node in full if all(_mask_is_core(node[0], r) for r in rest)]
+                assert list(en._bead_masks(*pair, distinct, rest, True)) == kept, (moduli, distinct)
+                assert list(en._bead_masks(*pair, distinct, rest)) == [node[:3] for node in kept], (moduli, distinct)
+
+    def test_distinct_walk_is_fibonacci_sized(self):
+        # row 0 of the distinct walk holds no two adjacent runners: Fibonacci-many sets, not 2^(s-1)
+        for s in range(1, 26):
+            assert en.family_stats((s, s + 1), distinct=True).count == fib_count(s), s
 
     def test_self_conjugate_count_is_ford_mai_sze(self):
         # Ford, Mai and Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate (s,t)-cores
