@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .partitions import Partition, first_column_hooks
+from .partitions import Partition, _first_column, first_column_hooks
 
 BeadSet = frozenset  # frozenset[int]
 
@@ -103,7 +103,7 @@ def _beads_mask(x: Iterable[int]) -> int:
     if not hasattr(x, "__len__"):  # an iterator: read it once
         x = list(x)
     if len(x) < 64:
-        return sum(1 << b for b in x)
+        return sum(map((1).__lshift__, x))
     top = max(x)
     if min(x) < 0:  # `1 << b` rejects a negative bead; a digit index would not
         raise ValueError("bead positions must be non-negative")
@@ -179,7 +179,7 @@ def is_t_core(p: Partition, t: int) -> bool:
     """True iff p has no hook of length t, read off its minimal bead set."""
     if t < 1:
         raise ValueError(f"runner count must be positive, got {t}")
-    return _mask_is_core(_beads_mask(first_column_hooks(p)), t)
+    return _mask_is_core(_beads_mask(_first_column(p)), t)
 
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:

@@ -47,12 +47,14 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-# the payload fields each cached command prints
+# the payload fields each cached command prints, with their JSON types
+_FAMILY_FIELDS = {"moduli": list, "filters": dict, "count": int, "max_weight": int, "longest_parts": int}
 _PRINTED = {
-    "count": frozenset({"moduli", "filters", "count", "max_weight", "longest_parts"}),
-    "enumerate": frozenset({"moduli", "filters", "count", "max_weight", "longest_parts", "partitions"}),
-    "verify": frozenset({"claim", "cells", "elapsed_ms"}),
+    "count": _FAMILY_FIELDS,
+    "enumerate": {**_FAMILY_FIELDS, "partitions": list},
+    "verify": {"claim": str, "cells": list, "elapsed_ms": (int, float)},
 }
+_CELL_KEYS = frozenset({"params", "expected", "observed", "pass"})  # what the verify table reads of a cell
 
 
 def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
@@ -60,9 +62,10 @@ def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
 
     An entry is the JSON object {key, payload, source_hash}, stored in `_cache_dir()` under the
     sha256 of its request key. It is a hit only when both its key and its source hash match and
-    its payload holds every field the command prints; the hit returns the stored payload as
-    written, elapsed times included. An unreadable or malformed entry is a miss: the payload is
-    computed again and the entry rewritten.
+    its payload holds every field the command prints, each of its JSON type, and every verify cell
+    is an object holding the keys the table reads (a family's members are not walked); the hit
+    returns the stored payload as written, elapsed times included. An unreadable or malformed
+    entry is a miss: the payload is computed again and the entry rewritten.
     """
     if no_cache:
         return compute()
@@ -73,7 +76,11 @@ def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
     except (OSError, ValueError):
         entry = None
     payload = entry.get("payload") if isinstance(entry, dict) else None
-    if (isinstance(payload, dict) and payload.keys() >= _PRINTED[command]
+    fields = _PRINTED[command]
+    if (isinstance(payload, dict) and payload.keys() >= fields.keys()
+            and all(isinstance(payload[name], kind) for name, kind in fields.items())
+            and all(isinstance(cell, dict) and cell.keys() >= _CELL_KEYS
+                    for cell in (payload["cells"] if command == "verify" else ()))
             and entry.get("key") == key and entry.get("source_hash") == _source_hash()):
         return payload
     payload = compute()

@@ -11,7 +11,8 @@ more moduli, it prunes each node that is not a core for them, since beads
 added above cannot fill the missing bead below.  A family's count and
 extremes fold the stream without building a `Partition`, and the weight
 profile is a dynamic programme over the runners.  The slow route generates
-all partitions up to a weight bound and filters by hook multiset; it exists
+all partitions up to a weight bound and keeps those with no hook length among
+the moduli, read off the Young diagram and never off a bead mask; it exists
 only as an independent oracle for tests and verification.
 """
 
@@ -283,11 +284,8 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
         raise GuardRailError(
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
         )
-    members = sorted(
-        p
-        for p in pt.partitions_up_to(max_weight)
-        if not set(moduli) & set(pt.hook_length_multiset(p))
-    )
+    avoided = set(moduli)
+    members = sorted(p for p in pt.partitions_up_to(max_weight) if avoided.isdisjoint(pt._hooks(p)))
     return CoreFamily(moduli=moduli, members=tuple(members))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
+from itertools import chain, count, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -75,25 +76,47 @@ def conjugate(p: Partition) -> Partition:
     return Partition._trusted(cols)
 
 
+def _first_column(p: Partition) -> Iterator[int]:
+    """Hook lengths of the left-most column, top row first: part i plus the rows below it."""
+    return map(operator.add, p, range(len(p) - 1, -1, -1))
+
+
 def first_column_hooks(p: Partition) -> frozenset[int]:
     """Hook lengths of the boxes in the left-most column, one per row."""
-    r = len(p)
-    return frozenset(part + r - (i + 1) for i, part in enumerate(p))
+    return frozenset(_first_column(p))
+
+
+def _hook_rows(p: Partition) -> Iterator[Iterator[int]]:
+    """Each row's hook lengths, left to right: row i adds p_i - i + 1 to d_j = conj_j - j, j <= p_i."""
+    conj = conjugate(p)
+    d = list(map(operator.sub, conj, range(1, len(conj) + 1)))
+    return (map((part - i).__add__, d[:part]) for i, part in enumerate(p))
+
+
+def _hooks(p: Partition) -> Iterator[int]:
+    """Every hook length of the Young diagram, row by row; see `_hook_rows`."""
+    return chain.from_iterable(_hook_rows(p))
 
 
 def hook_lengths(p: Partition) -> tuple[HookLength, ...]:
-    """All hook lengths of the Young diagram, one entry per box."""
-    conj = conjugate(p)
+    """All hook lengths of the Young diagram, one entry per box, in row-major order.
+
+    Box (i, j) has arm p_i - j and leg conj_j - i, so its hook arm + leg + 1 is
+    (p_i - i + 1) + (conj_j - j), computed a whole row at a time (`_hook_rows`).
+    """
     hooks = []
-    for i, part in enumerate(p, start=1):
-        for j in range(1, part + 1):
-            hooks.append(HookLength(i, j, part - j + conj[j - 1] - i + 1))
+    for i, row in enumerate(_hook_rows(p), start=1):
+        hooks += map(HookLength, repeat(i), count(1), row)
     return tuple(hooks)
 
 
 def hook_length_multiset(p: Partition) -> Counter:
-    """Multiset of hook lengths; the slow t-core oracle looks up membership here."""
-    return Counter(h.length for h in hook_lengths(p))
+    """Multiset of hook lengths, arm + leg + 1 per box, a whole row at a time (see `hook_lengths`).
+
+    This is the Young-diagram oracle for the abacus core tests: t is a hook
+    length iff p is not a t-core, read through the conjugate, never a bead mask.
+    """
+    return Counter(_hooks(p))
 
 
 def has_distinct_parts(p: Partition) -> bool:

@@ -132,8 +132,7 @@ def staircase_core_count(moduli) -> int:
         raise ValueError(f"all moduli even: infinitely many staircase cores {moduli}")
     count = 0
     for k in range(max(moduli) + 2):
-        hooks = set(pt.hook_length_multiset(pt.staircase(k)))
-        if hooks & set(moduli):
+        if not set(moduli).isdisjoint(pt._hooks(pt.staircase(k))):
             break
         count += 1
     return count
@@ -310,7 +309,7 @@ def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
     problems = []
     if built != coords:
         problems.append("wedge and coordinate routes disagree")
-    if set(pt.hook_length_multiset(part)) & {s, t}:
+    if not {s, t}.isdisjoint(pt._hooks(part)):
         problems.append(f"not an ({s},{t})-core by the hook oracle")
     if part != maximal_st_core(s, t):
         problems.append("differs from the full-gap-set core")

@@ -151,6 +151,21 @@ class TestCorePredicates:
             assert ab.is_t_core(EMPTY, t)
         assert ab.is_t_core(P(3, 2, 1), 2)
 
+    def test_is_t_core_edge_cases(self):
+        for t in range(1, 70):
+            assert ab.is_t_core(EMPTY, t)
+        for p in pt.partitions_up_to(10):
+            assert ab.is_t_core(p, 1) == (p == EMPTY)  # every box has a hook of length >= 1
+            assert ab.is_t_core(p, max(pt.hook_length_multiset(p), default=0) + 1)
+        # more than 64 parts: `_beads_mask` writes the minimal bead set as binary digits
+        for p in (P(*[1] * 65), P(*[3] * 40, *[2] * 30, 1), pt.staircase(70), P(100, *[1] * 80)):
+            hooks = pt.hook_length_multiset(p)
+            for t in range(1, max(hooks) + 2):
+                assert ab.is_t_core(p, t) == (t not in hooks), (p, t)
+        for t in (0, -3):
+            with pytest.raises(ValueError):
+                ab.is_t_core(P(2, 1), t)
+
     def test_is_simultaneous_core(self):
         assert ab.is_simultaneous_core(P(1), {3, 2, 4})
         assert ab.is_simultaneous_core(EMPTY, {5})

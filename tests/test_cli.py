@@ -181,6 +181,32 @@ class TestEnumerateAndCount:
                 patch.setattr(cli, "family_stats", None)
                 assert run(capsys, *argv) == fresh, text
 
+    @pytest.mark.parametrize("argv, compute, field, value", [
+        (["enumerate", "--moduli", "5,6", "--format", "csv"], "_family_with_stats", "partitions", 5),
+        (["enumerate", "--moduli", "5,6", "--format", "table"], "_family_with_stats", "filters", []),
+        (["count", "--moduli", "5,6", "--format", "json"], "family_stats", "count", "42"),
+        (["verify", "--claim", "xiong"], "verify_claim", "cells", [{}]),
+        (["verify", "--claim", "xiong"], "verify_claim", "cells", [1]),
+        (["verify", "--claim", "xiong"], "verify_claim", "elapsed_ms", "1"),
+    ])
+    def test_mistyped_field_is_recomputed_and_rewritten(self, capsys, tmp_path, monkeypatch,
+                                                        argv, compute, field, value):
+        def without_elapsed(entry):
+            return {**entry, "payload": {k: v for k, v in entry["payload"].items() if k != "elapsed_ms"}}
+
+        code, fresh, _ = run(capsys, *argv)
+        (path,) = (tmp_path / "cache").iterdir()
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "payload": {**entry["payload"], field: value}}))
+        answer = run(capsys, *argv)
+        lines = -1 if argv[0] == "verify" else None  # a verify table ends with its elapsed time
+        assert answer[0] == code and answer[2] == ""
+        assert answer[1].splitlines()[:lines] == fresh.splitlines()[:lines]
+        assert without_elapsed(json.loads(path.read_text())) == without_elapsed(entry)
+        with monkeypatch.context() as patch:  # the rewritten entry answers the next run alone
+            patch.setattr(cli, compute, None)
+            assert run(capsys, *argv) == answer
+
 
 def test_package_holds_only_top_level_sources():
     # the cache's source hash covers the package's top-level .py files, so nothing else may feed it
@@ -218,6 +244,37 @@ def test_only_abacus_reads_the_positions_grid():
         if is_grid_read(node)
     ]
     assert reads == []
+
+
+def test_the_hook_oracle_reads_no_bead_set():
+    # `is_t_core`, `_mask_is_core` and the bench are checked against the Young-diagram hooks, so the
+    # hooks and the brute-force family must not be computed from the abacus's bead masks
+    package = Path(coreabacus.__file__).parent
+
+    def imported(node):
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or "", *(alias.name for alias in node.names)]
+        return [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+
+    imports = [
+        f"partitions.py:{node.lineno}"
+        for node in ast.walk(ast.parse((package / "partitions.py").read_text()))
+        if any("abacus" in name for name in imported(node))
+    ]
+    assert imports == []
+    abacus_names = {"abacus"}
+    for node in ast.parse((package / "abacus.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            abacus_names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            abacus_names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    assert {"_beads_mask", "_mask_is_core", "is_t_core"} <= abacus_names
+    (oracle,) = [
+        node for node in ast.walk(ast.parse((package / "enumeration.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "oracle_enumerate"
+    ]
+    used = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(oracle)}
+    assert used & abacus_names == set()
 
 
 class TestVerify:

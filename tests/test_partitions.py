@@ -1,5 +1,6 @@
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,16 @@ def reference_partition_tuples(n, largest):
     for first in range(min(n, largest), 0, -1):
         for rest in reference_partition_tuples(n - first, first):
             yield (first,) + rest
+
+
+def reference_hooks(parts):
+    """(row, col, hook) box by box, row-major, from the definition and without the conjugate:
+    the arm counts the boxes to the right in the row, the leg the later parts reaching the column."""
+    return tuple(
+        (i, j, (part - j) + sum(1 for below in parts[i:] if below >= j) + 1)
+        for i, part in enumerate(parts, start=1)
+        for j in range(1, part + 1)
+    )
 
 
 def reference_conjugate(parts):
@@ -217,6 +228,15 @@ class TestAgainstReferences:
             expected = reference_conjugate(p.parts)
             assert pt.conjugate(p).parts == expected, p
             assert pt.is_self_conjugate(p) == (expected == p.parts), p
+
+    def test_hooks_match_the_definition(self):
+        # weight <= 20 is 2,714 partitions; (300,) and (1,)*300 take a part, an arm or leg and a
+        # hook past 255, where a kernel packing them into bytes would wrap
+        long = [P(300), P(*[1] * 300), pt.staircase(30), P(*[20] * 20)]
+        for p in [*pt.partitions_up_to(20), *long]:
+            expected = reference_hooks(p.parts)
+            assert pt.hook_lengths(p) == expected, p
+            assert pt.hook_length_multiset(p) == Counter(h for _, _, h in expected), p
 
     def test_trusted_outputs_pass_validation(self):
         for p in pt.partitions_up_to(30):
