@@ -183,10 +183,14 @@ def is_t_core(p: Partition, t: int) -> bool:
 
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
+    """True iff p is a t-core for every t in `ts`, read off one minimal bead mask."""
     moduli = set(ts)
     if not moduli:
         raise ValueError("at least one modulus is required")
-    return all(is_t_core(p, t) for t in moduli)
+    if min(moduli) < 1:
+        raise ValueError(f"runner count must be positive, got {min(moduli)}")
+    mask = _beads_mask(_first_column(p))
+    return all(_mask_is_core(mask, t) for t in moduli)
 
 
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:

@@ -1,24 +1,25 @@
 """Exhaustive generators for (s,t)-cores and multi-cores.
 
-The fast route walks the s-abacus of s < t row by row, and every node of the
-walk is an (s,t)-core: its minimal bead set (first-column hook lengths) as a
-bitmask indexed by bead value.  A child adds one row of beads above all of
-its parent's, so its parts are the parent's with the row's in front, and the
-only masks turned into parts are rows' runner sets.  Asked for distinct
-parts, the walk keeps row 0 free of adjacent runners: equal parts are
-adjacent beads, and every later row lies within row 0's runners.  Asked for
-more moduli, it prunes each node that is not a core for them, since beads
-added above cannot fill the missing bead below.  A family's count and
-extremes fold the stream without building a `Partition`, and the weight
-profile is a dynamic programme over the runners.  The slow route generates
-all partitions up to a weight bound and keeps those with no hook length among
-the moduli, read off the Young diagram and never off a bead mask; it exists
-only as an independent oracle for tests and verification.
+A core travels as its minimal bead set (first-column hook lengths), a
+bitmask indexed by bead value.  Members come from the first-part walk, in
+lexicographic order: a core is its first part on top of a smaller core, and
+the new top bead needs a bead one modulus below it (or lies below the
+modulus) for every modulus.  Counts and statistics come from the row walk,
+which reads the s-abacus of s < t a row at a time, depth first, and builds
+no `Partition`; it keeps row 0 free of adjacent runners for distinct parts
+(equal parts are adjacent beads, and later rows lie within row 0's runners)
+and prunes each node that is not a core for the other moduli, since beads
+added above cannot fill a missing bead below.  The weight profile is a
+dynamic programme over the runners.  The slow route keeps the partitions up
+to a weight bound with no hook length among the moduli, read off the Young
+diagram and never off a bead mask; it exists only as an independent oracle
+for tests and verification.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -95,61 +96,88 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
 
 
-def _bead_masks(s: int, t: int, distinct: bool = False, rest: tuple = (), parts: bool = False) -> Iterator[tuple]:
-    """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core,
-    with its parts as a fourth field if `parts`.
+def _bead_masks(s: int, t: int, distinct: bool = False, rest: tuple = ()) -> Iterator[tuple]:
+    """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core.
 
     The walk reads the s-abacus of s < t row by row, and every node is a core.
     Row j holds beads r + js for a set of runners within row j - 1's (runner
     0 never holds a bead), and runner r may join it only if r + js < t or bead
     r + js - t, which lies in a lower row, is already set; so every nonempty
     subset of the allowed runners makes a child, yielded as it is made.  A row
-    of one allowed runner is followed up its column without a stack entry.  A
-    new row lies above every bead, so the parent's parts keep their values and
-    the row's parts go in front.  With `distinct`, only row 0 is checked: no
-    two adjacent runners.  A node that is not an r-core for some r in `rest`
-    has no r-core descendant, so its subtree is pruned; pruning keeps the
-    order of the nodes that remain.
+    of one allowed runner is followed up its column without a stack entry.
+    With `distinct`, only row 0 is checked: no two adjacent runners.  A node
+    that is not an r-core for some r in `rest` has no r-core descendant, so
+    its subtree is pruned; pruning keeps the order of the nodes that remain.
     """
     _check_coprime(s, t)
     s, t = min(s, t), max(s, t)
-    yield (0, 0, 0, pt.EMPTY) if parts else (0, 0, 0)
-    children_of, shapes = {}, {}  # allowed runners -> their nonempty subsets; a row above row 0 -> its parts
-    pending = [(0, 0, 0, pt.EMPTY, 0, _row_sets((1 << s) - 2, distinct))]  # (mask, n, bead sum, parts, js, subsets)
+    yield 0, 0, 0
+    children_of = {}  # allowed runners -> their nonempty subsets
+    pending = [(0, 0, 0, 0, _row_sets((1 << s) - 2, distinct))]  # (mask, n, bead sum, js, subsets)
     while pending:
-        mask, n, total, p, js, subsets = pending.pop()
+        mask, n, total, js, subsets = pending.pop()
         lift = js + s - t  # runner r may join the next row iff r + lift < 0 or bead r + lift is set
         for row, k, sigma in subsets:
             m = mask | row << js
             if rest and not all(_mask_is_core(m, r) for r in rest):
                 continue
             count, beads = n + k, total + sigma + k * js
-            if parts:  # row j's parts are those of its runner set raised by the js - n spacers below it
-                if js:
-                    shape = shapes.get(row)
-                    if shape is None:
-                        shape = shapes[row] = _mask_to_partition(row)
-                    q = Partition._trusted(tuple(map((js - n).__add__, shape)) + p)
-                else:
-                    q = _mask_to_partition(row)
-            yield (m, count, beads, q) if parts else (m, count, beads)
+            yield m, count, beads
             allowed = row & (m >> lift if lift >= 0 else m << -lift | (1 << -lift) - 1)
             if allowed & (allowed - 1):
                 children = children_of.get(allowed)
                 if children is None:
                     children = children_of[allowed] = list(_row_sets(allowed, False))
-                pending.append((m, count, beads, q if parts else (), js + s, children))
+                pending.append((m, count, beads, js + s, children))
             elif allowed:  # one runner: its column grows a bead per row while the bead t below is set
                 b = js + s + allowed.bit_length() - 1
                 while b < t or m >> b - t & 1:
                     m |= 1 << b
                     if rest and not all(_mask_is_core(m, r) for r in rest):
                         break
-                    if parts:
-                        q = Partition._trusted((b - count,) + q)
                     count, beads = count + 1, beads + b
-                    yield (m, count, beads, q) if parts else (m, count, beads)
+                    yield m, count, beads
                     b += s
+
+
+def _lex_walk(moduli: tuple, distinct: bool) -> Iterator[tuple]:
+    """Yield (mask, n, bead sum, parts) for every core of all `moduli`, in lexicographic part order.
+
+    A core with its first part removed is still a core: its minimal bead set
+    loses only the top bead, which no lower bead needs.  So every core is
+    (a + i,) + q for a core q with first part a and n parts, and its new top
+    bead b = a + n + i must have b < r or bead b - r set for every modulus r;
+    only i < min(moduli) can pass, and with `distinct` i = 0 cannot.  Cores
+    go into buckets by first part, and the buckets are read in ascending
+    order, each while it grows, so each core is read after every smaller one
+    and lands in its bucket after every smaller core there.
+    """
+    low = min(moduli)
+    start = (1 << low) - (2 if distinct else 1)  # the window of i; with distinct, i = 0 repeats a part
+    yield 0, 0, 0, pt.EMPTY
+    # the empty core's children, where i = 0 would add a part 0
+    seeds = {a: ([1 << a], [a], [Partition._trusted((a,))]) for a in range(1, low)}
+    buckets = defaultdict(lambda: ([], [], []), seeds)  # first part -> its cores as (masks, bead sums, parts)
+    a = 0
+    while buckets:
+        a += 1
+        masks, totals, members = buckets.get(a, ((), (), ()))
+        for mask, total, p in zip(masks, totals, members):
+            n = len(p)
+            yield mask, n, total, p
+            window = start
+            for r in moduli:
+                lift = a + n - r  # bit i of the window is bead b - r
+                window &= mask >> lift if lift >= 0 else mask << -lift | (1 << -lift) - 1
+            while window:
+                i = (window & -window).bit_length() - 1
+                window &= window - 1
+                b = a + n + i
+                bucket = buckets[a + i]
+                bucket[0].append(mask | 1 << b)
+                bucket[1].append(total + b)
+                bucket[2].append(Partition._trusted((a + i,) + p))
+        buckets.pop(a, None)
 
 
 def _row_sets(runners: int, distinct: bool) -> Iterator[tuple]:
@@ -195,10 +223,12 @@ def _runner_stacks(s: int, t: int) -> list:
 
 
 def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool = False) -> Iterator[tuple]:
-    """The walk's (mask, n, bead sum), with the parts if `parts`, for every member of a multi-core family.
+    """(mask, n, bead sum) for every member of a multi-core family; with `parts`, the
+    parts as a fourth field and the members in lexicographic part order.
 
-    Walks the coprime pair of `moduli` with the smallest product, pruned to
-    distinct parts if `distinct` and to cores for the other moduli, and keeps
+    Without `parts`, walks the coprime pair of `moduli` with the smallest
+    product row by row, pruned to distinct parts if `distinct` and to cores
+    for the other moduli; with them, the first-part walk `_lex_walk`.  Keeps
     the self-conjugate masks if `self_conjugate`.  The rail, on the pair's
     size, is checked before the walk starts.
     """
@@ -213,16 +243,13 @@ def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool
             f"moduli {moduli} walk all {size} ({pair[0]},{pair[1]})-cores, "
             f"beyond the guard rail of {FAMILY_MAX_CORES}"
         )
-    stream = _bead_masks(*pair, distinct, tuple(t for t in moduli if t not in pair), parts)
+    if parts:
+        stream = _lex_walk(moduli, distinct)
+    else:
+        stream = _bead_masks(*pair, distinct, tuple(t for t in moduli if t not in pair))
     if self_conjugate:
         stream = (node for node in stream if _mask_is_self_conjugate(node[0], node[1]))
     return stream
-
-
-def _family(moduli: tuple, parts: Iterable[tuple], distinct: bool, self_conjugate: bool = False) -> CoreFamily:
-    """The family whose members have these parts, in lexicographic part order."""
-    members = tuple(sorted(parts))
-    return CoreFamily(moduli=moduli, members=members, distinct=distinct, self_conjugate=self_conjugate)
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -234,7 +261,8 @@ def count_st_cores(s: int, t: int) -> int:
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
-    return _family((s, t), map(itemgetter(3), _core_masks((s, t), distinct, False, parts=True)), distinct)
+    members = tuple(map(itemgetter(3), _core_masks((s, t), distinct, False, parts=True)))
+    return CoreFamily((s, t), members, distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
@@ -304,8 +332,8 @@ def enumerate_multi_cores(
 ) -> CoreFamily:
     """Every core for all of `moduli`, optionally only those with distinct parts or self-conjugate."""
     moduli = tuple(sorted(set(moduli)))
-    parts = map(itemgetter(3), _core_masks(moduli, distinct, self_conjugate, parts=True))
-    return _family(moduli, parts, distinct, self_conjugate)
+    members = tuple(map(itemgetter(3), _core_masks(moduli, distinct, self_conjugate, parts=True)))
+    return CoreFamily(moduli, members, distinct, self_conjugate)
 
 
 def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
@@ -326,7 +354,7 @@ def _family_with_stats(
             yield mask, n, total
 
     stats = _fold(masks())
-    return _family(moduli, parts, distinct, self_conjugate), stats
+    return CoreFamily(moduli, tuple(parts), distinct, self_conjugate), stats
 
 
 def _fold(masks: Iterable[tuple]) -> FamilyStats:

@@ -27,8 +27,8 @@ class Partition(tuple):
 
     The constructor and `from_json` validate their input.  `_trusted(parts)`
     skips that check; only routes whose output is valid by construction (the
-    generator, `conjugate`, `abacus._mask_to_partition` and the row walk of
-    `enumeration._bead_masks`) may call it, always with a tuple or list of
+    generator, `conjugate`, `abacus._mask_to_partition` and the first-part walk
+    of `enumeration._lex_walk`) may call it, always with a tuple or list of
     positive, weakly decreasing ints.
     """
 

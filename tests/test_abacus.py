@@ -172,6 +172,16 @@ class TestCorePredicates:
         with pytest.raises(ValueError):
             ab.is_simultaneous_core(P(1), set())
 
+    def test_is_simultaneous_core_matches_hooks(self):
+        for p in pt.partitions_up_to(20):
+            hooks = set(pt.hook_length_multiset(p))
+            for moduli in ({2, 3}, {3, 5, 7}, {4, 11, 13}):
+                assert ab.is_simultaneous_core(p, moduli) == hooks.isdisjoint(moduli), (p, moduli)
+        # a modulus below 1 raises even after a modulus the partition fails
+        for moduli in ({0, 3}, {3, -1}, {2, -3}, (2, 0), iter([5, 0])):
+            with pytest.raises(ValueError):
+                ab.is_simultaneous_core(P(2, 1), moduli)
+
     def test_agrees_with_hook_oracle(self):
         for p in pt.partitions_up_to(14):
             hooks = set(pt.hook_length_multiset(p))

@@ -275,27 +275,40 @@ class TestLatticePathStream:
                 assert en.family_stats((s, t), self_conjugate=True) == stats_of(conjugates), (s, t)
 
     def test_parts_field_is_the_partition_of_the_mask(self):
-        # the walk builds each member's parts from its parent's; the one beads-to-parts formula checks them
+        # the first-part walk builds each member's parts from a smaller core's; the one beads-to-parts formula checks them
         for s, t in SMALL_PAIRS:
-            if s <= t:  # the walk runs on the smaller modulus's abacus in either order
+            if s <= t:  # one check serves both orders: (s,t)- and (t,s)-cores coincide
                 for distinct in (False, True):
-                    walks = zip(en._bead_masks(s, t, distinct, parts=True), en._bead_masks(t, s, distinct, parts=True),
-                                en._bead_masks(s, t, distinct), strict=True)
-                    assert all(node == swapped and node[:3] == triple and node[3] == _mask_to_partition(node[0])
-                               for node, swapped, triple in walks), (s, t, distinct)
+                    nodes = list(en._lex_walk((s, t), distinct))
+                    assert list(en._lex_walk((t, s), distinct)) == nodes, (s, t, distinct)
+                    assert all(node[3] == _mask_to_partition(node[0]) for node in nodes), (s, t, distinct)
+                    # the row walk's triples: equal sets, and sizes that leave no room for a repeat on either side
+                    triples, rows = [node[:3] for node in nodes], list(en._bead_masks(s, t, distinct))
+                    assert len(set(triples)) == len(triples) == len(rows), (s, t, distinct)
+                    assert set(triples) == set(rows), (s, t, distinct)
+
+    def test_members_are_strictly_increasing(self):
+        # the buckets are read in first-part order, each while it grows, so the walk needs no sort
+        for s, t in SMALL_PAIRS:
+            if s <= t:  # the (t,s) stream is the (s,t) one: see the test above
+                for distinct in (False, True):
+                    members = [node[3] for node in en._lex_walk((s, t), distinct)]
+                    assert all(a < b for a, b in zip(members, members[1:])), (s, t, distinct)
 
     def test_pruned_walk_is_the_filtered_pair_walk(self):
-        # a node that is not an r-core has no r-core descendant, so pruning keeps the stream and its order
+        # a core that is not an r-core has no r-core descendant in either walk, so pruning keeps the stream and its order
         triples = [(s, m * s - 1, m * s + 1) for s in range(1, 7) for m in range(1, 4)]
         for moduli in triples + [(4, 11, 13), (5, 14, 16)]:
             moduli = tuple(sorted({t for t in moduli if t >= 1}))
             pair = en._coprime_pair(moduli)
             rest = tuple(t for t in moduli if t not in pair)
             for distinct in (False, True):
-                full = en._bead_masks(*pair, distinct, (), True)
+                full = en._lex_walk(pair, distinct)
                 kept = [node for node in full if all(_mask_is_core(node[0], r) for r in rest)]
-                assert list(en._bead_masks(*pair, distinct, rest, True)) == kept, (moduli, distinct)
-                assert list(en._bead_masks(*pair, distinct, rest)) == [node[:3] for node in kept], (moduli, distinct)
+                assert list(en._lex_walk(moduli, distinct)) == kept, (moduli, distinct)
+                rows = [node for node in en._bead_masks(*pair, distinct) if all(_mask_is_core(node[0], r) for r in rest)]
+                assert list(en._bead_masks(*pair, distinct, rest)) == rows, (moduli, distinct)
+                assert sorted(rows) == sorted(node[:3] for node in kept), (moduli, distinct)
 
     def test_distinct_walk_is_fibonacci_sized(self):
         # row 0 of the distinct walk holds no two adjacent runners: Fibonacci-many sets, not 2^(s-1)
