@@ -194,9 +194,14 @@ def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
 
 
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:
-    """Mirror axis theta with beads and spacers exchanged, if one exists; see `_mask_is_self_conjugate`."""
-    if not x or (max(x) < 2 * len(x) and _mask_is_self_conjugate(_beads_mask(x), len(x))):
-        return AxisTheta(2 * len(x) - 1)
+    """Mirror axis theta with beads and spacers exchanged, if one exists; see `_mask_is_self_conjugate`.
+
+    That rule puts exactly one bead in the mirror pair (0, 2n - 1), so a set
+    with both or neither is refused before any mask is built.
+    """
+    n, top = len(x), max(x, default=-1)
+    if not x or (top < 2 * n and (top == 2 * n - 1) != (0 in x) and _mask_is_self_conjugate(_beads_mask(x), n)):
+        return AxisTheta(2 * n - 1)
     return None
 
 

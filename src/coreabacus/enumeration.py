@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -29,7 +30,7 @@ from .abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_t
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
-FAMILY_MAX_CORES = 250_000  # guard rail on the (s,t)-cores a multi-core family walks
+FAMILY_MAX_CORES = 250_000  # guard rail on the core count of a family's smallest coprime pair
 
 
 class GuardRailError(ValueError):
@@ -240,8 +241,8 @@ def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool
     size = count_st_cores(*pair)
     if not distinct and size > FAMILY_MAX_CORES:  # the pruned distinct walk has no size prediction
         raise GuardRailError(
-            f"moduli {moduli} walk all {size} ({pair[0]},{pair[1]})-cores, "
-            f"beyond the guard rail of {FAMILY_MAX_CORES}"
+            f"moduli {moduli} are railed on their smallest coprime pair ({pair[0]},{pair[1]}), "
+            f"whose {size} cores are beyond the guard rail of {FAMILY_MAX_CORES}"
         )
     if parts:
         stream = _lex_walk(moduli, distinct)
@@ -313,8 +314,9 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
         )
     avoided = set(moduli)
-    members = sorted(p for p in pt.partitions_up_to(max_weight) if avoided.isdisjoint(pt._hooks(p)))
-    return CoreFamily(moduli=moduli, members=tuple(members))
+    tuples = chain.from_iterable(map(pt._partition_tuples, range(max_weight + 1)))
+    members = sorted(p for p in tuples if avoided.isdisjoint(pt._hooks(p)))
+    return CoreFamily(moduli=moduli, members=tuple(map(Partition._trusted, members)))
 
 
 def filter_distinct(f: CoreFamily) -> CoreFamily:

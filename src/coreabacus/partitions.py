@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
+from functools import cache
 from itertools import chain, count, repeat
 from typing import Iterable, Iterator, NamedTuple
 
@@ -26,10 +27,11 @@ class Partition(tuple):
     partition (weight 0) is a first-class value.
 
     The constructor and `from_json` validate their input.  `_trusted(parts)`
-    skips that check; only routes whose output is valid by construction (the
-    generator, `conjugate`, `abacus._mask_to_partition` and the first-part walk
-    of `enumeration._lex_walk`) may call it, always with a tuple or list of
-    positive, weakly decreasing ints.
+    skips that check; only routes whose output is valid by construction
+    (`partitions_of` on the tuples of `_partition_tuples`, `conjugate`,
+    `abacus._mask_to_partition`, the first-part walk of `enumeration._lex_walk`
+    and the members `enumeration.oracle_enumerate` keeps from those tuples) may
+    call it, always with a tuple or list of positive, weakly decreasing ints.
     """
 
     __slots__ = ()
@@ -138,40 +140,55 @@ def staircase(k: int) -> Partition:
     return Partition(range(k, 0, -1))
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of weight exactly n, in reverse lexicographic order.
+# partitions of at most this weight come from a table built on first use
+_TABLE_WEIGHT = 20
 
-    Zoghbi and Stojmenovic's ZS1, at constant amortised cost per partition:
-    the parts fill x[:m], x[h] is the last part above 1, and every slot past h
-    holds a 1, so a trailing run of ones is never rewritten one part at a time.
+
+@cache
+def _small_partitions() -> tuple[list, list]:
+    """table[k]: the partitions of k <= _TABLE_WEIGHT as tuples, in reverse lexicographic order;
+    table[k][starts[k][a]:] are those with first part at most a, for 1 <= a <= k."""
+    table, starts = [[()]], [[0]]
+    for k in range(1, _TABLE_WEIGHT + 1):
+        rows, start = [], [0] * (k + 1)
+        for a in range(k, 0, -1):
+            start[a] = len(rows)
+            rest = k - a
+            rows += map((a,).__add__, table[rest][starts[rest][min(a, rest)] :])
+        table.append(rows)
+        starts.append(start)
+    return table, starts
+
+
+def _partition_tuples(n: int) -> Iterator[tuple]:
+    """All partitions of weight exactly n as plain tuples, in reverse lexicographic order.
+
+    A partition is its first part a on top of a partition of the rest whose
+    parts are at most a.  Prefixes grow on a stack, largest first part on top,
+    until the rest weighs at most `_TABLE_WEIGHT`; the rest then comes from
+    the table as one block, a tuple concatenation per partition.
     """
-    if n < 1:
-        if n == 0:
-            yield Partition._trusted(())
-        return
-    x = [1] * n
-    x[0], m, h = n, 1, 0
-    yield Partition._trusted((n,))
-    while x[0] != 1:
-        if x[h] == 2:  # a 2 splits into two 1s
-            x[h], m, h = 1, m + 1, h - 1
-        else:  # lower x[h] to r and refill greedily below it with the ones it absorbs
-            r, rest = x[h] - 1, m - h
-            x[h] = r
-            while rest >= r:
-                h += 1
-                x[h] = r
-                rest -= r
-            m = h + 1
-            if rest:
-                m += 1
-                if rest > 1:
-                    h += 1
-                    x[h] = rest
-        yield Partition._trusted(x[:m])
+    if n < 0:
+        return iter(())
+    table, starts = _small_partitions()
+
+    def blocks():
+        stack = [((), n, n)]
+        while stack:
+            prefix, rest, top = stack.pop()
+            if rest <= _TABLE_WEIGHT:
+                yield map(prefix.__add__, table[rest][starts[rest][min(top, rest)] :])
+            else:
+                stack += [(prefix + (a,), rest - a, a) for a in range(1, min(top, rest) + 1)]
+
+    return chain.from_iterable(blocks())
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of weight exactly n, in reverse lexicographic order (see `_partition_tuples`)."""
+    return map(Partition._trusted, _partition_tuples(n))
 
 
 def partitions_up_to(max_weight: int) -> Iterator[Partition]:
     """All partitions of weight 0..max_weight, including the empty partition."""
-    for n in range(max_weight + 1):
-        yield from partitions_of(n)
+    return chain.from_iterable(map(partitions_of, range(max_weight + 1)))

@@ -336,11 +336,12 @@ def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
 
 
 def _claim_two_conj(grid: dict) -> Iterator[Cell]:
-    mismatches = 0
-    for w in _span(grid, "w"):
-        for p in pt.partitions_of(w):
-            if pt.is_two_core(p) != (pt.is_self_conjugate(p) and pt.has_distinct_parts(p)):
-                mismatches += 1
+    two_core, self_conjugate, distinct = pt.is_two_core, pt.is_self_conjugate, pt.has_distinct_parts
+    mismatches = sum(
+        two_core(p) != (self_conjugate(p) and distinct(p))
+        for w in _span(grid, "w")
+        for p in pt._partition_tuples(w)
+    )
     yield Cell({"w": grid["w"][1]}, 0, mismatches, mismatches == 0)
 
 

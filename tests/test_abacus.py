@@ -220,6 +220,18 @@ class TestAxisCheck:
             axis = ab.self_conjugate_axis_check(x)
             assert (axis.twice_theta if axis else None) == reference_axis(x), sorted(x)
 
+    def test_mirror_pair_pre_filter_keeps_the_mask_rule(self):
+        # the pair (0, 2n - 1) refuses sets before any mask is built; minimal, shifted and padded
+        # sets must still get the mask rule's answer ({0} has axis 1, though 2n - 1 is no bead)
+        minimal = [ab.partition_to_minimal_beadset(p) for p in pt.partitions_up_to(26)]
+        shifted = [frozenset({0} | {b + 1 for b in x}) for x in minimal]
+        lifted = [frozenset(b + 1 for b in x | {0}) for x in minimal]
+        small = [frozenset(x) for x in ({0}, {1}, {0, 1}, {0, 3}, {1, 2}, {0, 2, 3}, {0, 1, 2, 3})]
+        for x in minimal + shifted + lifted + small:
+            axis = ab.self_conjugate_axis_check(x)
+            rule = not x or ab._mask_is_self_conjugate(ab._beads_mask(x), len(x))
+            assert (axis.twice_theta if axis else None) == (2 * len(x) - 1 if rule else None), sorted(x)
+
     def test_agrees_with_conjugation(self):
         for p in pt.partitions_up_to(16):
             beads = ab.partition_to_minimal_beadset(p)

@@ -207,7 +207,7 @@ class TestHarness:
         report = vf.verify_claim("two-conj", {"w": (5, 5)})
         assert report.all_passed and [c.params for c in report.cells] == [{"w": 5}]
         assert len(calls) == 7  # p(5)
-        assert {p.weight for p in calls} == {5}
+        assert {sum(p) for p in calls} == {5}
 
     def test_report_json_schema(self):
         report = vf.verify_claim("middle", {"s": (3, 5), "m": (1, 2)})
