@@ -4,16 +4,16 @@ A core travels as its minimal bead set (first-column hook lengths), a
 bitmask indexed by bead value.  Members come from the first-part walk, in
 lexicographic order: a core is its first part on top of a smaller core, and
 the new top bead needs a bead one modulus below it (or lies below the
-modulus) for every modulus.  Counts and statistics come from the row walk,
-which reads the s-abacus of s < t a row at a time, depth first, and builds
-no `Partition`; it keeps row 0 free of adjacent runners for distinct parts
-(equal parts are adjacent beads, and later rows lie within row 0's runners)
-and prunes each node that is not a core for the other moduli, since beads
-added above cannot fill a missing bead below.  The weight profile is a
-dynamic programme over the runners.  The slow route keeps the partitions up
-to a weight bound with no hook length among the moduli, read off the Young
-diagram and never off a bead mask; it exists only as an independent oracle
-for tests and verification.
+modulus) for every modulus.  Each modulus prunes every node that is not its
+core, since beads added above cannot fill a missing bead below, and with
+distinct parts the new first part must exceed the old.  A coprime pair's
+statistics, unless distinct parts are asked for, are closed forms on its gap
+set; every other family's are folded from the same tree walked depth first,
+with no `Partition` built.  The weight profile is a dynamic programme over
+the runners.  The slow route keeps the partitions up to a weight bound with
+no hook length among the moduli, read off the Young diagram and never off a
+bead mask; it exists only as an independent oracle for tests and
+verification.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
-from .abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
+from .abacus import _beads_mask, _mask_is_self_conjugate, _mask_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
@@ -46,7 +46,8 @@ class AmbiguousLongestError(ValueError):
 
 
 class FamilyStats(NamedTuple):
-    """A family's size and extremes, read off its bead masks by `family_stats`."""
+    """A family's size and extremes, as `family_stats` gives them: closed forms for a plain
+    coprime pair, a fold of the bead masks for any other family."""
 
     count: int
     max_weight: int  # 0 for a family of the empty partition alone
@@ -97,50 +98,6 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
 
 
-def _bead_masks(s: int, t: int, distinct: bool = False, rest: tuple = ()) -> Iterator[tuple]:
-    """Yield (mask, bead count n, bead sum) for the minimal bead set of every (s,t)-core.
-
-    The walk reads the s-abacus of s < t row by row, and every node is a core.
-    Row j holds beads r + js for a set of runners within row j - 1's (runner
-    0 never holds a bead), and runner r may join it only if r + js < t or bead
-    r + js - t, which lies in a lower row, is already set; so every nonempty
-    subset of the allowed runners makes a child, yielded as it is made.  A row
-    of one allowed runner is followed up its column without a stack entry.
-    With `distinct`, only row 0 is checked: no two adjacent runners.  A node
-    that is not an r-core for some r in `rest` has no r-core descendant, so
-    its subtree is pruned; pruning keeps the order of the nodes that remain.
-    """
-    _check_coprime(s, t)
-    s, t = min(s, t), max(s, t)
-    yield 0, 0, 0
-    children_of = {}  # allowed runners -> their nonempty subsets
-    pending = [(0, 0, 0, 0, _row_sets((1 << s) - 2, distinct))]  # (mask, n, bead sum, js, subsets)
-    while pending:
-        mask, n, total, js, subsets = pending.pop()
-        lift = js + s - t  # runner r may join the next row iff r + lift < 0 or bead r + lift is set
-        for row, k, sigma in subsets:
-            m = mask | row << js
-            if rest and not all(_mask_is_core(m, r) for r in rest):
-                continue
-            count, beads = n + k, total + sigma + k * js
-            yield m, count, beads
-            allowed = row & (m >> lift if lift >= 0 else m << -lift | (1 << -lift) - 1)
-            if allowed & (allowed - 1):
-                children = children_of.get(allowed)
-                if children is None:
-                    children = children_of[allowed] = list(_row_sets(allowed, False))
-                pending.append((m, count, beads, js + s, children))
-            elif allowed:  # one runner: its column grows a bead per row while the bead t below is set
-                b = js + s + allowed.bit_length() - 1
-                while b < t or m >> b - t & 1:
-                    m |= 1 << b
-                    if rest and not all(_mask_is_core(m, r) for r in rest):
-                        break
-                    count, beads = count + 1, beads + b
-                    yield m, count, beads
-                    b += s
-
-
 def _lex_walk(moduli: tuple, distinct: bool) -> Iterator[tuple]:
     """Yield (mask, n, bead sum, parts) for every core of all `moduli`, in lexicographic part order.
 
@@ -181,27 +138,29 @@ def _lex_walk(moduli: tuple, distinct: bool) -> Iterator[tuple]:
         buckets.pop(a, None)
 
 
-def _row_sets(runners: int, distinct: bool) -> Iterator[tuple]:
-    """(set, size, runner sum) for every nonempty subset of the runner bitmask, with no
-    two adjacent runners if `distinct`, in the same order with or without it.
+def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
+    """Yield (mask, n, bead sum) for every core of all `moduli`: `_lex_walk`'s tree, depth first.
 
-    A subset is one of the upper half of the runners joined to one of the lower
-    half, so the halves' lists stay near the square root of the subset count.
+    A stack replaces the buckets and no parts are built, so the cores come in
+    a fixed order that is not lexicographic.  A core that is not an r-core has
+    no r-core above it in the tree, so a modulus prunes whole subtrees.
     """
-    bits = [r for r in range(runners.bit_length()) if runners >> r & 1]
-
-    def sets(half):
-        found = [(0, 0, 0)]
-        for r in half:
-            found += [(row | 1 << r, k + 1, sigma + r) for row, k, sigma in found if not (distinct and row >> r - 1 & 1)]
-        return found
-
-    low, high = sets(bits[: len(bits) // 2]), sets(bits[len(bits) // 2 :])
-    for upper, k, sigma in high:
-        clash = upper >> 1 if distinct else 0
-        for lower, j, tau in low if upper else low[1:]:
-            if not lower & clash:
-                yield upper | lower, k + j, sigma + tau
+    low = min(moduli)
+    start = (1 << low) - (2 if distinct else 1)
+    yield 0, 0, 0
+    stack = [(1 << a, 1, a, a) for a in range(1, low)]  # (mask, n, bead sum, first part)
+    while stack:
+        mask, n, total, a = stack.pop()
+        yield mask, n, total
+        window = start  # the window of `_lex_walk`, inline in both walks
+        for r in moduli:
+            lift = a + n - r
+            window &= mask >> lift if lift >= 0 else mask << -lift | (1 << -lift) - 1
+        while window:
+            i = (window & -window).bit_length() - 1
+            window &= window - 1
+            b = a + n + i
+            stack.append((mask | 1 << b, n + 1, total + b, a + i))
 
 
 def _runner_stacks(s: int, t: int) -> list:
@@ -224,14 +183,10 @@ def _runner_stacks(s: int, t: int) -> list:
 
 
 def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool = False) -> Iterator[tuple]:
-    """(mask, n, bead sum) for every member of a multi-core family; with `parts`, the
-    parts as a fourth field and the members in lexicographic part order.
-
-    Without `parts`, walks the coprime pair of `moduli` with the smallest
-    product row by row, pruned to distinct parts if `distinct` and to cores
-    for the other moduli; with them, the first-part walk `_lex_walk`.  Keeps
-    the self-conjugate masks if `self_conjugate`.  The rail, on the pair's
-    size, is checked before the walk starts.
+    """(mask, n, bead sum) for every member of a multi-core family, from the first-part tree
+    on all of `moduli`: depth first from `_masks`, or with `parts` from `_lex_walk`, with the
+    parts as a fourth field and the members in lexicographic order.  Keeps the
+    self-conjugate masks if `self_conjugate`.  The rail is checked before the walk starts.
     """
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
@@ -244,10 +199,7 @@ def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool
             f"moduli {moduli} are railed on their smallest coprime pair ({pair[0]},{pair[1]}), "
             f"whose {size} cores are beyond the guard rail of {FAMILY_MAX_CORES}"
         )
-    if parts:
-        stream = _lex_walk(moduli, distinct)
-    else:
-        stream = _bead_masks(*pair, distinct, tuple(t for t in moduli if t not in pair))
+    stream = _lex_walk(moduli, distinct) if parts else _masks(moduli, distinct)
     if self_conjugate:
         stream = (node for node in stream if _mask_is_self_conjugate(node[0], node[1]))
     return stream
@@ -339,8 +291,23 @@ def enumerate_multi_cores(
 
 
 def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
-    """The statistics of `enumerate_multi_cores(...)`, folded from the bead masks."""
-    return _fold(_core_masks(tuple(sorted(set(moduli))), distinct, self_conjugate))
+    """The statistics of `enumerate_multi_cores(...)`, with no `Partition` built.
+
+    One modulus or a coprime pair needs no walk without `distinct`: the count is
+    Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's C(s//2 + t//2, s//2) of the
+    self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
+    so the full-gap-set core, the unique heaviest and hence self-conjugate, is
+    extreme on the other fields.  Any other family is folded from `_masks`.
+    """
+    moduli = tuple(sorted(set(moduli)))
+    masks = _core_masks(moduli, distinct, self_conjugate)  # checks the rail now, walks only when read
+    if distinct or len(moduli) > 2:
+        return _fold(masks)
+    s, t = moduli[0], moduli[-1]
+    gaps = gap_poset(s, t).gaps
+    n = len(gaps)
+    count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
+    return FamilyStats(count, sum(gaps) - n * (n - 1) // 2, n, gaps[-1] if gaps else -1)
 
 
 def _family_with_stats(
@@ -400,7 +367,7 @@ def _coprime_pair(moduli: tuple) -> tuple | None:
     ]
     if not pairs:
         return None
-    # smallest product keeps the base enumeration cheap
+    # the smallest product sets the rail
     return min(pairs, key=lambda ab: ab[0] * ab[1])
 
 

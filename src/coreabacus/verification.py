@@ -28,8 +28,9 @@ from .constructions import (
 )
 from .enumeration import (
     GuardRailError,
-    _bead_masks,
     _check_coprime,
+    _fold,
+    _masks,
     enumerate_multi_cores,
     family_stats,
     maximal_st_core,
@@ -294,7 +295,7 @@ def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
 def _claim_sylvester(grid: dict) -> Iterator[Cell]:
     for s, t in _coprime_pairs(grid):
         expected = s * t - s - t
-        observed = family_stats((s, t)).largest_bead
+        observed = _fold(_masks((s, t), False)).largest_bead  # a walk: the closed form returns st - s - t
         yield Cell({"s": s, "t": t}, expected, observed, expected == observed)
 
 
@@ -331,7 +332,7 @@ def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
     envelope = build_e_minus(s, m) if t < m * s else build_e_plus(s, m)
     # a core's beads must sit in row 0 of the ms-abacus, inside the envelope's row 0
     row0 = envelope.mask & ((1 << m * s) - 1)
-    violations = sum(1 for mask, _, _ in _bead_masks(s, t, True) if mask & ~row0)
+    violations = sum(1 for mask, _, _ in _masks((s, t), True) if mask & ~row0)
     return Cell(params, 0, violations, violations == 0)
 
 

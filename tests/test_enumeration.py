@@ -4,7 +4,7 @@ import pytest
 
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
-from coreabacus.abacus import _mask_is_core, _mask_to_partition
+from coreabacus.abacus import _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
 from coreabacus.verification import fib_count
@@ -21,9 +21,9 @@ SMALL_PAIRS = [
 
 
 def reference_masks(s, t):
-    """Order ideals of the gap poset as value-indexed masks, built without lattice
-    paths: each gap in ascending order joins every ideal that already holds its
-    lower covers, the values g - s and g - t that are gaps."""
+    """Order ideals of the gap poset as value-indexed masks, built without the
+    first-part tree: each gap in ascending order joins every ideal that already
+    holds its lower covers, the values g - s and g - t that are gaps."""
     gaps = en.gap_poset(s, t).gaps
     ideals = [0]
     for g in gaps:
@@ -192,16 +192,15 @@ class TestMultiCores:
         assert en.family_stats({1}, distinct=True, self_conjugate=True) == FamilyStats(1, 0, 0, -1)
 
     def test_mask_filters_match_built_filters(self):
-        for s in range(1, 7):
-            for m in range(1, 4):
-                moduli = tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
-                family = en.enumerate_multi_cores(moduli)
-                assert en.family_stats(moduli) == stats_of(family), moduli
-                for distinct in (False, True):
-                    expected = en.filter_self_conjugate(en.filter_distinct(family) if distinct else family)
-                    observed = en.enumerate_multi_cores(moduli, distinct=distinct, self_conjugate=True)
-                    assert observed == expected, (moduli, distinct)
-                    assert en.family_stats(moduli, distinct, True) == stats_of(expected), (moduli, distinct)
+        triples = [tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1) for s in range(1, 7) for m in range(1, 4)]
+        for moduli in triples + [(1,), (1, 4), (1, 6)]:
+            family = en.enumerate_multi_cores(moduli)
+            assert en.family_stats(moduli) == stats_of(family), moduli
+            for distinct in (False, True):
+                expected = en.filter_self_conjugate(en.filter_distinct(family) if distinct else family)
+                observed = en.enumerate_multi_cores(moduli, distinct=distinct, self_conjugate=True)
+                assert observed == expected, (moduli, distinct)
+                assert en.family_stats(moduli, distinct, True) == stats_of(expected), (moduli, distinct)
 
     def test_no_coprime_pair(self):
         with pytest.raises(ValueError):
@@ -253,13 +252,13 @@ class TestLongestMember:
 class TestLatticePathStream:
     def test_matches_ideal_list(self):
         for s, t in SMALL_PAIRS:
-            masks = [mask for mask, _, _ in en._bead_masks(s, t)]
+            masks = [mask for mask, _, _ in en._masks((s, t), False)]
             assert len(masks) == len(set(masks)), (s, t)
             assert set(masks) == set(reference_masks(s, t)), (s, t)
 
     def test_count_and_profile_match_family(self):
         for s, t in SMALL_PAIRS:
-            assert sum(1 for _ in en._bead_masks(s, t)) == en.count_st_cores(s, t), (s, t)
+            assert sum(1 for _ in en._masks((s, t), False)) == en.count_st_cores(s, t), (s, t)
             if s <= t:  # one build serves both orders: (s,t)- and (t,s)-cores coincide
                 family = en.enumerate_st_cores(s, t)
                 assert all(Partition(p.parts) == p for p in family.members), (s, t)
@@ -271,6 +270,7 @@ class TestLatticePathStream:
                 pruned = en.enumerate_st_cores(t, s, distinct=True)
                 assert (pruned.members, pruned.distinct) == (distinct.members, True), (t, s)
                 assert en.family_stats((t, s), distinct=True) == stats_of(distinct), (s, t)
+                assert en.family_stats((s, t)) == stats_of(family), (s, t)
                 conjugates = en.filter_self_conjugate(family)
                 assert en.family_stats((s, t), self_conjugate=True) == stats_of(conjugates), (s, t)
 
@@ -282,10 +282,10 @@ class TestLatticePathStream:
                     nodes = list(en._lex_walk((s, t), distinct))
                     assert list(en._lex_walk((t, s), distinct)) == nodes, (s, t, distinct)
                     assert all(node[3] == _mask_to_partition(node[0]) for node in nodes), (s, t, distinct)
-                    # the row walk's triples: equal sets, and sizes that leave no room for a repeat on either side
-                    triples, rows = [node[:3] for node in nodes], list(en._bead_masks(s, t, distinct))
-                    assert len(set(triples)) == len(triples) == len(rows), (s, t, distinct)
-                    assert set(triples) == set(rows), (s, t, distinct)
+                    # the depth-first walk's triples: equal sets, and sizes that leave no room for a repeat on either side
+                    triples, stack = [node[:3] for node in nodes], list(en._masks((s, t), distinct))
+                    assert len(set(triples)) == len(triples) == len(stack), (s, t, distinct)
+                    assert set(triples) == set(stack), (s, t, distinct)
 
     def test_members_are_strictly_increasing(self):
         # the buckets are read in first-part order, each while it grows, so the walk needs no sort
@@ -306,21 +306,23 @@ class TestLatticePathStream:
                 full = en._lex_walk(pair, distinct)
                 kept = [node for node in full if all(_mask_is_core(node[0], r) for r in rest)]
                 assert list(en._lex_walk(moduli, distinct)) == kept, (moduli, distinct)
-                rows = [node for node in en._bead_masks(*pair, distinct) if all(_mask_is_core(node[0], r) for r in rest)]
-                assert list(en._bead_masks(*pair, distinct, rest)) == rows, (moduli, distinct)
-                assert sorted(rows) == sorted(node[:3] for node in kept), (moduli, distinct)
+                stack = [node for node in en._masks(pair, distinct) if all(_mask_is_core(node[0], r) for r in rest)]
+                assert list(en._masks(moduli, distinct)) == stack, (moduli, distinct)
+                assert sorted(stack) == sorted(node[:3] for node in kept), (moduli, distinct)
 
     def test_distinct_walk_is_fibonacci_sized(self):
-        # row 0 of the distinct walk holds no two adjacent runners: Fibonacci-many sets, not 2^(s-1)
+        # the distinct walk admits no repeated part: Fibonacci-many cores, not 2^(s-1)
         for s in range(1, 26):
             assert en.family_stats((s, s + 1), distinct=True).count == fib_count(s), s
 
     def test_self_conjugate_count_is_ford_mai_sze(self):
-        # Ford, Mai and Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate (s,t)-cores
+        # Ford, Mai and Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate (s,t)-cores;
+        # `family_stats` reads that formula, so the walk filtered by the mirror test counts them
         for s, t in SMALL_PAIRS:
             if s <= t:
                 expected = math.comb(s // 2 + t // 2, s // 2)
-                assert en.family_stats((s, t), self_conjugate=True).count == expected, (s, t)
+                observed = sum(1 for mask, n, _ in en._masks((s, t), False) if _mask_is_self_conjugate(mask, n))
+                assert observed == expected, (s, t)
 
     def test_matches_hook_sweep(self):
         bound = 25

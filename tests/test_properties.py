@@ -1,5 +1,5 @@
 """Hypothesis round trips: bead set <-> partition <-> abacus, conjugation, mirror axes;
-and the lattice-path bead-mask stream on pairs beyond the exhaustive st <= 150 grid."""
+and the depth-first bead-mask walk on pairs beyond the exhaustive st <= 150 grid."""
 
 import math
 
@@ -71,7 +71,7 @@ def test_axis_exists_iff_self_conjugate(p, k):
 @hypothesis.given(large_pairs, st.booleans())
 def test_bead_mask_stream_beyond_exhaustive_grid(pair, swap):
     s, t = pair[::-1] if swap else pair
-    stream = list(en._bead_masks(s, t))
+    stream = list(en._masks((s, t), False))
     masks = [mask for mask, _, _ in stream]
     assert len(set(masks)) == len(masks) == en.count_st_cores(s, t)
     for mask, n, total in stream:
@@ -80,4 +80,4 @@ def test_bead_mask_stream_beyond_exhaustive_grid(pair, swap):
         assert (n, total) == (len(beads), sum(beads))
         for r in (s, t):
             assert all(b - r in beads for b in beads if b >= r), (sorted(beads), r)
-    assert list(en._bead_masks(s, t, distinct=True)) == [x for x in stream if not x[0] & x[0] >> 1]
+    assert list(en._masks((s, t), True)) == [x for x in stream if not x[0] & x[0] >> 1]

@@ -275,7 +275,7 @@ class TestRowStructure:
         for sign, build in ((-1, vf.build_e_minus), (+1, vf.build_e_plus)):
             envelope = build(s, m)
             row_one[m * s + sign] = min(i + j * envelope.runners for i, j in envelope.positions if j == 1)
-        monkeypatch.setattr(vf, "_bead_masks", lambda s, t, distinct: iter([(1 << row_one[t], 1, row_one[t])]))
+        monkeypatch.setattr(vf, "_masks", lambda moduli, distinct: iter([(1 << row_one[moduli[1]], 1, row_one[moduli[1]])]))
         report = vf.verify_claim("row-structure", {"s": (s, s), "m": (m, m)})
         assert [(c.params["sign"], c.observed, c.passed) for c in report.cells] == [(-1, 1, False), (+1, 1, False)]
 
