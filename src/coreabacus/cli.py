@@ -2,6 +2,11 @@
 
 Exit codes: 0 success / all cells pass, 1 verification failure, 2 usage or
 guard-rail breach, 3 internal invariant violation.
+
+Each command returns its exit code and stdout text and prints nothing; `main`
+prints the text once. `count`, `enumerate` and `verify` run through a cache
+that replays the exit code and stdout an earlier run stored for the same
+arguments.
 """
 
 from __future__ import annotations
@@ -47,49 +52,35 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-# the payload fields each cached command prints, with their JSON types
-_FAMILY_FIELDS = {"moduli": list, "filters": dict, "count": int, "max_weight": int, "longest_parts": int}
-_PRINTED = {
-    "count": _FAMILY_FIELDS,
-    "enumerate": {**_FAMILY_FIELDS, "partitions": list},
-    "verify": {"claim": str, "cells": list, "elapsed_ms": (int, float)},
-}
-_CELL_KEYS = frozenset({"params", "expected", "observed", "pass"})  # what the verify table reads of a cell
+def _cached(args) -> tuple[int, str]:
+    """`args.func(args)`, or the exit code and stdout an earlier run stored for the same arguments
+    under the same sources.
 
-
-def _cached(command: str, params: dict, compute, no_cache: bool) -> dict:
-    """`compute()`, or the payload an earlier run stored for the same request under the same sources.
-
-    An entry is the JSON object {key, payload, source_hash}, stored in `_cache_dir()` under the
-    sha256 of its request key. It is a hit only when both its key and its source hash match and
-    its payload holds every field the command prints, each of its JSON type, and every verify cell
-    is an object holding the keys the table reads (a family's members are not walked); the hit
-    returns the stored payload as written, elapsed times included. An unreadable or malformed
-    entry is a miss: the payload is computed again and the entry rewritten.
+    An entry is the JSON object {key, exit, stdout, source_hash}, stored in `_cache_dir()` under
+    the sha256 of its key: the parsed arguments but `func` and `no_cache`, `--format` included,
+    as written (`--moduli 5,14` and `14,5` are two entries). It is a hit only when its key and
+    source hash match, its exit code is an int and its stdout a string; the hit replays both as
+    stored, elapsed times included. An unreadable or malformed entry is a miss: the command runs
+    again and the entry is rewritten.
     """
-    if no_cache:
-        return compute()
-    key = json.dumps({"command": command, "params": params}, sort_keys=True)
+    if args.no_cache:
+        return args.func(args)
+    key = json.dumps({k: v for k, v in vars(args).items() if k not in ("func", "no_cache")}, sort_keys=True)
     path = _cache_dir() / (hashlib.sha256(key.encode()).hexdigest() + ".json")
     try:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
         entry = None
-    payload = entry.get("payload") if isinstance(entry, dict) else None
-    fields = _PRINTED[command]
-    if (isinstance(payload, dict) and payload.keys() >= fields.keys()
-            and all(isinstance(payload[name], kind) for name, kind in fields.items())
-            and all(isinstance(cell, dict) and cell.keys() >= _CELL_KEYS
-                    for cell in (payload["cells"] if command == "verify" else ()))
-            and entry.get("key") == key and entry.get("source_hash") == _source_hash()):
-        return payload
-    payload = compute()
+    if (isinstance(entry, dict) and entry.get("key") == key and entry.get("source_hash") == _source_hash()
+            and type(entry.get("exit")) is int and isinstance(entry.get("stdout"), str)):
+        return entry["exit"], entry["stdout"]
+    code, out = args.func(args)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"key": key, "payload": payload, "source_hash": _source_hash()}))
+        path.write_text(json.dumps({"key": key, "exit": code, "stdout": out, "source_hash": _source_hash()}))
     except OSError:
         pass  # the cache is best-effort
-    return payload
+    return code, out
 
 
 # ---------------------------------------------------------------------------
@@ -118,114 +109,76 @@ def _parse_grid(text: str) -> dict:
     return grid
 
 
-def _family_payload(moduli: tuple, distinct: bool, self_conjugate: bool, with_members: bool) -> dict:
-    """The family's statistics from its bead masks; with `with_members`, its `Partition` members
-    and the statistics from the one walk that builds them."""
-    if with_members:
-        family, stats = _family_with_stats(moduli, distinct, self_conjugate)
-    else:
-        stats = family_stats(moduli, distinct, self_conjugate)
-    payload = {
-        "moduli": list(moduli),
-        "filters": {"distinct": distinct, "self_conjugate": self_conjugate},
-        "count": stats.count,
-        "max_weight": stats.max_weight,
-        "longest_parts": stats.longest_parts,
-    }
-    if with_members:
-        payload["partitions"] = family.members
-    return payload
-
-
-def _emit_family(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        if "partitions" in payload:
-            rows = (f"{sum(parts)},{' '.join(map(str, parts))}" for parts in payload["partitions"])
-            print("\n".join(["weight,parts", *rows]))
-        else:
-            print(f"count\n{payload['count']}")
-    else:
-        moduli = ",".join(map(str, payload["moduli"]))
-        flags = [k for k, v in payload["filters"].items() if v]
-        label = f"({moduli})-cores" + (f" [{' '.join(flags)}]" if flags else "")
-        rows = ["(" + ",".join(map(str, parts)) + ")" for parts in payload.get("partitions", ())]
-        rows.append(f"{label}: count={payload['count']} max_weight={payload['max_weight']} "
-                    f"longest_parts={payload['longest_parts']}")
-        print("\n".join(rows))
-
-
-def cmd_show(args) -> int:
+def cmd_show(args) -> tuple[int, str]:
     abacus = build_named(args.name, args.s, args.m)
     grid = render_abacus(abacus, rows=args.rows)
-    print(f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")")
+    lines = [f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")"]
     if not abacus.mask:
-        print("(no beads)")
-    print(grid)
-    return EXIT_OK
+        lines.append("(no beads)")
+    return EXIT_OK, "\n".join([*lines, grid]) + "\n"
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, str]:
+    """The family's text; `enumerate` builds its members and reads the statistics off the same walk,
+    `count` folds the bead masks alone."""
     moduli = _parse_moduli(args.moduli)
-    params = {
-        "moduli": list(moduli),
-        "distinct": args.distinct,
-        "self_conjugate": args.self_conjugate,
-    }
-    payload = _cached(
-        args.command,
-        params,
-        lambda: _family_payload(moduli, args.distinct, args.self_conjugate, args.command == "enumerate"),
-        args.no_cache,
-    )
-    _emit_family(payload, args.format)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    grid = _parse_grid(args.grid) if args.grid else None
-    params = {"claim": args.claim, "grid": {k: list(v) for k, v in (grid or {}).items()}}
-    payload = _cached(
-        "verify",
-        params,
-        lambda: json.loads(verify_claim(args.claim, grid).to_json()),
-        args.no_cache,
-    )
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
+    filters = {"distinct": args.distinct, "self_conjugate": args.self_conjugate}
+    members = None
+    if args.command == "enumerate":
+        family, stats = _family_with_stats(moduli, **filters)
+        members = family.members
     else:
-        print(f"claim: {payload['claim']}")
-        for cell in payload["cells"]:
-            tag = cell.get("status") or ("PASS" if cell["pass"] else "FAIL")
-            note = f"  ({cell['note']})" if cell.get("note") else ""
-            print(
-                f"  {json.dumps(cell['params'], sort_keys=True)} "
-                f"expected={cell['expected']} observed={cell['observed']} {tag}{note}"
-            )
-        verdict = "all cells pass" if all(c["pass"] for c in payload["cells"]) else "FAILURES PRESENT"
-        print(f"{verdict} ({payload['elapsed_ms']:.0f} ms)")
-    return EXIT_OK if all(c["pass"] for c in payload["cells"]) else EXIT_VERIFY_FAIL
+        stats = family_stats(moduli, **filters)
+    if args.format == "json":
+        payload = {"moduli": list(moduli), "filters": filters, "count": stats.count,
+                   "max_weight": stats.max_weight, "longest_parts": stats.longest_parts}
+        if members is not None:
+            payload["partitions"] = members
+        return EXIT_OK, json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        if members is None:
+            return EXIT_OK, f"count\n{stats.count}\n"
+        rows = [f"{sum(parts)},{' '.join(map(str, parts))}" for parts in members]
+        return EXIT_OK, "\n".join(["weight,parts", *rows]) + "\n"
+    flags = [k for k, v in filters.items() if v]
+    label = f"({','.join(map(str, moduli))})-cores" + (f" [{' '.join(flags)}]" if flags else "")
+    rows = ["(" + ",".join(map(str, parts)) + ")" for parts in members or ()]
+    rows.append(f"{label}: count={stats.count} max_weight={stats.max_weight} "
+                f"longest_parts={stats.longest_parts}")
+    return EXIT_OK, "\n".join(rows) + "\n"
 
 
-def cmd_maximal(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
+    report = verify_claim(args.claim, _parse_grid(args.grid) if args.grid else None)
+    code = EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
+    if args.format == "json":
+        return code, report.to_json() + "\n"
+    lines = [f"claim: {report.claim}"]
+    for cell in report.cells:
+        tag = cell.status or ("PASS" if cell.passed else "FAIL")
+        note = f"  ({cell.note})" if cell.note else ""
+        lines.append(f"  {json.dumps(cell.params, sort_keys=True)} "
+                     f"expected={cell.expected} observed={cell.observed} {tag}{note}")
+    verdict = "all cells pass" if report.all_passed else "FAILURES PRESENT"
+    lines.append(f"{verdict} ({report.elapsed_ms:.0f} ms)")
+    return code, "\n".join(lines) + "\n"
+
+
+def cmd_maximal(args) -> tuple[int, str]:
     p = maximal_st_core(args.s, args.t)
     if args.format == "json":
-        print(json.dumps({"s": args.s, "t": args.t, "partition": list(p), "weight": p.weight}))
-    else:
-        print(f"maximal ({args.s},{args.t})-core: {list(p)} weight={p.weight}")
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"s": args.s, "t": args.t, "partition": list(p),
+                                    "weight": p.weight}) + "\n"
+    return EXIT_OK, f"maximal ({args.s},{args.t})-core: {list(p)} weight={p.weight}\n"
 
 
-def cmd_longest(args) -> int:
+def cmd_longest(args) -> tuple[int, str]:
     p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
-        print(json.dumps({"s": args.s, "m": args.m, "partition": list(p),
-                          "parts": len(p), "weight": p.weight}))
-    else:
-        print(f"longest ({','.join(map(str, _triple_moduli(args.s, args.m)))})-core: "
-              f"{list(p)} parts={len(p)} weight={p.weight}")
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"s": args.s, "m": args.m, "partition": list(p),
+                                    "parts": len(p), "weight": p.weight}) + "\n"
+    return EXIT_OK, (f"longest ({','.join(map(str, _triple_moduli(args.s, args.m)))})-core: "
+                     f"{list(p)} parts={len(p)} weight={p.weight}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +227,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, out = (_cached if "no_cache" in args else args.func)(args)
     except GuardRailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -284,6 +237,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(out, end="")
+    return code
 
 
 if __name__ == "__main__":

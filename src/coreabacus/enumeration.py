@@ -261,6 +261,8 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
     moduli = tuple(sorted(set(moduli)))
     if not moduli:
         raise ValueError("at least one modulus is required")
+    if moduli[0] < 1:
+        raise ValueError(f"moduli must be positive, got {moduli}")
     if max_weight > ORACLE_MAX_WEIGHT:
         raise GuardRailError(
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"

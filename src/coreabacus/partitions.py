@@ -37,6 +37,9 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        parts = tuple(parts)
+        if bool in map(type, parts):  # `operator.index(True)` is 1
+            raise TypeError(f"parts must be integers, not bools, got {parts}")
         parts = tuple(map(operator.index, parts))
         if not all(map(operator.ge, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")

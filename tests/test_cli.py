@@ -120,7 +120,7 @@ class TestEnumerateAndCount:
         _, first, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")
         _, second, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")
         assert first == second
-        # a miss writes the members as `Partition` tuples and a hit as the cached lists; the bytes agree
+        # a hit replays the bytes the miss printed, in every format
         for family in (["5,6"], ["9,28", "--distinct"], ["8,9", "--distinct", "--self-conjugate"]):
             for fmt in ("json", "csv", "table"):
                 argv = ["enumerate", "--moduli", *family, "--format", fmt]
@@ -140,16 +140,43 @@ class TestEnumerateAndCount:
         code, counted, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert code == 0 and "partitions" not in json.loads(counted)
         (path,) = (tmp_path / "cache").iterdir()
-        assert "partitions" not in json.loads(path.read_text())["payload"]
+        entry = json.loads(path.read_text())
+        assert (entry["exit"], entry["stdout"]) == (0, counted)
+        assert "partitions" not in json.loads(entry["stdout"])
         code, out, _ = run(capsys, "enumerate", "--moduli", "5,14", "--format", "json")
         assert code == 0 and len(json.loads(out)["partitions"]) == 612
         assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    def test_format_is_part_of_the_key(self, capsys, tmp_path, monkeypatch):
+        argvs = [["enumerate", "--moduli", "5,14", "--format", fmt] for fmt in ("json", "csv")]
+        fresh = [run(capsys, *argv, "--no-cache") for argv in argvs]
+        assert fresh[0] != fresh[1]
+        assert [run(capsys, *argv) for argv in argvs] == fresh
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+        with monkeypatch.context() as patch:  # each hit replays its own bytes
+            patch.setattr(cli, "_family_with_stats", None)
+            assert [run(capsys, *argv) for argv in argvs] == fresh
+
+    def test_hit_replays_the_exit_code(self, capsys, monkeypatch):
+        verify_claim = cli.verify_claim
+
+        def failing(claim, grid=None):
+            report = verify_claim(claim, grid)
+            report.cells[0].passed = False
+            return report
+
+        argv = ["verify", "--claim", "middle", "--grid", "s=3..4"]
+        monkeypatch.setattr(cli, "verify_claim", failing)
+        cold = run(capsys, *argv)
+        assert cold[0] == 1 and "FAILURES PRESENT" in cold[1]
+        monkeypatch.setattr(cli, "verify_claim", None)
+        assert run(capsys, *argv) == cold
 
     def test_cache_ignores_entry_from_other_sources(self, capsys, tmp_path):
         _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         (path,) = (tmp_path / "cache").iterdir()
         entry = json.loads(path.read_text())
-        entry["payload"]["count"] = 999
+        entry["stdout"] = json.dumps({**json.loads(entry["stdout"]), "count": 999}, indent=2) + "\n"
         path.write_text(json.dumps(entry))
         _, replayed, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert json.loads(replayed)["count"] == 999  # the entry is read when the sources match
@@ -164,15 +191,14 @@ class TestEnumerateAndCount:
         assert run(capsys, *argv) == fresh
         (path,) = (tmp_path / "cache").iterdir()
         entry = json.loads(path.read_text())
-        assert list(entry) == ["key", "payload", "source_hash"]
+        assert list(entry) == ["key", "exit", "stdout", "source_hash"]
         key, source_hash = entry["key"], entry["source_hash"]
         malformed = ["[]", "1", "null", "{}", json.dumps({"key": key}), '{"key"',
                      json.dumps({"key": key, "source_hash": source_hash}),
-                     json.dumps({"key": key, "payload": {}, "source_hash": source_hash}),
-                     json.dumps({"key": key, "payload": [], "source_hash": source_hash}),
-                     json.dumps({"key": key, "payload": {k: v for k, v in entry["payload"].items() if k != "count"},
-                                 "source_hash": source_hash}),
-                     json.dumps({"key": key + " ", "payload": entry["payload"], "source_hash": source_hash})]
+                     json.dumps({"key": key, "exit": 0, "source_hash": source_hash}),
+                     json.dumps({"key": key, "exit": 0, "stdout": [], "source_hash": source_hash}),
+                     json.dumps({"key": key, "stdout": entry["stdout"], "source_hash": source_hash}),
+                     json.dumps({**entry, "key": key + " ", "stdout": "count\n999\n"})]
         for text in malformed:
             path.write_text(text)
             assert run(capsys, *argv) == fresh, text
@@ -182,24 +208,25 @@ class TestEnumerateAndCount:
                 assert run(capsys, *argv) == fresh, text
 
     @pytest.mark.parametrize("argv, compute, field, value", [
-        (["enumerate", "--moduli", "5,6", "--format", "csv"], "_family_with_stats", "partitions", 5),
-        (["enumerate", "--moduli", "5,6", "--format", "table"], "_family_with_stats", "filters", []),
-        (["count", "--moduli", "5,6", "--format", "json"], "family_stats", "count", "42"),
-        (["verify", "--claim", "xiong"], "verify_claim", "cells", [{}]),
-        (["verify", "--claim", "xiong"], "verify_claim", "cells", [1]),
-        (["verify", "--claim", "xiong"], "verify_claim", "elapsed_ms", "1"),
+        (["enumerate", "--moduli", "5,6", "--format", "csv"], "_family_with_stats", "stdout", 5),
+        (["enumerate", "--moduli", "5,6", "--format", "table"], "_family_with_stats", "stdout", []),
+        (["count", "--moduli", "5,6", "--format", "json"], "family_stats", "exit", "0"),
+        (["verify", "--claim", "xiong"], "verify_claim", "exit", True),
+        (["verify", "--claim", "xiong"], "verify_claim", "exit", None),
+        (["verify", "--claim", "xiong"], "verify_claim", "stdout", None),
     ])
     def test_mistyped_field_is_recomputed_and_rewritten(self, capsys, tmp_path, monkeypatch,
                                                         argv, compute, field, value):
+        lines = -1 if argv[0] == "verify" else None  # a verify table ends with its elapsed time
+
         def without_elapsed(entry):
-            return {**entry, "payload": {k: v for k, v in entry["payload"].items() if k != "elapsed_ms"}}
+            return {**entry, "stdout": entry["stdout"].splitlines()[:lines]}
 
         code, fresh, _ = run(capsys, *argv)
         (path,) = (tmp_path / "cache").iterdir()
         entry = json.loads(path.read_text())
-        path.write_text(json.dumps({**entry, "payload": {**entry["payload"], field: value}}))
+        path.write_text(json.dumps({**entry, field: value}))
         answer = run(capsys, *argv)
-        lines = -1 if argv[0] == "verify" else None  # a verify table ends with its elapsed time
         assert answer[0] == code and answer[2] == ""
         assert answer[1].splitlines()[:lines] == fresh.splitlines()[:lines]
         assert without_elapsed(json.loads(path.read_text())) == without_elapsed(entry)

@@ -158,6 +158,11 @@ class TestOracle:
         with pytest.raises(en.GuardRailError):
             en.oracle_enumerate({3, 4}, 41)
 
+    def test_modulus_below_one_is_refused(self):
+        for moduli in ([0], [-2, 3], [0, 4, 5]):
+            with pytest.raises(ValueError, match="positive"):
+                en.oracle_enumerate(moduli, 4)
+
 
 class TestFilters:
     def test_distinct_counts_fibonacci(self):

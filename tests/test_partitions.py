@@ -84,11 +84,14 @@ class TestPartition:
             Partition((3, 0))
 
     def test_validation_rejects_non_integer_parts(self):
-        for parts in ([2.7, 1], ["3", "1"]):
+        for parts in ([2.7, 1], ["3", "1"], [True], [2, False], (x for x in [3, True])):
             with pytest.raises(TypeError):
                 Partition(parts)
+        for text in ("[2.7, 1.2]", "[true]", "[2, true]"):
+            with pytest.raises(TypeError):
+                Partition.from_json(text)
         with pytest.raises(TypeError):
-            Partition.from_json("[2.7, 1.2]")
+            pickle.loads(pickle.dumps(Partition._trusted((True,))))
 
     def test_weight_and_empty(self):
         assert P(8, 6, 5, 5, 3, 2, 2, 2, 1).weight == 34
