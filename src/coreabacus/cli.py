@@ -103,9 +103,12 @@ def _parse_grid(text: str) -> dict:
         try:
             key, span = clause.split("=")
             lo, hi = span.split("..")
-            grid[key.strip()] = (int(lo), int(hi))
+            key, bounds = key.strip(), (int(lo), int(hi))
         except ValueError:
             raise GuardRailError(f"cannot parse grid clause {clause!r}; expected k=lo..hi")
+        if key in grid:
+            raise GuardRailError(f"grid parameter {key!r} is given more than once in {text!r}")
+        grid[key] = bounds
     return grid
 
 
@@ -119,7 +122,7 @@ def cmd_show(args) -> tuple[int, str]:
 
 
 def cmd_enumerate(args) -> tuple[int, str]:
-    """The family's text; `enumerate` builds its members and reads the statistics off the same walk,
+    """The family's text; `enumerate` builds its members and reads the statistics off their parts,
     `count` folds the bead masks alone."""
     moduli = _parse_moduli(args.moduli)
     filters = {"distinct": args.distinct, "self_conjugate": args.self_conjugate}

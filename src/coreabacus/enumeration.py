@@ -6,23 +6,29 @@ lexicographic order: a core is its first part on top of a smaller core, and
 the new top bead needs a bead one modulus below it (or lies below the
 modulus) for every modulus.  Each modulus prunes every node that is not its
 core, since beads added above cannot fill a missing bead below, and with
-distinct parts the new first part must exceed the old.  A coprime pair's
-statistics, unless distinct parts are asked for, are closed forms on its gap
-set; every other family's are folded from the same tree walked depth first,
-with no `Partition` built.  The weight profile is a dynamic programme over
-the runners.  The slow route keeps the partitions up to a weight bound with
-no hook length among the moduli, read off the Young diagram and never off a
-bead mask; it exists only as an independent oracle for tests and
-verification.
+distinct parts the new first part must exceed the old.  A family's members
+are built in one eager pass with the cyclic garbage collector paused: a
+`Partition` is a tuple subclass, which the collector never untracks, so each
+collection would traverse every member built so far, and the members hold no
+reference cycles.  The pause is process-wide and restores the collector's
+earlier state.  A coprime pair's statistics, unless distinct parts are asked
+for, are closed forms on its gap set; every other family's are folded from
+the same tree walked depth first, with no `Partition` built, and those of a
+built family are read off its parts.  The weight profile is a dynamic
+programme over the runners.  The slow route keeps the partitions up to a
+weight bound with no hook length among the moduli, read off the Young
+diagram and never off a bead mask; it exists only as an independent oracle
+for tests and verification.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
@@ -98,8 +104,21 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
 
 
-def _lex_walk(moduli: tuple, distinct: bool) -> Iterator[tuple]:
-    """Yield (mask, n, bead sum, parts) for every core of all `moduli`, in lexicographic part order.
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, process-wide, for the block (why: see the module
+    docstring); afterwards, also when the block raises, re-enable it only if it was on before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _lex_walk(moduli: tuple, distinct: bool) -> list:
+    """Every core of all `moduli` as a `Partition`, in lexicographic part order.
 
     A core with its first part removed is still a core: its minimal bead set
     loses only the top bead, which no lower bead needs.  So every core is
@@ -112,30 +131,31 @@ def _lex_walk(moduli: tuple, distinct: bool) -> Iterator[tuple]:
     """
     low = min(moduli)
     start = (1 << low) - (2 if distinct else 1)  # the window of i; with distinct, i = 0 repeats a part
-    yield 0, 0, 0, pt.EMPTY
+    out = [pt.EMPTY]
     # the empty core's children, where i = 0 would add a part 0
-    seeds = {a: ([1 << a], [a], [Partition._trusted((a,))]) for a in range(1, low)}
-    buckets = defaultdict(lambda: ([], [], []), seeds)  # first part -> its cores as (masks, bead sums, parts)
+    seeds = {a: ([1 << a], [Partition._trusted((a,))]) for a in range(1, low)}
+    buckets = defaultdict(lambda: ([], []), seeds)  # first part -> its cores as (masks, parts)
     a = 0
-    while buckets:
-        a += 1
-        masks, totals, members = buckets.get(a, ((), (), ()))
-        for mask, total, p in zip(masks, totals, members):
-            n = len(p)
-            yield mask, n, total, p
-            window = start
-            for r in moduli:
-                lift = a + n - r  # bit i of the window is bead b - r
-                window &= mask >> lift if lift >= 0 else mask << -lift | (1 << -lift) - 1
-            while window:
-                i = (window & -window).bit_length() - 1
-                window &= window - 1
-                b = a + n + i
-                bucket = buckets[a + i]
-                bucket[0].append(mask | 1 << b)
-                bucket[1].append(total + b)
-                bucket[2].append(Partition._trusted((a + i,) + p))
-        buckets.pop(a, None)
+    with _collector_paused():
+        while buckets:
+            a += 1
+            masks, members = buckets.get(a, ((), ()))
+            for mask, p in zip(masks, members):
+                n = len(p)
+                window = start
+                for r in moduli:
+                    lift = a + n - r  # bit i of the window is bead b - r
+                    window &= mask >> lift if lift >= 0 else mask << -lift | (1 << -lift) - 1
+                while window:
+                    i = (window & -window).bit_length() - 1
+                    window &= window - 1
+                    b = a + n + i
+                    bucket = buckets[a + i]
+                    bucket[0].append(mask | 1 << b)
+                    bucket[1].append(Partition._trusted((a + i,) + p))
+            out += members
+            buckets.pop(a, None)
+    return out
 
 
 def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
@@ -182,12 +202,9 @@ def _runner_stacks(s: int, t: int) -> list:
     return runners
 
 
-def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool = False) -> Iterator[tuple]:
-    """(mask, n, bead sum) for every member of a multi-core family, from the first-part tree
-    on all of `moduli`: depth first from `_masks`, or with `parts` from `_lex_walk`, with the
-    parts as a fourth field and the members in lexicographic order.  Keeps the
-    self-conjugate masks if `self_conjugate`.  The rail is checked before the walk starts.
-    """
+def _check_family(moduli: tuple, distinct: bool) -> None:
+    """Refuse a multi-core family before any walk: a modulus below 1, no coprime pair,
+    or without `distinct` a smallest coprime pair whose cores are beyond the rail."""
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
     pair = _coprime_pair(moduli)
@@ -199,10 +216,15 @@ def _core_masks(moduli: tuple, distinct: bool, self_conjugate: bool, parts: bool
             f"moduli {moduli} are railed on their smallest coprime pair ({pair[0]},{pair[1]}), "
             f"whose {size} cores are beyond the guard rail of {FAMILY_MAX_CORES}"
         )
-    stream = _lex_walk(moduli, distinct) if parts else _masks(moduli, distinct)
-    if self_conjugate:
-        stream = (node for node in stream if _mask_is_self_conjugate(node[0], node[1]))
-    return stream
+
+
+def _members(moduli: tuple, distinct: bool, self_conjugate: bool) -> tuple:
+    """Every member of a multi-core family as a `Partition`, in lexicographic order, built by
+    `_lex_walk` in one pass, keeping the self-conjugate members if `self_conjugate`.  The rail
+    is checked before the walk starts."""
+    _check_family(moduli, distinct)
+    members = _lex_walk(moduli, distinct)
+    return tuple(filter(pt.is_self_conjugate, members) if self_conjugate else members)
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -214,8 +236,7 @@ def count_st_cores(s: int, t: int) -> int:
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
-    members = tuple(map(itemgetter(3), _core_masks((s, t), distinct, False, parts=True)))
-    return CoreFamily((s, t), members, distinct)
+    return CoreFamily((s, t), _members((s, t), distinct, False), distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
@@ -269,8 +290,9 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
         )
     avoided = set(moduli)
     tuples = chain.from_iterable(map(pt._partition_tuples, range(max_weight + 1)))
-    members = sorted(p for p in tuples if avoided.isdisjoint(pt._hooks(p)))
-    return CoreFamily(moduli=moduli, members=tuple(map(Partition._trusted, members)))
+    with _collector_paused():
+        members = sorted(p for p in tuples if avoided.isdisjoint(pt._hooks(p)))
+        return CoreFamily(moduli=moduli, members=tuple(map(Partition._trusted, members)))
 
 
 def filter_distinct(f: CoreFamily) -> CoreFamily:
@@ -288,8 +310,7 @@ def enumerate_multi_cores(
 ) -> CoreFamily:
     """Every core for all of `moduli`, optionally only those with distinct parts or self-conjugate."""
     moduli = tuple(sorted(set(moduli)))
-    members = tuple(map(itemgetter(3), _core_masks(moduli, distinct, self_conjugate, parts=True)))
-    return CoreFamily(moduli, members, distinct, self_conjugate)
+    return CoreFamily(moduli, _members(moduli, distinct, self_conjugate), distinct, self_conjugate)
 
 
 def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
@@ -299,11 +320,15 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's C(s//2 + t//2, s//2) of the
     self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
     so the full-gap-set core, the unique heaviest and hence self-conjugate, is
-    extreme on the other fields.  Any other family is folded from `_masks`.
+    extreme on the other fields.  Any other family is folded from `_masks`, keeping
+    the self-conjugate masks by the mirror test if `self_conjugate`.
     """
     moduli = tuple(sorted(set(moduli)))
-    masks = _core_masks(moduli, distinct, self_conjugate)  # checks the rail now, walks only when read
+    _check_family(moduli, distinct)
     if distinct or len(moduli) > 2:
+        masks = _masks(moduli, distinct)
+        if self_conjugate:
+            masks = (node for node in masks if _mask_is_self_conjugate(node[0], node[1]))
         return _fold(masks)
     s, t = moduli[0], moduli[-1]
     gaps = gap_poset(s, t).gaps
@@ -315,17 +340,23 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
 def _family_with_stats(
     moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
 ) -> tuple[CoreFamily, FamilyStats]:
-    """`enumerate_multi_cores(...)` and `family_stats(...)` from one walk."""
-    moduli = tuple(sorted(set(moduli)))
-    parts = []
+    """`enumerate_multi_cores(...)` and `family_stats(...)`, the statistics read off the built members.
 
-    def masks():
-        for mask, n, total, p in _core_masks(moduli, distinct, self_conjugate, parts=True):
-            parts.append(p)
-            yield mask, n, total
-
-    stats = _fold(masks())
-    return CoreFamily(moduli, tuple(parts), distinct, self_conjugate), stats
+    The members are built in one eager pass with the collector paused, which
+    is process-wide and restores its earlier state (see `_collector_paused`).
+    A member's weight is the sum of its parts, and its largest bead, its
+    largest first-column hook length, is its first part plus its length less
+    one; only a family of the empty partition alone has no bead.
+    """
+    family = enumerate_multi_cores(moduli, distinct, self_conjugate)
+    members = family.members
+    stats = FamilyStats(
+        len(members),
+        max(map(sum, members), default=0),
+        max(map(len, members), default=0),
+        max((p[0] + len(p) for p in members if p), default=0) - 1,
+    )
+    return family, stats
 
 
 def _fold(masks: Iterable[tuple]) -> FamilyStats:

@@ -338,6 +338,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--claim", "xiong", "--grid", "nonsense")
         assert code == 2
 
+    def test_repeated_grid_parameter_exit_two(self, capsys):
+        # a repeated key once kept only its last clause, so s=1..2 went unverified behind exit 0
+        for grid in ("s=1..2,s=3..4", "s=3..4, s =3..4", "s=3..4,m=1..2,m=1..3"):
+            code, out, err = run(capsys, "verify", "--claim", "middle", "--grid", grid)
+            assert (code, out) == (2, ""), grid
+            assert "grid parameter" in err and grid in err, grid
+
 
 class TestMaximalAndLongest:
     def test_maximal_5_6(self, capsys):

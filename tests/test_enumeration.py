@@ -1,10 +1,12 @@
+import gc
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
-from coreabacus.abacus import _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
+from coreabacus.abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
 from coreabacus.verification import fib_count
@@ -30,6 +32,14 @@ def reference_masks(s, t):
         need = sum(1 << c for c in (g - s, g - t) if c in gaps)
         ideals.extend([m | 1 << g for m in ideals if m & need == need])
     return ideals
+
+
+def node_of(p):
+    """A member's (mask, n, bead sum), as `_masks` yields it, from its first-column hook lengths:
+    part k (from 0) of n has hook length p_k + n - 1 - k."""
+    n = len(p)
+    beads = [x + n - 1 - k for k, x in enumerate(p)]
+    return _beads_mask(beads), n, sum(beads)
 
 
 def stats_of(family):
@@ -284,20 +294,20 @@ class TestLatticePathStream:
         for s, t in SMALL_PAIRS:
             if s <= t:  # one check serves both orders: (s,t)- and (t,s)-cores coincide
                 for distinct in (False, True):
-                    nodes = list(en._lex_walk((s, t), distinct))
-                    assert list(en._lex_walk((t, s), distinct)) == nodes, (s, t, distinct)
-                    assert all(node[3] == _mask_to_partition(node[0]) for node in nodes), (s, t, distinct)
+                    members = en._lex_walk((s, t), distinct)
+                    assert en._lex_walk((t, s), distinct) == members, (s, t, distinct)
                     # the depth-first walk's triples: equal sets, and sizes that leave no room for a repeat on either side
-                    triples, stack = [node[:3] for node in nodes], list(en._masks((s, t), distinct))
+                    triples, stack = [node_of(p) for p in members], list(en._masks((s, t), distinct))
                     assert len(set(triples)) == len(triples) == len(stack), (s, t, distinct)
                     assert set(triples) == set(stack), (s, t, distinct)
+                    assert members == [_mask_to_partition(mask) for mask, _, _ in triples], (s, t, distinct)
 
     def test_members_are_strictly_increasing(self):
         # the buckets are read in first-part order, each while it grows, so the walk needs no sort
         for s, t in SMALL_PAIRS:
             if s <= t:  # the (t,s) stream is the (s,t) one: see the test above
                 for distinct in (False, True):
-                    members = [node[3] for node in en._lex_walk((s, t), distinct)]
+                    members = en._lex_walk((s, t), distinct)
                     assert all(a < b for a, b in zip(members, members[1:])), (s, t, distinct)
 
     def test_pruned_walk_is_the_filtered_pair_walk(self):
@@ -309,11 +319,11 @@ class TestLatticePathStream:
             rest = tuple(t for t in moduli if t not in pair)
             for distinct in (False, True):
                 full = en._lex_walk(pair, distinct)
-                kept = [node for node in full if all(_mask_is_core(node[0], r) for r in rest)]
-                assert list(en._lex_walk(moduli, distinct)) == kept, (moduli, distinct)
+                kept = [p for p in full if all(_mask_is_core(node_of(p)[0], r) for r in rest)]
+                assert en._lex_walk(moduli, distinct) == kept, (moduli, distinct)
                 stack = [node for node in en._masks(pair, distinct) if all(_mask_is_core(node[0], r) for r in rest)]
                 assert list(en._masks(moduli, distinct)) == stack, (moduli, distinct)
-                assert sorted(stack) == sorted(node[:3] for node in kept), (moduli, distinct)
+                assert sorted(stack) == sorted(map(node_of, kept)), (moduli, distinct)
 
     def test_distinct_walk_is_fibonacci_sized(self):
         # the distinct walk admits no repeated part: Fibonacci-many cores, not 2^(s-1)
@@ -340,3 +350,64 @@ class TestLatticePathStream:
             expected = sorted((p for p, hooks in sweep if not hooks & {s, t}), key=lambda p: p.parts)
             assert en.enumerate_st_cores(s, t).members == tuple(expected), (s, t)
             assert en.enumerate_st_cores(t, s).members == tuple(expected), (t, s)
+
+
+# every route that builds members with the collector paused, on families small enough to build often
+PAUSING_ROUTES = {
+    "st": lambda: en.enumerate_st_cores(5, 7),
+    "multi": lambda: en.enumerate_multi_cores({4, 7, 9}, distinct=True),
+    "with-stats": lambda: en._family_with_stats((5, 6), self_conjugate=True),
+    "oracle": lambda: en.oracle_enumerate((3, 4), 12),
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Set the collector on or off for the test, then give back the state the test found."""
+    found = gc.isenabled()
+    yield lambda enabled: gc.enable() if enabled else gc.disable()
+    if found:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("route", PAUSING_ROUTES)
+    def test_state_is_restored(self, route, enabled, collector_state):
+        collector_state(enabled)
+        PAUSING_ROUTES[route]()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_a_route_raises(self, enabled, collector_state, monkeypatch):
+        collector_state(enabled)
+        with pytest.raises(en.GuardRailError):
+            en.enumerate_st_cores(13, 14)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="no coprime pair"):
+            en.enumerate_multi_cores({4, 6})
+        assert gc.isenabled() is enabled
+
+        # the same, raised inside the pause: every route fails on its first member with two parts
+        def refuse(parts):
+            if len(parts) > 1:
+                raise ArithmeticError(parts)
+            return Partition._trusted(parts)
+
+        monkeypatch.setattr(en, "Partition", SimpleNamespace(_trusted=refuse))
+        for route, build in PAUSING_ROUTES.items():
+            with pytest.raises(ArithmeticError):
+                build()
+            assert gc.isenabled() is enabled, route
+
+    def test_built_families_hold_no_cycles(self):
+        # the premise of the pause: what a build leaves for the collector is freed by reference counts alone
+        gc.collect()
+        en.enumerate_st_cores(7, 9)
+        en.enumerate_st_cores(7, 9, distinct=True)
+        en.enumerate_multi_cores({4, 7, 9})
+        en._family_with_stats((5, 6), self_conjugate=True)
+        en.oracle_enumerate((3, 4), 12)
+        assert gc.collect() == 0
