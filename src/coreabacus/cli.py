@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, build_l, build_named
-from .enumeration import GuardRailError, _family_with_stats, family_stats, maximal_st_core
+from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
@@ -122,32 +122,32 @@ def cmd_show(args) -> tuple[int, str]:
 
 
 def cmd_enumerate(args) -> tuple[int, str]:
-    """The family's text; `enumerate` builds its members and reads the statistics off their parts,
-    `count` folds the bead masks alone."""
+    """The family's text; `count` reads `family_stats`, and `enumerate` builds the members and
+    reads the count, largest weight and most parts off them, except for csv, which prints none."""
     moduli = _parse_moduli(args.moduli)
     filters = {"distinct": args.distinct, "self_conjugate": args.self_conjugate}
     members = None
-    if args.command == "enumerate":
-        family, stats = _family_with_stats(moduli, **filters)
-        members = family.members
+    if args.command == "count":
+        count, max_weight, longest, _ = family_stats(moduli, **filters)
     else:
-        stats = family_stats(moduli, **filters)
+        family = enumerate_multi_cores(moduli, **filters)
+        members = family.members
+        if args.format == "csv":
+            rows = [f"{sum(parts)},{' '.join(map(str, parts))}" for parts in members]
+            return EXIT_OK, "\n".join(["weight,parts", *rows]) + "\n"
+        count, max_weight, longest = len(members), family.max_weight(), max(map(len, members), default=0)
     if args.format == "json":
-        payload = {"moduli": list(moduli), "filters": filters, "count": stats.count,
-                   "max_weight": stats.max_weight, "longest_parts": stats.longest_parts}
+        payload = {"moduli": list(moduli), "filters": filters, "count": count,
+                   "max_weight": max_weight, "longest_parts": longest}
         if members is not None:
             payload["partitions"] = members
         return EXIT_OK, json.dumps(payload, indent=2) + "\n"
     if args.format == "csv":
-        if members is None:
-            return EXIT_OK, f"count\n{stats.count}\n"
-        rows = [f"{sum(parts)},{' '.join(map(str, parts))}" for parts in members]
-        return EXIT_OK, "\n".join(["weight,parts", *rows]) + "\n"
+        return EXIT_OK, f"count\n{count}\n"
     flags = [k for k, v in filters.items() if v]
     label = f"({','.join(map(str, moduli))})-cores" + (f" [{' '.join(flags)}]" if flags else "")
     rows = ["(" + ",".join(map(str, parts)) + ")" for parts in members or ()]
-    rows.append(f"{label}: count={stats.count} max_weight={stats.max_weight} "
-                f"longest_parts={stats.longest_parts}")
+    rows.append(f"{label}: count={count} max_weight={max_weight} longest_parts={longest}")
     return EXIT_OK, "\n".join(rows) + "\n"
 
 

@@ -11,24 +11,27 @@ are built in one eager pass with the cyclic garbage collector paused: a
 `Partition` is a tuple subclass, which the collector never untracks, so each
 collection would traverse every member built so far, and the members hold no
 reference cycles.  The pause is process-wide and restores the collector's
-earlier state.  A coprime pair's statistics, unless distinct parts are asked
-for, are closed forms on its gap set; every other family's are folded from
-the same tree walked depth first, with no `Partition` built, and those of a
-built family are read off its parts.  The weight profile is a dynamic
-programme over the runners.  The slow route keeps the partitions up to a
-weight bound with no hook length among the moduli, read off the Young
-diagram and never off a bead mask; it exists only as an independent oracle
-for tests and verification.
+earlier state; a built family keeps its self-conjugate members by
+`filter_self_conjugate`.  A coprime pair's statistics, unless distinct parts
+are asked for, are closed forms on its gap set; every other family's are
+folded from the same tree walked depth first, with no `Partition` built.  The
+rail is decided from the moduli before any walk: a smallest coprime pair
+whose smaller modulus has a Catalan number beyond the rail has at least as
+many cores, so it is refused before its count is needed.  The weight profile
+is a dynamic programme over the runners.  The slow route keeps the
+partitions up to a weight bound with no hook length among the moduli, read
+off the Young diagram and never off a bead mask; it exists only as an
+independent oracle for tests and verification.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
@@ -37,6 +40,8 @@ from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
 FAMILY_MAX_CORES = 250_000  # guard rail on the core count of a family's smallest coprime pair
+# the first s whose Catalan number C(2s, s)/(s + 1), the count of (s, s + 1), is beyond the rail
+_RAIL_MODULUS = next(s for s in itertools.count(1) if math.comb(2 * s, s) // (s + 1) > FAMILY_MAX_CORES)
 
 
 class GuardRailError(ValueError):
@@ -88,7 +93,7 @@ class CoreFamily:
         return len(self.members)
 
     def max_weight(self) -> int:
-        return max((m.weight for m in self.members), default=0)
+        return max(map(sum, self.members), default=0)
 
 
 def gap_poset(s: int, t: int) -> GapPoset:
@@ -185,7 +190,7 @@ def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
 
 def _runner_stacks(s: int, t: int) -> list:
     """Per s-abacus runner holding t, 2t, ... (mod s), each bottom-justified stack
-    it can hold, shortest first: (first spacer, mask, bead count, bead sum).
+    it can hold, shortest first: (first spacer, bead count, bead sum).
 
     Taken in that order, each runner's first spacer lies at most t above the
     previous runner's (the multiples of s hold none), which closes the bead set
@@ -194,37 +199,42 @@ def _runner_stacks(s: int, t: int) -> list:
     _check_coprime(s, t)
     runners = []
     for j in range(1, s):
-        stacks, mask, n, total, spacer = [], 0, 0, 0, j * t % s
+        stacks, n, total, spacer = [], 0, 0, j * t % s
         while spacer <= j * t:
-            stacks.append((spacer, mask, n, total))
-            mask, n, total, spacer = mask | 1 << spacer, n + 1, total + spacer, spacer + s
+            stacks.append((spacer, n, total))
+            n, total, spacer = n + 1, total + spacer, spacer + s
         runners.append(stacks)
     return runners
 
 
 def _check_family(moduli: tuple, distinct: bool) -> None:
     """Refuse a multi-core family before any walk: a modulus below 1, no coprime pair,
-    or without `distinct` a smallest coprime pair whose cores are beyond the rail."""
+    or without `distinct` a smallest coprime pair (s, t) whose cores are beyond the rail.
+    The count grows with t, so it is at least the Catalan number of s: from s = `_RAIL_MODULUS`
+    on, the pair is refused uncounted unless s + t <= 64, where its count, named in the
+    message, is below 2**64."""
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
     pair = _coprime_pair(moduli)
     if pair is None:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
-    size = count_st_cores(*pair)
-    if not distinct and size > FAMILY_MAX_CORES:  # the pruned distinct walk has no size prediction
-        raise GuardRailError(
-            f"moduli {moduli} are railed on their smallest coprime pair ({pair[0]},{pair[1]}), "
-            f"whose {size} cores are beyond the guard rail of {FAMILY_MAX_CORES}"
-        )
+    if distinct:  # the pruned distinct walk has no size prediction
+        return
+    s, t = pair
+    size = count_st_cores(s, t) if s < _RAIL_MODULUS or s + t <= 64 else None
+    if size is not None and size <= FAMILY_MAX_CORES:
+        return
+    raise GuardRailError(
+        f"moduli {moduli} are railed on their smallest coprime pair ({s},{t}), "
+        f"whose {'' if size is None else f'{size} '}cores are beyond the guard rail of {FAMILY_MAX_CORES}"
+    )
 
 
-def _members(moduli: tuple, distinct: bool, self_conjugate: bool) -> tuple:
+def _members(moduli: tuple, distinct: bool) -> tuple:
     """Every member of a multi-core family as a `Partition`, in lexicographic order, built by
-    `_lex_walk` in one pass, keeping the self-conjugate members if `self_conjugate`.  The rail
-    is checked before the walk starts."""
+    `_lex_walk` in one pass.  The rail is checked before the walk starts."""
     _check_family(moduli, distinct)
-    members = _lex_walk(moduli, distinct)
-    return tuple(filter(pt.is_self_conjugate, members) if self_conjugate else members)
+    return tuple(_lex_walk(moduli, distinct))
 
 
 def count_st_cores(s: int, t: int) -> int:
@@ -236,7 +246,7 @@ def count_st_cores(s: int, t: int) -> int:
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
-    return CoreFamily((s, t), _members((s, t), distinct, False), distinct)
+    return CoreFamily((s, t), _members((s, t), distinct), distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
@@ -252,7 +262,7 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
     for stacks in _runner_stacks(s, t):
         reached = {}
         for (bound, n), (sigma, paths) in states.items():
-            for spacer, _, k, total in stacks:
+            for spacer, k, total in stacks:
                 if spacer > bound:
                     break
                 key, value = (spacer + t, n + k), sigma + total
@@ -289,7 +299,7 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
         )
     avoided = set(moduli)
-    tuples = chain.from_iterable(map(pt._partition_tuples, range(max_weight + 1)))
+    tuples = itertools.chain.from_iterable(map(pt._partition_tuples, range(max_weight + 1)))
     with _collector_paused():
         members = sorted(p for p in tuples if avoided.isdisjoint(pt._hooks(p)))
         return CoreFamily(moduli=moduli, members=tuple(map(Partition._trusted, members)))
@@ -308,9 +318,11 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
 def enumerate_multi_cores(
     moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
 ) -> CoreFamily:
-    """Every core for all of `moduli`, optionally only those with distinct parts or self-conjugate."""
+    """Every core for all of `moduli`, or with `distinct` every one with distinct parts, in
+    lexicographic order; with `self_conjugate`, `filter_self_conjugate` of that family."""
     moduli = tuple(sorted(set(moduli)))
-    return CoreFamily(moduli, _members(moduli, distinct, self_conjugate), distinct, self_conjugate)
+    family = CoreFamily(moduli, _members(moduli, distinct), distinct)
+    return filter_self_conjugate(family) if self_conjugate else family
 
 
 def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
@@ -335,28 +347,6 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     n = len(gaps)
     count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
     return FamilyStats(count, sum(gaps) - n * (n - 1) // 2, n, gaps[-1] if gaps else -1)
-
-
-def _family_with_stats(
-    moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
-) -> tuple[CoreFamily, FamilyStats]:
-    """`enumerate_multi_cores(...)` and `family_stats(...)`, the statistics read off the built members.
-
-    The members are built in one eager pass with the collector paused, which
-    is process-wide and restores its earlier state (see `_collector_paused`).
-    A member's weight is the sum of its parts, and its largest bead, its
-    largest first-column hook length, is its first part plus its length less
-    one; only a family of the empty partition alone has no bead.
-    """
-    family = enumerate_multi_cores(moduli, distinct, self_conjugate)
-    members = family.members
-    stats = FamilyStats(
-        len(members),
-        max(map(sum, members), default=0),
-        max(map(len, members), default=0),
-        max((p[0] + len(p) for p in members if p), default=0) - 1,
-    )
-    return family, stats
 
 
 def _fold(masks: Iterable[tuple]) -> FamilyStats:

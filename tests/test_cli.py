@@ -1,5 +1,6 @@
 import ast
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from coreabacus import abacus, cli, enumeration
 from coreabacus.cli import main
 from coreabacus.enumeration import enumerate_multi_cores, longest_member
 from coreabacus.partitions import Partition
+from coreabacus.verification import _triple_moduli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,6 +114,51 @@ class TestEnumerateAndCount:
             assert code == 2 and out == "", moduli
             assert "guard rail of 250000" in err, moduli
 
+    def test_rail_refuses_a_huge_pair_uncounted(self, capsys):
+        for moduli in ("300000,300001", "1000000,1000001"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "count", "--moduli", moduli, "--no-cache")
+            assert time.perf_counter() - start < 0.05, moduli
+            assert (code, out) == (2, ""), moduli
+            assert "guard rail of 250000" in err and "Exceeds the limit" not in err, moduli
+        code, _, err = run(capsys, "count", "--moduli", "13,14", "--no-cache")
+        assert code == 2 and "whose 742900 cores are beyond the guard rail of 250000" in err
+
+    def test_rail_boundary(self, capsys):
+        # (2, t) has (t + 1)/2 cores: 2,499999 is the largest admitted pair with s = 2
+        code, out, err = run(capsys, "count", "--moduli", "2,499999", "--no-cache", "--format", "csv")
+        assert (code, out.splitlines(), err) == (0, ["count", "250000"], "")
+        code, out, err = run(capsys, "count", "--moduli", "2,500001", "--no-cache")
+        assert (code, out) == (2, "") and "whose 250001 cores are beyond the guard rail of 250000" in err
+
+    @pytest.mark.parametrize("moduli", sorted({_triple_moduli(s, m) for s in range(1, 7) for m in range(1, 4)})
+                             + [(5, 6), (9, 28), (10, 13)], ids=str)
+    def test_enumerate_prints_the_family_stats(self, capsys, moduli):
+        # family_stats is the independent route: closed forms for a plain pair, a fold of the bead masks otherwise
+        for flags in ([], ["--distinct"], ["--self-conjugate"], ["--distinct", "--self-conjugate"]):
+            argv = ["enumerate", "--moduli", ",".join(map(str, moduli)), *flags, "--no-cache", "--format"]
+            filters = {"distinct": "--distinct" in flags, "self_conjugate": "--self-conjugate" in flags}
+            try:
+                count, max_weight, longest, _ = enumeration.family_stats(moduli, **filters)
+            except enumeration.GuardRailError as exc:
+                for fmt in ("json", "csv", "table"):
+                    assert run(capsys, *argv, fmt) == (2, "", f"error: {exc}\n"), (flags, fmt)
+                continue
+            code, out, err = run(capsys, *argv, "json")
+            payload = json.loads(out)
+            assert (code, err, payload["filters"]) == (0, "", filters), flags
+            assert (payload["count"], payload["max_weight"], payload["longest_parts"]) == (count, max_weight, longest)
+            members = payload["partitions"]
+            code, out, err = run(capsys, *argv, "table")
+            rows = out.splitlines()
+            assert (code, err, len(rows)) == (0, "", count + 1), flags
+            assert rows[:-1] == ["(" + ",".join(map(str, parts)) + ")" for parts in members], flags
+            assert rows[-1].endswith(f": count={count} max_weight={max_weight} longest_parts={longest}"), flags
+            # csv prints no statistic: the header, then each member's weight and parts
+            code, out, err = run(capsys, *argv, "csv")
+            assert (code, err) == (0, ""), flags
+            assert out == "".join(["weight,parts\n", *(f"{sum(p)},{' '.join(map(str, p))}\n" for p in members)])
+
     def test_bad_moduli(self, capsys):
         code, _, err = run(capsys, "count", "--moduli", "4,6")
         assert code == 2 and "error" in err
@@ -154,7 +201,7 @@ class TestEnumerateAndCount:
         assert [run(capsys, *argv) for argv in argvs] == fresh
         assert len(list((tmp_path / "cache").iterdir())) == 2
         with monkeypatch.context() as patch:  # each hit replays its own bytes
-            patch.setattr(cli, "_family_with_stats", None)
+            patch.setattr(cli, "enumerate_multi_cores", None)
             assert [run(capsys, *argv) for argv in argvs] == fresh
 
     def test_hit_replays_the_exit_code(self, capsys, monkeypatch):
@@ -208,8 +255,8 @@ class TestEnumerateAndCount:
                 assert run(capsys, *argv) == fresh, text
 
     @pytest.mark.parametrize("argv, compute, field, value", [
-        (["enumerate", "--moduli", "5,6", "--format", "csv"], "_family_with_stats", "stdout", 5),
-        (["enumerate", "--moduli", "5,6", "--format", "table"], "_family_with_stats", "stdout", []),
+        (["enumerate", "--moduli", "5,6", "--format", "csv"], "enumerate_multi_cores", "stdout", 5),
+        (["enumerate", "--moduli", "5,6", "--format", "table"], "enumerate_multi_cores", "stdout", []),
         (["count", "--moduli", "5,6", "--format", "json"], "family_stats", "exit", "0"),
         (["verify", "--claim", "xiong"], "verify_claim", "exit", True),
         (["verify", "--claim", "xiong"], "verify_claim", "exit", None),

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from coreabacus import cli
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
 from coreabacus.abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
@@ -133,13 +134,13 @@ class TestMaximalCore:
 
     def test_profile_dp_on_made_up_runners(self, monkeypatch):
         # every coprime pair has one maximal core, and the bound rarely decides
-        # it, so made-up tables of (first spacer, mask, beads, bead sum) stacks
+        # it, so made-up tables of (first spacer, beads, bead sum) stacks
         # test the ties and the bound: all four paths of the first weigh 1, two
         # of them meeting in each final (bound, n) state
-        runners = [[(1, 0, 1, 1), (2, 0, 1, 1)], [(1, 0, 0, 0), (2, 0, 1, 1)]]
+        runners = [[(1, 1, 1), (2, 1, 1)], [(1, 0, 0), (2, 1, 1)]]
         monkeypatch.setattr(en, "_runner_stacks", lambda s, t: runners)
         assert en.st_core_weight_profile(3, 4) == (1, 4)
-        runners[1].append((6, 0, 5, 50))  # within the bound 2 + 4 only
+        runners[1].append((6, 5, 50))  # within the bound 2 + 4 only
         assert en.st_core_weight_profile(3, 4) == (51 - 15, 1)
 
     def test_maximal_member(self):
@@ -236,6 +237,14 @@ class TestMultiCores:
             en.enumerate_multi_cores({20, 21, 41})
         # the pruned distinct walk is not railed: (9,28) has 3,362,260 cores
         assert len(en.enumerate_multi_cores({9, 28}, distinct=True)) == 1159
+
+    def test_rail_modulus_is_the_first_catalan_number_beyond_the_rail(self):
+        k = en._RAIL_MODULUS
+        assert en.count_st_cores(k - 1, k) <= en.FAMILY_MAX_CORES < en.count_st_cores(k, k + 1)
+        # a pair's count grows with its larger modulus, so the Catalan number of the smaller bounds it
+        for s in range(1, 16):
+            counts = [en.count_st_cores(s, t) for t in range(s + 1, 60) if math.gcd(s, t) == 1]
+            assert counts == sorted(counts) and counts[0] == en.count_st_cores(s, s + 1), s
 
     def test_distinct_walk_matches_filter(self):
         for s in range(1, 7):
@@ -352,11 +361,18 @@ class TestLatticePathStream:
             assert en.enumerate_st_cores(t, s).members == tuple(expected), (t, s)
 
 
+def cli_enumerate(*argv):
+    """`cores enumerate --moduli ...`, which builds the family and prints its statistics with the
+    members; `main` turns an `ArithmeticError` into exit 3, raised here again."""
+    if cli.main(["enumerate", "--moduli", *argv, "--no-cache"]) == cli.EXIT_INTERNAL:
+        raise ArithmeticError(argv)
+
+
 # every route that builds members with the collector paused, on families small enough to build often
 PAUSING_ROUTES = {
     "st": lambda: en.enumerate_st_cores(5, 7),
     "multi": lambda: en.enumerate_multi_cores({4, 7, 9}, distinct=True),
-    "with-stats": lambda: en._family_with_stats((5, 6), self_conjugate=True),
+    "with-stats": lambda: cli_enumerate("5,6", "--self-conjugate"),
     "oracle": lambda: en.oracle_enumerate((3, 4), 12),
 }
 
@@ -408,6 +424,6 @@ class TestCollectorPause:
         en.enumerate_st_cores(7, 9)
         en.enumerate_st_cores(7, 9, distinct=True)
         en.enumerate_multi_cores({4, 7, 9})
-        en._family_with_stats((5, 6), self_conjugate=True)
+        en.enumerate_multi_cores((5, 6), self_conjugate=True)
         en.oracle_enumerate((3, 4), 12)
         assert gc.collect() == 0
