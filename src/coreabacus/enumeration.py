@@ -16,9 +16,9 @@ earlier state; a built family keeps its self-conjugate members by
 are asked for, are closed forms on its gap set; every other family's are
 folded from the same tree walked depth first, with no `Partition` built.  The
 rail is decided from the moduli before any walk: a smallest coprime pair
-whose smaller modulus has a Catalan number beyond the rail has at least as
-many cores, so it is refused before its count is needed.  The weight profile
-is a dynamic programme over the runners.  The slow route keeps the
+whose moduli bound its count beyond every pair within the rail is refused
+before its count is needed.  The weight profile is a dynamic programme over
+the runners.  The slow route keeps the
 partitions up to a weight bound with no hook length among the moduli, read
 off the Young diagram and never off a bead mask; it exists only as an
 independent oracle for tests and verification.
@@ -42,6 +42,10 @@ ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
 FAMILY_MAX_CORES = 250_000  # guard rail on the core count of a family's smallest coprime pair
 # the first s whose Catalan number C(2s, s)/(s + 1), the count of (s, s + 1), is beyond the rail
 _RAIL_MODULUS = next(s for s in itertools.count(1) if math.comb(2 * s, s) // (s + 1) > FAMILY_MAX_CORES)
+# a pair (s, t), s <= t, within the rail has s < _RAIL_MODULUS and, from s = 2, t <= 2 * FAMILY_MAX_CORES + 1,
+# since (2, t) has (t + 1)/2 cores and the count grows with s: so (s - 1) * (s + t).bit_length(), the
+# exponent of 2 bounding its count C(s+t-1, s-1)/s < (s+t)**(s-1), is at most this
+_RAIL_BITS = (_RAIL_MODULUS - 2) * (2 * FAMILY_MAX_CORES + _RAIL_MODULUS).bit_length()
 
 
 class GuardRailError(ValueError):
@@ -209,10 +213,9 @@ def _runner_stacks(s: int, t: int) -> list:
 
 def _check_family(moduli: tuple, distinct: bool) -> None:
     """Refuse a multi-core family before any walk: a modulus below 1, no coprime pair,
-    or without `distinct` a smallest coprime pair (s, t) whose cores are beyond the rail.
-    The count grows with t, so it is at least the Catalan number of s: from s = `_RAIL_MODULUS`
-    on, the pair is refused uncounted unless s + t <= 64, where its count, named in the
-    message, is below 2**64."""
+    or without `distinct` a smallest coprime pair whose cores are beyond the rail.  The pair
+    is counted only when its exponent (s - 1) * (s + t).bit_length() is within `_RAIL_BITS`,
+    so the count, named in the message, is small; beyond it the pair is refused uncounted."""
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
     pair = _coprime_pair(moduli)
@@ -220,12 +223,12 @@ def _check_family(moduli: tuple, distinct: bool) -> None:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     if distinct:  # the pruned distinct walk has no size prediction
         return
-    s, t = pair
-    size = count_st_cores(s, t) if s < _RAIL_MODULUS or s + t <= 64 else None
+    s, t = sorted(pair)
+    size = count_st_cores(s, t) if (s - 1) * (s + t).bit_length() <= _RAIL_BITS else None
     if size is not None and size <= FAMILY_MAX_CORES:
         return
     raise GuardRailError(
-        f"moduli {moduli} are railed on their smallest coprime pair ({s},{t}), "
+        f"moduli {moduli} are railed on their smallest coprime pair ({pair[0]},{pair[1]}), "
         f"whose {'' if size is None else f'{size} '}cores are beyond the guard rail of {FAMILY_MAX_CORES}"
     )
 

@@ -246,6 +246,23 @@ class TestMultiCores:
             counts = [en.count_st_cores(s, t) for t in range(s + 1, 60) if math.gcd(s, t) == 1]
             assert counts == sorted(counts) and counts[0] == en.count_st_cores(s, s + 1), s
 
+    def test_every_pair_within_the_rail_is_counted(self):
+        # for each s, the largest t within the rail (the count grows with t) has its exponent within
+        # _RAIL_BITS, so no pair within the rail is refused uncounted
+        for s in range(2, en._RAIL_MODULUS):
+            lo, hi = s, 2 * en.FAMILY_MAX_CORES + 2  # count(s, hi) >= (hi + 1)/2 is beyond the rail
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if math.comb(s + mid - 1, s - 1) // s <= en.FAMILY_MAX_CORES else (lo, mid)
+            assert (s - 1) * (s + lo).bit_length() <= en._RAIL_BITS, s
+
+    def test_rail_orders_the_pair(self):
+        # the larger modulus first is the same pair: (2,63) has 32 cores, (3,100) 1717
+        assert len(en.enumerate_st_cores(63, 2)) == en.count_st_cores(2, 63) == 32
+        assert len(en.enumerate_st_cores(100, 3)) == en.count_st_cores(3, 100) == 1717
+        with pytest.raises(en.GuardRailError, match=r"pair \(500001,2\), whose 250001 cores"):
+            en.enumerate_st_cores(500001, 2)
+
     def test_distinct_walk_matches_filter(self):
         for s in range(1, 7):
             for m in range(1, 4):
