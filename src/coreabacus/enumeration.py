@@ -13,15 +13,15 @@ collection would traverse every member built so far, and the members hold no
 reference cycles.  The pause is process-wide and restores the collector's
 earlier state; a built family keeps its self-conjugate members by
 `filter_self_conjugate`.  A coprime pair's statistics, unless distinct parts
-are asked for, are closed forms on its gap set; every other family's are
+are asked for, are closed forms on its gap set.  A pair's weight profile, a
+distinct (s, ms±1) pair and an (s, ms-1, ms+1) triple are read off one dynamic
+programme over the runners of the s-abacus; every other family's statistics are
 folded from the same tree walked depth first, with no `Partition` built.  The
-rail is decided from the moduli before any walk: a smallest coprime pair
-whose moduli bound its count beyond every pair within the rail is refused
-before its count is needed.  The weight profile is a dynamic programme over
-the runners.  The slow route keeps the
-partitions up to a weight bound with no hook length among the moduli, read
-off the Young diagram and never off a bead mask; it exists only as an
-independent oracle for tests and verification.
+rail is decided from the moduli before any walk: a smallest coprime pair whose
+moduli bound its count beyond every pair within the rail is refused before its
+count is needed.  The slow route keeps the partitions up to a weight bound with
+no hook length among the moduli, read off the Young diagram and never off a
+bead mask; it exists only as an independent oracle for tests and verification.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ class AmbiguousLongestError(ValueError):
 
 
 class FamilyStats(NamedTuple):
-    """A family's size and extremes, as `family_stats` gives them: closed forms for a plain
-    coprime pair, a fold of the bead masks for any other family."""
+    """A family's size and extremes, as `family_stats` reads them off its routes."""
 
     count: int
     max_weight: int  # 0 for a family of the empty partition alone
@@ -192,23 +191,42 @@ def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
             stack.append((mask | 1 << b, n + 1, total + b, a + i))
 
 
-def _runner_stacks(s: int, t: int) -> list:
-    """Per s-abacus runner holding t, 2t, ... (mod s), each bottom-justified stack
-    it can hold, shortest first: (first spacer, bead count, bead sum).
+def _runner_paths(s: int, t: int, *, u: int | None = None, distinct: bool = False) -> tuple[FamilyStats, int]:
+    """(`FamilyStats`, how many members reach the largest weight) of the (s, t)-cores, or of
+    the (s, t, u)-cores for t + u = 0 (mod s); `distinct` needs t = ±1 (mod s).
 
-    Taken in that order, each runner's first spacer lies at most t above the
-    previous runner's (the multiples of s hold none), which closes the bead set
-    under subtracting s and t.
+    Runner j of the s-abacus holds the residue j*t mod s, bottom-justified below its first
+    spacer f_j, and runner 0 = runner s holds none: f_0 = f_s = 0.  Bead b needs b - t on runner
+    j - 1 and b - u on runner j + 1, so f_j <= f_{j-1} + t, f_{j-1} <= f_j + u and hence
+    f_j <= (s - j)*u; a pair takes u = (s - 1)*t, above its every bead.  With t = ±1
+    (mod s), beads b and b + 1 lie in one row of adjacent runners, so distinct parts leave no two
+    adjacent runners with beads.  The states f_j -> (paths, largest bead, {n: (largest bead sum,
+    paths attaining it)}) give every field, as n beads weigh their sum less n(n-1)/2.
     """
-    _check_coprime(s, t)
-    runners = []
-    for j in range(1, s):
-        stacks, n, total, spacer = [], 0, 0, j * t % s
-        while spacer <= j * t:
-            stacks.append((spacer, n, total))
-            n, total, spacer = n + 1, total + spacer, spacer + s
-        runners.append(stacks)
-    return runners
+    u = (s - 1) * t if u is None else u
+    states = {0: (1, -1, {0: (0, 1)})}
+    for j in range(1, s + 1):  # runner s is runner 0, which gathers every path
+        low = j * t % s
+        reached = {}
+        for f, (paths, top, row) in states.items():
+            high = low if distinct and f >= s else min(f + t, (s - j) * u)
+            for spacer in range(max(low, f - u), high + 1, s):  # f - u = low (mod s)
+                k = (spacer - low) // s
+                total = k * low + s * k * (k - 1) // 2  # the beads low, low + s, ..., spacer - s
+                number, bead, target = reached.get(spacer) or (0, spacer - s, {})
+                reached[spacer] = number + paths, bead if bead > top else top, target
+                for n, (sigma, hits) in row.items():
+                    key, value = n + k, sigma + total
+                    old = target.get(key)
+                    if old is None or value > old[0]:
+                        target[key] = (value, hits)
+                    elif value == old[0]:
+                        target[key] = (value, old[1] + hits)
+        states = reached
+    count, top, row = states[0]
+    weights = [(sigma - n * (n - 1) // 2, hits) for n, (sigma, hits) in row.items()]
+    best = max(weights)[0]
+    return FamilyStats(count, best, max(row), top), sum(hits for weight, hits in weights if weight == best)
 
 
 def _check_family(moduli: tuple, distinct: bool) -> None:
@@ -253,36 +271,10 @@ def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
-    """(max weight, number of members attaining it) over all (s,t)-cores.
-
-    A dynamic programme over `_runner_stacks`: the only constraint on the
-    next runner is its bound, the last first spacer + t, and a core's weight
-    is its bead sum less n(n-1)/2 for n beads.  So the states
-    (bound, n) -> (largest bead sum, number of paths reaching it) give the
-    profile exactly.
-    """
-    states = {(t, 0): (0, 1)}
-    for stacks in _runner_stacks(s, t):
-        reached = {}
-        for (bound, n), (sigma, paths) in states.items():
-            for spacer, k, total in stacks:
-                if spacer > bound:
-                    break
-                key, value = (spacer + t, n + k), sigma + total
-                old = reached.get(key)
-                if old is None or value > old[0]:
-                    reached[key] = (value, paths)
-                elif value == old[0]:
-                    reached[key] = (value, old[1] + paths)
-        states = reached
-    best, hits = 0, 0
-    for (_, n), (sigma, paths) in states.items():
-        w = sigma - n * (n - 1) // 2  # sum over sorted beads b_k of b_k - k
-        if w > best:
-            best, hits = w, paths
-        elif w == best:
-            hits += paths
-    return best, hits
+    """(max weight, number of members attaining it) over all (s,t)-cores, read off `_runner_paths`."""
+    _check_coprime(s, t)
+    stats, hits = _runner_paths(s, t)
+    return stats.max_weight, hits
 
 
 def maximal_st_core(s: int, t: int) -> Partition:
@@ -335,11 +327,18 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's C(s//2 + t//2, s//2) of the
     self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
     so the full-gap-set core, the unique heaviest and hence self-conjugate, is
-    extreme on the other fields.  Any other family is folded from `_masks`, keeping
-    the self-conjugate masks by the mirror test if `self_conjugate`.
+    extreme on the other fields.  Without `self_conjugate`, `_runner_paths` answers a
+    distinct pair (s, t = ±1) and a triple (s, t, u = -t), distinct only for t = ±1 (mod s).
+    Any other family is folded from `_masks`, keeping the self-conjugate masks by the
+    mirror test if `self_conjugate`.
     """
     moduli = tuple(sorted(set(moduli)))
     _check_family(moduli, distinct)
+    for s, t in itertools.permutations(moduli, 2) if len(moduli) <= 3 and not self_conjugate else ():
+        u = sum(moduli) - s - t or None  # the third modulus of a triple; a plain pair keeps its closed forms
+        paths = math.gcd(s, t) == 1 and (t + u) % s == 0 if u else distinct
+        if paths and (t % s in (1, s - 1) or not distinct):
+            return _runner_paths(s, t, u=u, distinct=distinct)[0]
     if distinct or len(moduli) > 2:
         masks = _masks(moduli, distinct)
         if self_conjugate:

@@ -76,7 +76,8 @@ class TestEnumerateAndCount:
         assert "(3,1,1)" in out and "count=5" in out
 
     def test_count_distinct_9_28(self, capsys):
-        # the distinct-parts walk never builds the 3,362,260 (9,28)-cores
+        # neither route visits the 3,362,260 (9,28)-cores: the runner DP counts the distinct ones,
+        # and the pruned walk keeps the self-conjugate ones among them
         code, out, _ = run(capsys, "count", "--moduli", "9,28", "--distinct", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["count", "1159"]
@@ -103,7 +104,7 @@ class TestEnumerateAndCount:
         monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
         monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
         for argv, count in [(["10,11"], 16796), (["5,14,16"], 284), (["10,13", "--self-conjugate"], 462),
-                            (["9,28", "--distinct"], 1159)]:
+                            (["9,28", "--distinct"], 1159), (["9,28", "--distinct", "--self-conjugate"], 5)]:
             code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
             assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 
@@ -138,7 +139,8 @@ class TestEnumerateAndCount:
     @pytest.mark.parametrize("moduli", sorted({_triple_moduli(s, m) for s in range(1, 7) for m in range(1, 4)})
                              + [(5, 6), (9, 28), (10, 13)], ids=str)
     def test_enumerate_prints_the_family_stats(self, capsys, moduli):
-        # family_stats is the independent route: closed forms for a plain pair, a fold of the bead masks otherwise
+        # family_stats is the independent route: closed forms for a plain pair, the runner DP for a triple
+        # or a distinct pair, a fold of the bead masks otherwise
         for flags in ([], ["--distinct"], ["--self-conjugate"], ["--distinct", "--self-conjugate"]):
             argv = ["enumerate", "--moduli", ",".join(map(str, moduli)), *flags, "--no-cache", "--format"]
             filters = {"distinct": "--distinct" in flags, "self_conjugate": "--self-conjugate" in flags}

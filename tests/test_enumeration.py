@@ -10,7 +10,7 @@ from coreabacus import partitions as pt
 from coreabacus.abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
-from coreabacus.verification import fib_count
+from coreabacus.verification import _triple_moduli, fib_count
 
 
 def P(*parts):
@@ -132,16 +132,17 @@ class TestMaximalCore:
         for s, t in [(20, 21), (30, 31)]:
             assert en.st_core_weight_profile(s, t) == ((s * s - 1) * (t * t - 1) // 24, 1), (s, t)
 
-    def test_profile_dp_on_made_up_runners(self, monkeypatch):
-        # every coprime pair has one maximal core, and the bound rarely decides
-        # it, so made-up tables of (first spacer, beads, bead sum) stacks
-        # test the ties and the bound: all four paths of the first weigh 1, two
-        # of them meeting in each final (bound, n) state
-        runners = [[(1, 1, 1), (2, 1, 1)], [(1, 0, 0), (2, 1, 1)]]
-        monkeypatch.setattr(en, "_runner_stacks", lambda s, t: runners)
-        assert en.st_core_weight_profile(3, 4) == (1, 4)
-        runners[1].append((6, 5, 50))  # within the bound 2 + 4 only
-        assert en.st_core_weight_profile(3, 4) == (51 - 15, 1)
+    def test_profile_dp_on_made_up_runners(self):
+        # ties in the runner DP: the heaviest (s, ms-1, ms+1)-cores are L_m and its conjugate, one
+        # member where L_m is self-conjugate, at (s, m) = (3, 1) and (5, 1) and for s = 2
+        for s in range(2, 7):
+            for m in range(1, 4):
+                family = en.enumerate_multi_cores((s, m * s - 1, m * s + 1))
+                best = family.max_weight()
+                heaviest = [p for p in family.members if p.weight == best]
+                stats, hits = en._runner_paths(s, m * s + 1, u=m * s - 1)
+                assert (stats, hits) == (stats_of(family), len(heaviest)), (s, m)
+                assert hits == (1 if s == 2 or (s, m) in {(3, 1), (5, 1)} else 2), (s, m)
 
     def test_maximal_member(self):
         kappa = en.maximal_st_core(3, 4)
@@ -211,7 +212,7 @@ class TestMultiCores:
         triples = [tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1) for s in range(1, 7) for m in range(1, 4)]
         for moduli in triples + [(1,), (1, 4), (1, 6)]:
             family = en.enumerate_multi_cores(moduli)
-            assert en.family_stats(moduli) == stats_of(family), moduli
+            assert en.family_stats(moduli) == en._fold(en._masks(moduli, False)) == stats_of(family), moduli
             for distinct in (False, True):
                 expected = en.filter_self_conjugate(en.filter_distinct(family) if distinct else family)
                 observed = en.enumerate_multi_cores(moduli, distinct=distinct, self_conjugate=True)
@@ -311,6 +312,7 @@ class TestLatticePathStream:
                 pruned = en.enumerate_st_cores(t, s, distinct=True)
                 assert (pruned.members, pruned.distinct) == (distinct.members, True), (t, s)
                 assert en.family_stats((t, s), distinct=True) == stats_of(distinct), (s, t)
+                assert en._fold(en._masks((t, s), True)) == stats_of(distinct), (s, t)
                 assert en.family_stats((s, t)) == stats_of(family), (s, t)
                 conjugates = en.filter_self_conjugate(family)
                 assert en.family_stats((s, t), self_conjugate=True) == stats_of(conjugates), (s, t)
@@ -354,7 +356,7 @@ class TestLatticePathStream:
     def test_distinct_walk_is_fibonacci_sized(self):
         # the distinct walk admits no repeated part: Fibonacci-many cores, not 2^(s-1)
         for s in range(1, 26):
-            assert en.family_stats((s, s + 1), distinct=True).count == fib_count(s), s
+            assert en._fold(en._masks((s, s + 1), True)).count == fib_count(s), s
 
     def test_self_conjugate_count_is_ford_mai_sze(self):
         # Ford, Mai and Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate (s,t)-cores;
@@ -376,6 +378,72 @@ class TestLatticePathStream:
             expected = sorted((p for p, hooks in sweep if not hooks & {s, t}), key=lambda p: p.parts)
             assert en.enumerate_st_cores(s, t).members == tuple(expected), (s, t)
             assert en.enumerate_st_cores(t, s).members == tuple(expected), (t, s)
+
+
+def motzkin(k):
+    """The Motzkin numbers M_0 .. M_k by their own recurrence: a path ends in a flat step, or
+    in a down step matching an up step, with a path on each side of the pair."""
+    numbers = [1]
+    for n in range(1, k + 1):
+        numbers.append(numbers[n - 1] + sum(numbers[i] * numbers[n - 2 - i] for i in range(n - 1)))
+    return numbers
+
+
+def gap_set_stats(s, t):
+    """A coprime pair's statistics in closed form: Anderson's count, and the full gap set's core,
+    extreme on every other field."""
+    gaps = en.gap_poset(s, t).gaps
+    n = len(gaps)
+    return FamilyStats(en.count_st_cores(s, t), sum(gaps) - n * (n - 1) // 2, n, gaps[-1] if gaps else -1)
+
+
+class TestRunnerPaths:
+    def test_triples_match_the_walk(self):
+        # every paper triple within the rail, with and without distinct parts: the four fields
+        # of `family_stats`, which reads the runner paths, equal the fold of the bead-mask walk
+        cells = 0
+        for s in range(1, 13):
+            for m in range(1, 5):
+                moduli = _triple_moduli(s, m)
+                try:
+                    en._check_family(moduli, False)
+                except en.GuardRailError:
+                    continue
+                for distinct in (False, True):
+                    walked = en._fold(en._masks(moduli, distinct))
+                    assert en.family_stats(moduli, distinct) == walked, (s, m, distinct)
+                    if m * s > 1:
+                        stats, _ = en._runner_paths(s, m * s + 1, u=m * s - 1, distinct=distinct)
+                        assert stats == walked, (s, m, distinct)
+                    cells += 1
+        assert cells >= 70
+
+    def test_motzkin_counts(self):
+        # Amdeberhan-Leven: the (s-1, s, s+1)-cores are the Motzkin paths of length s - 1
+        numbers = motzkin(12)
+        for s in range(2, 14):
+            assert en._runner_paths(s, s + 1, u=s - 1)[0].count == numbers[s - 1], s
+        assert numbers[1:] == [1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
+
+    def test_plain_pairs_match_the_gap_set(self):
+        # both orders, so the DP runs on the t-abacus too; every pair has one heaviest core
+        for s in range(1, 21):
+            for t in range(1, 21):
+                if math.gcd(s, t) == 1:
+                    assert en._runner_paths(s, t) == (gap_set_stats(s, t), 1), (s, t)
+
+    def test_distinct_pairs_are_fibonacci(self):
+        # both signs, t = s + 1 = 1 (mod s) and s = -1 (mod s + 1), far beyond the walk:
+        # (200, 201) has a 42-digit count of distinct-part cores
+        for s in [*range(1, 41), 100, 150, 200]:
+            stats = en.family_stats((s, s + 1), distinct=True)
+            assert stats == en._runner_paths(s + 1, s, distinct=True)[0], s
+            assert stats.count == fib_count(s), s
+
+    def test_distinct_is_keyword_only(self):
+        # a positional `distinct` would be read as the third modulus
+        with pytest.raises(TypeError):
+            en._runner_paths(5, 6, None, True)
 
 
 def cli_enumerate(*argv):
