@@ -13,15 +13,16 @@ collection would traverse every member built so far, and the members hold no
 reference cycles.  The pause is process-wide and restores the collector's
 earlier state; a built family keeps its self-conjugate members by
 `filter_self_conjugate`.  A coprime pair's statistics, unless distinct parts
-are asked for, are closed forms on its gap set.  A pair's weight profile, a
-distinct (s, ms±1) pair and an (s, ms-1, ms+1) triple are read off one dynamic
-programme over the runners of the s-abacus; every other family's statistics are
+are asked for, are closed forms on its gap set.  A pair's weight profile, and a
+distinct (s, ms±1) pair with m < s, are read off one dynamic programme over the
+runners of the s-abacus; every other family's statistics are
 folded from the same tree walked depth first, with no `Partition` built.  The
-rail is decided from the moduli before any walk: a smallest coprime pair whose
-moduli bound its count beyond every pair within the rail is refused before its
-count is needed.  The slow route keeps the partitions up to a weight bound with
-no hook length among the moduli, read off the Young diagram and never off a
-bead mask; it exists only as an independent oracle for tests and verification.
+rail is decided from the moduli before any walk: a smallest coprime pair
+whose moduli bound its count beyond every pair within the rail is refused
+before its count is needed.  The slow route keeps the
+partitions up to a weight bound with no hook length among the moduli, read
+off the Young diagram and never off a bead mask; it exists only as an
+independent oracle for tests and verification.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class AmbiguousLongestError(ValueError):
 
 
 class FamilyStats(NamedTuple):
-    """A family's size and extremes, as `family_stats` reads them off its routes."""
+    """A family's size and extremes, as `family_stats` gives them: closed forms for a plain
+    coprime pair, the runner DP for a distinct (s, ms±1) pair with m < s, a fold of the bead
+    masks for any other family."""
 
     count: int
     max_weight: int  # 0 for a family of the empty partition alone
@@ -191,39 +194,45 @@ def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
             stack.append((mask | 1 << b, n + 1, total + b, a + i))
 
 
-def _runner_paths(s: int, t: int, *, u: int | None = None, distinct: bool = False) -> tuple[FamilyStats, int]:
-    """(`FamilyStats`, how many members reach the largest weight) of the (s, t)-cores, or of
-    the (s, t, u)-cores for t + u = 0 (mod s); `distinct` needs t = ±1 (mod s).
+def _runner_paths(s: int, t: int, *, distinct: bool = False) -> tuple[FamilyStats, int]:
+    """(`FamilyStats`, how many members reach the largest weight) of the (s, t)-cores, coprime;
+    `distinct` needs t = ±1 (mod s).
 
     Runner j of the s-abacus holds the residue j*t mod s, bottom-justified below its first
-    spacer f_j, and runner 0 = runner s holds none: f_0 = f_s = 0.  Bead b needs b - t on runner
-    j - 1 and b - u on runner j + 1, so f_j <= f_{j-1} + t, f_{j-1} <= f_j + u and hence
-    f_j <= (s - j)*u; a pair takes u = (s - 1)*t, above its every bead.  With t = ±1
-    (mod s), beads b and b + 1 lie in one row of adjacent runners, so distinct parts leave no two
-    adjacent runners with beads.  The states f_j -> (paths, largest bead, {n: (largest bead sum,
-    paths attaining it)}) give every field, as n beads weigh their sum less n(n-1)/2.
+    spacer f_j, and runner 0 = runner s holds none.  Bead b needs b - t on runner j - 1, so
+    f_j <= f_{j-1} + t.  With t = ±1 (mod s), beads b and b + 1 lie in one row of adjacent
+    runners, so distinct parts leave no two adjacent runners with beads, and a spacer matters
+    to the next runner only as s when its runner holds a bead.  The states f_j -> (paths,
+    {n: (largest bead sum, paths attaining it)}) give the weights, as n beads weigh their sum
+    less n(n-1)/2.  Every state extends to a member by empty runners, so the largest spacer
+    reached gives the largest bead.
     """
-    u = (s - 1) * t if u is None else u
-    states = {0: (1, -1, {0: (0, 1)})}
-    for j in range(1, s + 1):  # runner s is runner 0, which gathers every path
+    states = {0: (1, {0: (0, 1)})}
+    top = -1
+    for j in range(1, s + 1):
         low = j * t % s
         reached = {}
-        for f, (paths, top, row) in states.items():
-            high = low if distinct and f >= s else min(f + t, (s - j) * u)
-            for spacer in range(max(low, f - u), high + 1, s):  # f - u = low (mod s)
+        for f, (paths, row) in states.items():
+            if j == s or distinct and f >= s:
+                high = low  # runner s is runner 0, and no bead sits beside a bead
+            else:
+                high = f + t
+            top = max(top, high - s)
+            for spacer in range(low, high + 1, s):
                 k = (spacer - low) // s
                 total = k * low + s * k * (k - 1) // 2  # the beads low, low + s, ..., spacer - s
-                number, bead, target = reached.get(spacer) or (0, spacer - s, {})
-                reached[spacer] = number + paths, bead if bead > top else top, target
+                key = min(spacer, s) if distinct else spacer
+                number, target = reached.get(key) or (0, {})
+                reached[key] = (number + paths, target)
                 for n, (sigma, hits) in row.items():
-                    key, value = n + k, sigma + total
-                    old = target.get(key)
+                    value = sigma + total
+                    old = target.get(n + k)
                     if old is None or value > old[0]:
-                        target[key] = (value, hits)
+                        target[n + k] = (value, hits)
                     elif value == old[0]:
-                        target[key] = (value, old[1] + hits)
+                        target[n + k] = (value, old[1] + hits)
         states = reached
-    count, top, row = states[0]
+    count, row = states[0]
     weights = [(sigma - n * (n - 1) // 2, hits) for n, (sigma, hits) in row.items()]
     best = max(weights)[0]
     return FamilyStats(count, best, max(row), top), sum(hits for weight, hits in weights if weight == best)
@@ -328,17 +337,17 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
     so the full-gap-set core, the unique heaviest and hence self-conjugate, is
     extreme on the other fields.  Without `self_conjugate`, `_runner_paths` answers a
-    distinct pair (s, t = ±1) and a triple (s, t, u = -t), distinct only for t = ±1 (mod s).
-    Any other family is folded from `_masks`, keeping the self-conjugate masks by the
-    mirror test if `self_conjugate`.
+    distinct pair (s, ms±1) with m < s: its rows then hold fewer than s*s bead counts, and the
+    walk would visit at least Fibonacci(s) members.  For m >= s its rows grow with t, so the
+    walk, whose memory does not, keeps the pair.  Any other family is folded from `_masks`,
+    keeping the self-conjugate masks by the mirror test if `self_conjugate`.
     """
     moduli = tuple(sorted(set(moduli)))
     _check_family(moduli, distinct)
-    for s, t in itertools.permutations(moduli, 2) if len(moduli) <= 3 and not self_conjugate else ():
-        u = sum(moduli) - s - t or None  # the third modulus of a triple; a plain pair keeps its closed forms
-        paths = math.gcd(s, t) == 1 and (t + u) % s == 0 if u else distinct
-        if paths and (t % s in (1, s - 1) or not distinct):
-            return _runner_paths(s, t, u=u, distinct=distinct)[0]
+    if distinct and not self_conjugate and len(moduli) == 2:
+        s, t = moduli
+        if t % s in (1, s - 1) and t < s * s:
+            return _runner_paths(s, t, distinct=True)[0]
     if distinct or len(moduli) > 2:
         masks = _masks(moduli, distinct)
         if self_conjugate:

@@ -140,7 +140,7 @@ def staircase_core_count(moduli) -> int:
 
 
 def corollary3_check(s: int, m: int) -> bool:
-    """For even s: does m^2 divide the largest (s, ms-1, ms+1)-core weight, read off the runner DP?"""
+    """For even s: does m^2 divide the brute-forced maximal triple-core weight?"""
     if s % 2:
         raise ValueError(f"s must be even, got {s}")
     return family_stats(_triple_moduli(s, m)).max_weight % (m * m) == 0

@@ -139,8 +139,8 @@ class TestEnumerateAndCount:
     @pytest.mark.parametrize("moduli", sorted({_triple_moduli(s, m) for s in range(1, 7) for m in range(1, 4)})
                              + [(5, 6), (9, 28), (10, 13)], ids=str)
     def test_enumerate_prints_the_family_stats(self, capsys, moduli):
-        # family_stats is the independent route: closed forms for a plain pair, the runner DP for a triple
-        # or a distinct pair, a fold of the bead masks otherwise
+        # family_stats is the independent route: closed forms for a plain pair, the runner DP for a
+        # distinct (s, ms±1) pair with m < s, a fold of the bead masks otherwise
         for flags in ([], ["--distinct"], ["--self-conjugate"], ["--distinct", "--self-conjugate"]):
             argv = ["enumerate", "--moduli", ",".join(map(str, moduli)), *flags, "--no-cache", "--format"]
             filters = {"distinct": "--distinct" in flags, "self_conjugate": "--self-conjugate" in flags}

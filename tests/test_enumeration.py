@@ -10,7 +10,7 @@ from coreabacus import partitions as pt
 from coreabacus.abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
-from coreabacus.verification import _triple_moduli, fib_count
+from coreabacus.verification import fib_count
 
 
 def P(*parts):
@@ -133,16 +133,18 @@ class TestMaximalCore:
             assert en.st_core_weight_profile(s, t) == ((s * s - 1) * (t * t - 1) // 24, 1), (s, t)
 
     def test_profile_dp_on_made_up_runners(self):
-        # ties in the runner DP: the heaviest (s, ms-1, ms+1)-cores are L_m and its conjugate, one
-        # member where L_m is self-conjugate, at (s, m) = (3, 1) and (5, 1) and for s = 2
-        for s in range(2, 7):
-            for m in range(1, 4):
-                family = en.enumerate_multi_cores((s, m * s - 1, m * s + 1))
+        # ties in the runner DP: every plain pair has one heaviest core, but some distinct (s, ms±1)
+        # pairs have two, as (4,5), (7,8) and (6,19) do
+        ties = set()
+        for s in range(2, 9):
+            for t in sorted({m * s + sign for m in range(1, 4) for sign in (-1, 1)} - {1}):
+                family = en.enumerate_st_cores(s, t, distinct=True)
                 best = family.max_weight()
                 heaviest = [p for p in family.members if p.weight == best]
-                stats, hits = en._runner_paths(s, m * s + 1, u=m * s - 1)
-                assert (stats, hits) == (stats_of(family), len(heaviest)), (s, m)
-                assert hits == (1 if s == 2 or (s, m) in {(3, 1), (5, 1)} else 2), (s, m)
+                assert en._runner_paths(s, t, distinct=True) == (stats_of(family), len(heaviest)), (s, t)
+                if len(heaviest) > 1:
+                    ties.add((min(s, t), max(s, t)))
+        assert {(4, 5), (7, 8), (6, 19)} <= ties
 
     def test_maximal_member(self):
         kappa = en.maximal_st_core(3, 4)
@@ -212,7 +214,7 @@ class TestMultiCores:
         triples = [tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1) for s in range(1, 7) for m in range(1, 4)]
         for moduli in triples + [(1,), (1, 4), (1, 6)]:
             family = en.enumerate_multi_cores(moduli)
-            assert en.family_stats(moduli) == en._fold(en._masks(moduli, False)) == stats_of(family), moduli
+            assert en.family_stats(moduli) == stats_of(family), moduli
             for distinct in (False, True):
                 expected = en.filter_self_conjugate(en.filter_distinct(family) if distinct else family)
                 observed = en.enumerate_multi_cores(moduli, distinct=distinct, self_conjugate=True)
@@ -380,15 +382,6 @@ class TestLatticePathStream:
             assert en.enumerate_st_cores(t, s).members == tuple(expected), (t, s)
 
 
-def motzkin(k):
-    """The Motzkin numbers M_0 .. M_k by their own recurrence: a path ends in a flat step, or
-    in a down step matching an up step, with a path on each side of the pair."""
-    numbers = [1]
-    for n in range(1, k + 1):
-        numbers.append(numbers[n - 1] + sum(numbers[i] * numbers[n - 2 - i] for i in range(n - 1)))
-    return numbers
-
-
 def gap_set_stats(s, t):
     """A coprime pair's statistics in closed form: Anderson's count, and the full gap set's core,
     extreme on every other field."""
@@ -398,32 +391,30 @@ def gap_set_stats(s, t):
 
 
 class TestRunnerPaths:
-    def test_triples_match_the_walk(self):
-        # every paper triple within the rail, with and without distinct parts: the four fields
-        # of `family_stats`, which reads the runner paths, equal the fold of the bead-mask walk
-        cells = 0
-        for s in range(1, 13):
-            for m in range(1, 5):
-                moduli = _triple_moduli(s, m)
-                try:
-                    en._check_family(moduli, False)
-                except en.GuardRailError:
-                    continue
-                for distinct in (False, True):
-                    walked = en._fold(en._masks(moduli, distinct))
-                    assert en.family_stats(moduli, distinct) == walked, (s, m, distinct)
-                    if m * s > 1:
-                        stats, _ = en._runner_paths(s, m * s + 1, u=m * s - 1, distinct=distinct)
-                        assert stats == walked, (s, m, distinct)
-                    cells += 1
-        assert cells >= 70
+    def test_distinct_pairs_match_the_walk(self):
+        # both signs, on either side of the route's bound t < s*s, against the fold of the walk
+        for s in range(2, 9):
+            for m in range(1, s + 2):
+                for t in (m * s - 1, m * s + 1):
+                    walked = en._fold(en._masks(tuple(sorted({s, t})), True))
+                    assert en._runner_paths(s, t, distinct=True)[0] == walked, (s, t)
+                    assert en.family_stats((s, t), distinct=True) == walked, (s, t)
 
-    def test_motzkin_counts(self):
-        # Amdeberhan-Leven: the (s-1, s, s+1)-cores are the Motzkin paths of length s - 1
-        numbers = motzkin(12)
-        for s in range(2, 14):
-            assert en._runner_paths(s, s + 1, u=s - 1)[0].count == numbers[s - 1], s
-        assert numbers[1:] == [1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
+    def test_route_bound(self, monkeypatch):
+        # a distinct (s, ms±1) pair with m < s takes the runner DP; for m >= s its row of bead
+        # counts grows with t, so the walk keeps the pair, (2, 20001) and (3, 6001) among them
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong route")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(en, "_masks", refuse)
+            for moduli in [(5, 24), (5, 21), (2, 3), (30, 31), (9, 28)]:
+                assert en.family_stats(moduli, distinct=True).count > 0, moduli
+        with monkeypatch.context() as patch:
+            patch.setattr(en, "_runner_paths", refuse)
+            for moduli in [(5, 26), (5, 29), (2, 5), (2, 20001), (3, 6001), (1, 2)]:
+                assert en.family_stats(moduli, distinct=True).count > 0, moduli
+        assert en.family_stats((2, 20001), distinct=True) == FamilyStats(10001, 50005000, 10000, 19999)
 
     def test_plain_pairs_match_the_gap_set(self):
         # both orders, so the DP runs on the t-abacus too; every pair has one heaviest core
@@ -439,11 +430,6 @@ class TestRunnerPaths:
             stats = en.family_stats((s, s + 1), distinct=True)
             assert stats == en._runner_paths(s + 1, s, distinct=True)[0], s
             assert stats.count == fib_count(s), s
-
-    def test_distinct_is_keyword_only(self):
-        # a positional `distinct` would be read as the third modulus
-        with pytest.raises(TypeError):
-            en._runner_paths(5, 6, None, True)
 
 
 def cli_enumerate(*argv):
