@@ -14,8 +14,9 @@ reference cycles.  The pause is process-wide and restores the collector's
 earlier state; a built family keeps its self-conjugate members by
 `filter_self_conjugate`.  A coprime pair's statistics, unless distinct parts
 are asked for, are closed forms on its gap set.  A pair's weight profile, and a
-distinct (s, ms±1) pair with m < s, are read off one dynamic programme over the
-runners of the s-abacus; every other family's statistics are
+distinct (s, ms±1) pair, are read off one dynamic programme over the runners of
+the s-abacus; a self-conjugate family with distinct parts is the staircases
+below its smallest odd modulus; every other family's statistics are
 folded from the same tree walked depth first, with no `Partition` built.  The
 rail is decided from the moduli before any walk: a smallest coprime pair
 whose moduli bound its count beyond every pair within the rail is refused
@@ -63,8 +64,8 @@ class AmbiguousLongestError(ValueError):
 
 class FamilyStats(NamedTuple):
     """A family's size and extremes, as `family_stats` gives them: closed forms for a plain
-    coprime pair, the runner DP for a distinct (s, ms±1) pair with m < s, a fold of the bead
-    masks for any other family."""
+    coprime pair or a distinct self-conjugate family, the runner DP for a distinct (s, ms±1)
+    pair, a fold of the bead masks for any other family."""
 
     count: int
     max_weight: int  # 0 for a family of the empty partition alone
@@ -207,6 +208,8 @@ def _runner_paths(s: int, t: int, *, distinct: bool = False) -> tuple[FamilyStat
     less n(n-1)/2.  Every state extends to a member by empty runners, so the largest spacer
     reached gives the largest bead.
     """
+    if distinct and t % s not in (1, s - 1):
+        raise ValueError(f"distinct runner paths need t = ±1 (mod s), got ({s}, {t})")
     states = {0: (1, {0: (0, 1)})}
     top = -1
     for j in range(1, s + 1):
@@ -319,12 +322,25 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
     return replace(f, members=members, self_conjugate=True)
 
 
+def _staircase_top(moduli: tuple) -> int:
+    """The largest k whose staircase (k, ..., 1) is a core of every modulus, once the family's
+    checks pass.  A self-conjugate partition with distinct parts is a staircase, and the hooks of
+    (k, ..., 1) are the odd numbers up to 2k - 1, so it is a core of every modulus exactly when
+    2k - 1 is below the smallest odd one; a coprime pair holds an odd modulus."""
+    _check_family(moduli, True)
+    return (min(r for r in moduli if r % 2) - 1) // 2
+
+
 def enumerate_multi_cores(
     moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
 ) -> CoreFamily:
     """Every core for all of `moduli`, or with `distinct` every one with distinct parts, in
-    lexicographic order; with `self_conjugate`, `filter_self_conjugate` of that family."""
+    lexicographic order; with `self_conjugate`, `filter_self_conjugate` of that family, which
+    with `distinct` is the staircases up to `_staircase_top`."""
     moduli = tuple(sorted(set(moduli)))
+    if distinct and self_conjugate:
+        members = tuple(map(pt.staircase, range(_staircase_top(moduli) + 1)))
+        return CoreFamily(moduli, members, True, True)
     family = CoreFamily(moduli, _members(moduli, distinct), distinct)
     return filter_self_conjugate(family) if self_conjugate else family
 
@@ -336,18 +352,18 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's C(s//2 + t//2, s//2) of the
     self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
     so the full-gap-set core, the unique heaviest and hence self-conjugate, is
-    extreme on the other fields.  Without `self_conjugate`, `_runner_paths` answers a
-    distinct pair (s, ms±1) with m < s: its rows then hold fewer than s*s bead counts, and the
-    walk would visit at least Fibonacci(s) members.  For m >= s its rows grow with t, so the
-    walk, whose memory does not, keeps the pair.  Any other family is folded from `_masks`,
-    keeping the self-conjugate masks by the mirror test if `self_conjugate`.
+    extreme on the other fields.  With `distinct`, the self-conjugate members are the
+    staircases (k, ..., 1) for k up to K = `_staircase_top`, of weight k(k + 1)/2 and largest
+    bead 2k - 1, and `_runner_paths` answers a pair (s, ms±1).  Any other family is folded
+    from `_masks`, keeping the self-conjugate masks by the mirror test if `self_conjugate`.
     """
     moduli = tuple(sorted(set(moduli)))
+    if distinct and self_conjugate:
+        k = _staircase_top(moduli)
+        return FamilyStats(k + 1, k * (k + 1) // 2, k, 2 * k - 1)
     _check_family(moduli, distinct)
-    if distinct and not self_conjugate and len(moduli) == 2:
-        s, t = moduli
-        if t % s in (1, s - 1) and t < s * s:
-            return _runner_paths(s, t, distinct=True)[0]
+    if distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1):
+        return _runner_paths(*moduli, distinct=True)[0]
     if distinct or len(moduli) > 2:
         masks = _masks(moduli, distinct)
         if self_conjugate:

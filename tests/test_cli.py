@@ -77,7 +77,7 @@ class TestEnumerateAndCount:
 
     def test_count_distinct_9_28(self, capsys):
         # neither route visits the 3,362,260 (9,28)-cores: the runner DP counts the distinct ones,
-        # and the pruned walk keeps the self-conjugate ones among them
+        # and the self-conjugate ones among them are the staircases below 9
         code, out, _ = run(capsys, "count", "--moduli", "9,28", "--distinct", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["count", "1159"]
@@ -104,7 +104,8 @@ class TestEnumerateAndCount:
         monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
         monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
         for argv, count in [(["10,11"], 16796), (["5,14,16"], 284), (["10,13", "--self-conjugate"], 462),
-                            (["9,28", "--distinct"], 1159), (["9,28", "--distinct", "--self-conjugate"], 5)]:
+                            (["9,28", "--distinct"], 1159), (["9,28", "--distinct", "--self-conjugate"], 5),
+                            (["5,14,16", "--self-conjugate"], 24), (["10,13", "--distinct"], 291)]:
             code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
             assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 

@@ -10,7 +10,7 @@ from coreabacus import partitions as pt
 from coreabacus.abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
-from coreabacus.verification import fib_count
+from coreabacus.verification import fib_count, straub_minus, straub_plus
 
 
 def P(*parts):
@@ -221,6 +221,27 @@ class TestMultiCores:
                 assert observed == expected, (moduli, distinct)
                 assert en.family_stats(moduli, distinct, True) == stats_of(expected), (moduli, distinct)
 
+    def test_distinct_self_conjugate_members_are_staircases(self, monkeypatch):
+        # a self-conjugate partition with distinct parts is a staircase; the oracles are the
+        # mirror-filtered walk and the filtered built family
+        for s in range(1, 13):
+            for t in range(s + 1, 40):
+                if math.gcd(s, t) == 1:
+                    kept = (node for node in en._masks((s, t), True) if _mask_is_self_conjugate(node[0], node[1]))
+                    assert en.family_stats((s, t), True, True) == en._fold(kept), (s, t)
+                    expected = en.filter_self_conjugate(en.enumerate_multi_cores((s, t), distinct=True))
+                    assert en.enumerate_multi_cores((s, t), True, True) == expected, (s, t)
+
+        def refuse(*args):
+            raise AssertionError("walked a staircase family")
+
+        monkeypatch.setattr(en, "_masks", refuse)
+        monkeypatch.setattr(en, "_lex_walk", refuse)
+        assert en.family_stats((200, 201), True, True) == FamilyStats(101, 5050, 100, 199)
+        assert en.enumerate_multi_cores((201, 200), True, True).members == tuple(map(pt.staircase, range(101)))
+        with pytest.raises(ValueError, match="no coprime pair"):
+            en.family_stats((4, 6), True, True)
+
     def test_no_coprime_pair(self):
         with pytest.raises(ValueError):
             en.enumerate_multi_cores({4, 6, 8})
@@ -392,7 +413,7 @@ def gap_set_stats(s, t):
 
 class TestRunnerPaths:
     def test_distinct_pairs_match_the_walk(self):
-        # both signs, on either side of the route's bound t < s*s, against the fold of the walk
+        # both signs, m up to s + 1, against the fold of the walk
         for s in range(2, 9):
             for m in range(1, s + 2):
                 for t in (m * s - 1, m * s + 1):
@@ -400,21 +421,45 @@ class TestRunnerPaths:
                     assert en._runner_paths(s, t, distinct=True)[0] == walked, (s, t)
                     assert en.family_stats((s, t), distinct=True) == walked, (s, t)
 
+    def test_distinct_pairs_match_the_recurrences(self):
+        # Straub's (s, ms-1) count and the (s, ms+1) count, for m up to 20, far beyond the walk
+        for s in range(2, 13):
+            for m in range(1, 21):
+                assert en.family_stats((s, m * s + 1), distinct=True).count == straub_plus(m, s), (s, m)
+                assert en.family_stats((s, m * s - 1), distinct=True).count == straub_minus(m, s), (s, m)
+
     def test_route_bound(self, monkeypatch):
-        # a distinct (s, ms±1) pair with m < s takes the runner DP; for m >= s its row of bead
-        # counts grows with t, so the walk keeps the pair, (2, 20001) and (3, 6001) among them
+        # every distinct (s, ms±1) pair takes the runner DP, whatever m: no bound on m is left; the
+        # fields were read off the walk, and (2, t) is the staircases of (t + 1)/2 sizes
         def refuse(*args, **kwargs):
             raise AssertionError("wrong route")
 
+        walked = {
+            (1, 2): FamilyStats(1, 0, 0, -1),
+            (2, 5): FamilyStats(3, 3, 2, 3),
+            (2, 20001): FamilyStats(10001, 50005000, 10000, 19999),
+            (3, 6001): FamilyStats(4001, 4002000, 2000, 5999),
+            (5, 26): FamilyStats(96, 85, 10, 24),
+            (5, 29): FamilyStats(120, 108, 12, 28),
+            (6, 601): FamilyStats(1060501, 45150, 300, 599),
+            (4, 1201): FamilyStats(90901, 180300, 600, 1199),
+        }
         with monkeypatch.context() as patch:
             patch.setattr(en, "_masks", refuse)
-            for moduli in [(5, 24), (5, 21), (2, 3), (30, 31), (9, 28)]:
-                assert en.family_stats(moduli, distinct=True).count > 0, moduli
+            for moduli, stats in walked.items():
+                assert en.family_stats(moduli, distinct=True) == stats, moduli
         with monkeypatch.context() as patch:
             patch.setattr(en, "_runner_paths", refuse)
-            for moduli in [(5, 26), (5, 29), (2, 5), (2, 20001), (3, 6001), (1, 2)]:
+            for moduli in [(5, 7), (10, 13), (4, 7, 9)]:
                 assert en.family_stats(moduli, distinct=True).count > 0, moduli
-        assert en.family_stats((2, 20001), distinct=True) == FamilyStats(10001, 50005000, 10000, 19999)
+
+    def test_distinct_needs_plus_or_minus_one(self):
+        # off t = ±1 (mod s) adjacent runners do not hold adjacent beads: (5,7) has 16 distinct
+        # cores, which the runner paths would miscount
+        assert en._fold(en._masks((5, 7), True)).count == 16
+        for s, t in [(5, 7), (7, 5), (10, 13), (5, 12)]:
+            with pytest.raises(ValueError, match="±1"):
+                en._runner_paths(s, t, distinct=True)
 
     def test_plain_pairs_match_the_gap_set(self):
         # both orders, so the DP runs on the t-abacus too; every pair has one heaviest core
