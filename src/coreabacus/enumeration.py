@@ -13,11 +13,13 @@ collection would traverse every member built so far, and the members hold no
 reference cycles.  The pause is process-wide and restores the collector's
 earlier state; a built family keeps its self-conjugate members by
 `filter_self_conjugate`.  A coprime pair's statistics, unless distinct parts
-are asked for, are closed forms on its gap set.  A pair's weight profile, and a
-distinct (s, ms±1) pair, are read off one dynamic programme over the runners of
-the s-abacus; a self-conjugate family with distinct parts is the staircases
-below its smallest odd modulus; every other family's statistics are
-folded from the same tree walked depth first, with no `Partition` built.  The
+are asked for, are closed forms: Anderson's count, or Ford-Mai-Sze's of the
+self-conjugate cores, and the full gap set's weight, length and Frobenius number.  A
+pair's weight profile, and a distinct (s, ms±1) pair, are read off one dynamic
+programme over the runners of the s-abacus; a self-conjugate family with distinct
+parts is the staircases below its smallest odd modulus; every other family's
+statistics are `_walk_stats`, folded from the same tree walked depth first, with no
+`Partition` built, the reference every other route is tested against.  The
 rail is decided from the moduli before any walk: a smallest coprime pair
 whose moduli bound its count beyond every pair within the rail is refused
 before its count is needed.  The slow route keeps the
@@ -65,7 +67,7 @@ class AmbiguousLongestError(ValueError):
 class FamilyStats(NamedTuple):
     """A family's size and extremes, as `family_stats` gives them: closed forms for a plain
     coprime pair or a distinct self-conjugate family, the runner DP for a distinct (s, ms±1)
-    pair, a fold of the bead masks for any other family."""
+    pair, `_walk_stats` for any other family."""
 
     count: int
     max_weight: int  # 0 for a family of the empty partition alone
@@ -323,12 +325,16 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
 
 
 def _staircase_top(moduli: tuple) -> int:
-    """The largest k whose staircase (k, ..., 1) is a core of every modulus, once the family's
-    checks pass.  A self-conjugate partition with distinct parts is a staircase, and the hooks of
-    (k, ..., 1) are the odd numbers up to 2k - 1, so it is a core of every modulus exactly when
-    2k - 1 is below the smallest odd one; a coprime pair holds an odd modulus."""
-    _check_family(moduli, True)
-    return (min(r for r in moduli if r % 2) - 1) // 2
+    """The largest k whose staircase (k, ..., 1) is a core of every modulus.  A self-conjugate
+    partition with distinct parts is a staircase, and the hooks of (k, ..., 1) are the odd numbers
+    up to 2k - 1, so it is a core of every modulus exactly when 2k - 1 is below the smallest odd
+    one; with no odd modulus every staircase is a core, and no coprime pair is needed."""
+    if any(t < 1 for t in moduli):
+        raise ValueError(f"moduli must be positive, got {moduli}")
+    odd = [r for r in moduli if r % 2]
+    if not odd:
+        raise ValueError(f"no odd modulus in {moduli}; every staircase is a core, so the family is infinite")
+    return (min(odd) - 1) // 2
 
 
 def enumerate_multi_cores(
@@ -352,10 +358,10 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's C(s//2 + t//2, s//2) of the
     self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
     so the full-gap-set core, the unique heaviest and hence self-conjugate, is
-    extreme on the other fields.  With `distinct`, the self-conjugate members are the
+    extreme on the other fields: weight (s^2 - 1)(t^2 - 1)/24, (s - 1)(t - 1)/2
+    parts and largest bead st - s - t.  With `distinct`, the self-conjugate members are the
     staircases (k, ..., 1) for k up to K = `_staircase_top`, of weight k(k + 1)/2 and largest
-    bead 2k - 1, and `_runner_paths` answers a pair (s, ms±1).  Any other family is folded
-    from `_masks`, keeping the self-conjugate masks by the mirror test if `self_conjugate`.
+    bead 2k - 1, and `_runner_paths` answers a pair (s, ms±1).  Any other family is `_walk_stats`.
     """
     moduli = tuple(sorted(set(moduli)))
     if distinct and self_conjugate:
@@ -365,26 +371,22 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     if distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1):
         return _runner_paths(*moduli, distinct=True)[0]
     if distinct or len(moduli) > 2:
-        masks = _masks(moduli, distinct)
-        if self_conjugate:
-            masks = (node for node in masks if _mask_is_self_conjugate(node[0], node[1]))
-        return _fold(masks)
+        return _walk_stats(moduli, distinct, self_conjugate)
     s, t = moduli[0], moduli[-1]
-    gaps = gap_poset(s, t).gaps
-    n = len(gaps)
     count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
-    return FamilyStats(count, sum(gaps) - n * (n - 1) // 2, n, gaps[-1] if gaps else -1)
+    return FamilyStats(count, (s * s - 1) * (t * t - 1) // 24, (s - 1) * (t - 1) // 2, s * t - s - t)
 
 
-def _fold(masks: Iterable[tuple]) -> FamilyStats:
-    """A family's statistics from its (mask, n, bead sum) triples.
-
-    A minimal bead set holds one bead per part, so a mask with n beads and
-    bead sum S has n parts and weight S - n(n-1)/2.
+def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False) -> FamilyStats:
+    """The statistics folded from `_masks`, keeping the masks that pass the mirror test if
+    `self_conjugate`: the walk's one answer, the reference for every other route.  A minimal bead
+    set holds one bead per part, so a mask with n beads and bead sum S weighs S - n(n-1)/2.
     """
     count = max_weight = longest = 0
     top = 0  # the largest mask has the largest bead
-    for mask, n, total in masks:
+    for mask, n, total in _masks(moduli, distinct):
+        if self_conjugate and not _mask_is_self_conjugate(mask, n):
+            continue
         count += 1
         weight = total - n * (n - 1) // 2
         if weight > max_weight:

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator
 
 from . import partitions as pt
-from .abacus import _mask_is_self_conjugate, _mask_to_partition
+from .abacus import _mask_to_partition
 from .constructions import (
     build_e_minus,
     build_e_plus,
@@ -29,8 +29,8 @@ from .constructions import (
 from .enumeration import (
     GuardRailError,
     _check_coprime,
-    _fold,
     _masks,
+    _walk_stats,
     enumerate_multi_cores,
     family_stats,
     maximal_st_core,
@@ -255,13 +255,13 @@ def _walk(grid: dict, signs: tuple, cell_of) -> Iterator[Cell]:
 
 def _count_claim(formula, sign: int, self_conjugate: bool = False):
     """Cells comparing formula(m, s) with the number of distinct-part (s, ms + sign)-cores,
-    only the self-conjugate ones if `self_conjugate`: those are kept from the walk's masks by
-    the mirror test, since `family_stats` counts them as staircases, the formula in another form."""
+    only the self-conjugate ones if `self_conjugate`: those are counted by `_walk_stats`, since
+    `family_stats` counts them as staircases, the formula in another form."""
 
     def cell_of(params: dict, m: int, s: int, t: int) -> Cell:
         expected = formula(m, s)
         if self_conjugate:
-            observed = sum(_mask_is_self_conjugate(mask, n) for mask, n, _ in _masks((s, t), True))
+            observed = _walk_stats((s, t), True, True).count
         else:
             observed = family_stats((s, t), distinct=True).count
         note = "bead-mask route" if self_conjugate else ""
@@ -299,7 +299,7 @@ def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
 def _claim_sylvester(grid: dict) -> Iterator[Cell]:
     for s, t in _coprime_pairs(grid):
         expected = s * t - s - t
-        observed = _fold(_masks((s, t), False)).largest_bead  # a walk: the closed form returns st - s - t
+        observed = _walk_stats((s, t), False).largest_bead  # a walk: the closed form returns st - s - t
         yield Cell({"s": s, "t": t}, expected, observed, expected == observed)
 
 

@@ -103,7 +103,9 @@ class TestEnumerateAndCount:
         monkeypatch.setattr(Partition, "_trusted", refuse)
         monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
         monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
+        monkeypatch.setattr(enumeration, "gap_poset", refuse)  # a coprime pair's statistics are closed forms
         for argv, count in [(["10,11"], 16796), (["5,14,16"], 284), (["10,13", "--self-conjugate"], 462),
+                            (["2,499999"], 250000), (["6,9", "--distinct", "--self-conjugate"], 5),
                             (["9,28", "--distinct"], 1159), (["9,28", "--distinct", "--self-conjugate"], 5),
                             (["5,14,16", "--self-conjugate"], 24), (["10,13", "--distinct"], 291)]:
             code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
@@ -140,8 +142,8 @@ class TestEnumerateAndCount:
     @pytest.mark.parametrize("moduli", sorted({_triple_moduli(s, m) for s in range(1, 7) for m in range(1, 4)})
                              + [(5, 6), (9, 28), (10, 13)], ids=str)
     def test_enumerate_prints_the_family_stats(self, capsys, moduli):
-        # family_stats is the independent route: closed forms for a plain pair, the runner DP for a
-        # distinct (s, ms±1) pair with m < s, a fold of the bead masks otherwise
+        # family_stats is the independent route: closed forms for a plain pair, the runner DP for a distinct
+        # (s, ms±1) pair, the staircases for a distinct self-conjugate family, and `_walk_stats` otherwise
         for flags in ([], ["--distinct"], ["--self-conjugate"], ["--distinct", "--self-conjugate"]):
             argv = ["enumerate", "--moduli", ",".join(map(str, moduli)), *flags, "--no-cache", "--format"]
             filters = {"distinct": "--distinct" in flags, "self_conjugate": "--self-conjugate" in flags}
@@ -167,8 +169,10 @@ class TestEnumerateAndCount:
             assert out == "".join(["weight,parts\n", *(f"{sum(p)},{' '.join(map(str, p))}\n" for p in members)])
 
     def test_bad_moduli(self, capsys):
-        code, _, err = run(capsys, "count", "--moduli", "4,6")
-        assert code == 2 and "error" in err
+        # no coprime pair; and with no odd modulus every staircase is a distinct self-conjugate core
+        for argv in (["4,6"], ["2,4", "--distinct", "--self-conjugate"]):
+            code, _, err = run(capsys, "count", "--moduli", *argv)
+            assert code == 2 and err.startswith("error: ") and "infinite" in err, argv
 
     def test_idempotent_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")

@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 from types import SimpleNamespace
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from coreabacus import cli
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
-from coreabacus.abacus import _beads_mask, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
+from coreabacus.abacus import _mask_is_core, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
-from coreabacus.verification import fib_count, straub_minus, straub_plus
+from coreabacus.verification import fib_count, staircase_core_count, straub_minus, straub_plus
 
 
 def P(*parts):
@@ -38,20 +39,20 @@ def reference_masks(s, t):
 def node_of(p):
     """A member's (mask, n, bead sum), as `_masks` yields it, from its first-column hook lengths:
     part k (from 0) of n has hook length p_k + n - 1 - k."""
-    n = len(p)
-    beads = [x + n - 1 - k for k, x in enumerate(p)]
-    return _beads_mask(beads), n, sum(beads)
+    beads = list(map(operator.add, p, range(len(p) - 1, -1, -1)))
+    return sum(map((1).__lshift__, beads)), len(p), sum(beads)
 
 
 def stats_of(family):
     """FamilyStats read off built members; a member's largest bead is its largest first-column hook."""
     members = family.members
-    return FamilyStats(
-        len(members),
-        family.max_weight(),
-        max(map(len, members), default=0),
-        max((p.parts[0] + len(p) - 1 for p in members if p.parts), default=-1),
-    )
+    top = max((p[0] + len(p) for p in members if p), default=0) - 1
+    return FamilyStats(len(members), family.max_weight(), max(map(len, members), default=0), top)
+
+
+def content(family):
+    """What two routes to a built family must agree on: its members and its filters."""
+    return family.members, family.distinct, family.self_conjugate
 
 
 class TestGapPoset:
@@ -133,18 +134,9 @@ class TestMaximalCore:
             assert en.st_core_weight_profile(s, t) == ((s * s - 1) * (t * t - 1) // 24, 1), (s, t)
 
     def test_profile_dp_on_made_up_runners(self):
-        # ties in the runner DP: every plain pair has one heaviest core, but some distinct (s, ms±1)
-        # pairs have two, as (4,5), (7,8) and (6,19) do
-        ties = set()
-        for s in range(2, 9):
-            for t in sorted({m * s + sign for m in range(1, 4) for sign in (-1, 1)} - {1}):
-                family = en.enumerate_st_cores(s, t, distinct=True)
-                best = family.max_weight()
-                heaviest = [p for p in family.members if p.weight == best]
-                assert en._runner_paths(s, t, distinct=True) == (stats_of(family), len(heaviest)), (s, t)
-                if len(heaviest) > 1:
-                    ties.add((min(s, t), max(s, t)))
-        assert {(4, 5), (7, 8), (6, 19)} <= ties
+        # some distinct (s, ms±1) pairs have two heaviest cores; `TestFamilyRoutes` holds every hit count
+        for s, t in [(4, 5), (5, 4), (7, 8), (8, 7), (6, 19)]:
+            assert en._runner_paths(s, t, distinct=True)[1] > 1, (s, t)
 
     def test_maximal_member(self):
         kappa = en.maximal_st_core(3, 4)
@@ -210,28 +202,10 @@ class TestMultiCores:
         assert en.enumerate_multi_cores({1}).members == (EMPTY,)
         assert en.family_stats({1}, distinct=True, self_conjugate=True) == FamilyStats(1, 0, 0, -1)
 
-    def test_mask_filters_match_built_filters(self):
-        triples = [tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1) for s in range(1, 7) for m in range(1, 4)]
-        for moduli in triples + [(1,), (1, 4), (1, 6)]:
-            family = en.enumerate_multi_cores(moduli)
-            assert en.family_stats(moduli) == stats_of(family), moduli
-            for distinct in (False, True):
-                expected = en.filter_self_conjugate(en.filter_distinct(family) if distinct else family)
-                observed = en.enumerate_multi_cores(moduli, distinct=distinct, self_conjugate=True)
-                assert observed == expected, (moduli, distinct)
-                assert en.family_stats(moduli, distinct, True) == stats_of(expected), (moduli, distinct)
-
     def test_distinct_self_conjugate_members_are_staircases(self, monkeypatch):
-        # a self-conjugate partition with distinct parts is a staircase; the oracles are the
-        # mirror-filtered walk and the filtered built family
-        for s in range(1, 13):
-            for t in range(s + 1, 40):
-                if math.gcd(s, t) == 1:
-                    kept = (node for node in en._masks((s, t), True) if _mask_is_self_conjugate(node[0], node[1]))
-                    assert en.family_stats((s, t), True, True) == en._fold(kept), (s, t)
-                    expected = en.filter_self_conjugate(en.enumerate_multi_cores((s, t), distinct=True))
-                    assert en.enumerate_multi_cores((s, t), True, True) == expected, (s, t)
-
+        # a self-conjugate partition with distinct parts is a staircase, read off the smallest odd modulus
+        # with no walk and no coprime pair; `TestFamilyRoutes` holds it to the walk, and where no walk ends
+        # the hook oracles do: the staircase count stops at the first non-core, the sweep finds no other
         def refuse(*args):
             raise AssertionError("walked a staircase family")
 
@@ -239,8 +213,17 @@ class TestMultiCores:
         monkeypatch.setattr(en, "_lex_walk", refuse)
         assert en.family_stats((200, 201), True, True) == FamilyStats(101, 5050, 100, 199)
         assert en.enumerate_multi_cores((201, 200), True, True).members == tuple(map(pt.staircase, range(101)))
-        with pytest.raises(ValueError, match="no coprime pair"):
-            en.family_stats((4, 6), True, True)
+        for moduli in [(9,), (6, 9), (4, 15), (6, 10, 15)]:
+            k = (min(r for r in moduli if r % 2) - 1) // 2
+            swept = en.oracle_enumerate(moduli, k * (k + 1) // 2).members
+            kept = tuple(p for p in swept if pt.is_self_conjugate(p) and pt.has_distinct_parts(p))
+            assert kept == tuple(map(pt.staircase, range(k + 1))) and staircase_core_count(moduli) == k + 1, moduli
+            family = en.enumerate_multi_cores(moduli, True, True)
+            assert family.members == kept and en.family_stats(moduli, True, True) == stats_of(family), moduli
+        for moduli in [(4, 6), (2,), (2, 4, 8)]:
+            for route in (en.family_stats, en.enumerate_multi_cores):
+                with pytest.raises(ValueError, match="no odd modulus.*infinite"):
+                    route(moduli, True, True)
 
     def test_no_coprime_pair(self):
         with pytest.raises(ValueError):
@@ -287,14 +270,6 @@ class TestMultiCores:
         with pytest.raises(en.GuardRailError, match=r"pair \(500001,2\), whose 250001 cores"):
             en.enumerate_st_cores(500001, 2)
 
-    def test_distinct_walk_matches_filter(self):
-        for s in range(1, 7):
-            for m in range(1, 4):
-                moduli = tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
-                expected = en.filter_distinct(en.enumerate_multi_cores(moduli))
-                assert en.enumerate_multi_cores(moduli, distinct=True) == expected, moduli
-
-
 class TestLongestMember:
     def test_3_2_4(self):
         assert en.longest_member(en.enumerate_multi_cores({3, 2, 4})) == P(1)
@@ -316,42 +291,29 @@ class TestLongestMember:
 
 class TestLatticePathStream:
     def test_matches_ideal_list(self):
+        # without `distinct`, the depth-first walk yields each order ideal of the gap poset once
         for s, t in SMALL_PAIRS:
             masks = [mask for mask, _, _ in en._masks((s, t), False)]
             assert len(masks) == len(set(masks)), (s, t)
             assert set(masks) == set(reference_masks(s, t)), (s, t)
 
-    def test_count_and_profile_match_family(self):
-        for s, t in SMALL_PAIRS:
-            assert sum(1 for _ in en._masks((s, t), False)) == en.count_st_cores(s, t), (s, t)
-            if s <= t:  # one build serves both orders: (s,t)- and (t,s)-cores coincide
-                family = en.enumerate_st_cores(s, t)
-                assert all(Partition(p.parts) == p for p in family.members), (s, t)
-                weights = [p.weight for p in family.members]
-                profile = (max(weights), weights.count(max(weights)))
-                assert en.st_core_weight_profile(s, t) == en.st_core_weight_profile(t, s) == profile, (s, t)
-                distinct = en.filter_distinct(family)
-                assert en.enumerate_st_cores(s, t, distinct=True) == distinct, (s, t)
-                pruned = en.enumerate_st_cores(t, s, distinct=True)
-                assert (pruned.members, pruned.distinct) == (distinct.members, True), (t, s)
-                assert en.family_stats((t, s), distinct=True) == stats_of(distinct), (s, t)
-                assert en._fold(en._masks((t, s), True)) == stats_of(distinct), (s, t)
-                assert en.family_stats((s, t)) == stats_of(family), (s, t)
-                conjugates = en.filter_self_conjugate(family)
-                assert en.family_stats((s, t), self_conjugate=True) == stats_of(conjugates), (s, t)
-
     def test_parts_field_is_the_partition_of_the_mask(self):
-        # the first-part walk builds each member's parts from a smaller core's; the one beads-to-parts formula checks them
+        # the first-part walk builds valid parts, which the one beads-to-parts formula reads back; the
+        # depth-first walk, in both orders, yields the same cores once each
         for s, t in SMALL_PAIRS:
-            if s <= t:  # one check serves both orders: (s,t)- and (t,s)-cores coincide
+            if s <= t:  # (s,t)- and (t,s)-cores coincide; `TestFamilyRoutes` builds both orders
                 for distinct in (False, True):
+                    at = (s, t, distinct)
                     members = en._lex_walk((s, t), distinct)
-                    assert en._lex_walk((t, s), distinct) == members, (s, t, distinct)
-                    # the depth-first walk's triples: equal sets, and sizes that leave no room for a repeat on either side
-                    triples, stack = [node_of(p) for p in members], list(en._masks((s, t), distinct))
-                    assert len(set(triples)) == len(triples) == len(stack), (s, t, distinct)
-                    assert set(triples) == set(stack), (s, t, distinct)
-                    assert members == [_mask_to_partition(mask) for mask, _, _ in triples], (s, t, distinct)
+                    if not distinct:
+                        assert list(map(Partition, members)) == members, at
+                    triples = [node_of(p) for p in members]
+                    assert members == [_mask_to_partition(mask) for mask, _, _ in triples], at
+                    nodes = set(triples)
+                    assert len(nodes) == len(triples), at
+                    for order in ((s, t), (t, s)):
+                        stack = list(en._masks(order, distinct))
+                        assert len(stack) == len(triples) and set(stack) == nodes, (order, distinct)
 
     def test_members_are_strictly_increasing(self):
         # the buckets are read in first-part order, each while it grows, so the walk needs no sort
@@ -359,7 +321,7 @@ class TestLatticePathStream:
             if s <= t:  # the (t,s) stream is the (s,t) one: see the test above
                 for distinct in (False, True):
                     members = en._lex_walk((s, t), distinct)
-                    assert all(a < b for a, b in zip(members, members[1:])), (s, t, distinct)
+                    assert all(map(operator.lt, members, members[1:])), (s, t, distinct)
 
     def test_pruned_walk_is_the_filtered_pair_walk(self):
         # a core that is not an r-core has no r-core descendant in either walk, so pruning keeps the stream and its order
@@ -379,16 +341,7 @@ class TestLatticePathStream:
     def test_distinct_walk_is_fibonacci_sized(self):
         # the distinct walk admits no repeated part: Fibonacci-many cores, not 2^(s-1)
         for s in range(1, 26):
-            assert en._fold(en._masks((s, s + 1), True)).count == fib_count(s), s
-
-    def test_self_conjugate_count_is_ford_mai_sze(self):
-        # Ford, Mai and Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate (s,t)-cores;
-        # `family_stats` reads that formula, so the walk filtered by the mirror test counts them
-        for s, t in SMALL_PAIRS:
-            if s <= t:
-                expected = math.comb(s // 2 + t // 2, s // 2)
-                observed = sum(1 for mask, n, _ in en._masks((s, t), False) if _mask_is_self_conjugate(mask, n))
-                assert observed == expected, (s, t)
+            assert en._walk_stats((s, s + 1), True).count == fib_count(s), s
 
     def test_matches_hook_sweep(self):
         bound = 25
@@ -403,24 +356,81 @@ class TestLatticePathStream:
             assert en.enumerate_st_cores(t, s).members == tuple(expected), (t, s)
 
 
-def gap_set_stats(s, t):
-    """A coprime pair's statistics in closed form: Anderson's count, and the full gap set's core,
-    extreme on every other field."""
-    gaps = en.gap_poset(s, t).gaps
-    n = len(gaps)
-    return FamilyStats(en.count_st_cores(s, t), sum(gaps) - n * (n - 1) // 2, n, gaps[-1] if gaps else -1)
+def _route_cells():
+    """(moduli, filter sets), the union of the old comparison grids: every coprime pair with st <= 150,
+    the (s, ms-1, ms+1) triples with s <= 6 and m <= 3, (4,11,13), (5,14,16), (1,), (1,4) and (1,6) under
+    every filter set; the distinct (s, ms±1) pairs with 2 <= s <= 8 and m <= s + 1; the distinct
+    self-conjugate coprime pairs with s <= 12 and s < t < 40; and the coprime pairs with s, t <= 20."""
+    every = {(False, False), (True, False), (False, True), (True, True)}
+    cells = {}
+    triples = {tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)}
+    for moduli in {p for p in SMALL_PAIRS if p[0] <= p[1]} | triples | {(4, 11, 13), (5, 14, 16), (1,), (1, 4), (1, 6)}:
+        cells.setdefault(moduli, set()).update(every)
+    for s in range(2, 9):
+        for t in {m * s + sign for m in range(1, s + 2) for sign in (-1, 1)}:
+            cells.setdefault(tuple(sorted((s, t))), set()).add((True, False))
+    for s, t in [(s, t) for s in range(1, 21) for t in range(s, 40) if math.gcd(s, t) == 1]:
+        if s <= 12 and s < t:
+            cells.setdefault((s, t), set()).add((True, True))
+        elif t <= 20:
+            cells.setdefault((s, t), set())
+    return sorted((moduli, sorted(filters)) for moduli, filters in cells.items())
+
+
+ROUTE_CELLS = _route_cells()
+
+
+class TestFamilyRoutes:
+    @pytest.mark.parametrize("moduli, filter_sets", ROUTE_CELLS, ids=[str(moduli) for moduli, _ in ROUTE_CELLS])
+    def test_every_route_agrees_with_the_walk(self, moduli, filter_sets):
+        # `_walk_stats`, in both orders for a pair, is the reference for each route that applies: `family_stats`;
+        # the built family (`enumerate_multi_cores`, `enumerate_st_cores` in both orders, the filters of the
+        # unfiltered build); `_runner_paths` and its hits; the gap set's closed forms; and the staircases
+        orders = [moduli, moduli[::-1]] if len(moduli) == 2 else [moduli]
+        walked, built = {}, {}
+        for filters in filter_sets:
+            walked[filters] = en._walk_stats(moduli, *filters)
+            assert en._walk_stats(orders[-1], *filters) == walked[filters], filters
+            assert en.family_stats(orders[-1], *filters) == walked[filters], filters
+        for distinct in (False, True):
+            if (distinct, False) in filter_sets and len(orders) == 2:
+                family, other = (en.enumerate_st_cores(*order, distinct) for order in orders)
+                assert (family.moduli, other.moduli) == tuple(orders) and content(other) == content(family)
+            elif {(distinct, False), (distinct, True)} & set(filter_sets):
+                family = en.enumerate_multi_cores(moduli, distinct)
+            else:
+                continue
+            built[distinct, False], built[distinct, True] = family, en.filter_self_conjugate(family)
+            if distinct or len(orders) == 1:  # for a plain pair it is that filter of that build
+                assert content(en.enumerate_multi_cores(moduli, distinct, True)) == content(built[distinct, True])
+        if (False, False) in built:
+            assert content(en.filter_distinct(built[False, False])) == content(built[True, False])
+        for filters in filter_sets:
+            assert stats_of(built[filters]) == walked[filters], filters
+        if (True, True) in walked:
+            k = walked[True, True].longest_parts
+            assert built[True, True].members == tuple(map(pt.staircase, range(k + 1)))
+            assert staircase_core_count(moduli) == k + 1
+        if len(orders) == 2:
+            s, t = moduli  # the gap set's closed forms: Anderson's count, and its core is extreme otherwise
+            gaps = en.gap_poset(s, t).gaps
+            closed = FamilyStats(en.count_st_cores(s, t), sum(gaps) - len(gaps) * (len(gaps) - 1) // 2,
+                                 len(gaps), gaps[-1] if gaps else -1)
+            if (False, False) in walked:
+                assert closed == walked[False, False]
+                assert list(map(sum, built[False, False].members)).count(closed.max_weight) == 1
+            if (False, True) in walked:
+                assert closed._replace(count=math.comb(s // 2 + t // 2, s // 2)) == walked[False, True]
+            for x, y in orders:
+                if (False, False) in walked or t <= 20:
+                    assert en._runner_paths(x, y) == (closed, 1), (x, y)
+                if (True, False) in walked and y % x in (1, x - 1):
+                    stats = walked[True, False]
+                    heaviest = list(map(sum, built[True, False].members)).count(stats.max_weight)
+                    assert en._runner_paths(x, y, distinct=True) == (stats, heaviest), (x, y)
 
 
 class TestRunnerPaths:
-    def test_distinct_pairs_match_the_walk(self):
-        # both signs, m up to s + 1, against the fold of the walk
-        for s in range(2, 9):
-            for m in range(1, s + 2):
-                for t in (m * s - 1, m * s + 1):
-                    walked = en._fold(en._masks(tuple(sorted({s, t})), True))
-                    assert en._runner_paths(s, t, distinct=True)[0] == walked, (s, t)
-                    assert en.family_stats((s, t), distinct=True) == walked, (s, t)
-
     def test_distinct_pairs_match_the_recurrences(self):
         # Straub's (s, ms-1) count and the (s, ms+1) count, for m up to 20, far beyond the walk
         for s in range(2, 13):
@@ -456,17 +466,10 @@ class TestRunnerPaths:
     def test_distinct_needs_plus_or_minus_one(self):
         # off t = ±1 (mod s) adjacent runners do not hold adjacent beads: (5,7) has 16 distinct
         # cores, which the runner paths would miscount
-        assert en._fold(en._masks((5, 7), True)).count == 16
+        assert en._walk_stats((5, 7), True).count == 16
         for s, t in [(5, 7), (7, 5), (10, 13), (5, 12)]:
             with pytest.raises(ValueError, match="±1"):
                 en._runner_paths(s, t, distinct=True)
-
-    def test_plain_pairs_match_the_gap_set(self):
-        # both orders, so the DP runs on the t-abacus too; every pair has one heaviest core
-        for s in range(1, 21):
-            for t in range(1, 21):
-                if math.gcd(s, t) == 1:
-                    assert en._runner_paths(s, t) == (gap_set_stats(s, t), 1), (s, t)
 
     def test_distinct_pairs_are_fibonacci(self):
         # both signs, t = s + 1 = 1 (mod s) and s = -1 (mod s + 1), far beyond the walk:
