@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import zlib
 from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
@@ -38,8 +39,8 @@ def _cache_dir() -> Path:
     override = os.environ.get("COREABACUS_CACHE")
     if override:
         return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return Path(base) / "coreabacus"
+    base = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    return (base if base.is_absolute() else Path.home() / ".cache") / "coreabacus"
 
 
 @functools.cache
@@ -56,28 +57,27 @@ def _cached(args) -> tuple[int, str]:
     """`args.func(args)`, or the exit code and stdout an earlier run stored for the same arguments
     under the same sources.
 
-    An entry is the JSON object {key, exit, stdout, source_hash}, stored in `_cache_dir()` under
-    the sha256 of its key: the parsed arguments but `func` and `no_cache`, `--format` included,
-    as written (`--moduli 5,14` and `14,5` are two entries). It is a hit only when its key and
-    source hash match, its exit code is an int and its stdout a string; the hit replays both as
-    stored, elapsed times included. An unreadable or malformed entry is a miss: the command runs
-    again and the entry is rewritten.
+    An entry is the exit code, a newline and the stdout, zlib-compressed, in the file of
+    `_cache_dir()` named by the sha256 of the source hash and the key. The key is the parsed
+    arguments but `func` and `no_cache`, `--format` included; `--moduli` is parsed sorted and
+    de-duplicated, so a family has one entry however it is spelled. A hit replays the exit code
+    and stdout as stored, elapsed times included. An unreadable, truncated or damaged entry (zlib
+    checks its end and its Adler-32 checksum) is a miss: the command runs again and the entry is
+    rewritten.
     """
     if args.no_cache:
         return args.func(args)
     key = json.dumps({k: v for k, v in vars(args).items() if k not in ("func", "no_cache")}, sort_keys=True)
-    path = _cache_dir() / (hashlib.sha256(key.encode()).hexdigest() + ".json")
+    path = _cache_dir() / hashlib.sha256(f"{_source_hash()}\0{key}".encode()).hexdigest()
     try:
-        entry = json.loads(path.read_text())
-    except (OSError, ValueError):
-        entry = None
-    if (isinstance(entry, dict) and entry.get("key") == key and entry.get("source_hash") == _source_hash()
-            and type(entry.get("exit")) is int and isinstance(entry.get("stdout"), str)):
-        return entry["exit"], entry["stdout"]
+        code, out = zlib.decompress(path.read_bytes()).decode().split("\n", 1)
+        return int(code), out
+    except (OSError, ValueError, zlib.error):
+        pass  # a miss
     code, out = args.func(args)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"key": key, "exit": code, "stdout": out, "source_hash": _source_hash()}))
+        path.write_bytes(zlib.compress(f"{code}\n{out}".encode(), 1))
     except OSError:
         pass  # the cache is best-effort
     return code, out
@@ -91,9 +91,9 @@ def _parse_moduli(text: str) -> tuple:
     try:
         moduli = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
     except ValueError:
-        raise GuardRailError(f"cannot parse moduli {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse moduli {text!r}")
     if not moduli:
-        raise GuardRailError("at least one modulus is required")
+        raise argparse.ArgumentTypeError("at least one modulus is required")
     return moduli
 
 
@@ -124,7 +124,7 @@ def cmd_show(args) -> tuple[int, str]:
 def cmd_enumerate(args) -> tuple[int, str]:
     """The family's text; `count` reads `family_stats`, and `enumerate` builds the members and
     reads the count, largest weight and most parts off them, except for csv, which prints none."""
-    moduli = _parse_moduli(args.moduli)
+    moduli = args.moduli
     filters = {"distinct": args.distinct, "self_conjugate": args.self_conjugate}
     members = None
     if args.command == "count":
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("enumerate", "count"):
         cmd = sub.add_parser(name, help=f"{name} simultaneous cores")
-        cmd.add_argument("--moduli", required=True, help="comma-separated, e.g. 5,14")
+        cmd.add_argument("--moduli", required=True, type=_parse_moduli, help="comma-separated, e.g. 5,14")
         cmd.add_argument("--distinct", action="store_true")
         cmd.add_argument("--self-conjugate", dest="self_conjugate", action="store_true")
         cmd.add_argument("--format", choices=("json", "csv", "table"), default="table")
@@ -231,9 +231,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, out = (_cached if "no_cache" in args else args.func)(args)
-    except GuardRailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,5 +1,6 @@
 import ast
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,17 @@ class TestEnumerateAndCount:
             code, _, err = run(capsys, "count", "--moduli", *argv)
             assert code == 2 and err.startswith("error: ") and "infinite" in err, argv
 
+    def test_unparsable_moduli_is_a_usage_error(self, capsys):
+        # argparse reads --moduli, so a parse error is a usage error, printed before any command runs
+        for text, message in [("4,x", "cannot parse moduli '4,x'"), ("", "at least one modulus is required"),
+                              (" , ", "at least one modulus is required")]:
+            for command in ("count", "enumerate"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--moduli", text])
+                out, err = capsys.readouterr()
+                assert (exc.value.code, out) == (2, ""), text
+                assert err.startswith("usage: cores ") and err.endswith(f"error: argument --moduli: {message}\n"), err
+
     def test_idempotent_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")
         _, second, _ = run(capsys, "enumerate", "--moduli", "5,6", "--format", "json", "--no-cache")
@@ -198,12 +210,40 @@ class TestEnumerateAndCount:
         code, counted, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert code == 0 and "partitions" not in json.loads(counted)
         (path,) = (tmp_path / "cache").iterdir()
-        entry = json.loads(path.read_text())
-        assert (entry["exit"], entry["stdout"]) == (0, counted)
-        assert "partitions" not in json.loads(entry["stdout"])
+        assert zlib.decompress(path.read_bytes()).decode() == f"0\n{counted}"
         code, out, _ = run(capsys, "enumerate", "--moduli", "5,14", "--format", "json")
         assert code == 0 and len(json.loads(out)["partitions"]) == 612
         assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    def test_moduli_spellings_share_one_entry(self, capsys, tmp_path, monkeypatch):
+        spellings = ["5,14", "14,5", "5,14,5", " 14, 5 ,"]
+        fresh = run(capsys, "enumerate", "--moduli", "5,14", "--format", "csv", "--no-cache")
+        assert [run(capsys, "enumerate", "--moduli", m, "--format", "csv") for m in spellings] == [fresh] * 4
+        assert len(list((tmp_path / "cache").iterdir())) == 1
+        monkeypatch.setattr(cli, "enumerate_multi_cores", None)  # every spelling after the first is a hit
+        assert [run(capsys, "enumerate", "--moduli", m, "--format", "csv") for m in spellings] == [fresh] * 4
+
+    def test_json_entry_is_compressed(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "enumerate", "--moduli", "9,11", "--format", "json")
+        assert code == 0 and len(json.loads(out)["partitions"]) == 8398
+        (path,) = (tmp_path / "cache").iterdir()
+        assert path.stat().st_size < len(out.encode()) / 5
+
+    def test_empty_or_relative_xdg_cache_home_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # the XDG base directory spec ignores an empty or relative XDG_CACHE_HOME: ~/.cache is the cache
+        monkeypatch.delenv("COREABACUS_CACHE")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for value in ("", "relative"):
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+            assert cli._cache_dir() == tmp_path / "home" / ".cache" / "coreabacus"
+            assert run(capsys, "count", "--moduli", "5,14", "--distinct", "--format", "csv")[:2] == (0, "count\n33\n")
+        assert list(work.iterdir()) == []
+        assert len(list((tmp_path / "home" / ".cache" / "coreabacus").iterdir())) == 1
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert cli._cache_dir() == tmp_path / "xdg" / "coreabacus"
 
     def test_format_is_part_of_the_key(self, capsys, tmp_path, monkeypatch):
         argvs = [["enumerate", "--moduli", "5,14", "--format", fmt] for fmt in ("json", "csv")]
@@ -230,64 +270,74 @@ class TestEnumerateAndCount:
         monkeypatch.setattr(cli, "verify_claim", None)
         assert run(capsys, *argv) == cold
 
-    def test_cache_ignores_entry_from_other_sources(self, capsys, tmp_path):
+    def test_cache_ignores_entry_from_other_sources(self, capsys, tmp_path, monkeypatch):
         _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         (path,) = (tmp_path / "cache").iterdir()
-        entry = json.loads(path.read_text())
-        entry["stdout"] = json.dumps({**json.loads(entry["stdout"]), "count": 999}, indent=2) + "\n"
-        path.write_text(json.dumps(entry))
+        tampered = json.dumps({**json.loads(first), "count": 999}, indent=2) + "\n"
+        path.write_bytes(zlib.compress(f"0\n{tampered}".encode()))
         _, replayed, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
-        assert json.loads(replayed)["count"] == 999  # the entry is read when the sources match
-        entry["source_hash"] = "0" * 64
-        path.write_text(json.dumps(entry))
+        assert replayed == tampered  # the entry is read when the sources match
+        monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
         _, fresh, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
-        assert fresh == first
+        assert fresh == first  # other sources name another file: the tampered entry is never read
+        assert zlib.decompress(path.read_bytes()).decode() == f"0\n{tampered}"
+        assert len(list((tmp_path / "cache").iterdir())) == 2
 
     def test_malformed_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, monkeypatch):
-        argv = ["count", "--moduli", "5,14", "--format", "csv"]
-        fresh = run(capsys, *argv, "--no-cache")
-        assert run(capsys, *argv) == fresh
-        (path,) = (tmp_path / "cache").iterdir()
-        entry = json.loads(path.read_text())
-        assert list(entry) == ["key", "exit", "stdout", "source_hash"]
-        key, source_hash = entry["key"], entry["source_hash"]
-        malformed = ["[]", "1", "null", "{}", json.dumps({"key": key}), '{"key"',
-                     json.dumps({"key": key, "source_hash": source_hash}),
-                     json.dumps({"key": key, "exit": 0, "source_hash": source_hash}),
-                     json.dumps({"key": key, "exit": 0, "stdout": [], "source_hash": source_hash}),
-                     json.dumps({"key": key, "stdout": entry["stdout"], "source_hash": source_hash}),
-                     json.dumps({**entry, "key": key + " ", "stdout": "count\n999\n"})]
-        for text in malformed:
-            path.write_text(text)
-            assert run(capsys, *argv) == fresh, text
-            assert json.loads(path.read_text()) == entry, text
-            with monkeypatch.context() as patch:  # the rewritten entry answers the next run alone
-                patch.setattr(cli, "family_stats", None)
-                assert run(capsys, *argv) == fresh, text
+        # every damaged entry is a miss: the command runs again, and its rewrite answers the next run alone
+        def damaged(entry):
+            middle = len(entry) // 2
+            yield "empty", b""
+            yield "cut short", entry[:-1]
+            yield "byte flipped", entry[:middle] + bytes([entry[middle] ^ 0xFF]) + entry[middle + 1:]
+            yield "old JSON entry", json.dumps({"key": "{}", "exit": 0, "stdout": "count\n999\n",
+                                                "source_hash": cli._source_hash()}).encode()
+            yield "exit not an int", zlib.compress(b"True\ncount\n999\n")
+            yield "no exit", zlib.compress(b"\ncount\n999\n")
+            yield "not UTF-8", zlib.compress(b"0\n\xff\xfe")
+
+        for argv, compute in [(["enumerate", "--moduli", "5,6", "--format", "csv"], "enumerate_multi_cores"),
+                              (["enumerate", "--moduli", "5,6", "--format", "table"], "enumerate_multi_cores"),
+                              (["count", "--moduli", "5,14", "--format", "json"], "family_stats"),
+                              (["verify", "--claim", "xiong"], "verify_claim")]:
+            lines = -1 if argv[0] == "verify" else None  # a verify table ends with its elapsed time
+            code, fresh, _ = run(capsys, *argv, "--no-cache")
+            assert run(capsys, *argv)[0] == code
+            (path,) = (tmp_path / "cache").iterdir()
+            stored = zlib.decompress(path.read_bytes()).decode().splitlines()[:lines]
+            assert stored == [str(code), *fresh.splitlines()[:lines]], argv
+            for case, data in damaged(path.read_bytes()):
+                path.write_bytes(data)
+                answer = run(capsys, *argv)
+                assert answer[0] == code and answer[2] == "", (argv, case)
+                assert answer[1].splitlines()[:lines] == fresh.splitlines()[:lines], (argv, case)
+                assert zlib.decompress(path.read_bytes()).decode().splitlines()[:lines] == stored, (argv, case)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, compute, None)
+                    assert run(capsys, *argv) == answer, (argv, case)
+            path.unlink()
 
     @pytest.mark.parametrize("argv, compute, field, value", [
-        (["enumerate", "--moduli", "5,6", "--format", "csv"], "enumerate_multi_cores", "stdout", 5),
-        (["enumerate", "--moduli", "5,6", "--format", "table"], "enumerate_multi_cores", "stdout", []),
-        (["count", "--moduli", "5,6", "--format", "json"], "family_stats", "exit", "0"),
-        (["verify", "--claim", "xiong"], "verify_claim", "exit", True),
+        (["enumerate", "--moduli", "5,6", "--format", "csv"], "enumerate_multi_cores", "stdout", b"\xff\xfe"),
+        (["enumerate", "--moduli", "5,6", "--format", "table"], "enumerate_multi_cores", "stdout", None),
+        (["count", "--moduli", "5,6", "--format", "json"], "family_stats", "exit", b"0.0"),
+        (["verify", "--claim", "xiong"], "verify_claim", "exit", b"True"),
         (["verify", "--claim", "xiong"], "verify_claim", "exit", None),
         (["verify", "--claim", "xiong"], "verify_claim", "stdout", None),
     ])
     def test_mistyped_field_is_recomputed_and_rewritten(self, capsys, tmp_path, monkeypatch,
                                                         argv, compute, field, value):
+        # one field of an otherwise intact entry is replaced by `value`, or dropped with its newline if None
         lines = -1 if argv[0] == "verify" else None  # a verify table ends with its elapsed time
-
-        def without_elapsed(entry):
-            return {**entry, "stdout": entry["stdout"].splitlines()[:lines]}
-
         code, fresh, _ = run(capsys, *argv)
         (path,) = (tmp_path / "cache").iterdir()
-        entry = json.loads(path.read_text())
-        path.write_text(json.dumps({**entry, field: value}))
+        entry = dict(zip(["exit", "stdout"], zlib.decompress(path.read_bytes()).split(b"\n", 1)))
+        stored = b"\n".join(entry.values()).decode().splitlines()[:lines]
+        path.write_bytes(zlib.compress(b"\n".join(v for v in {**entry, field: value}.values() if v is not None)))
         answer = run(capsys, *argv)
         assert answer[0] == code and answer[2] == ""
         assert answer[1].splitlines()[:lines] == fresh.splitlines()[:lines]
-        assert without_elapsed(json.loads(path.read_text())) == without_elapsed(entry)
+        assert zlib.decompress(path.read_bytes()).decode().splitlines()[:lines] == stored
         with monkeypatch.context() as patch:  # the rewritten entry answers the next run alone
             patch.setattr(cli, compute, None)
             assert run(capsys, *argv) == answer
