@@ -218,10 +218,10 @@ def render_abacus(a: Abacus, rows: int | None = None) -> str:
         raise ValueError("at least one row is required")
     if a.max_row() >= rows:
         raise ValueError(f"abacus occupies row {a.max_row()}, beyond {rows} rows")
-    width = len(str(a.runners * rows - 1))
+    width, full = len(str(a.runners * rows - 1)), (1 << a.runners) - 1
     lines = []
     for j in range(rows - 1, -1, -1):
-        row, cells = a.mask >> j * a.runners, []
+        row, cells = a.mask >> j * a.runners & full, []
         for i in range(a.runners):
             value = str(i + j * a.runners).rjust(width)
             cells.append(f"[{value}]" if row >> i & 1 else f" {value} ")

@@ -7,6 +7,8 @@ Each command returns its exit code and stdout text and prints nothing; `main`
 prints the text once. `count`, `enumerate` and `verify` run through a cache
 that replays the exit code and stdout an earlier run stored for the same
 arguments.
+
+`build_parser` builds the parser once per process; every `main` call shares it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import zlib
 from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
-from .constructions import _M_FOLDS, CONSTRUCTIONS, build_l, build_named
-from .enumeration import GuardRailError, enumerate_multi_cores, family_stats, maximal_st_core
+from .constructions import _M_FOLDS, CONSTRUCTIONS, _l_beads, _named_rows, build_l, build_named
+from .enumeration import (LONGEST_MAX_BEADS, SHOW_MAX_CELLS, GuardRailError, _check_rail,
+                          enumerate_multi_cores, family_stats, maximal_st_core)
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
@@ -113,9 +116,13 @@ def _parse_grid(text: str) -> dict:
 
 
 def cmd_show(args) -> tuple[int, str]:
+    label = f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")"
+    folds = args.m if args.name in _M_FOLDS else 1
+    _check_rail(lambda s: s * folds * (args.rows or max(_named_rows(args.name, s, args.m), 1)), args.s,
+                SHOW_MAX_CELLS, f"the runners x rows of {label}", "s")
     abacus = build_named(args.name, args.s, args.m)
     grid = render_abacus(abacus, rows=args.rows)
-    lines = [f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")"]
+    lines = [label]
     if not abacus.mask:
         lines.append("(no beads)")
     return EXIT_OK, "\n".join([*lines, grid]) + "\n"
@@ -176,6 +183,8 @@ def cmd_maximal(args) -> tuple[int, str]:
 
 
 def cmd_longest(args) -> tuple[int, str]:
+    _check_rail(lambda s: _l_beads(s, args.m), args.s, LONGEST_MAX_BEADS,
+                f"the beads of L(s={args.s}, m={args.m}), the parts of the longest core,", "s")
     p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
         return EXIT_OK, json.dumps({"s": args.s, "m": args.m, "partition": list(p),
@@ -184,7 +193,10 @@ def cmd_longest(args) -> tuple[int, str]:
                      f"{list(p)} parts={len(p)} weight={p.weight}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cores` parser, built once per process and shared by every `main` call: `parse_args`
+    mutates nothing in it, each parse fills a fresh `Namespace`, and no default is a mutable value."""
     parser = argparse.ArgumentParser(prog="cores", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -227,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, out = (_cached if "no_cache" in args else args.func)(args)
     except ArithmeticError as exc:

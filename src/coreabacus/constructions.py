@@ -176,6 +176,19 @@ def build_named(name: str, s: int, m: int = 1) -> Abacus:
     return _BUILDERS[name](s, m)
 
 
+def _named_rows(name: str, s: int, m: int) -> int:
+    """Rows `build_named(name, s, m)` occupies, from s and m alone: A and B0 have s - 1, a pyramid
+    (C0, C1, L) about half as many, and B1, C1 and the m = 1 wedges that are them one fewer."""
+    k = name in ("B1", "C1") or (name in ("E-", "L") and m == 1)
+    return max((s - k) // 2 if name in ("C0", "C1", "L") else s - 1 - k, 0)
+
+
+def _l_beads(s: int, m: int) -> int:
+    """Beads of L(s, m), the parts of the longest (s, ms-1, ms+1)-core: m - 1 copies of C0(s),
+    with floor(s^2/4) beads, then C1(s), with floor((s-1)^2/4)."""
+    return (m - 1) * (s * s // 4) + (s - 1) ** 2 // 4
+
+
 def _check_s(s: int) -> None:
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")

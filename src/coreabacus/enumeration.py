@@ -44,6 +44,9 @@ from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
 FAMILY_MAX_CORES = 250_000  # guard rail on the core count of a family's smallest coprime pair
+MAXIMAL_MAX_FROBENIUS = 1_000_000  # guard rail on st - s - t, the values `maximal_st_core` sieves
+LONGEST_MAX_BEADS = 500_000  # guard rail on the beads of L(s, m), the parts `cores longest` prints
+SHOW_MAX_CELLS = 1_000_000  # guard rail on the runners x rows of the grid `cores show` prints
 # the first s whose Catalan number C(2s, s)/(s + 1), the count of (s, s + 1), is beyond the rail
 _RAIL_MODULUS = next(s for s in itertools.count(1) if math.comb(2 * s, s) // (s + 1) > FAMILY_MAX_CORES)
 # a pair (s, t), s <= t, within the rail has s < _RAIL_MODULUS and, from s = 2, t <= 2 * FAMILY_MAX_CORES + 1,
@@ -54,6 +57,21 @@ _RAIL_BITS = (_RAIL_MODULUS - 2) * (2 * FAMILY_MAX_CORES + _RAIL_MODULUS).bit_le
 
 class GuardRailError(ValueError):
     """A request exceeded its desk-scale guard rail."""
+
+
+def _check_rail(size, n: int, limit: int, what: str, name: str) -> None:
+    """Refuse a positive input `n` whose `size(n)` is beyond `limit`, before any work, naming the
+    largest admissible `name` with the other inputs kept.  `size` is non-decreasing on 0..n and
+    within the rail at 0; a non-positive `n` is left to the work's own checks."""
+    if n > 0 and size(n) > limit:
+        lo, hi = 0, 1
+        while size(hi) <= limit:  # doubling, so a huge n costs no more steps than the answer
+            lo, hi = hi, min(2 * hi, n)
+        while hi - lo > 1:  # size(lo) <= limit < size(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if size(mid) <= limit else (lo, mid)
+        raise GuardRailError(f"{what} are beyond the guard rail of {limit}; "
+                             f"the largest admissible {name} here is {lo}")
 
 
 class AmbiguousLongestError(ValueError):
@@ -292,7 +310,10 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
 
 
 def maximal_st_core(s: int, t: int) -> Partition:
-    """The core whose bead set is the full gap set of <s, t>."""
+    """The core whose bead set is the full gap set of <s, t>, railed on the st - s - t values sieved."""
+    _check_coprime(s, t)
+    _check_rail(lambda t: s * t - s - t, t, MAXIMAL_MAX_FROBENIUS,
+                f"the st - s - t values sieved for the maximal ({s},{t})-core", "t")
     return _mask_to_partition(_beads_mask(gap_poset(s, t).gaps))
 
 

@@ -286,5 +286,18 @@ class TestRendering:
         with pytest.raises(ValueError):
             ab.render_abacus(a, rows=2)
 
+    def test_matches_a_renderer_read_off_positions(self):
+        # row j shows bits j*runners .. (j+1)*runners - 1 of the mask and no bead above them
+        rng = random.Random(25)
+        for _ in range(200):
+            runners = rng.randint(1, 7)
+            a = Abacus._trusted(runners, rng.getrandbits(rng.randint(0, 60)))
+            for rows in {max(a.max_row() + 1, 1), a.max_row() + rng.randint(2, 4)}:
+                width = len(str(runners * rows - 1))
+                cells = [[f"[{i + j * runners:>{width}}]" if (i, j) in a.positions else f" {i + j * runners:>{width}} "
+                          for i in range(runners)] for j in reversed(range(rows))]
+                assert ab.render_abacus(a, rows) == "\n".join(" ".join(row).rstrip() for row in cells), (a, rows)
+            assert ab.render_abacus(a) == ab.render_abacus(a, max(a.max_row() + 1, 1))
+
     def test_beadset_json(self):
         assert ab.beadset_to_json(frozenset({6, 2, 4})) == "[2, 4, 6]"

@@ -10,7 +10,7 @@ from coreabacus import abacus, cli, enumeration
 from coreabacus.cli import main
 from coreabacus.enumeration import enumerate_multi_cores, longest_member
 from coreabacus.partitions import Partition
-from coreabacus.verification import _triple_moduli
+from coreabacus.verification import _triple_moduli, max_weight_formula
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,6 +24,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)`, with an argparse rejection's `SystemExit` code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reuse_leaks_nothing(self, capsys):
+        # each command after the first would read a default, or a value stored by the command before
+        # it, if a parse left state in the shared parser; every outcome must be a fresh parser's
+        script = [["count", "--moduli", "5,14", "--distinct"], ["count", "--moduli", "5,14"],
+                  ["show", "L", "--s", "5", "--m", "3"], ["show", "L", "--s", "5"],
+                  ["verify", "--claim", "xiong", "--grid", "s=1..3"], ["verify", "--claim", "xiong"],
+                  ["count", "--moduli", "4,x"], ["enumerate", "--moduli", "3,4"]]
+        shared = [outcome(capsys, argv) for argv in script]
+        assert shared[6][0] == 2 and "cannot parse moduli" in shared[6][2]
+        for argv, seen in zip(script, shared):
+            cli.build_parser.cache_clear()
+            assert outcome(capsys, argv) == seen, argv
 
 
 class TestShow:
@@ -46,6 +74,22 @@ class TestShow:
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "show", "A", "--s", "0")
         assert code == 2 and "error" in err
+
+    def test_rail_boundary(self, capsys, monkeypatch):
+        # A(s) shows s runners x s - 1 rows: A(1000) is the largest admitted, refused before it is built
+        code, out, err = run(capsys, "show", "A", "--s", "1000")
+        assert (code, err, out.count("\n")) == (0, "", 1000) and out.startswith("A(s=1000)\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rail let the work start")
+
+        monkeypatch.setattr(cli, "build_named", refuse)
+        monkeypatch.setattr(cli, "render_abacus", refuse)
+        for argv, largest in [(["A", "--s", "1001"], 1000), (["L", "--s", "317", "--m", "20"], 316),
+                              (["A", "--s", "5", "--rows", "200001"], 4), (["E+", "--s", "10" * 2000], 1000)]:
+            code, out, err = run(capsys, "show", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith(f"guard rail of 1000000; the largest admissible s here is {largest}\n"), err
 
     def test_too_few_rows_print_nothing(self, capsys):
         # A(5) occupies rows 0..3
@@ -465,6 +509,38 @@ class TestMaximalAndLongest:
     def test_maximal_non_coprime(self, capsys):
         code, _, err = run(capsys, "maximal", "--s", "4", "--t", "6")
         assert code == 2
+
+    def test_maximal_rail_boundary(self, capsys, monkeypatch):
+        # the rail is on st - s - t: (1000,1001) sieves 998,999 values, (1001,1002) would sieve 1,000,999
+        code, out, err = run(capsys, "maximal", "--s", "1000", "--t", "1001", "--format", "json")
+        payload = json.loads(out)
+        assert (code, err, len(payload["partition"])) == (0, "", 999 * 1000 // 2)
+        assert payload["weight"] == max_weight_formula(1000, 1001)
+
+        def gap_poset(s, t):
+            raise AssertionError(f"the rail sieved <{s}, {t}>")
+
+        monkeypatch.setattr(enumeration, "gap_poset", gap_poset)
+        for s, t, largest in [(1001, 1002, 1001), (2, 1000003, 1000002), (100000, 100001, 11)]:
+            code, out, err = run(capsys, "maximal", "--s", str(s), "--t", str(t))
+            assert (code, out) == (2, ""), (s, t)
+            assert err.endswith(f"guard rail of 1000000; the largest admissible t here is {largest}\n"), err
+            with pytest.raises(enumeration.GuardRailError):
+                enumeration.maximal_st_core(s, t)
+
+    def test_longest_rail_boundary(self, capsys, monkeypatch):
+        # L(316, 20) holds 499,122 beads, L(317, 20) would hold 502,282
+        code, out, err = run(capsys, "longest", "--s", "316", "--m", "20", "--format", "json")
+        assert (code, err, json.loads(out)["parts"]) == (0, "", 499122)
+
+        def build_l(s, m):
+            raise AssertionError(f"the rail built L({s}, {m})")
+
+        monkeypatch.setattr(cli, "build_l", build_l)
+        for s, m, largest in [(317, 20, 316), (1000, 20, 316), (1416, 1, 1415)]:
+            code, out, err = run(capsys, "longest", "--s", str(s), "--m", str(m))
+            assert (code, out) == (2, ""), (s, m)
+            assert err.endswith(f"guard rail of 500000; the largest admissible s here is {largest}\n"), err
 
     def test_longest_5_3(self, capsys):
         code, out, _ = run(capsys, "longest", "--s", "5", "--m", "3", "--format", "json")

@@ -328,6 +328,14 @@ class TestNamedLookup:
         with pytest.raises(ValueError):
             cx.build_named("Z", 5)
 
+    def test_rows_and_beads_read_off_s_and_m_match_the_builders(self):
+        # the `show` and `longest` rails predict these before anything is built
+        for s in range(1, 14):
+            for m in range(1, 5):
+                for name in cx.CONSTRUCTIONS:
+                    assert cx._named_rows(name, s, m) == cx.build_named(name, s, m).max_row() + 1, (name, s, m)
+                assert cx._l_beads(s, m) == cx.build_l(s, m).mask.bit_count() == len(part_of(cx.build_l(s, m))), (s, m)
+
 
 class TestLongestAmongFamilies:
     def test_strictly_most_parts_small(self):
