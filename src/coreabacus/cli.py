@@ -118,6 +118,8 @@ def _parse_grid(text: str) -> dict:
 def cmd_show(args) -> tuple[int, str]:
     label = f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")"
     folds = args.m if args.name in _M_FOLDS else 1
+    if args.rows and folds * args.rows > SHOW_MAX_CELLS:  # --rows alone breaks the rail, at every s
+        _check_rail(lambda r: args.s * folds * r, args.rows, SHOW_MAX_CELLS, f"the runners x rows of {label}", "--rows")
     _check_rail(lambda s: s * folds * (args.rows or max(_named_rows(args.name, s, args.m), 1)), args.s,
                 SHOW_MAX_CELLS, f"the runners x rows of {label}", "s")
     abacus = build_named(args.name, args.s, args.m)
@@ -197,7 +199,7 @@ def cmd_longest(args) -> tuple[int, str]:
 def build_parser() -> argparse.ArgumentParser:
     """The `cores` parser, built once per process and shared by every `main` call: `parse_args`
     mutates nothing in it, each parse fills a fresh `Namespace`, and no default is a mutable value."""
-    parser = argparse.ArgumentParser(prog="cores", description=__doc__)
+    parser = argparse.ArgumentParser(prog="cores", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser("show", help="render a named construction as an ASCII abacus")

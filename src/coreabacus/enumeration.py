@@ -12,28 +12,22 @@ are built in one eager pass with the cyclic garbage collector paused: a
 collection would traverse every member built so far, and the members hold no
 reference cycles.  The pause is process-wide and restores the collector's
 earlier state; a built family keeps its self-conjugate members by
-`filter_self_conjugate`.  A coprime pair's statistics, unless distinct parts
-are asked for, are closed forms: Anderson's count, or Ford-Mai-Sze's of the
-self-conjugate cores, and the full gap set's weight, length and Frobenius number.  A
-pair's weight profile, and a distinct (s, ms±1) pair, are read off one dynamic
-programme over the runners of the s-abacus; a self-conjugate family with distinct
-parts is the staircases below its smallest odd modulus; every other family's
-statistics are `_walk_stats`, folded from the same tree walked depth first, with no
-`Partition` built, the reference every other route is tested against.  The
-rail is decided from the moduli before any walk: a smallest coprime pair
-whose moduli bound its count beyond every pair within the rail is refused
-before its count is needed.  The slow route keeps the
-partitions up to a weight bound with no hook length among the moduli, read
-off the Young diagram and never off a bead mask; it exists only as an
-independent oracle for tests and verification.
+`filter_self_conjugate`.  A family's statistics and its rail come from the
+first row of `_ROUTES` that applies; `_walk_stats`, folded from the same tree
+walked depth first with no `Partition` built, is the reference every other
+route is tested against.  The slow route keeps the partitions up to a weight
+bound with no hook length among the moduli, read off the Young diagram and
+never off a bead mask; it exists only as an independent oracle for tests and
+verification.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
@@ -43,16 +37,14 @@ from .abacus import _beads_mask, _mask_is_self_conjugate, _mask_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
-FAMILY_MAX_CORES = 250_000  # guard rail on the core count of a family's smallest coprime pair
+FAMILY_MAX_BITS = 14_000  # guard rail on the bits of a family's answers: 4,215 digits, within Python's print limit
+FAMILY_MAX_CORES = 250_000  # guard rail on the cores the walk visits
+FAMILY_MAX_PARTS = 15_000_000  # guard rail on the parts a built family holds: (12,13) holds 13,728,792
+RUNNER_MAX_WORK = 5_000_000  # guard rail on the runner DP's work units, about 1 s
 MAXIMAL_MAX_FROBENIUS = 1_000_000  # guard rail on st - s - t, the values `maximal_st_core` sieves
 LONGEST_MAX_BEADS = 500_000  # guard rail on the beads of L(s, m), the parts `cores longest` prints
 SHOW_MAX_CELLS = 1_000_000  # guard rail on the runners x rows of the grid `cores show` prints
-# the first s whose Catalan number C(2s, s)/(s + 1), the count of (s, s + 1), is beyond the rail
-_RAIL_MODULUS = next(s for s in itertools.count(1) if math.comb(2 * s, s) // (s + 1) > FAMILY_MAX_CORES)
-# a pair (s, t), s <= t, within the rail has s < _RAIL_MODULUS and, from s = 2, t <= 2 * FAMILY_MAX_CORES + 1,
-# since (2, t) has (t + 1)/2 cores and the count grows with s: so (s - 1) * (s + t).bit_length(), the
-# exponent of 2 bounding its count C(s+t-1, s-1)/s < (s+t)**(s-1), is at most this
-_RAIL_BITS = (_RAIL_MODULUS - 2) * (2 * FAMILY_MAX_CORES + _RAIL_MODULUS).bit_length()
+_SPACER_COST = 10  # the work units of one spacer step of the runner DP, in row updates (measured)
 
 
 class GuardRailError(ValueError):
@@ -83,9 +75,7 @@ class AmbiguousLongestError(ValueError):
 
 
 class FamilyStats(NamedTuple):
-    """A family's size and extremes, as `family_stats` gives them: closed forms for a plain
-    coprime pair or a distinct self-conjugate family, the runner DP for a distinct (s, ms±1)
-    pair, `_walk_stats` for any other family."""
+    """A family's size and extremes, as `family_stats` gives them from its row of `_ROUTES`."""
 
     count: int
     max_weight: int  # 0 for a family of the empty partition alone
@@ -215,6 +205,31 @@ def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
             stack.append((mask | 1 << b, n + 1, total + b, a + i))
 
 
+def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False, budget=None) -> FamilyStats:
+    """The statistics folded from `_masks`, keeping the masks that pass the mirror test if
+    `self_conjugate`: the walk's one answer, the reference for every other route.  A minimal bead
+    set holds one bead per part, so a mask with n beads and bead sum S weighs S - n(n-1)/2.  With a
+    `budget`, a walk that visits one core more is refused there: the rail of the distinct walk, which
+    has no size prediction, the one decided during the work, and the same for the same input.
+    """
+    count = max_weight = longest = top = 0  # the largest mask has the largest bead
+    nodes = _masks(moduli, distinct)
+    for mask, n, total in itertools.islice(nodes, budget):
+        if self_conjugate and not _mask_is_self_conjugate(mask, n):
+            continue
+        count += 1
+        weight = total - n * (n - 1) // 2
+        if weight > max_weight:
+            max_weight = weight
+        if n > longest:
+            longest = n
+        if mask > top:
+            top = mask
+    if next(nodes, None) is not None:
+        raise GuardRailError(f"the walk of moduli {moduli} visits more than {budget} cores, beyond the guard rail")
+    return FamilyStats(count, max_weight, longest, top.bit_length() - 1)
+
+
 def _runner_paths(s: int, t: int, *, distinct: bool = False) -> tuple[FamilyStats, int]:
     """(`FamilyStats`, how many members reach the largest weight) of the (s, t)-cores, coprime;
     `distinct` needs t = ±1 (mod s).
@@ -261,35 +276,6 @@ def _runner_paths(s: int, t: int, *, distinct: bool = False) -> tuple[FamilyStat
     return FamilyStats(count, best, max(row), top), sum(hits for weight, hits in weights if weight == best)
 
 
-def _check_family(moduli: tuple, distinct: bool) -> None:
-    """Refuse a multi-core family before any walk: a modulus below 1, no coprime pair,
-    or without `distinct` a smallest coprime pair whose cores are beyond the rail.  The pair
-    is counted only when its exponent (s - 1) * (s + t).bit_length() is within `_RAIL_BITS`,
-    so the count, named in the message, is small; beyond it the pair is refused uncounted."""
-    if any(t < 1 for t in moduli):
-        raise ValueError(f"moduli must be positive, got {moduli}")
-    pair = _coprime_pair(moduli)
-    if pair is None:
-        raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
-    if distinct:  # the pruned distinct walk has no size prediction
-        return
-    s, t = sorted(pair)
-    size = count_st_cores(s, t) if (s - 1) * (s + t).bit_length() <= _RAIL_BITS else None
-    if size is not None and size <= FAMILY_MAX_CORES:
-        return
-    raise GuardRailError(
-        f"moduli {moduli} are railed on their smallest coprime pair ({pair[0]},{pair[1]}), "
-        f"whose {'' if size is None else f'{size} '}cores are beyond the guard rail of {FAMILY_MAX_CORES}"
-    )
-
-
-def _members(moduli: tuple, distinct: bool) -> tuple:
-    """Every member of a multi-core family as a `Partition`, in lexicographic order, built by
-    `_lex_walk` in one pass.  The rail is checked before the walk starts."""
-    _check_family(moduli, distinct)
-    return tuple(_lex_walk(moduli, distinct))
-
-
 def count_st_cores(s: int, t: int) -> int:
     """Number of (s,t)-cores: Anderson's C(s+t, s)/(s+t)."""
     _check_coprime(s, t)
@@ -299,7 +285,7 @@ def count_st_cores(s: int, t: int) -> int:
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
-    return CoreFamily((s, t), _members((s, t), distinct), distinct)
+    return replace(enumerate_multi_cores((s, t), distinct), moduli=(s, t))
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
@@ -345,78 +331,98 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
     return replace(f, members=members, self_conjugate=True)
 
 
-def _staircase_top(moduli: tuple) -> int:
-    """The largest k whose staircase (k, ..., 1) is a core of every modulus.  A self-conjugate
-    partition with distinct parts is a staircase, and the hooks of (k, ..., 1) are the odd numbers
-    up to 2k - 1, so it is a core of every modulus exactly when 2k - 1 is below the smallest odd
-    one; with no odd modulus every staircase is a core, and no coprime pair is needed."""
-    if any(t < 1 for t in moduli):
-        raise ValueError(f"moduli must be positive, got {moduli}")
-    odd = [r for r in moduli if r % 2]
-    if not odd:
-        raise ValueError(f"no odd modulus in {moduli}; every staircase is a core, so the family is infinite")
-    return (min(odd) - 1) // 2
-
-
-def enumerate_multi_cores(
-    moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False
-) -> CoreFamily:
-    """Every core for all of `moduli`, or with `distinct` every one with distinct parts, in
-    lexicographic order; with `self_conjugate`, `filter_self_conjugate` of that family, which
-    with `distinct` is the staircases up to `_staircase_top`."""
+def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> CoreFamily:
+    """Every core for all of `moduli`, or with `distinct` every one with distinct parts, in lexicographic order;
+    with `self_conjugate`, `filter_self_conjugate` of it, or with `distinct` the `_staircases`; see `_check_build`."""
     moduli = tuple(sorted(set(moduli)))
+    _check_build(moduli, distinct, self_conjugate)
     if distinct and self_conjugate:
-        members = tuple(map(pt.staircase, range(_staircase_top(moduli) + 1)))
-        return CoreFamily(moduli, members, True, True)
-    family = CoreFamily(moduli, _members(moduli, distinct), distinct)
+        return CoreFamily(moduli, tuple(map(pt.staircase, range(_staircases(moduli).count))), True, True)
+    family = CoreFamily(moduli, tuple(_lex_walk(moduli, distinct)), distinct)
     return filter_self_conjugate(family) if self_conjugate else family
 
 
-def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
-    """The statistics of `enumerate_multi_cores(...)`, with no `Partition` built.
+def _staircases(moduli: tuple, *_) -> FamilyStats:
+    """A self-conjugate partition with distinct parts is a staircase (k, ..., 1), of weight k(k + 1)/2, largest bead
+    2k - 1 and hooks the odd numbers up to 2k - 1: a core of every modulus just when 2k - 1 is below every odd one."""
+    odd = [r for r in moduli if r % 2]
+    if not odd:
+        raise ValueError(f"no odd modulus in {moduli}; every staircase is a core, so the family is infinite")
+    k = (min(odd) - 1) // 2
+    return FamilyStats(k + 1, k * (k + 1) // 2, k, 2 * k - 1)
 
-    One modulus or a coprime pair needs no walk without `distinct`: the count is
-    Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's C(s//2 + t//2, s//2) of the
-    self-conjugate cores, and every bead set lies inside the gap set of <s, t>,
-    so the full-gap-set core, the unique heaviest and hence self-conjugate, is
-    extreme on the other fields: weight (s^2 - 1)(t^2 - 1)/24, (s - 1)(t - 1)/2
-    parts and largest bead st - s - t.  With `distinct`, the self-conjugate members are the
-    staircases (k, ..., 1) for k up to K = `_staircase_top`, of weight k(k + 1)/2 and largest
-    bead 2k - 1, and `_runner_paths` answers a pair (s, ms±1).  Any other family is `_walk_stats`.
-    """
-    moduli = tuple(sorted(set(moduli)))
-    if distinct and self_conjugate:
-        k = _staircase_top(moduli)
-        return FamilyStats(k + 1, k * (k + 1) // 2, k, 2 * k - 1)
-    _check_family(moduli, distinct)
-    if distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1):
-        return _runner_paths(*moduli, distinct=True)[0]
-    if distinct or len(moduli) > 2:
-        return _walk_stats(moduli, distinct, self_conjugate)
+
+def _closed_form(moduli: tuple, distinct: bool, self_conjugate: bool) -> FamilyStats:
+    """One modulus or a coprime pair without `distinct`: the count is Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's
+    C(s//2 + t//2, s//2) of the self-conjugate cores, and every bead set lies inside the gap set of <s, t>, so the
+    full-gap-set core, the unique heaviest and hence self-conjugate, is extreme on the other fields: weight
+    (s^2 - 1)(t^2 - 1)/24, (s - 1)(t - 1)/2 parts and largest bead st - s - t.  Each is below (s + t)^s."""
     s, t = moduli[0], moduli[-1]
     count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
     return FamilyStats(count, (s * s - 1) * (t * t - 1) // 24, (s - 1) * (t - 1) // 2, s * t - s - t)
 
 
-def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False) -> FamilyStats:
-    """The statistics folded from `_masks`, keeping the masks that pass the mirror test if
-    `self_conjugate`: the walk's one answer, the reference for every other route.  A minimal bead
-    set holds one bead per part, so a mask with n beads and bead sum S weighs S - n(n-1)/2.
-    """
-    count = max_weight = longest = 0
-    top = 0  # the largest mask has the largest bead
-    for mask, n, total in _masks(moduli, distinct):
-        if self_conjugate and not _mask_is_self_conjugate(mask, n):
-            continue
-        count += 1
-        weight = total - n * (n - 1) // 2
-        if weight > max_weight:
-            max_weight = weight
-        if n > longest:
-            longest = n
-        if mask > top:
-            top = mask
-    return FamilyStats(count, max_weight, longest, top.bit_length() - 1)
+def _runner_work(s: int, t: int, limit: int) -> int | None:
+    """The work of `_runner_paths(s, t, distinct=True)`, `_SPACER_COST` units per spacer step and one per row
+    update, in O(s), or None once beyond `limit`: after runner j its states are spacer j*t mod s, the runner
+    empty, with a row of at most n = 0..a, and spacer s, with at most n = 1..b if b; exact where no row skips an n."""
+    work = a = b = 0
+    for j in range(1, s + 1):
+        steps = 1 if j == s else ((j - 1) * t % s + t - j * t % s) // s + 1
+        work += steps * (_SPACER_COST + a + 1) + (_SPACER_COST + b if b else 0)
+        a, b = max(a, b), (a + steps - 1 if steps > 1 else 0)
+        if work > limit:
+            return None
+    return work
+
+
+# A family takes the first route that applies, refused before any work if its cost, in `unit`s (None: uncounted), is
+# beyond its limit; `applies`, `stats` and `cost` take (sorted moduli, distinct, self_conjugate).
+_Route = namedtuple("_Route", "name applies stats cost unit limit")
+_ROUTES = (
+    _Route("staircases", lambda moduli, distinct, self_conjugate: distinct and self_conjugate, _staircases,
+           lambda moduli, *_: 2 * _staircases(moduli).longest_parts.bit_length(), "answer bits", FAMILY_MAX_BITS),
+    _Route("closed form", lambda moduli, distinct, _: not distinct and len(moduli) <= 2, _closed_form,
+           lambda moduli, *_: moduli[0] * (moduli[0] + moduli[-1]).bit_length(), "answer bits", FAMILY_MAX_BITS),
+    _Route("runner DP",
+           lambda moduli, distinct, _: distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1),
+           lambda moduli, *_: _runner_paths(*moduli, distinct=True)[0],
+           lambda moduli, *_: _runner_work(*moduli, RUNNER_MAX_WORK), "work units", RUNNER_MAX_WORK),
+    _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
+           lambda moduli, distinct, _: 0 if distinct else family_stats(_coprime_pair(moduli)).count,
+           "cores of the smallest coprime pair", FAMILY_MAX_CORES),
+)
+
+
+def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
+    """The first of `_ROUTES` that applies to the family of sorted `moduli`, refused if its cost is beyond its limit."""
+    if any(t < 1 for t in moduli):
+        raise ValueError(f"moduli must be positive, got {moduli}")
+    route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
+    if route.name != "staircases" and _coprime_pair(moduli) is None:
+        raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
+    if (cost := route.cost(moduli, distinct, self_conjugate)) is None or cost > route.limit:
+        raise GuardRailError(f"moduli {moduli} take the {route.name} route, whose {'' if cost is None else f'{cost} '}"
+                             f"{route.unit} are beyond the guard rail of {route.limit}")
+    return route
+
+
+def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
+    """The statistics of `enumerate_multi_cores(...)`, with no `Partition` built, from `_route`'s row."""
+    moduli = tuple(sorted(set(moduli)))
+    return _route(moduli, distinct, self_conjugate).stats(moduli, distinct, self_conjugate)
+
+
+def _check_build(moduli: tuple, distinct: bool, self_conjugate: bool) -> None:
+    """Refuse, before any work, a family of sorted `moduli` whose build would hold more than `FAMILY_MAX_PARTS`
+    parts, bounded by count x most parts: the staircases' or the unfiltered family's, read off its route, or
+    for the walk without `distinct` off the smallest coprime pair's closed forms, so it walks once."""
+    staircases = distinct and self_conjugate
+    plain_walk = _route(moduli, distinct, staircases).name == "walk" and not distinct
+    count, _, longest, _ = family_stats(_coprime_pair(moduli) if plain_walk else moduli, distinct, staircases)
+    if count * longest > FAMILY_MAX_PARTS:
+        raise GuardRailError(f"moduli {moduli} build up to {count} members of up to {longest} parts, "
+                             f"beyond the guard rail of {FAMILY_MAX_PARTS} parts")
 
 
 def longest_member(f: CoreFamily) -> Partition:
@@ -431,17 +437,9 @@ def longest_member(f: CoreFamily) -> Partition:
 
 
 def _coprime_pair(moduli: tuple) -> tuple | None:
-    # (1, 1) counts: the 1-cores are the empty partition alone
-    pairs = [
-        (a, b)
-        for i, a in enumerate(moduli)
-        for b in moduli[i:]
-        if math.gcd(a, b) == 1
-    ]
-    if not pairs:
-        return None
-    # the smallest product sets the rail
-    return min(pairs, key=lambda ab: ab[0] * ab[1])
+    """The coprime pair of least product, or None; (1, 1) counts: the 1-cores are the empty partition alone."""
+    pairs = [(a, b) for i, a in enumerate(moduli) for b in moduli[i:] if math.gcd(a, b) == 1]
+    return min(pairs, key=lambda ab: ab[0] * ab[1], default=None)
 
 
 def _check_coprime(s: int, t: int) -> None:

@@ -40,6 +40,11 @@ class TestSharedParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_help_is_one_line_of_description(self, capsys):
+        # the module docstring's notes on the code stay out of the help
+        code, out, _ = outcome(capsys, ["--help"])
+        assert code == 0 and out.split("\n\n")[1] == cli.__doc__.partition("\n")[0] and "build_parser" not in out
+
     def test_reuse_leaks_nothing(self, capsys):
         # each command after the first would read a default, or a value stored by the command before
         # it, if a parse left state in the shared parser; every outcome must be a fresh parser's
@@ -90,6 +95,12 @@ class TestShow:
             code, out, err = run(capsys, "show", *argv)
             assert (code, out) == (2, ""), argv
             assert err.endswith(f"guard rail of 1000000; the largest admissible s here is {largest}\n"), err
+
+    def test_rail_names_rows_when_rows_alone_break_it(self, capsys):
+        # 10,000,000 rows are beyond the rail at every s, so the message names --rows, with s kept
+        code, out, err = run(capsys, "show", "A", "--s", "5", "--rows", "10000000")
+        assert (code, out) == (2, "")
+        assert err.endswith("guard rail of 1000000; the largest admissible --rows here is 200000\n"), err
 
     def test_too_few_rows_print_nothing(self, capsys):
         # A(5) occupies rows 0..3
@@ -156,48 +167,95 @@ class TestEnumerateAndCount:
             code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
             assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 
-    def test_count_beyond_guard_rail_exit_two(self, capsys):
-        for moduli in ("13,14", "20,21"):
-            code, out, err = run(capsys, "count", "--moduli", moduli, "--no-cache")
-            assert code == 2 and out == "", moduli
-            assert "guard rail of 250000" in err, moduli
+    def test_count_beyond_guard_rail_exit_two(self, capsys, monkeypatch):
+        # a coprime pair is the closed form's, whatever its Catalan count; the walk of a triple is railed
+        # on its smallest pair's cores, and the runner DP on its predicted work
+        for argv, count in [(["20,21"], 6564120420), (["13,14"], 742900), (["20,21", "--self-conjugate"], 184756),
+                            (["9,28", "--distinct"], 1159)]:
+            code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
+            assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rail let the work start")
+
+        for argv, work, message in [
+            (["8,23,25"], "_masks", "take the walk route, whose 254475 cores of the smallest coprime pair are "
+                                    "beyond the guard rail of 250000"),
+            (["4000,4001", "--distinct"], "_runner_paths", "take the runner DP route, whose work units are beyond "
+                                                           "the guard rail of 5000000"),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, work, refuse)
+                code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache")
+            assert (code, out) == (2, "") and message in err, argv
+
+    def test_distinct_walk_stops_at_its_visit_budget(self, capsys, monkeypatch):
+        # (25,33) is off t = ±1 (mod s), so its 6,471,200 distinct cores are walked: the walk is refused
+        # on the core after its budget, the same on every run
+        visits = []
+        masks = enumeration._masks
+
+        def counted(*args):
+            for node in masks(*args):
+                visits.append(node)
+                yield node
+
+        monkeypatch.setattr(enumeration, "_masks", counted)
+        for _ in range(2):
+            visits.clear()
+            code, out, err = run(capsys, "count", "--moduli", "25,33", "--distinct", "--no-cache")
+            assert (code, out, len(visits)) == (2, "", enumeration.FAMILY_MAX_CORES + 1)
+            assert err == "error: the walk of moduli (25, 33) visits more than 250000 cores, beyond the guard rail\n"
 
     def test_rail_refuses_a_huge_pair_uncounted(self, capsys, monkeypatch):
-        code, _, err = run(capsys, "count", "--moduli", "13,14", "--no-cache")
-        assert code == 2 and "whose 742900 cores are beyond the guard rail of 250000" in err
+        def refuse(*args):
+            raise AssertionError("the rail let the work start")
 
-        def count_st_cores(s, t):
-            raise AssertionError(f"the rail counted ({s},{t})")
-
-        # refused from the moduli alone: the count is never computed, so neither its cost nor
-        # the interpreter's digit limit on printing it is met, even for a modulus of 401 digits
-        monkeypatch.setattr(enumeration, "count_st_cores", count_st_cores)
-        for moduli in ("300000,300001", "1000000,1000001", "12,1" + "0" * 399 + "1"):
+        # refused from the moduli alone: the count is never computed, so neither its cost nor the
+        # interpreter's digit limit on printing it is met, even for a modulus of 401 digits
+        monkeypatch.setattr(enumeration, "count_st_cores", refuse)
+        monkeypatch.setattr(enumeration.math, "comb", refuse)
+        for moduli, bits in [("300000,300001", 6000000), ("1000000,1000001", 21000000),
+                             ("12,1" + "0" * 399 + "1", 15948)]:
             code, out, err = run(capsys, "count", "--moduli", moduli, "--no-cache")
             assert (code, out) == (2, ""), moduli
-            assert "whose cores are beyond the guard rail of 250000" in err and "Exceeds the limit" not in err, moduli
+            assert f"take the closed form route, whose {bits} answer bits are beyond the guard rail of 14000" in err
+            assert "Exceeds the limit" not in err, moduli
+        # a triple's walk is railed on its smallest pair's count, which that pair's closed form rail refuses
+        monkeypatch.setattr(enumeration, "_masks", refuse)
+        code, out, err = run(capsys, "count", "--moduli", "300000,300001,600001", "--no-cache")
+        assert (code, out) == (2, "") and "(300000, 300001) take the closed form route, whose 6000000" in err
 
-    def test_rail_boundary(self, capsys):
-        # (2, t) has (t + 1)/2 cores: 2,499999 is the largest admitted pair with s = 2
-        code, out, err = run(capsys, "count", "--moduli", "2,499999", "--no-cache", "--format", "csv")
-        assert (code, out.splitlines(), err) == (0, ["count", "250000"], "")
-        code, out, err = run(capsys, "count", "--moduli", "2,500001", "--no-cache")
-        assert (code, out) == (2, "") and "whose 250001 cores are beyond the guard rail of 250000" in err
+    def test_rail_boundary(self, capsys, monkeypatch):
+        # the closed form's answers for (2, t) have at most 2 * (t + 2).bit_length() bits: t = 2^7000 - 3 is the
+        # largest odd t admitted, and its largest weight, (t^2 - 1)/8, prints 4,214 digits
+        t = 2 ** 7000 - 3
+        code, out, err = run(capsys, "count", "--moduli", f"2,{t}", "--no-cache")
+        assert (code, err) == (0, "") and f"count={(t + 1) // 2} max_weight={(t * t - 1) // 8} " in out
+        assert len(str((t * t - 1) // 8)) == 4214
+        code, out, err = run(capsys, "count", "--moduli", f"2,{t + 2}", "--no-cache")
+        assert (code, out) == (2, "") and "whose 14002 answer bits are beyond the guard rail of 14000" in err
+        # enumerate is railed on the parts it builds: (2,499999) would build 250,000 members of up to 249,999 parts
+        monkeypatch.setattr(enumeration, "_lex_walk", lambda *args: pytest.fail("the rail let the walk start"))
+        for moduli in ("2,499999", "13,14"):
+            code, out, err = run(capsys, "enumerate", "--moduli", moduli, "--no-cache", "--format", "csv")
+            assert (code, out) == (2, "") and "beyond the guard rail of 15000000 parts" in err, moduli
 
     @pytest.mark.parametrize("moduli", sorted({_triple_moduli(s, m) for s in range(1, 7) for m in range(1, 4)})
                              + [(5, 6), (9, 28), (10, 13)], ids=str)
     def test_enumerate_prints_the_family_stats(self, capsys, moduli):
-        # family_stats is the independent route: closed forms for a plain pair, the runner DP for a distinct
-        # (s, ms±1) pair, the staircases for a distinct self-conjugate family, and `_walk_stats` otherwise
+        # family_stats, read off the route table, is the independent route; enumerate's own rail is the
+        # parts it would build
         for flags in ([], ["--distinct"], ["--self-conjugate"], ["--distinct", "--self-conjugate"]):
             argv = ["enumerate", "--moduli", ",".join(map(str, moduli)), *flags, "--no-cache", "--format"]
             filters = {"distinct": "--distinct" in flags, "self_conjugate": "--self-conjugate" in flags}
             try:
-                count, max_weight, longest, _ = enumeration.family_stats(moduli, **filters)
+                enumeration._check_build(moduli, *filters.values())
             except enumeration.GuardRailError as exc:
                 for fmt in ("json", "csv", "table"):
                     assert run(capsys, *argv, fmt) == (2, "", f"error: {exc}\n"), (flags, fmt)
                 continue
+            count, max_weight, longest, _ = enumeration.family_stats(moduli, **filters)
             code, out, err = run(capsys, *argv, "json")
             payload = json.loads(out)
             assert (code, err, payload["filters"]) == (0, "", filters), flags

@@ -1,6 +1,9 @@
+import collections
 import gc
+import inspect
 import math
 import operator
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -233,42 +236,73 @@ class TestMultiCores:
         with pytest.raises(ValueError):
             en.enumerate_multi_cores({0, 3})
 
-    def test_guard_rail_on_full_walk(self):
-        assert en.count_st_cores(12, 13) <= en.FAMILY_MAX_CORES < en.count_st_cores(13, 14)
-        with pytest.raises(en.GuardRailError, match="742900.*250000"):
-            en.enumerate_multi_cores({13, 14})
-        for s, t in ((13, 14), (14, 13)):
-            with pytest.raises(en.GuardRailError, match="742900.*250000"):
-                en.enumerate_st_cores(s, t)
-        with pytest.raises(en.GuardRailError):
-            en.enumerate_multi_cores({20, 21, 41})
-        # the pruned distinct walk is not railed: (9,28) has 3,362,260 cores
+    def test_guard_rail_on_full_walk(self, monkeypatch):
+        # a build is railed on its parts, count x most parts: (12,13) builds 208,012 x 66, (13,14) 742,900 x 78
+        assert 208012 * 66 <= en.FAMILY_MAX_PARTS < 742900 * 78
+        with monkeypatch.context() as patch:
+            patch.setattr(en, "_lex_walk", lambda *args: pytest.fail("the rail let the walk start"))
+            with pytest.raises(en.GuardRailError, match="742900 members of up to 78 parts.*15000000"):
+                en.enumerate_multi_cores({13, 14})
+            for s, t in ((13, 14), (14, 13)):
+                with pytest.raises(en.GuardRailError, match="742900 members of up to 78 parts.*15000000"):
+                    en.enumerate_st_cores(s, t)
+            # the walk of a triple is railed on its smallest pair's cores
+            with pytest.raises(en.GuardRailError, match="whose 6564120420 cores of the smallest coprime pair"):
+                en.enumerate_multi_cores({20, 21, 41})
+        # the distinct (9,28) family is read off the runner DP: it builds 1,159 members, not the 3,362,260 cores
         assert len(en.enumerate_multi_cores({9, 28}, distinct=True)) == 1159
 
-    def test_rail_modulus_is_the_first_catalan_number_beyond_the_rail(self):
-        k = en._RAIL_MODULUS
-        assert en.count_st_cores(k - 1, k) <= en.FAMILY_MAX_CORES < en.count_st_cores(k, k + 1)
+    def test_rail_modulus_is_the_first_catalan_number_beyond_the_rail(self, monkeypatch):
         # a pair's count grows with its larger modulus, so the Catalan number of the smaller bounds it
         for s in range(1, 16):
             counts = [en.count_st_cores(s, t) for t in range(s + 1, 60) if math.gcd(s, t) == 1]
             assert counts == sorted(counts) and counts[0] == en.count_st_cores(s, s + 1), s
+        # so the first s whose Catalan number is beyond the walk's rail, 13, is the first whose triples
+        # (s, ms - 1, ms + 1) with m >= 2 are refused on their pair (s, ms - 1) before the walk
+        k = next(s for s in range(1, 20) if en.count_st_cores(s, s + 1) > en.FAMILY_MAX_CORES)
+        assert k == 13 and en.count_st_cores(k - 1, k) <= en.FAMILY_MAX_CORES
+        assert en.family_stats((k - 2, k - 1, k)).count > 0  # (12, 11, 13) is walked on (11,12)
+        monkeypatch.setattr(en, "_masks", lambda *args: pytest.fail("the rail let the walk start"))
+        for m in range(2, 6):
+            with pytest.raises(en.GuardRailError, match="cores of the smallest coprime pair are beyond"):
+                en.family_stats((k, m * k - 1, m * k + 1))
 
     def test_every_pair_within_the_rail_is_counted(self):
-        # for each s, the largest t within the rail (the count grows with t) has its exponent within
-        # _RAIL_BITS, so no pair within the rail is refused uncounted
-        for s in range(2, en._RAIL_MODULUS):
-            lo, hi = s, 2 * en.FAMILY_MAX_CORES + 2  # count(s, hi) >= (hi + 1)/2 is beyond the rail
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if math.comb(s + mid - 1, s - 1) // s <= en.FAMILY_MAX_CORES else (lo, mid)
-            assert (s - 1) * (s + lo).bit_length() <= en._RAIL_BITS, s
+        # the closed form's cost, s * (s + t).bit_length(), bounds the bits of each of its answers, so every
+        # pair within the rail prints them, 4,215 digits at most; checked from s = 1 up and at the rail's edge
+        cost = en._ROUTES[1].cost
+        edges = [(s, 2 ** (en.FAMILY_MAX_BITS // s) - s - 1) for s in range(2, 120)]
+        for s, t in [(s, t) for s in range(1, 30) for t in range(s, 200)] + edges:
+            if math.gcd(s, t) == 1:
+                for self_conjugate in (False, True):
+                    stats = en._closed_form((s, t), False, self_conjugate)
+                    assert max(abs(field).bit_length() for field in stats) <= cost((s, t), False, False), (s, t)
+        assert all(cost((s, t), False, False) <= en.FAMILY_MAX_BITS for s, t in edges)
+        assert len(str(2 ** en.FAMILY_MAX_BITS)) == 4215
 
     def test_rail_orders_the_pair(self):
         # the larger modulus first is the same pair: (2,63) has 32 cores, (3,100) 1717
         assert len(en.enumerate_st_cores(63, 2)) == en.count_st_cores(2, 63) == 32
         assert len(en.enumerate_st_cores(100, 3)) == en.count_st_cores(3, 100) == 1717
-        with pytest.raises(en.GuardRailError, match=r"pair \(500001,2\), whose 250001 cores"):
+        with pytest.raises(en.GuardRailError, match=r"moduli \(2, 500001\) build up to 250001 members"):
             en.enumerate_st_cores(500001, 2)
+
+    def test_distinct_walk_visit_budget_boundary(self):
+        # the distinct (5,7)-cores are 16: a budget of 16 visits answers, and 15 refuses on the 16th core
+        assert en._walk_stats((5, 7), True, budget=16) == en._walk_stats((5, 7), True)
+        with pytest.raises(en.GuardRailError, match=r"\(5, 7\) visits more than 15 cores, beyond the guard rail"):
+            en._walk_stats((5, 7), True, budget=15)
+
+    def test_route_table(self):
+        # the first route that applies answers: the staircases, the closed form, the runner DP, then the walk
+        assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "walk"]
+        for moduli, distinct, self_conjugate, name in [
+            ((6, 9), True, True, "staircases"), ((20, 21), False, True, "closed form"),
+            ((1,), False, False, "closed form"), ((5, 14), True, False, "runner DP"), ((5, 7), True, False, "walk"),
+            ((5, 14, 16), False, True, "walk"),
+        ]:
+            assert en._route(moduli, distinct, self_conjugate).name == name, moduli
+
 
 class TestLongestMember:
     def test_3_2_4(self):
@@ -462,6 +496,31 @@ class TestRunnerPaths:
             patch.setattr(en, "_runner_paths", refuse)
             for moduli in [(5, 7), (10, 13), (4, 7, 9)]:
                 assert en.family_stats(moduli, distinct=True).count > 0, moduli
+
+    def test_work_prediction_bounds_the_work(self):
+        # each line event of the DP's spacer step and of its row update is counted, by tracing the DP itself;
+        # the prediction bounds that work within a factor of 2 (on this grid it is exact: no row skips an n)
+        code = en._runner_paths.__code__
+        lines = inspect.getsourcelines(en._runner_paths)
+        step, update = (lines[1] + next(i for i, line in enumerate(lines[0]) if line.strip().startswith(text))
+                        for text in ("k = (spacer - low) // s", "value = sigma + total"))
+        for s in range(1, 13):
+            for t in sorted({m * s + sign for m in range(1, 11) for sign in (-1, 1)} - set(range(s + 1))):
+                seen = collections.Counter()
+
+                def local(frame, event, arg):
+                    seen[frame.f_lineno] += event == "line"
+                    return local
+
+                tracer = sys.gettrace()
+                sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+                try:
+                    en._runner_paths(s, t, distinct=True)
+                finally:
+                    sys.settrace(tracer)
+                work = en._SPACER_COST * seen[step] + seen[update]
+                assert seen[step] > 0 and work <= en._runner_work(s, t, math.inf) <= 2 * work, (s, t)
+                assert en._runner_work(s, t, work - 1) is None, (s, t)
 
     def test_distinct_needs_plus_or_minus_one(self):
         # off t = ±1 (mod s) adjacent runners do not hold adjacent beads: (5,7) has 16 distinct
