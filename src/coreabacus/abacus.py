@@ -1,9 +1,9 @@
 """Bead sets, s-abaci, conversions to/from partitions, and core predicates.
 
 Internally a bead set is a bitmask whose bit b is bead b, and each bead rule
-is stated once, on masks; an `Abacus` is a runner count and such a mask.  The
-frozensets of non-negative integers and the (i, j) grids of `positions` are
-adapters at the public edge, converted with `_beads_mask` and `from_abacus`.
+is stated once, on masks (the first-part walk's child rule, `_mask_core_window`,
+too); an `Abacus` is a runner count and such a mask.  Frozensets and the (i, j)
+grids of `positions` are adapters at the public edge (`_beads_mask`, `from_abacus`).
 """
 
 from __future__ import annotations
@@ -130,6 +130,20 @@ def _mask_to_partition(mask: int) -> Partition:
 def _mask_is_core(mask: int, r: int) -> bool:
     """True iff every bead b >= r has a bead at b - r: every r-abacus runner is bottom-justified."""
     return (mask >> r) & ~mask == 0
+
+
+def _mask_core_window(mask: int, top: int, moduli, distinct: bool) -> int:
+    """Bit i is set iff `mask | 1 << top + i` is a core of every r in `moduli` and, with `distinct`, i > 0 (i = 0
+    repeats the first part): the first-part walk's children of `mask`, a core of them all with beads below `top`.
+    So the smallest r clears every i >= r, and an r > top + min(moduli) clears none and costs no shift."""
+    window = -2 if distinct else -1
+    for r in moduli:
+        lift = top - r  # bit i of `mask >> lift` is bead top + i - r
+        if lift >= 0:
+            window &= mask >> lift
+        elif r <= top + min(moduli):
+            window &= mask << -lift | (1 << -lift) - 1
+    return window
 
 
 def _mask_is_self_conjugate(mask: int, n: int) -> bool:

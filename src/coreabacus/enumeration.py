@@ -2,11 +2,8 @@
 
 A core travels as its minimal bead set (first-column hook lengths), a
 bitmask indexed by bead value.  Members come from the first-part walk, in
-lexicographic order: a core is its first part on top of a smaller core, and
-the new top bead needs a bead one modulus below it (or lies below the
-modulus) for every modulus.  Each modulus prunes every node that is not its
-core, since beads added above cannot fill a missing bead below, and with
-distinct parts the new first part must exceed the old.  A family's members
+lexicographic order: a core is its first part on top of a smaller core, whose
+children are the window of `abacus._mask_core_window`.  A family's members
 are built in one eager pass with the cyclic garbage collector paused: a
 `Partition` is a tuple subclass, which the collector never untracks, so each
 collection would traverse every member built so far, and the members hold no
@@ -33,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
-from .abacus import _beads_mask, _mask_is_self_conjugate, _mask_to_partition
+from .abacus import _beads_mask, _mask_core_window, _mask_is_self_conjugate, _mask_to_partition
 from .partitions import Partition
 
 ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
@@ -144,18 +141,15 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
 
     A core with its first part removed is still a core: its minimal bead set
     loses only the top bead, which no lower bead needs.  So every core is
-    (a + i,) + q for a core q with first part a and n parts, and its new top
-    bead b = a + n + i must have b < r or bead b - r set for every modulus r;
-    only i < min(moduli) can pass, and with `distinct` i = 0 cannot.  Cores
-    go into buckets by first part, and the buckets are read in ascending
-    order, each while it grows, so each core is read after every smaller one
-    and lands in its bucket after every smaller core there.
+    (a + i,) + q for a core q with first part a and n parts, where bit i of
+    `_mask_core_window(q's mask, a + n, ...)` is set.  Cores go into buckets
+    by first part, and the buckets are read in ascending order, each while it
+    grows, so each core is read after every smaller one and lands in its
+    bucket after every smaller core there.
     """
-    low = min(moduli)
-    start = (1 << low) - (2 if distinct else 1)  # the window of i; with distinct, i = 0 repeats a part
     out = [pt.EMPTY]
     # the empty core's children, where i = 0 would add a part 0
-    seeds = {a: ([1 << a], [Partition._trusted((a,))]) for a in range(1, low)}
+    seeds = {a: ([1 << a], [Partition._trusted((a,))]) for a in range(1, min(moduli))}
     buckets = defaultdict(lambda: ([], []), seeds)  # first part -> its cores as (masks, parts)
     a = 0
     with _collector_paused():
@@ -163,17 +157,13 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
             a += 1
             masks, members = buckets.get(a, ((), ()))
             for mask, p in zip(masks, members):
-                n = len(p)
-                window = start
-                for r in moduli:
-                    lift = a + n - r  # bit i of the window is bead b - r
-                    window &= mask >> lift if lift >= 0 else mask << -lift | (1 << -lift) - 1
+                top = a + len(p)
+                window = _mask_core_window(mask, top, moduli, distinct)
                 while window:
                     i = (window & -window).bit_length() - 1
                     window &= window - 1
-                    b = a + n + i
                     bucket = buckets[a + i]
-                    bucket[0].append(mask | 1 << b)
+                    bucket[0].append(mask | 1 << top + i)
                     bucket[1].append(Partition._trusted((a + i,) + p))
             out += members
             buckets.pop(a, None)
@@ -187,17 +177,12 @@ def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
     a fixed order that is not lexicographic.  A core that is not an r-core has
     no r-core above it in the tree, so a modulus prunes whole subtrees.
     """
-    low = min(moduli)
-    start = (1 << low) - (2 if distinct else 1)
     yield 0, 0, 0
-    stack = [(1 << a, 1, a, a) for a in range(1, low)]  # (mask, n, bead sum, first part)
+    stack = [(1 << a, 1, a, a) for a in range(1, min(moduli))]  # (mask, n, bead sum, first part)
     while stack:
         mask, n, total, a = stack.pop()
         yield mask, n, total
-        window = start  # the window of `_lex_walk`, inline in both walks
-        for r in moduli:
-            lift = a + n - r
-            window &= mask >> lift if lift >= 0 else mask << -lift | (1 << -lift) - 1
+        window = _mask_core_window(mask, a + n, moduli, distinct)
         while window:
             i = (window & -window).bit_length() - 1
             window &= window - 1
@@ -355,8 +340,8 @@ def _staircases(moduli: tuple, *_) -> FamilyStats:
 def _closed_form(moduli: tuple, distinct: bool, self_conjugate: bool) -> FamilyStats:
     """One modulus or a coprime pair without `distinct`: the count is Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's
     C(s//2 + t//2, s//2) of the self-conjugate cores, and every bead set lies inside the gap set of <s, t>, so the
-    full-gap-set core, the unique heaviest and hence self-conjugate, is extreme on the other fields: weight
-    (s^2 - 1)(t^2 - 1)/24, (s - 1)(t - 1)/2 parts and largest bead st - s - t.  Each is below (s + t)^s."""
+    full-gap-set core, the unique heaviest and hence self-conjugate, is extreme on the rest: weight (s^2-1)(t^2-1)/24,
+    (s - 1)(t - 1)/2 parts and largest bead st - s - t.  Each is below both (s + t)^s and 2^(s + t) > C(s + t, s)."""
     s, t = moduli[0], moduli[-1]
     count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
     return FamilyStats(count, (s * s - 1) * (t * t - 1) // 24, (s - 1) * (t - 1) // 2, s * t - s - t)
@@ -383,7 +368,8 @@ _ROUTES = (
     _Route("staircases", lambda moduli, distinct, self_conjugate: distinct and self_conjugate, _staircases,
            lambda moduli, *_: 2 * _staircases(moduli).longest_parts.bit_length(), "answer bits", FAMILY_MAX_BITS),
     _Route("closed form", lambda moduli, distinct, _: not distinct and len(moduli) <= 2, _closed_form,
-           lambda moduli, *_: moduli[0] * (moduli[0] + moduli[-1]).bit_length(), "answer bits", FAMILY_MAX_BITS),
+           lambda moduli, *_: min(moduli[0] * (st := moduli[0] + moduli[-1]).bit_length(), st), "answer bits",
+           FAMILY_MAX_BITS),
     _Route("runner DP",
            lambda moduli, distinct, _: distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1),
            lambda moduli, *_: _runner_paths(*moduli, distinct=True)[0],
@@ -415,11 +401,11 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
 
 def _check_build(moduli: tuple, distinct: bool, self_conjugate: bool) -> None:
     """Refuse, before any work, a family of sorted `moduli` whose build would hold more than `FAMILY_MAX_PARTS`
-    parts, bounded by count x most parts: the staircases' or the unfiltered family's, read off its route, or
-    for the walk without `distinct` off the smallest coprime pair's closed forms, so it walks once."""
-    staircases = distinct and self_conjugate
-    plain_walk = _route(moduli, distinct, staircases).name == "walk" and not distinct
-    count, _, longest, _ = family_stats(_coprime_pair(moduli) if plain_walk else moduli, distinct, staircases)
+    parts, bounded by count x most parts: with `distinct` the staircases' or the unfiltered family's, read off
+    its route, or else the smallest coprime pair's closed forms, which `_route` has railed, so a walk walks once."""
+    route = _route(moduli, distinct, distinct and self_conjugate)
+    count, _, longest, _ = (route.stats(moduli, True, self_conjugate) if distinct
+                            else _closed_form(_coprime_pair(moduli), False, False))
     if count * longest > FAMILY_MAX_PARTS:
         raise GuardRailError(f"moduli {moduli} build up to {count} members of up to {longest} parts, "
                              f"beyond the guard rail of {FAMILY_MAX_PARTS} parts")

@@ -215,7 +215,7 @@ class TestEnumerateAndCount:
         # interpreter's digit limit on printing it is met, even for a modulus of 401 digits
         monkeypatch.setattr(enumeration, "count_st_cores", refuse)
         monkeypatch.setattr(enumeration.math, "comb", refuse)
-        for moduli, bits in [("300000,300001", 6000000), ("1000000,1000001", 21000000),
+        for moduli, bits in [("300000,300001", 600001), ("1000000,1000001", 2000001),
                              ("12,1" + "0" * 399 + "1", 15948)]:
             code, out, err = run(capsys, "count", "--moduli", moduli, "--no-cache")
             assert (code, out) == (2, ""), moduli
@@ -224,7 +224,29 @@ class TestEnumerateAndCount:
         # a triple's walk is railed on its smallest pair's count, which that pair's closed form rail refuses
         monkeypatch.setattr(enumeration, "_masks", refuse)
         code, out, err = run(capsys, "count", "--moduli", "300000,300001,600001", "--no-cache")
-        assert (code, out) == (2, "") and "(300000, 300001) take the closed form route, whose 6000000" in err
+        assert (code, out) == (2, "") and "(300000, 300001) take the closed form route, whose 600001" in err
+
+    def test_closed_form_rail_is_the_bits_of_the_count_for_near_equal_pairs(self, capsys, monkeypatch):
+        # C(s + t, s) < 2^(s + t) bounds every field, so a pair costs min(s * bitlen(s + t), s + t) answer bits:
+        # (2000,2001) costs 4,001, not 24,000, (6999,7001) 14,000 at the rail, and (7000,7001) 14,001 beyond it
+        for moduli, digits in [("2000,2001", 1199), ("6999,7001", 4209)]:
+            code, out, err = run(capsys, "count", "--moduli", moduli, "--no-cache", "--format", "csv")
+            assert (code, err, out.splitlines()[0]) == (0, "", "count"), moduli
+            assert len(out.splitlines()[1]) == digits, moduli
+
+        def refuse(*args):
+            raise AssertionError("the rail let the work start")
+
+        monkeypatch.setattr(enumeration.math, "comb", refuse)
+        code, out, err = run(capsys, "count", "--moduli", "7000,7001", "--no-cache")
+        assert (code, out) == (2, "")
+        assert err == ("error: moduli (7000, 7001) take the closed form route, whose 14001 answer bits are beyond "
+                       "the guard rail of 14000\n")
+
+    def test_a_huge_modulus_costs_the_walk_nothing(self, capsys):
+        # a modulus above every bead clears no child, so the rule skips it: the walk of (5, 7, 10^400 + 1) is (5, 7)'s
+        code, out, err = run(capsys, "count", "--moduli", f"5,7,{10 ** 400 + 1}", "--no-cache")
+        assert (code, err) == (0, "") and out.endswith(": count=66 max_weight=48 longest_parts=12\n"), out[-80:]
 
     def test_rail_boundary(self, capsys, monkeypatch):
         # the closed form's answers for (2, t) have at most 2 * (t + 2).bit_length() bits: t = 2^7000 - 3 is the

@@ -4,6 +4,7 @@ import inspect
 import math
 import operator
 import sys
+from itertools import repeat
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from coreabacus import cli
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
-from coreabacus.abacus import _mask_is_core, _mask_to_partition
+from coreabacus.abacus import _mask_core_window, _mask_is_core, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
 from coreabacus.verification import fib_count, staircase_core_count, straub_minus, straub_plus
@@ -371,6 +372,34 @@ class TestLatticePathStream:
                 stack = [node for node in en._masks(pair, distinct) if all(_mask_is_core(node[0], r) for r in rest)]
                 assert list(en._masks(moduli, distinct)) == stack, (moduli, distinct)
                 assert sorted(stack) == sorted(map(node_of, kept)), (moduli, distinct)
+
+    def test_child_rule_is_the_core_test(self):
+        # bit i of the window is set exactly when the child with top bead top + i is a core of every modulus (and,
+        # with `distinct`, i > 0), at every node of the walk in both orders; beyond i = min(moduli) no child is a core
+        triples = [tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)]
+        for moduli in [p for p in SMALL_PAIRS if p[0] <= p[1]] + triples + [(4, 11, 13), (5, 14, 16)]:
+            for distinct in (False, True):
+                steps = range(distinct, min(moduli) + 1)
+                windows = {}  # mask -> the oracle's window, computed once for both orders
+                for order in (moduli, moduli[::-1]):
+                    for mask, _, _ in en._masks(order, distinct):
+                        top = mask.bit_length()  # a + n: the top bead of first part a and n parts is a + n - 1
+                        if mask not in windows:
+                            windows[mask] = sum(1 << i for i in steps
+                                                if all(map(_mask_is_core, repeat(mask | 1 << top + i), moduli)))
+                        assert _mask_core_window(mask, top, order, distinct) == windows[mask], (order, distinct, mask)
+
+    def test_a_huge_modulus_costs_no_shift(self):
+        # a modulus above every bead of a node clears none of its children, so the rule skips it: (5, 7, 10^400 + 1)
+        # is walked as (5, 7), and the distinct walk of (12, 10^400 + 1) meets its visit budget, not a shift too large
+        huge = 10 ** 400 + 1
+        for distinct in (False, True):
+            assert en.family_stats((5, 7, huge), distinct) == en.family_stats((5, 7), distinct), distinct
+            assert content(en.enumerate_multi_cores((5, 7, huge), distinct)) == content(
+                en.enumerate_multi_cores((5, 7), distinct)), distinct
+        assert en.family_stats((5, 7, huge)) == FamilyStats(66, 48, 12, 23)
+        with pytest.raises(en.GuardRailError, match="visits more than 1000 cores"):
+            en._walk_stats((12, huge), True, budget=1000)
 
     def test_distinct_walk_is_fibonacci_sized(self):
         # the distinct walk admits no repeated part: Fibonacci-many cores, not 2^(s-1)
