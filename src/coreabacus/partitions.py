@@ -134,7 +134,7 @@ def is_self_conjugate(p: Partition) -> bool:
 
 
 def is_two_core(p: Partition) -> bool:
-    """True iff the parts form a staircase (k, k-1, ..., 1), k >= 0."""
+    """True iff the parts form a staircase (k, ..., 1), k >= 0: a 2-core by the staircase theorem, not by definition."""
     return not p or p[0] == len(p) and p == tuple(range(len(p), 0, -1))
 
 

@@ -4,7 +4,9 @@ Every identity is checked with exact integer arithmetic; a formula producing a
 non-integer on valid input is a hard failure, never a rounding event.  The
 (s, ms±1) claims share one walker over their (m, s) grid points and signs, and
 `xiong` and `fstar` are its m = 1 rows, on the `straub-plus` and `e-plus-star`
-formulas: the (s, s+1)-cores are the (s, ms+1)-cores at m = 1.
+formulas: the (s, s+1)-cores are the (s, ms+1)-cores at m = 1.  `two-conj`
+compares two sets, each read off its definition: the 2-cores and the
+self-conjugate partitions with distinct parts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product
 from typing import Iterator
 
 from . import partitions as pt
-from .abacus import _mask_to_partition
+from .abacus import _mask_core_window, _mask_to_partition
 from .constructions import (
     build_e_minus,
     build_e_plus,
@@ -340,13 +342,36 @@ def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
     return Cell(params, 0, violations, violations == 0)
 
 
+def _two_cores(lo: int, hi: int) -> set:
+    """The 2-cores of weight lo..hi by the definition: the first-part walk under the child rule with modulus 2, whose
+    window has bits 0 and 1 only.  A child adds its first part to the weight, so one heavier than hi is pruned."""
+    found, stack = set(), [(0, 0, 0, 0)]  # (mask, n, first part, weight)
+    while stack:
+        mask, n, a, w = stack.pop()
+        if w >= lo:
+            found.add(_mask_to_partition(mask))
+        window = _mask_core_window(mask, a + n, (2,), n == 0)  # at the empty core, i = 0 would add a part 0
+        stack += [(mask | 1 << a + n + i, n + 1, a + i, w + a + i)
+                  for i in (0, 1) if window >> i & 1 and w + a + i <= hi]
+    return found
+
+
+def _self_conjugate_distinct(lo: int, hi: int) -> set:
+    """The self-conjugate partitions of weight lo..hi with distinct parts, from their diagonal hooks h_1 > ... > h_d,
+    distinct odd numbers: row i <= d is (h_i - 1)/2 + i, and a row i > d is column i, the rows j <= d reaching it."""
+    found, stack = set(), [((), 0)]  # (diagonal hooks, largest first; their sum)
+    while stack:
+        hooks, w = stack.pop()
+        rows = [(h - 1) // 2 + i for i, h in enumerate(hooks, 1)]
+        rows += [sum(r >= i for r in rows) for i in range(len(rows) + 1, max(rows, default=0) + 1)]
+        if w >= lo and pt.has_distinct_parts(rows):
+            found.add(Partition(rows))
+        stack += [(hooks + (h,), w + h) for h in range(1, min(hooks[-1] if hooks else hi + 1, hi - w + 1), 2)]
+    return found
+
+
 def _claim_two_conj(grid: dict) -> Iterator[Cell]:
-    two_core, self_conjugate, distinct = pt.is_two_core, pt.is_self_conjugate, pt.has_distinct_parts
-    mismatches = sum(
-        two_core(p) != (self_conjugate(p) and distinct(p))
-        for w in _span(grid, "w")
-        for p in pt._partition_tuples(w)
-    )
+    mismatches = len(_two_cores(*grid["w"]) ^ _self_conjugate_distinct(*grid["w"]))
     yield Cell({"w": grid["w"][1]}, 0, mismatches, mismatches == 0)
 
 

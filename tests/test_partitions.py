@@ -229,6 +229,11 @@ class TestSmallExhaustiveInvariants:
             expected = pt.is_self_conjugate(p) and pt.has_distinct_parts(p)
             assert pt.is_two_core(p) == expected
 
+    def test_two_core_is_the_staircase_theorem(self):
+        # `is_two_core` tests the staircase shape; a 2-core is by definition a partition with no hook of length 2
+        for p in pt.partitions_up_to(18):
+            assert pt.is_two_core(p) == (2 not in pt.hook_length_multiset(p))
+
     def test_hook_count_equals_weight(self):
         for p in pt.partitions_up_to(14):
             hooks = pt.hook_lengths(p)

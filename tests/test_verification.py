@@ -8,7 +8,7 @@ from coreabacus import partitions as pt
 from coreabacus import verification as vf
 from coreabacus.abacus import Abacus
 from coreabacus.enumeration import GuardRailError, enumerate_multi_cores
-from coreabacus.partitions import Partition, is_two_core
+from coreabacus.partitions import Partition
 
 
 def fib_reference(s):
@@ -196,19 +196,6 @@ class TestHarness:
                 vf.verify_claim(claim, {"t": (2, 2)})
             assert vf.verify_claim(claim, {"t": (2, 3)}).cells
 
-    def test_two_conj_sweeps_from_grid_lower_end(self, monkeypatch):
-        calls = []
-
-        def counted(p):
-            calls.append(p)
-            return is_two_core(p)
-
-        monkeypatch.setattr(pt, "is_two_core", counted)
-        report = vf.verify_claim("two-conj", {"w": (5, 5)})
-        assert report.all_passed and [c.params for c in report.cells] == [{"w": 5}]
-        assert len(calls) == 7  # p(5)
-        assert {sum(p) for p in calls} == {5}
-
     def test_report_json_schema(self):
         report = vf.verify_claim("middle", {"s": (3, 5), "m": (1, 2)})
         payload = json.loads(report.to_json())
@@ -245,6 +232,37 @@ class TestHarness:
     def test_guardrails_cover_all_claims(self):
         rails = vf.claim_guardrails()
         assert set(rails) == set(vf.CLAIM_IDS)
+
+
+class TestTwoConj:
+    """Each side of `two-conj` against every partition of weight lo..hi, at every 0 <= lo <= hi <= 22."""
+
+    @pytest.fixture(scope="class")
+    def by_weight(self):
+        return [list(pt.partitions_of(w)) for w in range(23)]
+
+    @pytest.mark.parametrize("generator, member", [
+        (vf._two_cores, lambda p: 2 not in pt._hooks(p)),  # no hook of length 2, read off the Young diagram
+        (vf._self_conjugate_distinct, lambda p: pt.is_self_conjugate(p) and pt.has_distinct_parts(p)),
+    ], ids=["two-cores", "self-conjugate-distinct"])
+    def test_generator_is_the_brute_force_set_at_every_grid(self, by_weight, generator, member):
+        members = [set(filter(member, ps)) for ps in by_weight]
+        for lo in range(23):
+            for hi in range(lo, 23):
+                assert generator(lo, hi) == set().union(*members[lo : hi + 1]), (lo, hi)
+
+    @pytest.mark.parametrize("side", ["_two_cores", "_self_conjugate_distinct"])
+    def test_a_member_missing_from_one_side_fails_the_cell(self, monkeypatch, side):
+        generator = getattr(vf, side)
+
+        def dropping(lo, hi):
+            found = generator(lo, hi)
+            found.remove(max(found))
+            return found
+
+        monkeypatch.setattr(vf, side, dropping)
+        (cell,) = vf.verify_claim("two-conj", {"w": (5, 12)}).cells  # the 2-cores (3, 2, 1) and (4, 3, 2, 1)
+        assert cell.params == {"w": 12} and cell.observed == 1 and not cell.passed
 
 
 @pytest.mark.parametrize("claim", vf.CLAIM_IDS)
