@@ -133,10 +133,11 @@ def _mask_is_core(mask: int, r: int) -> bool:
 
 
 def _mask_core_window(mask: int, top: int, moduli, distinct: bool) -> int:
-    """Bit i is set iff `mask | 1 << top + i` is a core of every r in `moduli` and, with `distinct`, i > 0 (i = 0
-    repeats the first part): the first-part walk's children of `mask`, a core of them all with beads below `top`.
+    """Bit i is set iff `mask | 1 << top + i` is a core of every r in `moduli` and, with `distinct` or at the empty
+    core, i > 0 (i = 0 repeats the first part, or adds a part 0): the first-part walk's children of `mask`, a core of
+    them all with beads below `top`; the walk's tree starts at the empty core, mask 0 and top 0.
     So the smallest r clears every i >= r, and an r > top + min(moduli) clears none and costs no shift."""
-    window = -2 if distinct else -1
+    window = -2 if distinct or not mask else -1
     for r in moduli:
         lift = top - r  # bit i of `mask >> lift` is bead top + i - r
         if lift >= 0:

@@ -1,21 +1,21 @@
 """Exhaustive generators for (s,t)-cores and multi-cores.
 
-A core travels as its minimal bead set (first-column hook lengths), a
-bitmask indexed by bead value.  Members come from the first-part walk, in
+A core travels as its minimal bead set (first-column hook lengths), a bitmask
+indexed by bead value.  Members come from the first-part walk, in
 lexicographic order: a core is its first part on top of a smaller core, whose
-children are the window of `abacus._mask_core_window`.  A family's members
-are built in one eager pass with the cyclic garbage collector paused: a
-`Partition` is a tuple subclass, which the collector never untracks, so each
-collection would traverse every member built so far, and the members hold no
-reference cycles.  The pause is process-wide and restores the collector's
-earlier state; a built family keeps its self-conjugate members by
-`filter_self_conjugate`.  A family's statistics and its rail come from the
-first row of `_ROUTES` that applies; `_walk_stats`, folded from the same tree
-walked depth first with no `Partition` built, is the reference every other
-route is tested against.  The slow route keeps the partitions up to a weight
-bound with no hook length among the moduli, read off the Young diagram and
-never off a bead mask; it exists only as an independent oracle for tests and
-verification.
+children are the window of `abacus._mask_core_window`, in one tree from the
+empty core.  A family's members are built in one eager pass with the cyclic
+garbage collector paused: a `Partition` is a tuple subclass, which the
+collector never untracks, so each collection would traverse every member built
+so far, and the members hold no reference cycles.  The pause is process-wide
+and restores the collector's earlier state; a built family keeps its
+self-conjugate members by `filter_self_conjugate`.  A family's statistics and
+its rail come from the first row of `_ROUTES` that applies; `_walk_stats`,
+folded from the same tree walked depth first with no `Partition` built, is the
+reference every other route is tested against.  The slow route keeps the
+partitions up to a weight bound with no hook length among the moduli, read off
+the Young diagram and never off a bead mask; it exists only as an independent
+oracle for tests and verification.
 """
 
 from __future__ import annotations
@@ -145,16 +145,12 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
     `_mask_core_window(q's mask, a + n, ...)` is set.  Cores go into buckets
     by first part, and the buckets are read in ascending order, each while it
     grows, so each core is read after every smaller one and lands in its
-    bucket after every smaller core there.
+    bucket after every smaller core there.  The tree starts at the empty core, first part 0.
     """
-    out = [pt.EMPTY]
-    # the empty core's children, where i = 0 would add a part 0
-    seeds = {a: ([1 << a], [Partition._trusted((a,))]) for a in range(1, min(moduli))}
-    buckets = defaultdict(lambda: ([], []), seeds)  # first part -> its cores as (masks, parts)
-    a = 0
+    buckets = defaultdict(lambda: ([], []), {0: ([0], [pt.EMPTY])})  # first part -> its cores as (masks, parts)
+    out, a = [], 0
     with _collector_paused():
         while buckets:
-            a += 1
             masks, members = buckets.get(a, ((), ()))
             for mask, p in zip(masks, members):
                 top = a + len(p)
@@ -167,6 +163,7 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
                     bucket[1].append(Partition._trusted((a + i,) + p))
             out += members
             buckets.pop(a, None)
+            a += 1
     return out
 
 
@@ -175,10 +172,9 @@ def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
 
     A stack replaces the buckets and no parts are built, so the cores come in
     a fixed order that is not lexicographic.  A core that is not an r-core has
-    no r-core above it in the tree, so a modulus prunes whole subtrees.
+    no r-core above it in the tree, so a modulus prunes whole subtrees.  The tree starts at the empty core.
     """
-    yield 0, 0, 0
-    stack = [(1 << a, 1, a, a) for a in range(1, min(moduli))]  # (mask, n, bead sum, first part)
+    stack = [(0, 0, 0, 0)]  # (mask, n, bead sum, first part)
     while stack:
         mask, n, total, a = stack.pop()
         yield mask, n, total
@@ -386,6 +382,9 @@ def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
         raise ValueError(f"moduli must be positive, got {moduli}")
     route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
     if route.name != "staircases" and _coprime_pair(moduli) is None:
+        if math.gcd(*moduli) == 1:  # every bead is then a gap of the semigroup the moduli generate
+            raise GuardRailError(f"no coprime pair in {moduli}, so no guard rail predicts the cost of its walk, "
+                                 f"though the family is finite: gcd{moduli} = 1")
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     if (cost := route.cost(moduli, distinct, self_conjugate)) is None or cost > route.limit:
         raise GuardRailError(f"moduli {moduli} take the {route.name} route, whose {'' if cost is None else f'{cost} '}"

@@ -5,7 +5,8 @@ non-integer on valid input is a hard failure, never a rounding event.  The
 (s, ms±1) claims share one walker over their (m, s) grid points and signs, and
 `xiong` and `fstar` are its m = 1 rows, on the `straub-plus` and `e-plus-star`
 formulas: the (s, s+1)-cores are the (s, ms+1)-cores at m = 1.  `two-conj`
-compares two sets, each read off its definition: the 2-cores and the
+compares two sets, each read off its definition: the 2-cores, which are the
+(2, 2hi+1)-cores of the first-part tree from the empty core, and the
 self-conjugate partitions with distinct parts.
 """
 
@@ -20,7 +21,7 @@ from itertools import product
 from typing import Iterator
 
 from . import partitions as pt
-from .abacus import _mask_core_window, _mask_to_partition
+from .abacus import _mask_to_partition
 from .constructions import (
     build_e_minus,
     build_e_plus,
@@ -343,17 +344,10 @@ def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
 
 
 def _two_cores(lo: int, hi: int) -> set:
-    """The 2-cores of weight lo..hi by the definition: the first-part walk under the child rule with modulus 2, whose
-    window has bits 0 and 1 only.  A child adds its first part to the weight, so one heavier than hi is pruned."""
-    found, stack = set(), [(0, 0, 0, 0)]  # (mask, n, first part, weight)
-    while stack:
-        mask, n, a, w = stack.pop()
-        if w >= lo:
-            found.add(_mask_to_partition(mask))
-        window = _mask_core_window(mask, a + n, (2,), n == 0)  # at the empty core, i = 0 would add a part 0
-        stack += [(mask | 1 << a + n + i, n + 1, a + i, w + a + i)
-                  for i in (0, 1) if window >> i & 1 and w + a + i <= hi]
-    return found
+    """The 2-cores of weight lo..hi by the definition: the first-part walk's (2, 2hi + 1)-cores in that weight range.
+    No hook of a partition of weight at most hi is longer than hi, so the odd modulus drops none of them."""
+    return {_mask_to_partition(mask) for mask, n, total in _masks((2, 2 * hi + 1), False)
+            if lo <= total - n * (n - 1) // 2 <= hi}
 
 
 def _self_conjugate_distinct(lo: int, hi: int) -> set:

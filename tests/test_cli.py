@@ -299,6 +299,15 @@ class TestEnumerateAndCount:
             code, _, err = run(capsys, "count", "--moduli", *argv)
             assert code == 2 and err.startswith("error: ") and "infinite" in err, argv
 
+    def test_finite_family_without_a_coprime_pair_is_refused(self, capsys):
+        # gcd(6, 10, 15) = 1, so every bead is a gap of <6, 10, 15> and the family is finite, but no rail predicts
+        # its walk; 4,6 keeps its message
+        for command in ("count", "enumerate"):
+            code, _, err = run(capsys, command, "--moduli", "6,10,15")
+            assert code == 2 and "finite" in err and "infinite" not in err, command
+            code, _, err = run(capsys, command, "--moduli", "4,6")
+            assert code == 2 and "no coprime pair" in err and "may be infinite" in err, command
+
     def test_unparsable_moduli_is_a_usage_error(self, capsys):
         # argparse reads --moduli, so a parse error is a usage error, printed before any command runs
         for text, message in [("4,x", "cannot parse moduli '4,x'"), ("", "at least one modulus is required"),

@@ -375,17 +375,18 @@ class TestLatticePathStream:
 
     def test_child_rule_is_the_core_test(self):
         # bit i of the window is set exactly when the child with top bead top + i is a core of every modulus (and,
-        # with `distinct`, i > 0), at every node of the walk in both orders; beyond i = min(moduli) no child is a core
+        # with `distinct` or at the empty core, i > 0), at every node of the walk in both orders; beyond
+        # i = min(moduli) no child is a core.  The empty core's window is bits 1..min(moduli) - 1, none for a modulus 1
         triples = [tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)]
-        for moduli in [p for p in SMALL_PAIRS if p[0] <= p[1]] + triples + [(4, 11, 13), (5, 14, 16)]:
+        for moduli in [p for p in SMALL_PAIRS if p[0] <= p[1]] + triples + [(4, 11, 13), (5, 14, 16), (1,), (1, 4)]:
             for distinct in (False, True):
-                steps = range(distinct, min(moduli) + 1)
+                assert _mask_core_window(0, 0, moduli, distinct) == (1 << min(moduli)) - 2, (moduli, distinct)
                 windows = {}  # mask -> the oracle's window, computed once for both orders
                 for order in (moduli, moduli[::-1]):
                     for mask, _, _ in en._masks(order, distinct):
                         top = mask.bit_length()  # a + n: the top bead of first part a and n parts is a + n - 1
                         if mask not in windows:
-                            windows[mask] = sum(1 << i for i in steps
+                            windows[mask] = sum(1 << i for i in range(distinct or not mask, min(moduli) + 1)
                                                 if all(map(_mask_is_core, repeat(mask | 1 << top + i), moduli)))
                         assert _mask_core_window(mask, top, order, distinct) == windows[mask], (order, distinct, mask)
 
