@@ -60,27 +60,30 @@ def _cached(args) -> tuple[int, str]:
     """`args.func(args)`, or the exit code and stdout an earlier run stored for the same arguments
     under the same sources.
 
-    An entry is the exit code, a newline and the stdout, zlib-compressed, in the file of
-    `_cache_dir()` named by the sha256 of the source hash and the key. The key is the parsed
-    arguments but `func` and `no_cache`, `--format` included; `--moduli` is parsed sorted and
-    de-duplicated, so a family has one entry however it is spelled. A hit replays the exit code
-    and stdout as stored, elapsed times included. An unreadable, truncated or damaged entry (zlib
-    checks its end and its Adler-32 checksum) is a miss: the command runs again and the entry is
-    rewritten.
+    An entry is the source hash, the exit code and the stdout, each of the first two ending in a
+    newline, zlib-compressed, in the file of `_cache_dir()` named by the sha256 of the key. The key
+    is the parsed arguments but `func` and `no_cache`, `--format` included; `--moduli` is parsed
+    sorted and de-duplicated, so a family has one entry however it is spelled. A hit needs the
+    stored source hash to be `_source_hash()`, and replays the exit code and stdout as stored,
+    elapsed times included. Anything else is a miss: an entry from other sources, or an
+    unreadable, truncated or damaged one (zlib checks its end and its Adler-32 checksum). The
+    command then runs again and rewrites the same file, so a command has one entry whatever
+    sources wrote it.
     """
     if args.no_cache:
         return args.func(args)
     key = json.dumps({k: v for k, v in vars(args).items() if k not in ("func", "no_cache")}, sort_keys=True)
-    path = _cache_dir() / hashlib.sha256(f"{_source_hash()}\0{key}".encode()).hexdigest()
+    path = _cache_dir() / hashlib.sha256(key.encode()).hexdigest()
     try:
-        code, out = zlib.decompress(path.read_bytes()).decode().split("\n", 1)
-        return int(code), out
+        stamp, code, out = zlib.decompress(path.read_bytes()).decode().split("\n", 2)
+        if stamp == _source_hash():
+            return int(code), out
     except (OSError, ValueError, zlib.error):
         pass  # a miss
     code, out = args.func(args)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(zlib.compress(f"{code}\n{out}".encode(), 1))
+        path.write_bytes(zlib.compress(f"{_source_hash()}\n{code}\n{out}".encode(), 1))
     except OSError:
         pass  # the cache is best-effort
     return code, out

@@ -15,7 +15,7 @@ folded from the same tree walked depth first with no `Partition` built, is the
 reference every other route is tested against.  The slow route keeps the
 partitions up to a weight bound with no hook length among the moduli, read off
 the Young diagram and never off a bead mask; it exists only as an independent
-oracle for tests and verification.
+oracle for the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ FAMILY_MAX_BITS = 14_000  # guard rail on the bits of a family's answers: 4,215 
 FAMILY_MAX_CORES = 250_000  # guard rail on the cores the walk visits
 FAMILY_MAX_PARTS = 15_000_000  # guard rail on the parts a built family holds: (12,13) holds 13,728,792
 RUNNER_MAX_WORK = 5_000_000  # guard rail on the runner DP's work units, about 1 s
-MAXIMAL_MAX_FROBENIUS = 1_000_000  # guard rail on st - s - t, the values `maximal_st_core` sieves
+MAXIMAL_MAX_FROBENIUS = 1_000_000  # guard rail on st - s - t (`_frobenius_bound`), the values `maximal_st_core` sieves
 LONGEST_MAX_BEADS = 500_000  # guard rail on the beads of L(s, m), the parts `cores longest` prints
 SHOW_MAX_CELLS = 1_000_000  # guard rail on the runners x rows of the grid `cores show` prints
 _SPACER_COST = 10  # the work units of one spacer step of the runner DP, in row updates (measured)
@@ -279,7 +279,7 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
 def maximal_st_core(s: int, t: int) -> Partition:
     """The core whose bead set is the full gap set of <s, t>, railed on the st - s - t values sieved."""
     _check_coprime(s, t)
-    _check_rail(lambda t: s * t - s - t, t, MAXIMAL_MAX_FROBENIUS,
+    _check_rail(lambda t: _frobenius_bound(s, t), t, MAXIMAL_MAX_FROBENIUS,
                 f"the st - s - t values sieved for the maximal ({s},{t})-core", "t")
     return _mask_to_partition(_beads_mask(gap_poset(s, t).gaps))
 
@@ -343,6 +343,13 @@ def _closed_form(moduli: tuple, distinct: bool, self_conjugate: bool) -> FamilyS
     return FamilyStats(count, (s * s - 1) * (t * t - 1) // 24, (s - 1) * (t - 1) // 2, s * t - s - t)
 
 
+def _frobenius_bound(a: int, b: int) -> int:
+    """(a - 1)(b - 1) - 1: for a coprime pair st - s - t, the largest gap of <s, t>, and for the smallest and
+    largest of moduli of gcd 1, Schur's bound on the largest gap of the semigroup they generate.  A bead of a
+    core of every modulus is such a gap."""
+    return (a - 1) * (b - 1) - 1
+
+
 def _runner_work(s: int, t: int, limit: int) -> int | None:
     """The work of `_runner_paths(s, t, distinct=True)`, `_SPACER_COST` units per spacer step and one per row
     update, in O(s), or None once beyond `limit`: after runner j its states are spacer j*t mod s, the runner
@@ -370,8 +377,12 @@ _ROUTES = (
            lambda moduli, distinct, _: distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1),
            lambda moduli, *_: _runner_paths(*moduli, distinct=True)[0],
            lambda moduli, *_: _runner_work(*moduli, RUNNER_MAX_WORK), "work units", RUNNER_MAX_WORK),
+    _Route("distinct walk", lambda moduli, distinct, _: distinct,
+           functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
+           lambda moduli, *_: _frobenius_bound(*(_coprime_pair(moduli) or (moduli[0], moduli[-1]))),
+           "possible bead values", MAXIMAL_MAX_FROBENIUS),
     _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
-           lambda moduli, distinct, _: 0 if distinct else family_stats(_coprime_pair(moduli)).count,
+           lambda moduli, *_: family_stats(_coprime_pair(moduli)).count,
            "cores of the smallest coprime pair", FAMILY_MAX_CORES),
 )
 
@@ -382,10 +393,11 @@ def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
         raise ValueError(f"moduli must be positive, got {moduli}")
     route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
     if route.name != "staircases" and _coprime_pair(moduli) is None:
-        if math.gcd(*moduli) == 1:  # every bead is then a gap of the semigroup the moduli generate
+        if math.gcd(*moduli) > 1:
+            raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
+        if route.name != "distinct walk":  # every bead is a gap of the semigroup the moduli generate
             raise GuardRailError(f"no coprime pair in {moduli}, so no guard rail predicts the cost of its walk, "
                                  f"though the family is finite: gcd{moduli} = 1")
-        raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     if (cost := route.cost(moduli, distinct, self_conjugate)) is None or cost > route.limit:
         raise GuardRailError(f"moduli {moduli} take the {route.name} route, whose {'' if cost is None else f'{cost} '}"
                              f"{route.unit} are beyond the guard rail of {route.limit}")

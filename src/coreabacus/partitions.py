@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from functools import cache
 from itertools import chain, count, repeat
 from typing import Iterable, Iterator, NamedTuple
 
@@ -143,48 +142,38 @@ def staircase(k: int) -> Partition:
     return Partition(range(k, 0, -1))
 
 
-# partitions of at most this weight come from a table built on first use
-_TABLE_WEIGHT = 20
-
-
-@cache
-def _small_partitions() -> tuple[list, list]:
-    """table[k]: the partitions of k <= _TABLE_WEIGHT as tuples, in reverse lexicographic order;
-    table[k][starts[k][a]:] are those with first part at most a, for 1 <= a <= k."""
-    table, starts = [[()]], [[0]]
-    for k in range(1, _TABLE_WEIGHT + 1):
-        rows, start = [], [0] * (k + 1)
-        for a in range(k, 0, -1):
-            start[a] = len(rows)
-            rest = k - a
-            rows += map((a,).__add__, table[rest][starts[rest][min(a, rest)] :])
-        table.append(rows)
-        starts.append(start)
-    return table, starts
-
-
 def _partition_tuples(n: int) -> Iterator[tuple]:
     """All partitions of weight exactly n as plain tuples, in reverse lexicographic order.
 
-    A partition is its first part a on top of a partition of the rest whose
-    parts are at most a.  Prefixes grow on a stack, largest first part on top,
-    until the rest weighs at most `_TABLE_WEIGHT`; the rest then comes from
-    the table as one block, a tuple concatenation per partition.
+    Zoghbi and Stojmenovic's ZS1 (Int. J. Comput. Math. 70, 1998), at constant
+    amortised cost per partition: the parts fill x[:m], x[h] is the last part
+    above 1, and every slot past h holds a 1, so a trailing run of ones is
+    never rewritten one part at a time.
     """
-    if n < 0:
-        return iter(())
-    table, starts = _small_partitions()
-
-    def blocks():
-        stack = [((), n, n)]
-        while stack:
-            prefix, rest, top = stack.pop()
-            if rest <= _TABLE_WEIGHT:
-                yield map(prefix.__add__, table[rest][starts[rest][min(top, rest)] :])
-            else:
-                stack += [(prefix + (a,), rest - a, a) for a in range(1, min(top, rest) + 1)]
-
-    return chain.from_iterable(blocks())
+    if n < 1:
+        if n == 0:
+            yield ()
+        return
+    x = [1] * n
+    x[0], m, h = n, 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:  # a 2 splits into two 1s
+            x[h], m, h = 1, m + 1, h - 1
+        else:  # lower x[h] to r and refill greedily below it with the ones it absorbs
+            r, rest = x[h] - 1, m - h
+            x[h] = r
+            while rest >= r:
+                h += 1
+                x[h] = r
+                rest -= r
+            m = h + 1
+            if rest:
+                m += 1
+                if rest > 1:
+                    h += 1
+                    x[h] = rest
+        yield tuple(x[:m])
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

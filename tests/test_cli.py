@@ -183,6 +183,8 @@ class TestEnumerateAndCount:
                                     "beyond the guard rail of 250000"),
             (["4000,4001", "--distinct"], "_runner_paths", "take the runner DP route, whose work units are beyond "
                                                            "the guard rail of 5000000"),
+            (["12,1000001", "--distinct"], "_masks", "take the distinct walk route, whose 10999999 possible bead "
+                                                     "values are beyond the guard rail of 1000000"),
         ]:
             with monkeypatch.context() as patch:
                 patch.setattr(enumeration, work, refuse)
@@ -308,6 +310,19 @@ class TestEnumerateAndCount:
             code, _, err = run(capsys, command, "--moduli", "4,6")
             assert code == 2 and "no coprime pair" in err and "may be infinite" in err, command
 
+    def test_distinct_family_without_a_coprime_pair_is_walked(self, capsys):
+        # with `--distinct` the walk is railed on Schur's bound, 69 for (6, 10, 15), so the finite family answers;
+        # the hook oracle finds its 40 members, all of weight at most 28; with gcd above 1, 4,6 is still refused
+        members = enumeration.filter_distinct(enumeration.oracle_enumerate((6, 10, 15), 28)).members
+        assert len(members) == 40
+        code, out, err = run(capsys, "count", "--moduli", "6,10,15", "--distinct", "--no-cache")
+        assert (code, err) == (0, "") and out.endswith(": count=40 max_weight=28 longest_parts=7\n")
+        code, out, err = run(capsys, "enumerate", "--moduli", "6,10,15", "--distinct", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "".join(["weight,parts\n", *(f"{sum(p)},{' '.join(map(str, p))}\n" for p in members)])
+        code, _, err = run(capsys, "count", "--moduli", "4,6", "--distinct")
+        assert code == 2 and "no coprime pair" in err and "may be infinite" in err
+
     def test_unparsable_moduli_is_a_usage_error(self, capsys):
         # argparse reads --moduli, so a parse error is a usage error, printed before any command runs
         for text, message in [("4,x", "cannot parse moduli '4,x'"), ("", "at least one modulus is required"),
@@ -343,7 +358,7 @@ class TestEnumerateAndCount:
         code, counted, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         assert code == 0 and "partitions" not in json.loads(counted)
         (path,) = (tmp_path / "cache").iterdir()
-        assert zlib.decompress(path.read_bytes()).decode() == f"0\n{counted}"
+        assert zlib.decompress(path.read_bytes()).decode() == f"{cli._source_hash()}\n0\n{counted}"
         code, out, _ = run(capsys, "enumerate", "--moduli", "5,14", "--format", "json")
         assert code == 0 and len(json.loads(out)["partitions"]) == 612
         assert len(list((tmp_path / "cache").iterdir())) == 2
@@ -407,17 +422,20 @@ class TestEnumerateAndCount:
         _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
         (path,) = (tmp_path / "cache").iterdir()
         tampered = json.dumps({**json.loads(first), "count": 999}, indent=2) + "\n"
-        path.write_bytes(zlib.compress(f"0\n{tampered}".encode()))
+        path.write_bytes(zlib.compress(f"{cli._source_hash()}\n0\n{tampered}".encode()))
         _, replayed, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
-        assert replayed == tampered  # the entry is read when the sources match
+        assert replayed == tampered  # the entry is read when its stamp is the sources' hash
         monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
         _, fresh, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
-        assert fresh == first  # other sources name another file: the tampered entry is never read
-        assert zlib.decompress(path.read_bytes()).decode() == f"0\n{tampered}"
-        assert len(list((tmp_path / "cache").iterdir())) == 2
+        assert fresh == first  # another stamp is a miss: the tampered entry is not replayed
+        # the command's one file is rewritten under the new stamp, so no entry of the old sources is left
+        assert list((tmp_path / "cache").iterdir()) == [path]
+        assert zlib.decompress(path.read_bytes()).decode() == f"{'0' * 64}\n0\n{first}"
 
     def test_malformed_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, monkeypatch):
         # every damaged entry is a miss: the command runs again, and its rewrite answers the next run alone
+        stamp = cli._source_hash().encode()
+
         def damaged(entry):
             middle = len(entry) // 2
             yield "empty", b""
@@ -425,9 +443,10 @@ class TestEnumerateAndCount:
             yield "byte flipped", entry[:middle] + bytes([entry[middle] ^ 0xFF]) + entry[middle + 1:]
             yield "old JSON entry", json.dumps({"key": "{}", "exit": 0, "stdout": "count\n999\n",
                                                 "source_hash": cli._source_hash()}).encode()
-            yield "exit not an int", zlib.compress(b"True\ncount\n999\n")
-            yield "no exit", zlib.compress(b"\ncount\n999\n")
-            yield "not UTF-8", zlib.compress(b"0\n\xff\xfe")
+            yield "exit not an int", zlib.compress(stamp + b"\nTrue\ncount\n999\n")
+            yield "no exit", zlib.compress(stamp + b"\n\ncount\n999\n")
+            yield "not UTF-8", zlib.compress(stamp + b"\n0\n\xff\xfe")
+            yield "stale stamp", zlib.compress(b"0" * 64 + b"\n0\ncount\n999\n")
 
         for argv, compute in [(["enumerate", "--moduli", "5,6", "--format", "csv"], "enumerate_multi_cores"),
                               (["enumerate", "--moduli", "5,6", "--format", "table"], "enumerate_multi_cores"),
@@ -438,7 +457,7 @@ class TestEnumerateAndCount:
             assert run(capsys, *argv)[0] == code
             (path,) = (tmp_path / "cache").iterdir()
             stored = zlib.decompress(path.read_bytes()).decode().splitlines()[:lines]
-            assert stored == [str(code), *fresh.splitlines()[:lines]], argv
+            assert stored == [cli._source_hash(), str(code), *fresh.splitlines()[:lines]], argv
             for case, data in damaged(path.read_bytes()):
                 path.write_bytes(data)
                 answer = run(capsys, *argv)
@@ -464,7 +483,7 @@ class TestEnumerateAndCount:
         lines = -1 if argv[0] == "verify" else None  # a verify table ends with its elapsed time
         code, fresh, _ = run(capsys, *argv)
         (path,) = (tmp_path / "cache").iterdir()
-        entry = dict(zip(["exit", "stdout"], zlib.decompress(path.read_bytes()).split(b"\n", 1)))
+        entry = dict(zip(["stamp", "exit", "stdout"], zlib.decompress(path.read_bytes()).split(b"\n", 2)))
         stored = b"\n".join(entry.values()).decode().splitlines()[:lines]
         path.write_bytes(zlib.compress(b"\n".join(v for v in {**entry, field: value}.values() if v is not None)))
         answer = run(capsys, *argv)

@@ -294,12 +294,40 @@ class TestMultiCores:
         with pytest.raises(en.GuardRailError, match=r"\(5, 7\) visits more than 15 cores, beyond the guard rail"):
             en._walk_stats((5, 7), True, budget=15)
 
+    def test_distinct_walk_is_railed_on_its_largest_possible_bead(self, monkeypatch):
+        # before any walk: (a - 1)(b - 1) - 1 of the smallest coprime pair, or with none, of the smallest and largest
+        # modulus, Schur's bound on the largest gap; at the bound the family is walked, one below it is refused
+        def refuse(*args):
+            raise AssertionError("the rail let the walk start")
+
+        def limited(limit):
+            return tuple(row._replace(limit=limit) if row.name == "distinct walk" else row for row in en._ROUTES)
+
+        for moduli, bound in [((5, 7), 23), ((5, 7, 9), 23), ((6, 10, 15), 69), ((6, 14, 21), 99)]:
+            walked = en._walk_stats(moduli, True)
+            with monkeypatch.context() as patch:
+                patch.setattr(en, "_ROUTES", limited(bound))
+                assert en.family_stats(moduli, True) == walked == stats_of(en.enumerate_multi_cores(moduli, True))
+                patch.setattr(en, "_ROUTES", limited(bound - 1))
+                patch.setattr(en, "_masks", refuse)
+                patch.setattr(en, "_lex_walk", refuse)
+                for route in (en.family_stats, en.enumerate_multi_cores):
+                    with pytest.raises(en.GuardRailError, match=rf"walk route, whose {bound} possible bead values"):
+                        route(moduli, True)
+        # at the real limit: Schur's bound of (6, 10, 199995) is 999,969, and of (6, 10, 200025) 1,000,119
+        monkeypatch.setattr(en, "_masks", refuse)
+        assert en._route((6, 10, 199995), True, False).name == "distinct walk"
+        with pytest.raises(en.GuardRailError, match="whose 1000119 possible bead values are beyond the guard rail"):
+            en.family_stats((6, 10, 200025), True)
+
     def test_route_table(self):
         # the first route that applies answers: the staircases, the closed form, the runner DP, then the walk
-        assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "walk"]
+        assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "distinct walk",
+                                                        "walk"]
         for moduli, distinct, self_conjugate, name in [
             ((6, 9), True, True, "staircases"), ((20, 21), False, True, "closed form"),
-            ((1,), False, False, "closed form"), ((5, 14), True, False, "runner DP"), ((5, 7), True, False, "walk"),
+            ((1,), False, False, "closed form"), ((5, 14), True, False, "runner DP"),
+            ((5, 7), True, False, "distinct walk"), ((6, 10, 15), True, False, "distinct walk"),
             ((5, 14, 16), False, True, "walk"),
         ]:
             assert en._route(moduli, distinct, self_conjugate).name == name, moduli
@@ -424,7 +452,8 @@ def _route_cells():
     """(moduli, filter sets), the union of the old comparison grids: every coprime pair with st <= 150,
     the (s, ms-1, ms+1) triples with s <= 6 and m <= 3, (4,11,13), (5,14,16), (1,), (1,4) and (1,6) under
     every filter set; the distinct (s, ms±1) pairs with 2 <= s <= 8 and m <= s + 1; the distinct
-    self-conjugate coprime pairs with s <= 12 and s < t < 40; and the coprime pairs with s, t <= 20."""
+    self-conjugate coprime pairs with s <= 12 and s < t < 40; the coprime pairs with s, t <= 20; and with
+    `distinct`, moduli of gcd 1 with no coprime pair."""
     every = {(False, False), (True, False), (False, True), (True, True)}
     cells = {}
     triples = {tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)}
@@ -438,6 +467,8 @@ def _route_cells():
             cells.setdefault((s, t), set()).add((True, True))
         elif t <= 20:
             cells.setdefault((s, t), set())
+    for moduli in [(6, 10, 15), (6, 15, 20), (10, 12, 15), (12, 15, 20), (6, 10, 45), (6, 14, 21)]:
+        cells[moduli] = {(True, False), (True, True)}
     return sorted((moduli, sorted(filters)) for moduli, filters in cells.items())
 
 

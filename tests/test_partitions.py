@@ -14,43 +14,14 @@ def P(*parts):
 
 
 def reference_partition_tuples(n, largest):
-    """The recursive generator `partitions_of` replaced: reverse lexicographic order."""
+    """The definition: a partition of n is its first part on top of a partition of the rest into parts no
+    larger, first parts from the largest down, which is reverse lexicographic order."""
     if n == 0:
         yield ()
         return
     for first in range(min(n, largest), 0, -1):
         for rest in reference_partition_tuples(n - first, first):
             yield (first,) + rest
-
-
-def reference_zs1(n):
-    """Zoghbi and Stojmenovic's ZS1, the iterative generator `partitions_of` replaced, as tuples in
-    reverse lexicographic order: the parts fill x[:m], x[h] is the last part above 1, and every
-    slot past h holds a 1, so a trailing run of ones is never rewritten one part at a time."""
-    if n < 1:
-        if n == 0:
-            yield ()
-        return
-    x = [1] * n
-    x[0], m, h = n, 1, 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:  # a 2 splits into two 1s
-            x[h], m, h = 1, m + 1, h - 1
-        else:  # lower x[h] to r and refill greedily below it with the ones it absorbs
-            r, rest = x[h] - 1, m - h
-            x[h] = r
-            while rest >= r:
-                h += 1
-                x[h] = r
-                rest -= r
-            m = h + 1
-            if rest:
-                m += 1
-                if rest > 1:
-                    h += 1
-                    x[h] = rest
-        yield tuple(x[:m])
 
 
 def reference_hooks(parts):
@@ -247,16 +218,12 @@ class TestSmallExhaustiveInvariants:
 
 
 class TestAgainstReferences:
-    # weight <= 30 is 28,629 partitions
+    # weight <= 30 is 28,629 partitions, and weight <= 40 is 215,308
 
     def test_generator_order(self):
-        for n in range(31):
+        for n in range(41):
             assert [p.parts for p in pt.partitions_of(n)] == list(reference_partition_tuples(n, n)), n
         assert list(pt.partitions_of(-1)) == []
-
-    def test_generator_order_matches_zs1_through_weight_40(self):
-        for n in range(41):
-            assert [p.parts for p in pt.partitions_of(n)] == list(reference_zs1(n)), n
 
     def test_tuple_stream_is_plain_tuples_of_the_generator(self):
         for n in range(41):
@@ -265,9 +232,9 @@ class TestAgainstReferences:
             assert tuples == list(pt.partitions_of(n)), n
         assert list(pt._partition_tuples(-1)) == []
 
-    def test_oracle_enumerate_keeps_the_zs1_members(self):
-        # the brute force as it stood on ZS1, and the first-part walk cut at the same weight
-        tuples = [q for n in range(29) for q in reference_zs1(n)]
+    def test_oracle_enumerate_keeps_the_hook_free_members(self):
+        # the brute force over the definition's partitions, and the first-part walk cut at the same weight
+        tuples = [q for n in range(29) for q in reference_partition_tuples(n, n)]
         hooks = [set(pt.hook_length_multiset(P(*q))) for q in tuples]
         for moduli in [(5, 7), (3, 4), (6, 7, 8), (2, 9), (4, 11)]:
             members = oracle_enumerate(moduli, 28).members
