@@ -24,6 +24,36 @@ def reference_partition_tuples(n, largest):
             yield (first,) + rest
 
 
+def reference_zs1(n):
+    """Zoghbi and Stojmenovic's ZS1 as published, a frozen copy of the loop behind `partitions_of`, as
+    tuples in reverse lexicographic order: the parts fill x[:m], x[h] is the last part above 1, and
+    every slot past h holds a 1, so a trailing run of ones is never rewritten one part at a time."""
+    if n < 1:
+        if n == 0:
+            yield ()
+        return
+    x = [1] * n
+    x[0], m, h = n, 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:  # a 2 splits into two 1s
+            x[h], m, h = 1, m + 1, h - 1
+        else:  # lower x[h] to r and refill greedily below it with the ones it absorbs
+            r, rest = x[h] - 1, m - h
+            x[h] = r
+            while rest >= r:
+                h += 1
+                x[h] = r
+                rest -= r
+            m = h + 1
+            if rest:
+                m += 1
+                if rest > 1:
+                    h += 1
+                    x[h] = rest
+        yield tuple(x[:m])
+
+
 def reference_hooks(parts):
     """(row, col, hook) box by box, row-major, from the definition and without the conjugate:
     the arm counts the boxes to the right in the row, the leg the later parts reaching the column."""
@@ -224,6 +254,10 @@ class TestAgainstReferences:
         for n in range(41):
             assert [p.parts for p in pt.partitions_of(n)] == list(reference_partition_tuples(n, n)), n
         assert list(pt.partitions_of(-1)) == []
+
+    def test_generator_order_matches_zs1_through_weight_40(self):
+        for n in range(41):
+            assert [p.parts for p in pt.partitions_of(n)] == list(reference_zs1(n)), n
 
     def test_tuple_stream_is_plain_tuples_of_the_generator(self):
         for n in range(41):
