@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -23,36 +23,36 @@ class RunnerMismatchError(ValueError):
     """Two abaci with different runner counts were combined or compared."""
 
 
-@dataclass(frozen=True, init=False)
-class Abacus:
-    """An s-runner view of a bead set: its runner count and bead mask.
+class Abacus(namedtuple("Abacus", "runners mask")):
+    """An s-runner view of a bead set: the named tuple of its runner count and bead mask.
 
     Position (i, j) with runner 0 <= i <= runners-1 and row j >= 0 carries the
     bead value i + j*runners, bit i + j*runners of `mask`, so row j is
     `mask >> j*runners & ((1 << runners) - 1)`.  Equality, hashing and the repr
     `Abacus(runners=..., mask=...)` read that pair; `positions` is the read-only
     frozenset of (i, j) derived from the mask.  `Abacus(runners, positions)`
-    validates its input; `_trusted(runners, mask)` does not, so only `abacus`
-    and `constructions` call it, with a positive int and a non-negative int.
+    validates its input; `_trusted(runners, mask)` does not, nor do the named
+    tuple's `_make` and `_replace`, so only `abacus`, `constructions` and
+    unpickling call `_trusted`, with a positive int and a non-negative int.
     """
 
-    runners: int
-    mask: int
+    __slots__ = ()
 
-    def __init__(self, runners: int, positions: Iterable[tuple[int, int]]):
+    def __new__(cls, runners: int, positions: Iterable[tuple[int, int]]):
         if operator.index(runners) < 1:
             raise ValueError(f"runner count must be positive, got {runners}")
         positions = frozenset(positions)
         for i, j in positions:
             if not (0 <= operator.index(i) < runners and operator.index(j) >= 0):
                 raise ValueError(f"position {(i, j)} outside {runners}-runner grid")
-        self.__dict__.update(runners=runners, mask=_beads_mask(i + j * runners for i, j in positions))
+        return tuple.__new__(cls, (runners, _beads_mask(i + j * runners for i, j in positions)))
 
     @classmethod
     def _trusted(cls, runners: int, mask: int) -> "Abacus":
-        self = object.__new__(cls)
-        self.__dict__.update(runners=runners, mask=mask)
-        return self
+        return tuple.__new__(cls, (runners, mask))
+
+    def __reduce__(self):  # the constructor takes positions, not a mask
+        return Abacus._trusted, tuple(self)
 
     positions = property(lambda a: frozenset((b % a.runners, b // a.runners) for b in from_abacus(a)))
 
@@ -61,15 +61,20 @@ class Abacus:
         return (self.mask.bit_length() - 1) // self.runners
 
 
-@dataclass(frozen=True)
-class AxisTheta:
-    """Half-integer mirror axis of a self-conjugate bead set, stored doubled."""
+class AxisTheta(namedtuple("AxisTheta", "twice_theta")):
+    """Half-integer mirror axis of a self-conjugate bead set, stored doubled; unpickling and `_replace` re-validate."""
 
-    twice_theta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.twice_theta % 2 == 0:
+    def __new__(cls, twice_theta: int):
+        if twice_theta % 2 == 0:
             raise ValueError("theta must be a half-integer")
+        return tuple.__new__(cls, (twice_theta,))
+
+    def __reduce__(self):
+        return AxisTheta, tuple(self)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` validates too
 
     @property
     def theta(self) -> float:

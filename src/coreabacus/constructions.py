@@ -10,14 +10,12 @@ bead mask whose rows are runner intervals; a wedge sets rows side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .abacus import Abacus, RunnerMismatchError
 
 
-@dataclass(frozen=True)
-class Pyramid:
+class Pyramid(NamedTuple):
     """Base interval [lo, hi] of a pyramid abacus: row j spans lo+j .. hi-j."""
 
     base_lo: int

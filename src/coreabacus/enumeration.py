@@ -26,7 +26,6 @@ import itertools
 import math
 from collections import defaultdict, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partitions as pt
@@ -80,28 +79,55 @@ class FamilyStats(NamedTuple):
     largest_bead: int  # largest first-column hook length; -1 when no member has a part
 
 
-@dataclass(frozen=True)
-class GapPoset:
-    """Non-representable values of <s, t> ordered by subtracting s or t."""
+class GapPoset(namedtuple("GapPoset", "s t gaps")):
+    """Non-representable values of <s, t> ordered by subtracting s or t; unpickling and `_replace` re-validate."""
 
-    s: int
-    t: int
-    gaps: tuple  # ascending
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = (self.s - 1) * (self.t - 1) // 2
-        if len(self.gaps) != expected:
-            raise ArithmeticError(f"<{self.s}, {self.t}> has {expected} gaps, got {len(self.gaps)}")
+    def __new__(cls, s: int, t: int, gaps: tuple):  # gaps ascending
+        expected = (s - 1) * (t - 1) // 2
+        if len(gaps) != expected:
+            raise ArithmeticError(f"<{s}, {t}> has {expected} gaps, got {len(gaps)}")
+        return tuple.__new__(cls, (s, t, gaps))
+
+    def __reduce__(self):
+        return GapPoset, tuple(self)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` validates too
 
 
-@dataclass(frozen=True)
 class CoreFamily:
-    """A finite family of simultaneous cores, optionally filtered."""
+    """A finite family of simultaneous cores, optionally filtered.
 
-    moduli: tuple
-    members: tuple  # Partition, lexicographic part order
-    distinct: bool = False
-    self_conjugate: bool = False
+    Immutable, and not a tuple, since its length is its member count: equality,
+    hashing, pickling and the repr read the tuple of its four fields.
+    """
+
+    __slots__ = ("moduli", "members", "distinct", "self_conjugate")
+
+    def __init__(self, moduli: tuple, members: tuple, distinct: bool = False, self_conjugate: bool = False):
+        for name, value in zip(self.__slots__, (moduli, members, distinct, self_conjugate)):
+            object.__setattr__(self, name, value)  # members: Partition, lexicographic part order
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a CoreFamily is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.moduli, self.members, self.distinct, self.self_conjugate
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is CoreFamily else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return CoreFamily, self._values()
+
+    def __repr__(self) -> str:
+        return f"CoreFamily({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self._values()))})"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -266,7 +292,7 @@ def count_st_cores(s: int, t: int) -> int:
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
-    return replace(enumerate_multi_cores((s, t), distinct), moduli=(s, t))
+    return CoreFamily((s, t), enumerate_multi_cores((s, t), distinct).members, distinct)
 
 
 def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
@@ -304,12 +330,12 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
 
 def filter_distinct(f: CoreFamily) -> CoreFamily:
     members = tuple(p for p in f.members if pt.has_distinct_parts(p))
-    return replace(f, members=members, distinct=True)
+    return CoreFamily(f.moduli, members, True, f.self_conjugate)
 
 
 def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
     members = tuple(p for p in f.members if pt.is_self_conjugate(p))
-    return replace(f, members=members, self_conjugate=True)
+    return CoreFamily(f.moduli, members, f.distinct, True)
 
 
 def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> CoreFamily:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import Iterator
@@ -153,22 +152,19 @@ def corollary3_check(s: int, m: int) -> bool:
 # verification harness
 
 
-@dataclass
 class Cell:
-    params: dict
-    expected: object
-    observed: object
-    passed: bool
-    status: str = ""
-    note: str = ""
+    __slots__ = ("params", "expected", "observed", "passed", "status", "note")
+
+    def __init__(self, params: dict, expected, observed, passed: bool, status: str = "", note: str = ""):
+        self.params, self.expected, self.observed, self.passed = params, expected, observed, passed
+        self.status, self.note = status, note
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    grid: dict
-    cells: list[Cell] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    __slots__ = ("claim", "grid", "cells", "elapsed_ms")
+
+    def __init__(self, claim: str, grid: dict, cells: list[Cell], elapsed_ms: float = 0.0):
+        self.claim, self.grid, self.cells, self.elapsed_ms = claim, grid, cells, elapsed_ms
 
     @property
     def all_passed(self) -> bool:

@@ -1,11 +1,12 @@
 import copy
-import dataclasses
 import pickle
 import random
 
 import pytest
 
 from coreabacus import abacus as ab
+from coreabacus import constructions as cx
+from coreabacus import enumeration as en
 from coreabacus import partitions as pt
 from coreabacus.abacus import Abacus, RunnerMismatchError
 from coreabacus.constructions import build_l
@@ -95,7 +96,7 @@ class TestAbacusGrid:
 
     def test_holds_its_runner_count_and_bead_mask(self):
         a = Abacus(4, frozenset({(1, 0), (2, 1)}))
-        assert [f.name for f in dataclasses.fields(Abacus)] == ["runners", "mask"]
+        assert Abacus._fields == ("runners", "mask")
         assert a.mask == 1 << 1 | 1 << 6 and repr(a) == "Abacus(runners=4, mask=66)"
         assert a == Abacus._trusted(4, 66) and hash(a) == hash(Abacus._trusted(4, 66))
         assert a != Abacus._trusted(5, 66) and a != Abacus._trusted(4, 67)
@@ -133,6 +134,65 @@ class TestAbacusGrid:
         assert not ab.is_sub_abacus(big, small)
         with pytest.raises(RunnerMismatchError):
             ab.is_sub_abacus(small, Abacus(5, frozenset()))
+
+
+def round_trips(x):
+    """`x` through copy, deepcopy and a pickle round trip at every protocol."""
+    return [copy.copy(x), copy.deepcopy(x)] + [pickle.loads(pickle.dumps(x, protocol))
+                                               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestRecordValues:
+    # each pair is one value built twice, by different routes
+    PAIRS = [
+        (ab.AxisTheta(3), ab.self_conjugate_axis_check(frozenset({1, 3}))),
+        (en.GapPoset(3, 4, (1, 2, 5)), en.gap_poset(3, 4)),
+        (cx.Pyramid(1, 4), cx.is_pyramid(cx.build_c(5, 0))),
+        (en.CoreFamily((4, 7), tuple(en.enumerate_st_cores(4, 7).members)), en.enumerate_st_cores(4, 7)),
+        (en.CoreFamily((5, 14), (EMPTY, P(1), P(2, 1)), True, True),
+         en.filter_self_conjugate(en.enumerate_st_cores(5, 14, True))),
+    ]
+
+    @pytest.mark.parametrize("value, twin", PAIRS)
+    def test_copy_and_pickle_keep_type_and_value(self, value, twin):
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+        for x in round_trips(value):
+            assert type(x) is type(value) and x == value and hash(x) == hash(value)
+
+    @pytest.mark.parametrize("value, twin", PAIRS)
+    def test_no_field_can_be_set(self, value, twin):
+        fields = getattr(value, "_fields", type(value).__slots__)
+        for name in (*fields, "label"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        assert value == twin
+
+    def test_named_tuples_equal_their_plain_tuples(self):
+        for value, _ in self.PAIRS[:3]:
+            assert value == tuple(value) and hash(value) == hash(tuple(value))
+        assert repr(cx.Pyramid(1, 4)) == "Pyramid(base_lo=1, base_hi=4)" and ab.AxisTheta(3).theta == 1.5
+
+    def test_core_family_reads_its_four_fields(self):
+        family = en.CoreFamily((2, 3), (EMPTY,))
+        assert repr(family) == ("CoreFamily(moduli=(2, 3), members=(Partition([]),), "
+                                "distinct=False, self_conjugate=False)")
+        assert len(family) == 1 and family != en.CoreFamily((2, 3), (EMPTY,), True)
+        assert family != ((2, 3), (EMPTY,), False, False)
+        with pytest.raises(AttributeError):
+            del family.members
+
+    @pytest.mark.parametrize("invalid, error", [(tuple.__new__(ab.AxisTheta, (2,)), ValueError),
+                                                (tuple.__new__(en.GapPoset, (3, 4, (1, 2))), ArithmeticError)])
+    def test_unpickling_and_replace_revalidate(self, invalid, error):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            payload = pickle.dumps(invalid, protocol)
+            with pytest.raises(error):
+                pickle.loads(payload)
+        with pytest.raises(error):
+            type(invalid)._make(invalid)
+        valid = {ab.AxisTheta: ab.AxisTheta(3), en.GapPoset: en.gap_poset(3, 4)}[type(invalid)]
+        with pytest.raises(error):
+            valid._replace(**invalid._asdict())
 
 
 class TestCorePredicates:

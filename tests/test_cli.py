@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -512,6 +515,15 @@ def test_package_states_invariants_without_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_parser_start_imports_no_introspection_modules():
+    # every `cores` run pays the parser's imports; `dataclasses` alone pulls in `inspect`, `ast` and `dis`
+    code = ("import sys, coreabacus.cli as c; c.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=str(Path(coreabacus.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_only_abacus_reads_the_positions_grid():

@@ -253,6 +253,19 @@ class TestMultiCores:
         # the distinct (9,28) family is read off the runner DP: it builds 1,159 members, not the 3,362,260 cores
         assert len(en.enumerate_multi_cores({9, 28}, distinct=True)) == 1159
 
+    def test_parts_rail_boundary(self, monkeypatch):
+        # at a limit of exactly count x most parts the family is built; one below, it is refused before the walk
+        for moduli, distinct in [((5, 6), False), ((5, 7), True)]:
+            family = en.enumerate_multi_cores(moduli, distinct)
+            parts = len(family) * max(map(len, family.members))
+            with monkeypatch.context() as patch:
+                patch.setattr(en, "FAMILY_MAX_PARTS", parts)
+                assert en.enumerate_multi_cores(moduli, distinct) == family
+                patch.setattr(en, "FAMILY_MAX_PARTS", parts - 1)
+                patch.setattr(en, "_lex_walk", lambda *args: pytest.fail("the rail let the walk start"))
+                with pytest.raises(en.GuardRailError, match=rf"beyond the guard rail of {parts - 1} parts"):
+                    en.enumerate_multi_cores(moduli, distinct)
+
     def test_rail_modulus_is_the_first_catalan_number_beyond_the_rail(self, monkeypatch):
         # a pair's count grows with its larger modulus, so the Catalan number of the smaller bounds it
         for s in range(1, 16):
