@@ -56,9 +56,9 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-def _cached(args) -> tuple[int, str]:
+def _cached(args) -> tuple[int, str | bytes]:
     """`args.func(args)`, or the exit code and stdout an earlier run stored for the same arguments
-    under the same sources.
+    under the same sources, the stdout as its stored bytes.
 
     An entry is the source hash, the exit code and the stdout, each of the first two ending in a
     newline, zlib-compressed, in the file of `_cache_dir()` named by the sha256 of the key. The key
@@ -75,8 +75,10 @@ def _cached(args) -> tuple[int, str]:
     key = json.dumps({k: v for k, v in vars(args).items() if k not in ("func", "no_cache")}, sort_keys=True)
     path = _cache_dir() / hashlib.sha256(key.encode()).hexdigest()
     try:
-        stamp, code, out = zlib.decompress(path.read_bytes()).decode().split("\n", 2)
-        if stamp == _source_hash():
+        stamp, code, out = zlib.decompress(path.read_bytes()).split(b"\n", 2)
+        if stamp == _source_hash().encode():
+            if not out.isascii():
+                out.decode()  # stdout that is not UTF-8 raises: a damaged entry, a miss
             return int(code), out
     except (OSError, ValueError, zlib.error):
         pass  # a miss
@@ -149,11 +151,14 @@ def cmd_enumerate(args) -> tuple[int, str]:
             return EXIT_OK, "\n".join(["weight,parts", *rows]) + "\n"
         count, max_weight, longest = len(members), family.max_weight(), max(map(len, members), default=0)
     if args.format == "json":
-        payload = {"moduli": list(moduli), "filters": filters, "count": count,
-                   "max_weight": max_weight, "longest_parts": longest}
-        if members is not None:
-            payload["partitions"] = members
-        return EXIT_OK, json.dumps(payload, indent=2) + "\n"
+        head = json.dumps({"moduli": list(moduli), "filters": filters, "count": count,
+                           "max_weight": max_weight, "longest_parts": longest}, indent=2)
+        if members is None:
+            return EXIT_OK, head + "\n"
+        # what `json.dumps` prints for the members at indent 2, joined, not encoded a token at a time
+        body = ",\n".join("    [\n      " + ",\n      ".join(map(str, p)) + "\n    ]" if p else "    []"
+                          for p in members)
+        return EXIT_OK, f'{head[:-2]},\n  "partitions": [\n{body}\n  ]\n}}\n'
     if args.format == "csv":
         return EXIT_OK, f"count\n{count}\n"
     flags = [k for k, v in filters.items() if v]
@@ -253,7 +258,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(out, end="")
+    if isinstance(out, bytes) and hasattr(sys.stdout, "buffer"):  # a hit's stored bytes, written as they are
+        sys.stdout.flush()
+        sys.stdout.buffer.write(out)
+    else:
+        print(out if isinstance(out, str) else out.decode(), end="")
     return code
 
 

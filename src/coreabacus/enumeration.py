@@ -12,10 +12,11 @@ and restores the collector's earlier state; a built family keeps its
 self-conjugate members by `filter_self_conjugate`.  A family's statistics and
 its rail come from the first row of `_ROUTES` that applies; `_walk_stats`,
 folded from the same tree walked depth first with no `Partition` built, is the
-reference every other route is tested against.  The slow route keeps the
-partitions up to a weight bound with no hook length among the moduli, read off
-the Young diagram and never off a bead mask; it exists only as an independent
-oracle for the tests.
+reference every other route is tested against and the last row, railed before
+the walk on its largest possible bead and during it on the cores it visits.
+The slow route keeps the partitions up to a weight bound with no hook length
+among the moduli, read off the Young diagram and never off a bead mask; it
+exists only as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False, bud
     """The statistics folded from `_masks`, keeping the masks that pass the mirror test if
     `self_conjugate`: the walk's one answer, the reference for every other route.  A minimal bead
     set holds one bead per part, so a mask with n beads and bead sum S weighs S - n(n-1)/2.  With a
-    `budget`, a walk that visits one core more is refused there: the rail of the distinct walk, which
-    has no size prediction, the one decided during the work, and the same for the same input.
+    `budget`, a walk that visits one core more is refused there: the walk row's rail on its count,
+    which nothing predicts, decided during the work and the same for the same input.
     """
     count = max_weight = longest = top = 0  # the largest mask has the largest bead
     nodes = _masks(moduli, distinct)
@@ -403,27 +404,20 @@ _ROUTES = (
            lambda moduli, distinct, _: distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1),
            lambda moduli, *_: _runner_paths(*moduli, distinct=True)[0],
            lambda moduli, *_: _runner_work(*moduli, RUNNER_MAX_WORK), "work units", RUNNER_MAX_WORK),
-    _Route("distinct walk", lambda moduli, distinct, _: distinct,
-           functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
+    _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
            lambda moduli, *_: _frobenius_bound(*(_coprime_pair(moduli) or (moduli[0], moduli[-1]))),
            "possible bead values", MAXIMAL_MAX_FROBENIUS),
-    _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
-           lambda moduli, *_: family_stats(_coprime_pair(moduli)).count,
-           "cores of the smallest coprime pair", FAMILY_MAX_CORES),
 )
 
 
 def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
-    """The first of `_ROUTES` that applies to the family of sorted `moduli`, refused if its cost is beyond its limit."""
+    """The first of `_ROUTES` that applies to the family of sorted `moduli`, refused if its cost is beyond its limit,
+    or if no pair is coprime and the moduli share a factor, as the family may then be infinite."""
     if any(t < 1 for t in moduli):
         raise ValueError(f"moduli must be positive, got {moduli}")
     route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
-    if route.name != "staircases" and _coprime_pair(moduli) is None:
-        if math.gcd(*moduli) > 1:
-            raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
-        if route.name != "distinct walk":  # every bead is a gap of the semigroup the moduli generate
-            raise GuardRailError(f"no coprime pair in {moduli}, so no guard rail predicts the cost of its walk, "
-                                 f"though the family is finite: gcd{moduli} = 1")
+    if route.name != "staircases" and _coprime_pair(moduli) is None and math.gcd(*moduli) > 1:
+        raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     if (cost := route.cost(moduli, distinct, self_conjugate)) is None or cost > route.limit:
         raise GuardRailError(f"moduli {moduli} take the {route.name} route, whose {'' if cost is None else f'{cost} '}"
                              f"{route.unit} are beyond the guard rail of {route.limit}")
@@ -438,11 +432,11 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
 
 def _check_build(moduli: tuple, distinct: bool, self_conjugate: bool) -> None:
     """Refuse, before any work, a family of sorted `moduli` whose build would hold more than `FAMILY_MAX_PARTS`
-    parts, bounded by count x most parts: with `distinct` the staircases' or the unfiltered family's, read off
-    its route, or else the smallest coprime pair's closed forms, which `_route` has railed, so a walk walks once."""
-    route = _route(moduli, distinct, distinct and self_conjugate)
-    count, _, longest, _ = (route.stats(moduli, True, self_conjugate) if distinct
-                            else _closed_form(_coprime_pair(moduli), False, False))
+    parts, bounded by count x most parts of the family built before `filter_self_conjugate`: read off the smallest
+    coprime pair's closed forms without `distinct`, so a walk walks once, and otherwise off its route."""
+    route, pair = _route(moduli, distinct, distinct and self_conjugate), _coprime_pair(moduli)
+    count, _, longest, _ = (_closed_form(pair, False, False) if pair and not distinct
+                            else route.stats(moduli, distinct, distinct and self_conjugate))
     if count * longest > FAMILY_MAX_PARTS:
         raise GuardRailError(f"moduli {moduli} build up to {count} members of up to {longest} parts, "
                              f"beyond the guard rail of {FAMILY_MAX_PARTS} parts")

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -171,10 +173,11 @@ class TestEnumerateAndCount:
             assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 
     def test_count_beyond_guard_rail_exit_two(self, capsys, monkeypatch):
-        # a coprime pair is the closed form's, whatever its Catalan count; the walk of a triple is railed
-        # on its smallest pair's cores, and the runner DP on its predicted work
+        # a coprime pair is the closed form's, whatever its Catalan count; the walk, with or without `--distinct`,
+        # is railed on its largest possible bead, so (8,23,25) answers though (8,23) has 254,475 cores; the runner
+        # DP is railed on its predicted work
         for argv, count in [(["20,21"], 6564120420), (["13,14"], 742900), (["20,21", "--self-conjugate"], 184756),
-                            (["9,28", "--distinct"], 1159)]:
+                            (["9,28", "--distinct"], 1159), (["8,23,25"], 49106)]:
             code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
             assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 
@@ -182,12 +185,12 @@ class TestEnumerateAndCount:
             raise AssertionError("the rail let the work start")
 
         for argv, work, message in [
-            (["8,23,25"], "_masks", "take the walk route, whose 254475 cores of the smallest coprime pair are "
-                                    "beyond the guard rail of 250000"),
+            (["2,1000003,1000005"], "_masks", "take the walk route, whose 1000001 possible bead values are beyond "
+                                              "the guard rail of 1000000"),
             (["4000,4001", "--distinct"], "_runner_paths", "take the runner DP route, whose work units are beyond "
                                                            "the guard rail of 5000000"),
-            (["12,1000001", "--distinct"], "_masks", "take the distinct walk route, whose 10999999 possible bead "
-                                                     "values are beyond the guard rail of 1000000"),
+            (["12,1000001", "--distinct"], "_masks", "take the walk route, whose 10999999 possible bead values are "
+                                                     "beyond the guard rail of 1000000"),
         ]:
             with monkeypatch.context() as patch:
                 patch.setattr(enumeration, work, refuse)
@@ -226,10 +229,10 @@ class TestEnumerateAndCount:
             assert (code, out) == (2, ""), moduli
             assert f"take the closed form route, whose {bits} answer bits are beyond the guard rail of 14000" in err
             assert "Exceeds the limit" not in err, moduli
-        # a triple's walk is railed on its smallest pair's count, which that pair's closed form rail refuses
+        # a triple's walk is railed on its smallest pair's largest gap, st - s - t, which nothing counts either
         monkeypatch.setattr(enumeration, "_masks", refuse)
         code, out, err = run(capsys, "count", "--moduli", "300000,300001,600001", "--no-cache")
-        assert (code, out) == (2, "") and "(300000, 300001) take the closed form route, whose 600001" in err
+        assert (code, out) == (2, "") and "take the walk route, whose 89999699999 possible bead values" in err
 
     def test_closed_form_rail_is_the_bits_of_the_count_for_near_equal_pairs(self, capsys, monkeypatch):
         # C(s + t, s) < 2^(s + t) bounds every field, so a pair costs min(s * bitlen(s + t), s + t) answer bits:
@@ -304,12 +307,18 @@ class TestEnumerateAndCount:
             code, _, err = run(capsys, "count", "--moduli", *argv)
             assert code == 2 and err.startswith("error: ") and "infinite" in err, argv
 
-    def test_finite_family_without_a_coprime_pair_is_refused(self, capsys):
-        # gcd(6, 10, 15) = 1, so every bead is a gap of <6, 10, 15> and the family is finite, but no rail predicts
-        # its walk; 4,6 keeps its message
+    def test_finite_family_without_a_coprime_pair_is_walked(self, capsys):
+        # gcd(6, 10, 15) = 1, so every bead is a gap of <6, 10, 15>, at most Schur's bound 69, and the family is walked;
+        # beyond that rail, (6, 10, 200025) is refused; 4,6 keeps its message
+        code, out, err = run(capsys, "count", "--moduli", "6,10,15", "--no-cache")
+        assert (code, err) == (0, "") and out == "(6,10,15)-cores: count=259 max_weight=60 longest_parts=15\n"
+        code, out, err = run(capsys, "enumerate", "--moduli", "6,10,15", "--format", "csv")
+        members = enumerate_multi_cores((6, 10, 15)).members
+        assert (code, err, len(members)) == (0, "", 259)
+        assert out == "".join(["weight,parts\n", *(f"{sum(p)},{' '.join(map(str, p))}\n" for p in members)])
         for command in ("count", "enumerate"):
-            code, _, err = run(capsys, command, "--moduli", "6,10,15")
-            assert code == 2 and "finite" in err and "infinite" not in err, command
+            code, _, err = run(capsys, command, "--moduli", "6,10,200025")
+            assert code == 2 and "whose 1000119 possible bead values are beyond the guard rail" in err, command
             code, _, err = run(capsys, command, "--moduli", "4,6")
             assert code == 2 and "no coprime pair" in err and "may be infinite" in err, command
 
@@ -373,6 +382,35 @@ class TestEnumerateAndCount:
         assert len(list((tmp_path / "cache").iterdir())) == 1
         monkeypatch.setattr(cli, "enumerate_multi_cores", None)  # every spelling after the first is a hit
         assert [run(capsys, "enumerate", "--moduli", m, "--format", "csv") for m in spellings] == [fresh] * 4
+
+    def test_json_members_are_what_json_dumps_prints(self, capsys):
+        # the members are joined, not encoded a token at a time, into json.dumps's indent-2 text; the modulus 1
+        # family is the empty partition alone
+        for argv in (["5,6"], ["7,9"], ["5,14", "--distinct"], ["4,11,13"], ["6,9", "--distinct", "--self-conjugate"],
+                     ["1"]):
+            filters = {"distinct": "--distinct" in argv, "self_conjugate": "--self-conjugate" in argv}
+            family = enumerate_multi_cores(map(int, argv[0].split(",")), **filters)
+            payload = {"moduli": list(family.moduli), "filters": filters, "count": len(family),
+                       "max_weight": family.max_weight(), "longest_parts": max(map(len, family.members)),
+                       "partitions": family.members}
+            code, out, err = run(capsys, "enumerate", "--moduli", *argv, "--format", "json", "--no-cache")
+            assert (code, err, out) == (0, "", json.dumps(payload, indent=2) + "\n"), argv
+        assert '"partitions": [\n    []\n  ]\n}' in out
+
+    def test_hit_writes_its_stored_bytes(self, tmp_path):
+        # a hit writes the stored stdout to stdout's binary buffer, or, where stdout has none, as text: an entry
+        # made by hand, with the sources' stamp, is replayed as it is, through a process's stdout and a StringIO
+        argv = ["enumerate", "--moduli", "5,6", "--format", "json"]
+        assert main(argv) == 0
+        (path,) = (tmp_path / "cache").iterdir()
+        stored = b"stored\tstdout\n{}\n"
+        path.write_bytes(zlib.compress(cli._source_hash().encode() + b"\n1\n" + stored))
+        env = dict(os.environ, PYTHONPATH=str(Path(coreabacus.__file__).parent.parent))
+        hit = subprocess.run([sys.executable, "-m", "coreabacus.cli", *argv], env=env, capture_output=True)
+        assert (hit.returncode, hit.stdout, hit.stderr) == (1, stored, b"")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 1
+        assert out.getvalue() == stored.decode()
 
     def test_json_entry_is_compressed(self, capsys, tmp_path):
         code, out, _ = run(capsys, "enumerate", "--moduli", "9,11", "--format", "json")

@@ -1,6 +1,7 @@
 import collections
 import gc
 import inspect
+import itertools
 import math
 import operator
 import sys
@@ -45,6 +46,13 @@ def node_of(p):
     part k (from 0) of n has hook length p_k + n - 1 - k."""
     beads = list(map(operator.add, p, range(len(p) - 1, -1, -1)))
     return sum(map((1).__lshift__, beads)), len(p), sum(beads)
+
+
+def parts_of(beads):
+    """The partition of a bead set without the bead 0, the inverse of `node_of`: of n beads, the k-th largest
+    (from 0) is part k's hook length, so the part is that bead less n - 1 - k."""
+    beads = sorted(beads, reverse=True)
+    return Partition(b - (len(beads) - 1 - k) for k, b in enumerate(beads))
 
 
 def stats_of(family):
@@ -202,6 +210,19 @@ class TestMultiCores:
         family = en.enumerate_multi_cores({4, 7, 9})
         assert family.max_weight() == 12
 
+    def test_6_10_15_is_every_gap_subset_without_a_modulus_hook(self):
+        # no pair of (6, 10, 15) is coprime, but gcd 1 leaves <6, 10, 15> 15 gaps, 1..29, and every bead of a core of
+        # each modulus is one: every subset of them, read as a bead set, is kept when no hook length is a modulus
+        sums = {6 * a + 10 * b + 15 * c for a in range(7) for b in range(4) for c in range(3)}
+        gaps = [v for v in range(1, 30) if v not in sums]
+        assert len(gaps) == 15 and all(v in sums for v in range(30, 36))  # six in a row: all above 29 are sums
+        subsets = itertools.chain.from_iterable(itertools.combinations(gaps, k) for k in range(len(gaps) + 1))
+        kept = sorted(p for p in map(parts_of, subsets) if {6, 10, 15}.isdisjoint(pt._hooks(p)))
+        assert en.enumerate_multi_cores((6, 10, 15)).members == tuple(kept)
+        assert en.family_stats((6, 10, 15)) == FamilyStats(
+            len(kept), max(map(sum, kept)), max(map(len, kept)), max(p[0] + len(p) for p in kept if p) - 1)
+        assert en.family_stats((6, 10, 15))[:3] == (259, 60, 15)
+
     def test_modulus_one_alone(self):
         assert en.enumerate_multi_cores({1}).members == (EMPTY,)
         assert en.family_stats({1}, distinct=True, self_conjugate=True) == FamilyStats(1, 0, 0, -1)
@@ -247,15 +268,16 @@ class TestMultiCores:
             for s, t in ((13, 14), (14, 13)):
                 with pytest.raises(en.GuardRailError, match="742900 members of up to 78 parts.*15000000"):
                     en.enumerate_st_cores(s, t)
-            # the walk of a triple is railed on its smallest pair's cores
-            with pytest.raises(en.GuardRailError, match="whose 6564120420 cores of the smallest coprime pair"):
+            # a triple's build is railed on its smallest pair's closed forms, so its walk runs once
+            with pytest.raises(en.GuardRailError, match="6564120420 members of up to 190 parts.*15000000"):
                 en.enumerate_multi_cores({20, 21, 41})
         # the distinct (9,28) family is read off the runner DP: it builds 1,159 members, not the 3,362,260 cores
         assert len(en.enumerate_multi_cores({9, 28}, distinct=True)) == 1159
 
     def test_parts_rail_boundary(self, monkeypatch):
-        # at a limit of exactly count x most parts the family is built; one below, it is refused before the walk
-        for moduli, distinct in [((5, 6), False), ((5, 7), True)]:
+        # at a limit of exactly count x most parts the family is built; one below, it is refused before the walk.
+        # With no coprime pair the plain walk's statistics are read, 259 x 15 for (6, 10, 15), not the distinct 40 x 7
+        for moduli, distinct in [((5, 6), False), ((5, 7), True), ((6, 10, 15), False)]:
             family = en.enumerate_multi_cores(moduli, distinct)
             parts = len(family) * max(map(len, family.members))
             with monkeypatch.context() as patch:
@@ -266,20 +288,34 @@ class TestMultiCores:
                 with pytest.raises(en.GuardRailError, match=rf"beyond the guard rail of {parts - 1} parts"):
                     en.enumerate_multi_cores(moduli, distinct)
 
-    def test_rail_modulus_is_the_first_catalan_number_beyond_the_rail(self, monkeypatch):
+    def test_triples_are_railed_on_their_own_cores_not_their_pair(self, monkeypatch):
         # a pair's count grows with its larger modulus, so the Catalan number of the smaller bounds it
         for s in range(1, 16):
             counts = [en.count_st_cores(s, t) for t in range(s + 1, 60) if math.gcd(s, t) == 1]
             assert counts == sorted(counts) and counts[0] == en.count_st_cores(s, s + 1), s
-        # so the first s whose Catalan number is beyond the walk's rail, 13, is the first whose triples
-        # (s, ms - 1, ms + 1) with m >= 2 are refused on their pair (s, ms - 1) before the walk
+        # 13 is the first s whose Catalan number is beyond the visit budget, but the walk visits only a triple's
+        # members, so (8, 23, 25) and (10, 19, 21) answer though their pairs hold 254,475 and 690,690 cores
         k = next(s for s in range(1, 20) if en.count_st_cores(s, s + 1) > en.FAMILY_MAX_CORES)
         assert k == 13 and en.count_st_cores(k - 1, k) <= en.FAMILY_MAX_CORES
         assert en.family_stats((k - 2, k - 1, k)).count > 0  # (12, 11, 13) is walked on (11,12)
-        monkeypatch.setattr(en, "_masks", lambda *args: pytest.fail("the rail let the walk start"))
+        assert (en.count_st_cores(8, 23), en.count_st_cores(10, 19)) == (254475, 690690)
+        assert en.family_stats((8, 23, 25))[:3] == (49106, 408, 44)
+        assert en.family_stats((10, 19, 21))[:3] == (83710, 425, 45)
+        # the triples (13, 13m - 1, 13m + 1) with m >= 2 are refused on the core after the budget
+        visits = []
+        masks = en._masks
+
+        def counted(*args):
+            for node in masks(*args):
+                visits.append(node)
+                yield node
+
+        monkeypatch.setattr(en, "_masks", counted)
         for m in range(2, 6):
-            with pytest.raises(en.GuardRailError, match="cores of the smallest coprime pair are beyond"):
+            visits.clear()
+            with pytest.raises(en.GuardRailError, match=r"visits more than 250000 cores, beyond the guard rail"):
                 en.family_stats((k, m * k - 1, m * k + 1))
+            assert len(visits) == en.FAMILY_MAX_CORES + 1, m
 
     def test_every_pair_within_the_rail_is_counted(self):
         # the closed form's cost, s * (s + t).bit_length(), bounds the bits of each of its answers, so every
@@ -307,41 +343,56 @@ class TestMultiCores:
         with pytest.raises(en.GuardRailError, match=r"\(5, 7\) visits more than 15 cores, beyond the guard rail"):
             en._walk_stats((5, 7), True, budget=15)
 
+    def test_plain_walk_visit_budget_boundary(self):
+        # the (6,10,15)-cores are 259: a budget of 259 visits answers, and 258 refuses on the 259th core
+        assert en._walk_stats((6, 10, 15), False, budget=259) == en._walk_stats((6, 10, 15), False)
+        assert en._walk_stats((6, 10, 15), False).count == 259
+        with pytest.raises(en.GuardRailError, match=r"\(6, 10, 15\) visits more than 258 cores, beyond the guard"):
+            en._walk_stats((6, 10, 15), False, budget=258)
+
     def test_distinct_walk_is_railed_on_its_largest_possible_bead(self, monkeypatch):
-        # before any walk: (a - 1)(b - 1) - 1 of the smallest coprime pair, or with none, of the smallest and largest
-        # modulus, Schur's bound on the largest gap; at the bound the family is walked, one below it is refused
+        # before any walk, with or without `distinct`: (a - 1)(b - 1) - 1 of the smallest coprime pair, or with none,
+        # of the smallest and largest modulus, Schur's bound on the largest gap; at the bound the family is walked,
+        # one below it is refused.  The plain (8, 23, 25) family is refused by enumerate's parts rail at any bound
         def refuse(*args):
             raise AssertionError("the rail let the walk start")
 
         def limited(limit):
-            return tuple(row._replace(limit=limit) if row.name == "distinct walk" else row for row in en._ROUTES)
+            return tuple(row._replace(limit=limit) if row.name == "walk" else row for row in en._ROUTES)
 
-        for moduli, bound in [((5, 7), 23), ((5, 7, 9), 23), ((6, 10, 15), 69), ((6, 14, 21), 99)]:
-            walked = en._walk_stats(moduli, True)
+        for moduli, distinct, bound in [((5, 7), True, 23), ((5, 7, 9), True, 23), ((6, 10, 15), True, 69),
+                                        ((6, 14, 21), True, 99), ((6, 10, 15), False, 69), ((8, 23, 25), False, 153)]:
+            walked = en._walk_stats(moduli, distinct)
             with monkeypatch.context() as patch:
                 patch.setattr(en, "_ROUTES", limited(bound))
-                assert en.family_stats(moduli, True) == walked == stats_of(en.enumerate_multi_cores(moduli, True))
+                assert en.family_stats(moduli, distinct) == walked
+                if moduli == (8, 23, 25):
+                    with pytest.raises(en.GuardRailError, match="254475 members of up to 77 parts"):
+                        en.enumerate_multi_cores(moduli, distinct)
+                else:
+                    assert stats_of(en.enumerate_multi_cores(moduli, distinct)) == walked
                 patch.setattr(en, "_ROUTES", limited(bound - 1))
                 patch.setattr(en, "_masks", refuse)
                 patch.setattr(en, "_lex_walk", refuse)
                 for route in (en.family_stats, en.enumerate_multi_cores):
                     with pytest.raises(en.GuardRailError, match=rf"walk route, whose {bound} possible bead values"):
-                        route(moduli, True)
+                        route(moduli, distinct)
         # at the real limit: Schur's bound of (6, 10, 199995) is 999,969, and of (6, 10, 200025) 1,000,119
         monkeypatch.setattr(en, "_masks", refuse)
-        assert en._route((6, 10, 199995), True, False).name == "distinct walk"
-        with pytest.raises(en.GuardRailError, match="whose 1000119 possible bead values are beyond the guard rail"):
-            en.family_stats((6, 10, 200025), True)
+        for distinct in (False, True):
+            assert en._route((6, 10, 199995), distinct, False).name == "walk"
+            with pytest.raises(en.GuardRailError, match="whose 1000119 possible bead values are beyond the guard rail"):
+                en.family_stats((6, 10, 200025), distinct)
 
     def test_route_table(self):
         # the first route that applies answers: the staircases, the closed form, the runner DP, then the walk
-        assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "distinct walk",
-                                                        "walk"]
+        assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "walk"]
         for moduli, distinct, self_conjugate, name in [
             ((6, 9), True, True, "staircases"), ((20, 21), False, True, "closed form"),
             ((1,), False, False, "closed form"), ((5, 14), True, False, "runner DP"),
-            ((5, 7), True, False, "distinct walk"), ((6, 10, 15), True, False, "distinct walk"),
-            ((5, 14, 16), False, True, "walk"),
+            ((5, 7), True, False, "walk"), ((6, 10, 15), True, False, "walk"),
+            ((5, 14, 16), False, True, "walk"), ((6, 10, 15), False, False, "walk"),
+            ((8, 23, 25), False, False, "walk"),
         ]:
             assert en._route(moduli, distinct, self_conjugate).name == name, moduli
 
@@ -465,8 +516,8 @@ def _route_cells():
     """(moduli, filter sets), the union of the old comparison grids: every coprime pair with st <= 150,
     the (s, ms-1, ms+1) triples with s <= 6 and m <= 3, (4,11,13), (5,14,16), (1,), (1,4) and (1,6) under
     every filter set; the distinct (s, ms±1) pairs with 2 <= s <= 8 and m <= s + 1; the distinct
-    self-conjugate coprime pairs with s <= 12 and s < t < 40; the coprime pairs with s, t <= 20; and with
-    `distinct`, moduli of gcd 1 with no coprime pair."""
+    self-conjugate coprime pairs with s <= 12 and s < t < 40; the coprime pairs with s, t <= 20; and moduli
+    of gcd 1 with no coprime pair under every filter set."""
     every = {(False, False), (True, False), (False, True), (True, True)}
     cells = {}
     triples = {tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)}
@@ -481,7 +532,7 @@ def _route_cells():
         elif t <= 20:
             cells.setdefault((s, t), set())
     for moduli in [(6, 10, 15), (6, 15, 20), (10, 12, 15), (12, 15, 20), (6, 10, 45), (6, 14, 21)]:
-        cells[moduli] = {(True, False), (True, True)}
+        cells[moduli] = every
     return sorted((moduli, sorted(filters)) for moduli, filters in cells.items())
 
 
