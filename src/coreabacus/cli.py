@@ -23,9 +23,9 @@ import zlib
 from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
-from .constructions import _M_FOLDS, CONSTRUCTIONS, _l_beads, _named_rows, build_l, build_named
-from .enumeration import (LONGEST_MAX_BEADS, SHOW_MAX_CELLS, GuardRailError, _check_rail,
-                          enumerate_multi_cores, family_stats, maximal_st_core)
+from .constructions import _M_FOLDS, CONSTRUCTIONS, _named_rows, build_l, build_named
+from .enumeration import (SHOW_MAX_CELLS, GuardRailError, _check_rail, enumerate_multi_cores, family_stats,
+                          maximal_st_core)
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
@@ -56,9 +56,9 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-def _cached(args) -> tuple[int, str | bytes]:
+def _cached(args) -> tuple[int, str | list]:
     """`args.func(args)`, or the exit code and stdout an earlier run stored for the same arguments
-    under the same sources, the stdout as its stored bytes.
+    under the same sources, the stdout as the pieces it was inflated in, which `zlib.decompress` would copy.
 
     An entry is the source hash, the exit code and the stdout, each of the first two ending in a
     newline, zlib-compressed, in the file of `_cache_dir()` named by the sha256 of the key. The key
@@ -75,11 +75,14 @@ def _cached(args) -> tuple[int, str | bytes]:
     key = json.dumps({k: v for k, v in vars(args).items() if k not in ("func", "no_cache")}, sort_keys=True)
     path = _cache_dir() / hashlib.sha256(key.encode()).hexdigest()
     try:
-        stamp, code, out = zlib.decompress(path.read_bytes()).split(b"\n", 2)
-        if stamp == _source_hash().encode():
-            if not out.isascii():
-                out.decode()  # stdout that is not UTF-8 raises: a damaged entry, a miss
-            return int(code), out
+        data, inflate = memoryview(path.read_bytes()), zlib.decompressobj()
+        head, *rest = [inflate.decompress(data[k:k + 65536]) for k in range(0, len(data), 65536)]
+        i = head.index(b"\n")
+        j = head.index(b"\n", i + 1)
+        if inflate.eof and head[:i] == _source_hash().encode():
+            if not all(map(bytes.isascii, [head, *rest])):  # the stamp and exit code are ASCII: this checks the stdout
+                b"".join([head, *rest]).decode()  # stdout that is not UTF-8 raises: a damaged entry, a miss
+            return int(head[i + 1:j]), [memoryview(head)[j + 1:], *rest]
     except (OSError, ValueError, zlib.error):
         pass  # a miss
     code, out = args.func(args)
@@ -120,19 +123,19 @@ def _parse_grid(text: str) -> dict:
     return grid
 
 
+def _check_cells(name: str, label: str, s: int, m: int, rows: int | None = None) -> None:
+    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, at `SHOW_MAX_CELLS`."""
+    inputs = [("s", s)] + [("--rows", rows)] * (rows is not None) + [("m", m)] * (name in _M_FOLDS)
+    _check_rail(lambda v: v["s"] * v.get("m", 1) * max(v.get("--rows", 0), _named_rows(name, v["s"], v.get("m", 1)), 1),
+                inputs, SHOW_MAX_CELLS, f"the runners x rows of {label}")
+
+
 def cmd_show(args) -> tuple[int, str]:
     label = f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")"
-    folds = args.m if args.name in _M_FOLDS else 1
-    if args.rows and folds * args.rows > SHOW_MAX_CELLS:  # --rows alone breaks the rail, at every s
-        _check_rail(lambda r: args.s * folds * r, args.rows, SHOW_MAX_CELLS, f"the runners x rows of {label}", "--rows")
-    _check_rail(lambda s: s * folds * (args.rows or max(_named_rows(args.name, s, args.m), 1)), args.s,
-                SHOW_MAX_CELLS, f"the runners x rows of {label}", "s")
+    _check_cells(args.name, label, args.s, args.m, args.rows)
     abacus = build_named(args.name, args.s, args.m)
     grid = render_abacus(abacus, rows=args.rows)
-    lines = [label]
-    if not abacus.mask:
-        lines.append("(no beads)")
-    return EXIT_OK, "\n".join([*lines, grid]) + "\n"
+    return EXIT_OK, "\n".join([label, *["(no beads)"] * (not abacus.mask), grid]) + "\n"
 
 
 def cmd_enumerate(args) -> tuple[int, str]:
@@ -193,8 +196,7 @@ def cmd_maximal(args) -> tuple[int, str]:
 
 
 def cmd_longest(args) -> tuple[int, str]:
-    _check_rail(lambda s: _l_beads(s, args.m), args.s, LONGEST_MAX_BEADS,
-                f"the beads of L(s={args.s}, m={args.m}), the parts of the longest core,", "s")
+    _check_cells("L", f"L(s={args.s}, m={args.m})", args.s, args.m)
     p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
         return EXIT_OK, json.dumps({"s": args.s, "m": args.m, "partition": list(p),
@@ -258,11 +260,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(out, bytes) and hasattr(sys.stdout, "buffer"):  # a hit's stored bytes, written as they are
+    if isinstance(out, list) and hasattr(sys.stdout, "buffer"):  # a hit's stored bytes, written as they are
         sys.stdout.flush()
-        sys.stdout.buffer.write(out)
+        sys.stdout.buffer.writelines(out)
     else:
-        print(out if isinstance(out, str) else out.decode(), end="")
+        print(out if isinstance(out, str) else b"".join(out).decode(), end="")
     return code
 
 

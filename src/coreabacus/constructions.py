@@ -181,12 +181,6 @@ def _named_rows(name: str, s: int, m: int) -> int:
     return max((s - k) // 2 if name in ("C0", "C1", "L") else s - 1 - k, 0)
 
 
-def _l_beads(s: int, m: int) -> int:
-    """Beads of L(s, m), the parts of the longest (s, ms-1, ms+1)-core: m - 1 copies of C0(s),
-    with floor(s^2/4) beads, then C1(s), with floor((s-1)^2/4)."""
-    return (m - 1) * (s * s // 4) + (s - 1) ** 2 // 4
-
-
 def _check_s(s: int) -> None:
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")

@@ -39,8 +39,7 @@ FAMILY_MAX_CORES = 250_000  # guard rail on the cores the walk visits
 FAMILY_MAX_PARTS = 15_000_000  # guard rail on the parts a built family holds: (12,13) holds 13,728,792
 RUNNER_MAX_WORK = 5_000_000  # guard rail on the runner DP's work units, about 1 s
 MAXIMAL_MAX_FROBENIUS = 1_000_000  # guard rail on st - s - t (`_frobenius_bound`), the values `maximal_st_core` sieves
-LONGEST_MAX_BEADS = 500_000  # guard rail on the beads of L(s, m), the parts `cores longest` prints
-SHOW_MAX_CELLS = 1_000_000  # guard rail on the runners x rows of the grid `cores show` prints
+SHOW_MAX_CELLS = 1_000_000  # guard rail on the runners x rows of the abacus `cores show` and `cores longest` build
 _SPACER_COST = 10  # the work units of one spacer step of the runner DP, in row updates (measured)
 
 
@@ -48,19 +47,23 @@ class GuardRailError(ValueError):
     """A request exceeded its desk-scale guard rail."""
 
 
-def _check_rail(size, n: int, limit: int, what: str, name: str) -> None:
-    """Refuse a positive input `n` whose `size(n)` is beyond `limit`, before any work, naming the
-    largest admissible `name` with the other inputs kept.  `size` is non-decreasing on 0..n and
-    within the rail at 0; a non-positive `n` is left to the work's own checks."""
-    if n > 0 and size(n) > limit:
-        lo, hi = 0, 1
-        while size(hi) <= limit:  # doubling, so a huge n costs no more steps than the answer
-            lo, hi = hi, min(2 * hi, n)
-        while hi - lo > 1:  # size(lo) <= limit < size(hi)
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if size(mid) <= limit else (lo, mid)
-        raise GuardRailError(f"{what} are beyond the guard rail of {limit}; "
-                             f"the largest admissible {name} here is {lo}")
+def _check_rail(size, inputs, limit: int, what: str) -> None:
+    """Refuse, before any work, (name, value) `inputs` whose `size`, read off a {name: value} dict and
+    non-decreasing in each, is beyond `limit`, naming the first input that brings it within the limit when
+    lowered alone to 1, and its largest admissible value.  A non-positive value counts as 1: the work refuses it."""
+    values = {name: max(n, 1) for name, n in inputs}
+    if size(values) > limit:
+        for name, n in values.items():
+            lo, hi = 0, 1
+            while size({**values, name: hi}) <= limit:  # doubling, so a huge n costs no more steps than the answer
+                lo, hi = hi, min(2 * hi, n)
+            while hi - lo > 1:  # the size is within the limit at lo and beyond it at hi
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if size({**values, name: mid}) <= limit else (lo, mid)
+            if lo:  # 0 when this input lowered alone to 1 leaves the size beyond the limit
+                raise GuardRailError(f"{what} are beyond the guard rail of {limit}; "
+                                     f"the largest admissible {name} here is {lo}")
+        raise GuardRailError(f"{what} are beyond the guard rail of {limit}, whichever one input is lowered")
 
 
 class AmbiguousLongestError(ValueError):
@@ -306,8 +309,8 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
 def maximal_st_core(s: int, t: int) -> Partition:
     """The core whose bead set is the full gap set of <s, t>, railed on the st - s - t values sieved."""
     _check_coprime(s, t)
-    _check_rail(lambda t: _frobenius_bound(s, t), t, MAXIMAL_MAX_FROBENIUS,
-                f"the st - s - t values sieved for the maximal ({s},{t})-core", "t")
+    _check_rail(lambda v: _frobenius_bound(s, v["t"]), [("t", t)], MAXIMAL_MAX_FROBENIUS,
+                f"the st - s - t values sieved for the maximal ({s},{t})-core")
     return _mask_to_partition(_beads_mask(gap_poset(s, t).gaps))
 
 

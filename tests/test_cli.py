@@ -107,6 +107,28 @@ class TestShow:
         assert (code, out) == (2, "")
         assert err.endswith("guard rail of 1000000; the largest admissible --rows here is 200000\n"), err
 
+    def test_rail_counts_the_rows_it_builds(self, capsys, monkeypatch):
+        # the build holds the construction's own rows whatever --rows asks, so one row of A(6000) is 6000 x 5999
+        # cells, and E+(1, m) is m runners of one row: each is refused before anything is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rail let the work start")
+
+        for name in ("build_named", "build_l", "render_abacus"):
+            monkeypatch.setattr(cli, name, refuse)
+        for argv, named in [(["A", "--s", "6000", "--rows", "1"], "s here is 1000"),
+                            (["A", "--s", "1001", "--rows", "1"], "s here is 1000"),
+                            (["E+", "--s", "1", "--m", "1000001"], "m here is 1000000"),
+                            (["E+", "--s", "1", "--m", "2000000"], "m here is 1000000"),
+                            (["A", "--s", "1000000", "--rows", "0"], "s here is 1000"),
+                            (["E+", "--s", "1000000", "--m", "0"], "s here is 1000")]:
+            code, out, err = run(capsys, "show", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith(f"guard rail of 1000000; the largest admissible {named}\n"), err
+        # no one input lowered alone to 1 brings 2000 x 2,000,000 cells within the rail, so none is named
+        code, out, err = run(capsys, "show", "A", "--s", "2000", "--rows", "2000000")
+        assert (code, out) == (2, "")
+        assert err.endswith("guard rail of 1000000, whichever one input is lowered\n"), err
+
     def test_too_few_rows_print_nothing(self, capsys):
         # A(5) occupies rows 0..3
         for rows in ("0", "1", "3"):
@@ -412,6 +434,17 @@ class TestEnumerateAndCount:
             assert main(argv) == 1
         assert out.getvalue() == stored.decode()
 
+    def test_hit_is_the_pieces_of_its_entry(self, capsys):
+        # a hit's stdout is the pieces the entry was inflated in, the first a view past the stamp and exit code
+        # lines, so no whole copy of the stdout is made; the 113 KB entry of (10,11) is inflated in two pieces
+        for argv in (["count", "--moduli", "5,14", "--format", "json"],
+                     ["enumerate", "--moduli", "10,11", "--format", "json"]):
+            code, fresh, _ = run(capsys, *argv)
+            hit_code, out = cli._cached(cli.build_parser().parse_args(argv))
+            assert isinstance(out[0], memoryview) and out[0].obj[:64] == cli._source_hash().encode(), argv
+            assert (hit_code, b"".join(out)) == (code, fresh.encode()), argv
+        assert len(out) == 2
+
     def test_json_entry_is_compressed(self, capsys, tmp_path):
         code, out, _ = run(capsys, "enumerate", "--moduli", "9,11", "--format", "json")
         assert code == 0 and len(json.loads(out)["partitions"]) == 8398
@@ -687,18 +720,31 @@ class TestMaximalAndLongest:
                 enumeration.maximal_st_core(s, t)
 
     def test_longest_rail_boundary(self, capsys, monkeypatch):
-        # L(316, 20) holds 499,122 beads, L(317, 20) would hold 502,282
+        # the rail is on the runners x rows of L(s, m): L(316, 20) is 6,320 x 158 = 998,560 cells, for 499,122 parts,
+        # L(317, 20) would be 1,001,720; L(1414, 1) is 998,284 cells, L(1415, 1) would be 1,000,405; L(1, m) has one
+        # row of m runners and no bead
         code, out, err = run(capsys, "longest", "--s", "316", "--m", "20", "--format", "json")
         assert (code, err, json.loads(out)["parts"]) == (0, "", 499122)
+        code, out, err = run(capsys, "longest", "--s", "1414", "--m", "1", "--format", "json")
+        assert (code, err, json.loads(out)["parts"]) == (0, "", 1413 ** 2 // 4)
+        code, out, err = run(capsys, "longest", "--s", "1", "--m", "1000000", "--format", "json")
+        assert (code, err, json.loads(out)["partition"]) == (0, "", [])
 
         def build_l(s, m):
             raise AssertionError(f"the rail built L({s}, {m})")
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rail let the work start")
+
         monkeypatch.setattr(cli, "build_l", build_l)
-        for s, m, largest in [(317, 20, 316), (1000, 20, 316), (1416, 1, 1415)]:
+        monkeypatch.setattr(cli, "build_named", refuse)
+        monkeypatch.setattr(cli, "render_abacus", refuse)
+        for s, m, named in [(317, 20, "s here is 316"), (1000, 20, "s here is 316"), (1416, 1, "s here is 1414"),
+                            (1415, 1, "s here is 1414"), (1, 1000001, "m here is 1000000"),
+                            (1, 30000000, "m here is 1000000"), (1000000, 0, "s here is 1414")]:
             code, out, err = run(capsys, "longest", "--s", str(s), "--m", str(m))
             assert (code, out) == (2, ""), (s, m)
-            assert err.endswith(f"guard rail of 500000; the largest admissible s here is {largest}\n"), err
+            assert err.endswith(f"guard rail of 1000000; the largest admissible {named}\n"), err
 
     def test_longest_5_3(self, capsys):
         code, out, _ = run(capsys, "longest", "--s", "5", "--m", "3", "--format", "json")
