@@ -118,9 +118,15 @@ def build_l(s: int, m: int) -> Abacus:
 
 
 def _m_fold(m: int, body: Abacus, last: Abacus) -> Abacus:
-    """Wedge of m - 1 copies of body, then last."""
+    """Wedge of m - 1 copies of body, then last, of s runners each: `wedge_all([body] * (m - 1) + [last])`.  Row j
+    is row j of last beside m - 1 copies of row j of body; written as binary digits, highest row and runner first,
+    the copies are one string repetition a row, so the cost is linear in the ms-runner result, where `wedge_all`
+    grows each row block by block."""
     _check_m(m)
-    return wedge_all([body] * (m - 1) + [last])
+    s = body.runners
+    width = (max(body.mask.bit_length(), last.mask.bit_length()) // s + 1) * s  # whole rows, at least one
+    b, l = format(body.mask, f"0{width}b"), format(last.mask, f"0{width}b")
+    return Abacus._trusted(m * s, int("".join(l[i:i + s] + b[i:i + s] * (m - 1) for i in range(0, width, s)), 2))
 
 
 def is_pyramid(a: Abacus) -> Optional[Pyramid]:

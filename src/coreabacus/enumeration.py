@@ -10,7 +10,9 @@ collector never untracks, so each collection would traverse every member built
 so far, and the members hold no reference cycles.  The pause is process-wide
 and restores the collector's earlier state; a built family keeps its
 self-conjugate members by `filter_self_conjugate`.  A family's statistics and
-its rail come from the first row of `_ROUTES` that applies; `_walk_stats`,
+its rail come from the first row of `_ROUTES` that applies; `_runner_paths`
+reads a coprime pair, a distinct (s, ms±1) pair or an (s, ms-1, ms+1) triple
+off the stack heights of the s-abacus runners, visiting no core; `_walk_stats`,
 folded from the same tree walked depth first with no `Partition` built, is the
 reference every other route is tested against and the last row, railed before
 the walk on its largest possible bead and during it on the cores it visits.
@@ -241,33 +243,37 @@ def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False, bud
     return FamilyStats(count, max_weight, longest, top.bit_length() - 1)
 
 
-def _runner_paths(s: int, t: int, *, distinct: bool = False) -> tuple[FamilyStats, int]:
-    """(`FamilyStats`, how many members reach the largest weight) of the (s, t)-cores, coprime;
-    `distinct` needs t = ±1 (mod s).
+def _runner_paths(s: int, t: int, u: int | None = None, *, distinct: bool = False) -> tuple[FamilyStats, int]:
+    """(`FamilyStats`, how many members reach the largest weight) of the (s, t)-cores, coprime, or with `u` of
+    the (s, t, u)-cores, t = ms + 1 and u = ms - 1; `distinct` needs t = ±1 (mod s).
 
     Runner j of the s-abacus holds the residue j*t mod s, bottom-justified below its first
     spacer f_j, and runner 0 = runner s holds none.  Bead b needs b - t on runner j - 1, so
-    f_j <= f_{j-1} + t.  With t = ±1 (mod s), beads b and b + 1 lie in one row of adjacent
-    runners, so distinct parts leave no two adjacent runners with beads, and a spacer matters
-    to the next runner only as s when its runner holds a bead.  The states f_j -> (paths,
-    {n: (largest bead sum, paths attaining it)}) give the weights, as n beads weigh their sum
-    less n(n-1)/2.  Every state extends to a member by empty runners, so the largest spacer
-    reached gives the largest bead.
+    f_j <= f_{j-1} + t, and with u bead b needs b - u on runner j + 1, so f_j >= f_{j-1} - u:
+    in stack heights |h_j - h_{j-1}| <= m, and h_{s-1} <= m - 1 as runner s holds none.  The cap
+    f_j <= (s - j)u, h_j <= (s - j)m - 1, keeps the states that runners stepped down by m close;
+    without u, st caps nothing before runner s.  With t = ±1 (mod s), beads b and b + 1 lie in one
+    row of adjacent runners, so distinct parts leave no two adjacent runners with beads, and a
+    spacer matters to the next runner only as s when its runner holds a bead.  The states f_j ->
+    (paths, {n: (largest bead sum, paths attaining it)}) give the weights, as n beads weigh their
+    sum less n(n-1)/2.  Every state extends to a member, so the largest spacer reached gives the
+    largest bead.
     """
     if distinct and t % s not in (1, s - 1):
         raise ValueError(f"distinct runner paths need t = ±1 (mod s), got ({s}, {t})")
+    if u is not None and (t - u, t % s) != (2, 1 % s):
+        raise ValueError(f"the second bound needs (s, ms + 1, ms - 1), got ({s}, {t}, {u})")
+    u = s * t if u is None else u
     states = {0: (1, {0: (0, 1)})}
     top = -1
     for j in range(1, s + 1):
-        low = j * t % s
+        low, cap = j * t % s, (s - j) * u
         reached = {}
         for f, (paths, row) in states.items():
-            if j == s or distinct and f >= s:
-                high = low  # runner s is runner 0, and no bead sits beside a bead
-            else:
-                high = f + t
+            # min(f + t, cap), or low when a bead on runner j - 1 leaves runner j none; max(low, f - u) below
+            high = low if distinct and f >= s else f + t if f + t < cap else cap
             top = max(top, high - s)
-            for spacer in range(low, high + 1, s):
+            for spacer in range(f - u if f - u > low else low, high + 1, s):
                 k = (spacer - low) // s
                 total = k * low + s * k * (k - 1) // 2  # the beads low, low + s, ..., spacer - s
                 key = min(spacer, s) if distinct else spacer
@@ -380,18 +386,40 @@ def _frobenius_bound(a: int, b: int) -> int:
     return (a - 1) * (b - 1) - 1
 
 
-def _runner_work(s: int, t: int, limit: int) -> int | None:
-    """The work of `_runner_paths(s, t, distinct=True)`, `_SPACER_COST` units per spacer step and one per row
-    update, in O(s), or None once beyond `limit`: after runner j its states are spacer j*t mod s, the runner
-    empty, with a row of at most n = 0..a, and spacer s, with at most n = 1..b if b; exact where no row skips an n."""
+def _runner_work(limit: int, s: int, t: int, u: int | None = None, *, distinct: bool) -> int | None:
+    """The work of `_runner_paths(s, t, u, distinct=distinct)` on a distinct (s, ms ± 1) pair or an (s, ms + 1, ms - 1)
+    triple, `_SPACER_COST` units per spacer step and one per row update, in O(s), or None once beyond `limit`.
+    Distinct: after runner j its states are spacer j*t mod s, the runner empty, with a row of at most n = 0..a, and
+    spacer s, with at most n = 1..b if b; exact where no row skips an n.  Plain: before runner j the states are the
+    heights h = 0..U, each stepping to at most min(2m + 1, V + 1) heights of runner j, and the row of h spans n from
+    its runners stepped down by m to 0 to its runners at min(im, h + (j - 1 - i)m), i = 1..j - 1; that span is
+    concave in h, so the rows hold at most U + 1 times the span at h = U/2, doubled here to stay integral."""
+    u, m = s * t if u is None else u, (t - 1) // s
     work = a = b = 0
     for j in range(1, s + 1):
-        steps = 1 if j == s else ((j - 1) * t % s + t - j * t % s) // s + 1
-        work += steps * (_SPACER_COST + a + 1) + (_SPACER_COST + b if b else 0)
-        a, b = max(a, b), (a + steps - 1 if steps > 1 else 0)
+        if distinct:
+            steps = (min((j - 1) * t % s + t, (s - j) * u) - j * t % s) // s + 1
+            work += steps * (_SPACER_COST + a + 1) + (_SPACER_COST + b if b else 0)
+            a, b = max(a, b), (a + steps - 1 if steps > 1 else 0)
+        else:
+            i, U, V = j - 1, max(min((j - 1) * m, (s - j + 1) * m - 1), 0), max(min(j * m, (s - j) * m - 1), 0)
+            c, q = (2 * i * m + U) // (4 * m), -(-U // (2 * m))  # runners at i*m, and runners above 0, at h = U/2
+            span = m * c * (c + 1) + (i - c) * U + m * (i - c) * (i - c - 1) - q * U + m * q * (q - 1) + 2
+            work += min(2 * m + 1, V + 1) * (U + 1) * (2 * _SPACER_COST + span) // 2
         if work > limit:
             return None
     return work
+
+
+def _runner_moduli(moduli: tuple, distinct: bool, self_conjugate: bool) -> tuple | None:
+    """`_runner_paths`'s (s, t) of a distinct (s, ms ± 1) pair, or (s, t, u) of a sorted (s, ms - 1, ms + 1) triple
+    without a self-conjugate filter; None for any other family of sorted `moduli`."""
+    s = moduli[0]
+    if len(moduli) == 2 and distinct and moduli[1] % s in (1, s - 1):
+        return moduli
+    if len(moduli) == 3 and not self_conjugate and moduli[2] - moduli[1] == 2 and moduli[1] % s == s - 1:
+        return s, moduli[2], moduli[1]
+    return None
 
 
 # A family takes the first route that applies, refused before any work if its cost, in `unit`s (None: uncounted), is
@@ -403,10 +431,10 @@ _ROUTES = (
     _Route("closed form", lambda moduli, distinct, _: not distinct and len(moduli) <= 2, _closed_form,
            lambda moduli, *_: min(moduli[0] * (st := moduli[0] + moduli[-1]).bit_length(), st), "answer bits",
            FAMILY_MAX_BITS),
-    _Route("runner DP",
-           lambda moduli, distinct, _: distinct and len(moduli) == 2 and moduli[1] % moduli[0] in (1, moduli[0] - 1),
-           lambda moduli, *_: _runner_paths(*moduli, distinct=True)[0],
-           lambda moduli, *_: _runner_work(*moduli, RUNNER_MAX_WORK), "work units", RUNNER_MAX_WORK),
+    _Route("runner DP", lambda *family: _runner_moduli(*family) is not None,
+           lambda *family: _runner_paths(*_runner_moduli(*family), distinct=family[1])[0],
+           lambda *family: _runner_work(RUNNER_MAX_WORK, *_runner_moduli(*family), distinct=family[1]), "work units",
+           RUNNER_MAX_WORK),
     _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
            lambda moduli, *_: _frobenius_bound(*(_coprime_pair(moduli) or (moduli[0], moduli[-1]))),
            "possible bead values", MAXIMAL_MAX_FROBENIUS),
@@ -435,10 +463,10 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
 
 def _check_build(moduli: tuple, distinct: bool, self_conjugate: bool) -> None:
     """Refuse, before any work, a family of sorted `moduli` whose build would hold more than `FAMILY_MAX_PARTS`
-    parts, bounded by count x most parts of the family built before `filter_self_conjugate`: read off the smallest
-    coprime pair's closed forms without `distinct`, so a walk walks once, and otherwise off its route."""
+    parts, bounded by count x most parts of the family built before `filter_self_conjugate`: read off its route,
+    or on the walk without `distinct` off the smallest coprime pair's closed forms, so the walk walks once."""
     route, pair = _route(moduli, distinct, distinct and self_conjugate), _coprime_pair(moduli)
-    count, _, longest, _ = (_closed_form(pair, False, False) if pair and not distinct
+    count, _, longest, _ = (_closed_form(pair, False, False) if route.name == "walk" and pair and not distinct
                             else route.stats(moduli, distinct, distinct and self_conjugate))
     if count * longest > FAMILY_MAX_PARTS:
         raise GuardRailError(f"moduli {moduli} build up to {count} members of up to {longest} parts, "

@@ -7,7 +7,10 @@ non-integer on valid input is a hard failure, never a rounding event.  The
 formulas: the (s, s+1)-cores are the (s, ms+1)-cores at m = 1.  `two-conj`
 compares two sets, each read off its definition: the 2-cores, which are the
 (2, 2hi+1)-cores of the first-part tree from the empty core, and the
-self-conjugate partitions with distinct parts.
+self-conjugate partitions with distinct parts.  `sylvester` and `berger` read
+the runner DP, of the pair and of the (s, ms+1, ms-1) triple, and build no
+family: `berger` checks Lm and its conjugate by their hooks, and the DP's
+count of heaviest members shows they are all of them.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .enumeration import (
     GuardRailError,
     _check_coprime,
     _masks,
+    _runner_paths,
     _walk_stats,
-    enumerate_multi_cores,
     family_stats,
     maximal_st_core,
     st_core_weight_profile,
@@ -142,7 +145,7 @@ def staircase_core_count(moduli) -> int:
 
 
 def corollary3_check(s: int, m: int) -> bool:
-    """For even s: does m^2 divide the brute-forced maximal triple-core weight?"""
+    """For even s: does m^2 divide the largest weight of the (s, ms-1, ms+1)-cores, from `family_stats`?"""
     if s % 2:
         raise ValueError(f"s must be even, got {s}")
     return family_stats(_triple_moduli(s, m)).max_weight % (m * m) == 0
@@ -298,7 +301,7 @@ def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
 def _claim_sylvester(grid: dict) -> Iterator[Cell]:
     for s, t in _coprime_pairs(grid):
         expected = s * t - s - t
-        observed = _walk_stats((s, t), False).largest_bead  # a walk: the closed form returns st - s - t
+        observed = _runner_paths(s, t)[0].largest_bead  # the runner DP: the closed form returns st - s - t
         yield Cell({"s": s, "t": t}, expected, observed, expected == observed)
 
 
@@ -370,22 +373,29 @@ def _triple_moduli(s: int, m: int) -> tuple:
 
 
 def _claim_berger(grid: dict) -> Iterator[Cell]:
+    """The runner DP's largest weight of the (s, ms-1, ms+1)-cores and how many members reach it: when Lm and its
+    conjugate are cores of that weight by the hook oracle, and the DP counts as many heaviest members as they are,
+    they are every heaviest member, so no family is built."""
     for params, m, s in _points(grid):
-        family = enumerate_multi_cores(_triple_moduli(s, m))
-        expected = longest_weight_formula(s, m)
-        best = family.max_weight()
-        maximal = {p for p in family.members if p.weight == best}
+        stats, hits = _runner_paths(s, m * s + 1, m * s - 1)
+        expected, best = longest_weight_formula(s, m), stats.max_weight
         longest = _mask_to_partition(build_l(s, m).mask)
-        conj_pair = {longest, pt.conjugate(longest)}
-        supported = best == expected and maximal == conj_pair
+        named = {"L": longest, "L'": pt.conjugate(longest)}
+        conj_pair, moduli = set(named.values()), set(_triple_moduli(s, m))
+        failed = [name for name, p in named.items() if p.weight != best or not moduli.isdisjoint(pt._hooks(p))]
+        supported = best == expected and hits == len(conj_pair) and not failed
         status = "SUPPORTED" if supported else f"REFUTED-AT({s},{m})"
-        notes = [f"maximal members: {sorted(list(p.parts) for p in maximal)}"]
+        if supported:
+            notes = [f"maximal members: {sorted(list(p.parts) for p in conj_pair)}"]
+        else:
+            notes = [f"{hits} heaviest members by the runner DP", f"{' and '.join(failed)} not a core of weight {best}"
+                     if failed else f"L and L' are cores of weight {best}"]
         if s % 2 == 0:
             notes.append(f"m^2 divides max weight: {best % (m * m) == 0}")
         yield Cell(
             params,
-            {"max_weight": expected, "maximal_members": 2 if len(conj_pair) == 2 else 1},
-            {"max_weight": best, "maximal_members": len(maximal)},
+            {"max_weight": expected, "maximal_members": len(conj_pair)},
+            {"max_weight": best, "maximal_members": hits},
             supported,
             status=status,
             note="; ".join(notes),

@@ -196,10 +196,11 @@ class TestEnumerateAndCount:
 
     def test_count_beyond_guard_rail_exit_two(self, capsys, monkeypatch):
         # a coprime pair is the closed form's, whatever its Catalan count; the walk, with or without `--distinct`,
-        # is railed on its largest possible bead, so (8,23,25) answers though (8,23) has 254,475 cores; the runner
-        # DP is railed on its predicted work
+        # is railed on its largest possible bead; the runner DP is railed on its predicted work, so the paper's
+        # (8,23,25) and (13,25,27) answer though (8,23) has 254,475 cores and (13,25,27) 7,123,041
         for argv, count in [(["20,21"], 6564120420), (["13,14"], 742900), (["20,21", "--self-conjugate"], 184756),
-                            (["9,28", "--distinct"], 1159), (["8,23,25"], 49106)]:
+                            (["9,28", "--distinct"], 1159), (["8,23,25"], 49106), (["10,19,21"], 83710),
+                            (["13,25,27"], 7123041)]:
             code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache", "--format", "csv")
             assert (code, out.splitlines(), err) == (0, ["count", str(count)], ""), argv
 
@@ -207,8 +208,12 @@ class TestEnumerateAndCount:
             raise AssertionError("the rail let the work start")
 
         for argv, work, message in [
-            (["2,1000003,1000005"], "_masks", "take the walk route, whose 1000001 possible bead values are beyond "
+            (["2,1000003,1000007"], "_masks", "take the walk route, whose 1000001 possible bead values are beyond "
                                               "the guard rail of 1000000"),
+            (["2,1000003,1000005"], "_runner_paths", "take the runner DP route, whose work units are beyond the guard "
+                                                     "rail of 5000000"),
+            (["2,999999,1000001"], "_runner_paths", "take the runner DP route, whose work units are beyond the guard "
+                                                    "rail of 5000000"),
             (["4000,4001", "--distinct"], "_runner_paths", "take the runner DP route, whose work units are beyond "
                                                            "the guard rail of 5000000"),
             (["12,1000001", "--distinct"], "_masks", "take the walk route, whose 10999999 possible bead values are "

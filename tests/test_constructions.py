@@ -168,6 +168,19 @@ class TestWedge:
             joined = cx.wedge_all(blocks[:k])
             assert built == [joined], k
 
+    def test_m_fold_is_the_wedge_of_its_blocks(self):
+        # the m-fold's digit rows against `wedge_all` block by block: every pair of the named s-runner abaci and the
+        # empty one, and random masks whose body and last differ in rows, at m = 1 and beyond
+        rng = random.Random(20)
+        for s in range(1, 9):
+            named = [cx.build_a(s), cx.build_b(s, 0), cx.build_b(s, 1), cx.build_c(s, 0), cx.build_c(s, 1),
+                     Abacus(s, frozenset())]
+            randoms = [Abacus._trusted(s, rng.getrandbits(s * rng.randint(1, 6))) for _ in range(6)]
+            pairs = [(body, last) for body in named for last in named] + list(zip(randoms, randoms[::-1]))
+            for body, last in pairs:
+                for m in (1, 2, 3, 7, 40):
+                    assert cx._m_fold(m, body, last) == cx.wedge_all([body] * (m - 1) + [last]), (s, m)
+
     def test_e_plus_is_wedge_power_of_a(self):
         assert cx.build_e_plus(5, 3) == cx.wedge_all([cx.build_a(5)] * 3)
 

@@ -276,8 +276,9 @@ class TestMultiCores:
 
     def test_parts_rail_boundary(self, monkeypatch):
         # at a limit of exactly count x most parts the family is built; one below, it is refused before the walk.
-        # With no coprime pair the plain walk's statistics are read, 259 x 15 for (6, 10, 15), not the distinct 40 x 7
-        for moduli, distinct in [((5, 6), False), ((5, 7), True), ((6, 10, 15), False)]:
+        # With no coprime pair the plain walk's statistics are read, 259 x 15 for (6, 10, 15), not the distinct 40 x 7,
+        # and the runner DP's for a triple on it, 284 x 16 for (5, 14, 16), not its pair (5, 14)'s 612 x 26
+        for moduli, distinct in [((5, 6), False), ((5, 7), True), ((6, 10, 15), False), ((5, 14, 16), False)]:
             family = en.enumerate_multi_cores(moduli, distinct)
             parts = len(family) * max(map(len, family.members))
             with monkeypatch.context() as patch:
@@ -301,7 +302,9 @@ class TestMultiCores:
         assert (en.count_st_cores(8, 23), en.count_st_cores(10, 19)) == (254475, 690690)
         assert en.family_stats((8, 23, 25))[:3] == (49106, 408, 44)
         assert en.family_stats((10, 19, 21))[:3] == (83710, 425, 45)
-        # the triples (13, 13m - 1, 13m + 1) with m >= 2 are refused on the core after the budget
+        # the triples (13, 13m - 1, 13m + 1) with m >= 2 are walked past the visit budget and refused on the core
+        # after it, so `family_stats` reads them off the runner DP: 7,123,041 (13, 25, 27)-cores, as an unbudgeted
+        # walk counts them
         visits = []
         masks = en._masks
 
@@ -314,8 +317,11 @@ class TestMultiCores:
         for m in range(2, 6):
             visits.clear()
             with pytest.raises(en.GuardRailError, match=r"visits more than 250000 cores, beyond the guard rail"):
-                en.family_stats((k, m * k - 1, m * k + 1))
+                en._walk_stats((k, m * k - 1, m * k + 1), False, budget=en.FAMILY_MAX_CORES)
             assert len(visits) == en.FAMILY_MAX_CORES + 1, m
+            visits.clear()
+            assert en.family_stats((k, m * k - 1, m * k + 1)).count > en.FAMILY_MAX_CORES and not visits, m
+        assert en.family_stats((k, 2 * k - 1, 2 * k + 1)).count == 7123041
 
     def test_every_pair_within_the_rail_is_counted(self):
         # the closed form's cost, s * (s + t).bit_length(), bounds the bits of each of its answers, so every
@@ -353,7 +359,7 @@ class TestMultiCores:
     def test_distinct_walk_is_railed_on_its_largest_possible_bead(self, monkeypatch):
         # before any walk, with or without `distinct`: (a - 1)(b - 1) - 1 of the smallest coprime pair, or with none,
         # of the smallest and largest modulus, Schur's bound on the largest gap; at the bound the family is walked,
-        # one below it is refused.  The plain (8, 23, 25) family is refused by enumerate's parts rail at any bound
+        # one below it is refused.  The plain (8, 23, 27) family is refused by enumerate's parts rail at any bound
         def refuse(*args):
             raise AssertionError("the rail let the walk start")
 
@@ -361,12 +367,12 @@ class TestMultiCores:
             return tuple(row._replace(limit=limit) if row.name == "walk" else row for row in en._ROUTES)
 
         for moduli, distinct, bound in [((5, 7), True, 23), ((5, 7, 9), True, 23), ((6, 10, 15), True, 69),
-                                        ((6, 14, 21), True, 99), ((6, 10, 15), False, 69), ((8, 23, 25), False, 153)]:
+                                        ((6, 14, 21), True, 99), ((6, 10, 15), False, 69), ((8, 23, 27), False, 153)]:
             walked = en._walk_stats(moduli, distinct)
             with monkeypatch.context() as patch:
                 patch.setattr(en, "_ROUTES", limited(bound))
                 assert en.family_stats(moduli, distinct) == walked
-                if moduli == (8, 23, 25):
+                if moduli == (8, 23, 27):
                     with pytest.raises(en.GuardRailError, match="254475 members of up to 77 parts"):
                         en.enumerate_multi_cores(moduli, distinct)
                 else:
@@ -385,14 +391,20 @@ class TestMultiCores:
                 en.family_stats((6, 10, 200025), distinct)
 
     def test_route_table(self):
-        # the first route that applies answers: the staircases, the closed form, the runner DP, then the walk
+        # the first route that applies answers: the staircases, the closed form, the runner DP, then the walk.
+        # The runner DP takes a distinct (s, ms ± 1) pair and an (s, ms - 1, ms + 1) triple with m >= 2 unless it
+        # is filtered for self-conjugacy; (4, 9, 11) is (4, 2*4 + 1, 2*4 + 3), (8, 23, 27) is (8, 3*8 - 1, 3*8 + 3),
+        # and (5, 6, 7) is m = 1, sorted
         assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "walk"]
         for moduli, distinct, self_conjugate, name in [
             ((6, 9), True, True, "staircases"), ((20, 21), False, True, "closed form"),
             ((1,), False, False, "closed form"), ((5, 14), True, False, "runner DP"),
             ((5, 7), True, False, "walk"), ((6, 10, 15), True, False, "walk"),
             ((5, 14, 16), False, True, "walk"), ((6, 10, 15), False, False, "walk"),
-            ((8, 23, 25), False, False, "walk"),
+            ((8, 23, 25), False, False, "runner DP"), ((8, 23, 25), True, False, "runner DP"),
+            ((8, 23, 25), True, True, "staircases"), ((1, 2, 4), False, False, "runner DP"),
+            ((2, 3, 5), True, False, "runner DP"), ((4, 9, 11), False, False, "walk"),
+            ((8, 23, 27), True, False, "walk"), ((5, 6, 7), False, False, "walk"),
         ]:
             assert en._route(moduli, distinct, self_conjugate).name == name, moduli
 
@@ -516,8 +528,8 @@ def _route_cells():
     """(moduli, filter sets), the union of the old comparison grids: every coprime pair with st <= 150,
     the (s, ms-1, ms+1) triples with s <= 6 and m <= 3, (4,11,13), (5,14,16), (1,), (1,4) and (1,6) under
     every filter set; the distinct (s, ms±1) pairs with 2 <= s <= 8 and m <= s + 1; the distinct
-    self-conjugate coprime pairs with s <= 12 and s < t < 40; the coprime pairs with s, t <= 20; and moduli
-    of gcd 1 with no coprime pair under every filter set."""
+    self-conjugate coprime pairs with s <= 12 and s < t < 40; the coprime pairs with s, t <= 20; moduli
+    of gcd 1 with no coprime pair under every filter set; and the triples of `TRIPLE_RUNNERS`."""
     every = {(False, False), (True, False), (False, True), (True, True)}
     cells = {}
     triples = {tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)}
@@ -533,9 +545,16 @@ def _route_cells():
             cells.setdefault((s, t), set())
     for moduli in [(6, 10, 15), (6, 15, 20), (10, 12, 15), (12, 15, 20), (6, 10, 45), (6, 14, 21)]:
         cells[moduli] = every
+    for moduli in TRIPLE_RUNNERS:
+        cells.setdefault(moduli, set()).update([(True, False)] + [(False, False)] * (moduli != (8, 31, 33)))
     return sorted((moduli, sorted(filters)) for moduli, filters in cells.items())
 
 
+# the sorted (s, ms - 1, ms + 1) moduli with s <= 8 and m <= 4 -> `_runner_paths`'s (s, ms + 1, ms - 1); each is a
+# route cell plain and distinct, but for plain (8, 31, 33), whose 285,762 cores of up to 60 parts are beyond
+# enumerate's parts rail
+TRIPLE_RUNNERS = {tuple(sorted({s, m * s - 1, m * s + 1} - {0})): (s, m * s + 1, m * s - 1)
+                  for s in range(1, 9) for m in range(1, 5)}
 ROUTE_CELLS = _route_cells()
 
 
@@ -544,7 +563,8 @@ class TestFamilyRoutes:
     def test_every_route_agrees_with_the_walk(self, moduli, filter_sets):
         # `_walk_stats`, in both orders for a pair, is the reference for each route that applies: `family_stats`;
         # the built family (`enumerate_multi_cores`, `enumerate_st_cores` in both orders, the filters of the
-        # unfiltered build); `_runner_paths` and its hits; the gap set's closed forms; and the staircases
+        # unfiltered build); `_runner_paths` and its hits, of a pair and of a triple; the gap set's closed forms;
+        # and the staircases
         orders = [moduli, moduli[::-1]] if len(moduli) == 2 else [moduli]
         walked, built = {}, {}
         for filters in filter_sets:
@@ -587,6 +607,11 @@ class TestFamilyRoutes:
                     stats = walked[True, False]
                     heaviest = list(map(sum, built[True, False].members)).count(stats.max_weight)
                     assert en._runner_paths(x, y, distinct=True) == (stats, heaviest), (x, y)
+        for distinct in (False, True):
+            if moduli in TRIPLE_RUNNERS and (distinct, False) in walked:  # the second bound, and its hits
+                stats = walked[distinct, False]
+                heaviest = list(map(sum, built[distinct, False].members)).count(stats.max_weight)
+                assert en._runner_paths(*TRIPLE_RUNNERS[moduli], distinct=distinct) == (stats, heaviest), distinct
 
 
 class TestRunnerPaths:
@@ -619,33 +644,39 @@ class TestRunnerPaths:
                 assert en.family_stats(moduli, distinct=True) == stats, moduli
         with monkeypatch.context() as patch:
             patch.setattr(en, "_runner_paths", refuse)
-            for moduli in [(5, 7), (10, 13), (4, 7, 9)]:
+            for moduli in [(5, 7), (10, 13), (4, 9, 11)]:
                 assert en.family_stats(moduli, distinct=True).count > 0, moduli
 
     def test_work_prediction_bounds_the_work(self):
         # each line event of the DP's spacer step and of its row update is counted, by tracing the DP itself;
-        # the prediction bounds that work within a factor of 2 (on this grid it is exact: no row skips an n)
+        # the prediction bounds that work within a factor of 2, on the distinct (s, ms ± 1) pairs (exact: no row
+        # skips an n) and on the (s, ms + 1, ms - 1) triples, plain and distinct
         code = en._runner_paths.__code__
         lines = inspect.getsourcelines(en._runner_paths)
         step, update = (lines[1] + next(i for i, line in enumerate(lines[0]) if line.strip().startswith(text))
                         for text in ("k = (spacer - low) // s", "value = sigma + total"))
-        for s in range(1, 13):
-            for t in sorted({m * s + sign for m in range(1, 11) for sign in (-1, 1)} - set(range(s + 1))):
-                seen = collections.Counter()
+        pairs = [(s, t, None, True) for s in range(1, 13)
+                 for t in sorted({m * s + sign for m in range(1, 11) for sign in (-1, 1)} - set(range(s + 1)))]
+        triples = [(s, m * s + 1, m * s - 1, distinct)
+                   for s in range(1, 11) for m in range(1, 5) for distinct in (False, True)]
+        for s, t, u, distinct in pairs + triples:
+            seen = collections.Counter()
 
-                def local(frame, event, arg):
-                    seen[frame.f_lineno] += event == "line"
-                    return local
+            def local(frame, event, arg):
+                seen[frame.f_lineno] += event == "line"
+                return local
 
-                tracer = sys.gettrace()
-                sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-                try:
-                    en._runner_paths(s, t, distinct=True)
-                finally:
-                    sys.settrace(tracer)
-                work = en._SPACER_COST * seen[step] + seen[update]
-                assert seen[step] > 0 and work <= en._runner_work(s, t, math.inf) <= 2 * work, (s, t)
-                assert en._runner_work(s, t, work - 1) is None, (s, t)
+            tracer = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+            try:
+                en._runner_paths(s, t, u, distinct=distinct)
+            finally:
+                sys.settrace(tracer)
+            work = en._SPACER_COST * seen[step] + seen[update]
+            predicted = en._runner_work(math.inf, s, t, u, distinct=distinct)
+            assert seen[step] > 0 and work <= predicted <= 2 * work, (s, t, u, distinct)
+            assert predicted == work or u is not None, (s, t)
+            assert en._runner_work(work - 1, s, t, u, distinct=distinct) is None, (s, t, u, distinct)
 
     def test_distinct_needs_plus_or_minus_one(self):
         # off t = ±1 (mod s) adjacent runners do not hold adjacent beads: (5,7) has 16 distinct
@@ -654,6 +685,50 @@ class TestRunnerPaths:
         for s, t in [(5, 7), (7, 5), (10, 13), (5, 12)]:
             with pytest.raises(ValueError, match="±1"):
                 en._runner_paths(s, t, distinct=True)
+
+    def test_second_bound_needs_the_paper_triple(self):
+        # u is t - 2 with t = 1 (mod s): (5, 12, 10) has t = 2 (mod 5), and (4, 9, 11) has u above t
+        for args in [(5, 11, 8), (5, 12, 10), (4, 9, 11)]:
+            with pytest.raises(ValueError, match="second bound"):
+                en._runner_paths(*args)
+
+    def test_triples_at_m_1_are_motzkin_paths(self):
+        # at m = 1 the stack heights of runners 1..s - 1 step by -1, 0 or 1 from h_0 = 0 and end at 0: Motzkin
+        # paths of s - 1 steps, counted by their own recurrence
+        motzkin = [1, 1]
+        for n in range(2, 30):
+            motzkin.append(((2 * n + 1) * motzkin[-1] + (3 * n - 3) * motzkin[-2]) // (n + 2))
+        assert motzkin[:10] == [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
+        for s in range(1, 31):
+            assert en._runner_paths(s, s + 1, s - 1)[0].count == motzkin[s - 1], s
+
+    def test_triple_rail_boundary(self, monkeypatch):
+        # at a limit of exactly the predicted work the triple is answered; one below, it is refused before the DP
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rail let the DP start")
+
+        for moduli, distinct in [((8, 23, 25), False), ((8, 23, 25), True), ((13, 25, 27), False), ((2, 3, 5), False)]:
+            s, u, t = moduli
+            work = en._runner_work(math.inf, s, t, u, distinct=distinct)
+            stats = en.family_stats(moduli, distinct)
+            for limit in (work, work - 1):
+                rows = tuple(row._replace(limit=limit) if row.name == "runner DP" else row for row in en._ROUTES)
+                with monkeypatch.context() as patch:
+                    patch.setattr(en, "_ROUTES", rows)
+                    if limit == work:
+                        assert en.family_stats(moduli, distinct) == stats, moduli
+                        continue
+                    patch.setattr(en, "_runner_paths", refuse)
+                    with pytest.raises(en.GuardRailError, match=rf"runner DP route, whose {work} work units are "
+                                                                rf"beyond the guard rail of {limit}"):
+                        en.family_stats(moduli, distinct)
+        # at the real limit, m = 2 admits s = 57 and m = 3 admits s = 43; (2, 999999, 1000001) is refused at once
+        monkeypatch.setattr(en, "_runner_paths", refuse)
+        for s, m in [(57, 2), (43, 3)]:
+            assert en._route((s, m * s - 1, m * s + 1), False, False).name == "runner DP"
+            for moduli in [(s + 1, m * s + m - 1, m * s + m + 1), (2, 999999, 1000001), (2, 1000003, 1000005)]:
+                with pytest.raises(en.GuardRailError, match="runner DP route, whose work units are beyond the guard"):
+                    en.family_stats(moduli)
 
     def test_distinct_pairs_are_fibonacci(self):
         # both signs, t = s + 1 = 1 (mod s) and s = -1 (mod s + 1), far beyond the walk:

@@ -211,6 +211,30 @@ class TestHarness:
         m1 = [c for c in report.cells if c.params["m"] == 1]
         assert m1 and all(c.status == "SUPPORTED" for c in m1)
 
+    def test_berger_rests_on_the_hit_count(self, monkeypatch):
+        # the heaviest members are {L, L'} only because the runner DP counts that many: one hit more refutes
+        # every cell, and the note gives the DP's count; no family is walked or built
+        runner_paths = enumeration._runner_paths
+        monkeypatch.setattr(vf, "_runner_paths", lambda *args: (runner_paths(*args)[0], runner_paths(*args)[1] + 1))
+        monkeypatch.setattr(enumeration, "_masks", None)
+        monkeypatch.setattr(enumeration, "_lex_walk", None)
+        report = vf.verify_claim("berger", {"s": (1, 6), "m": (1, 3)})
+        assert len(report.cells) == 18
+        for cell in report.cells:
+            s, m = cell.params["s"], cell.params["m"]
+            assert (cell.passed, cell.status) == (False, f"REFUTED-AT({s},{m})")
+            assert cell.observed["maximal_members"] == cell.expected["maximal_members"] + 1
+            assert cell.note.startswith(f"{cell.observed['maximal_members']} heaviest members by the runner DP; "
+                                        f"L and L' are cores of weight {cell.expected['max_weight']}")
+
+    def test_berger_names_the_construction_that_fails(self, monkeypatch):
+        # an empty L has weight 0 below the DP's, so L and L' both fail the hook oracle's check; no fallback build
+        monkeypatch.setattr(vf, "build_l", lambda s, m: Abacus._trusted(m * s, 0))
+        monkeypatch.setattr(enumeration, "_lex_walk", None)
+        for cell in vf.verify_claim("berger", {"s": (3, 5), "m": (1, 2)}).cells:
+            assert not cell.passed and cell.status.startswith("REFUTED-AT")
+            assert f"L and L' not a core of weight {cell.observed['max_weight']}" in cell.note
+
     def test_emax_small_grid(self):
         assert vf.verify_claim("emax", {"s": (1, 4), "m": (1, 2)}).all_passed
 
