@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, _named_rows, build_l, build_named
-from .enumeration import (SHOW_MAX_CELLS, GuardRailError, _check_rail, enumerate_multi_cores, family_stats,
+from .enumeration import (MASK_MAX_POSITIONS, GuardRailError, _check_rail, enumerate_multi_cores, family_stats,
                           maximal_st_core)
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
@@ -124,10 +124,10 @@ def _parse_grid(text: str) -> dict:
 
 
 def _check_cells(name: str, label: str, s: int, m: int, rows: int | None = None) -> None:
-    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, at `SHOW_MAX_CELLS`."""
+    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, at `MASK_MAX_POSITIONS`."""
     inputs = [("s", s)] + [("--rows", rows)] * (rows is not None) + [("m", m)] * (name in _M_FOLDS)
     _check_rail(lambda v: v["s"] * v.get("m", 1) * max(v.get("--rows", 0), _named_rows(name, v["s"], v.get("m", 1)), 1),
-                inputs, SHOW_MAX_CELLS, f"the runners x rows of {label}")
+                inputs, MASK_MAX_POSITIONS, f"the runners x rows of {label}")
 
 
 def cmd_show(args) -> tuple[int, str]:

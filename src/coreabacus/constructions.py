@@ -2,10 +2,10 @@
 
 A(s) carries the maximal (s, s+1)-core, B1(s) the maximal (s-1, s)-core, and
 the intersections C0/C1 of A with B0/B1 are pyramids.  E-(s, m), E+(s, m) and
-L(s, m) are m-fold wedges: m - 1 copies of B0, A or C0, then B1, A or C1.  They
-carry the maximal (s, ms-1)- and (s, ms+1)-cores and the longest
-(s, ms-1, ms+1)-core, and m = 1 gives B1, A and C1 themselves.  Each is a
-bead mask whose rows are runner intervals; a wedge sets rows side by side.
+L(s, m) carry the maximal (s, ms-1)- and (s, ms+1)-cores and the longest
+(s, ms-1, ms+1)-core: m-fold wedges, a run of m - 1 copies of B0, A or C0, then
+B1, A or C1, so m = 1 gives B1, A and C1 themselves.  Each is a bead mask whose
+rows are runner intervals, and one writer sets every wedge's rows side by side.
 """
 
 from __future__ import annotations
@@ -52,17 +52,7 @@ def wedge(a: Abacus, b: Abacus) -> Abacus:
 
 def wedge_all(abaci: Iterable[Abacus]) -> Abacus:
     """Concatenate the runner blocks left to right, row j beside row j, in one pass over the operands."""
-    blocks = [(a.runners, a.mask) for a in abaci]
-    if not blocks:
-        raise ValueError("wedge of zero abaci is undefined")
-    mask = 0
-    for j in range(max(m.bit_length() // r for r, m in blocks) + 1):
-        row, runners = 0, 0
-        for r, m in blocks:
-            row |= (m >> j * r & ((1 << r) - 1)) << runners
-            runners += r
-        mask |= row << j * runners
-    return Abacus._trusted(runners, mask)
+    return _join([(a, 1) for a in abaci])
 
 
 def intersect(a: Abacus, b: Abacus) -> Abacus:
@@ -118,15 +108,20 @@ def build_l(s: int, m: int) -> Abacus:
 
 
 def _m_fold(m: int, body: Abacus, last: Abacus) -> Abacus:
-    """Wedge of m - 1 copies of body, then last, of s runners each: `wedge_all([body] * (m - 1) + [last])`.  Row j
-    is row j of last beside m - 1 copies of row j of body; written as binary digits, highest row and runner first,
-    the copies are one string repetition a row, so the cost is linear in the ms-runner result, where `wedge_all`
-    grows each row block by block."""
+    """Wedge of m - 1 copies of body, then last: one run of body and one of last."""
     _check_m(m)
-    s = body.runners
-    width = (max(body.mask.bit_length(), last.mask.bit_length()) // s + 1) * s  # whole rows, at least one
-    b, l = format(body.mask, f"0{width}b"), format(last.mask, f"0{width}b")
-    return Abacus._trusted(m * s, int("".join(l[i:i + s] + b[i:i + s] * (m - 1) for i in range(0, width, s)), 2))
+    return _join([(body, m - 1), (last, 1)])
+
+
+def _join(runs: list) -> Abacus:
+    """Wedge of (abacus, copies) runs, left to right: each mask is written once as whole rows of binary digits, and
+    row j of the result is row j of every run, rightmost first, repeated by one string product: linear in its digits."""
+    if not runs:
+        raise ValueError("wedge of zero abaci is undefined")
+    rows = max(a.mask.bit_length() // a.runners for a, _ in runs) + 1
+    digits = [(format(a.mask, f"0{rows * a.runners}b"), a.runners, copies) for a, copies in reversed(runs)]
+    return Abacus._trusted(sum(a.runners * copies for a, copies in runs), int("".join(
+        d[j * r:(j + 1) * r] * copies for j in range(rows) for d, r, copies in digits), 2))
 
 
 def is_pyramid(a: Abacus) -> Optional[Pyramid]:

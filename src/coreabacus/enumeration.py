@@ -39,9 +39,9 @@ ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
 FAMILY_MAX_BITS = 14_000  # guard rail on the bits of a family's answers: 4,215 digits, within Python's print limit
 FAMILY_MAX_CORES = 250_000  # guard rail on the cores the walk visits
 FAMILY_MAX_PARTS = 15_000_000  # guard rail on the parts a built family holds: (12,13) holds 13,728,792
-RUNNER_MAX_WORK = 5_000_000  # guard rail on the runner DP's work units, about 1 s
-MAXIMAL_MAX_FROBENIUS = 1_000_000  # guard rail on st - s - t (`_frobenius_bound`), the values `maximal_st_core` sieves
-SHOW_MAX_CELLS = 1_000_000  # guard rail on the runners x rows of the abacus `cores show` and `cores longest` build
+RUNNER_MAX_WORK = 5_000_000  # guard rail on the runner DP's work units: 1.3 to 1.9 s for a triple at the rail
+MASK_MAX_POSITIONS = 1_000_000  # guard rail on the bead positions one mask may span: the st - s - t values
+# (`_frobenius_bound`) `maximal_st_core` sieves and the walk's beads stay within, and the cells `show`, `longest` build
 _SPACER_COST = 10  # the work units of one spacer step of the runner DP, in row updates (measured)
 
 
@@ -315,7 +315,7 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
 def maximal_st_core(s: int, t: int) -> Partition:
     """The core whose bead set is the full gap set of <s, t>, railed on the st - s - t values sieved."""
     _check_coprime(s, t)
-    _check_rail(lambda v: _frobenius_bound(s, v["t"]), [("t", t)], MAXIMAL_MAX_FROBENIUS,
+    _check_rail(lambda v: _frobenius_bound(s, v["t"]), [("t", t)], MASK_MAX_POSITIONS,
                 f"the st - s - t values sieved for the maximal ({s},{t})-core")
     return _mask_to_partition(_beads_mask(gap_poset(s, t).gaps))
 
@@ -412,13 +412,13 @@ def _runner_work(limit: int, s: int, t: int, u: int | None = None, *, distinct: 
 
 
 def _runner_moduli(moduli: tuple, distinct: bool, self_conjugate: bool) -> tuple | None:
-    """`_runner_paths`'s (s, t) of a distinct (s, ms ± 1) pair, or (s, t, u) of a sorted (s, ms - 1, ms + 1) triple
-    without a self-conjugate filter; None for any other family of sorted `moduli`."""
-    s = moduli[0]
-    if len(moduli) == 2 and distinct and moduli[1] % s in (1, s - 1):
+    """`_runner_paths`'s (s, t) of a distinct (s, ms ± 1) pair, or (s, t, u) of an (s, ms - 1, ms + 1) triple, sorted
+    (s - 1, s, s + 1) at m = 1, without a self-conjugate filter; None for any other family of sorted `moduli`."""
+    s, t = moduli[0], moduli[-1]
+    if len(moduli) == 2 and distinct and t % s in (1, s - 1):
         return moduli
-    if len(moduli) == 3 and not self_conjugate and moduli[2] - moduli[1] == 2 and moduli[1] % s == s - 1:
-        return s, moduli[2], moduli[1]
+    if len(moduli) == 3 and not self_conjugate and t - 2 in moduli and t % (r := sum(moduli) - 2 * t + 2) == 1 % r:
+        return r, t, t - 2
     return None
 
 
@@ -437,14 +437,16 @@ _ROUTES = (
            RUNNER_MAX_WORK),
     _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
            lambda moduli, *_: _frobenius_bound(*(_coprime_pair(moduli) or (moduli[0], moduli[-1]))),
-           "possible bead values", MAXIMAL_MAX_FROBENIUS),
+           "possible bead values", MASK_MAX_POSITIONS),
 )
 
 
 def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
     """The first of `_ROUTES` that applies to the family of sorted `moduli`, refused if its cost is beyond its limit,
     or if no pair is coprime and the moduli share a factor, as the family may then be infinite."""
-    if any(t < 1 for t in moduli):
+    if not moduli:
+        raise ValueError("at least one modulus is required")
+    if moduli[0] < 1:
         raise ValueError(f"moduli must be positive, got {moduli}")
     route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
     if route.name != "staircases" and _coprime_pair(moduli) is None and math.gcd(*moduli) > 1:

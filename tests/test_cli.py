@@ -224,6 +224,16 @@ class TestEnumerateAndCount:
                 code, out, err = run(capsys, "count", "--moduli", *argv, "--no-cache")
             assert (code, out) == (2, "") and message in err, argv
 
+    def test_the_paper_triple_at_m_1_takes_the_runner_dp(self, capsys, monkeypatch):
+        # (15, 16, 17) is (s - 1, s, s + 1) at s = 16: its 310,572 cores, a Motzkin number, are beyond the walk's
+        # visit budget, and the runner DP reads them with no core visited
+        def refuse(*args):
+            raise AssertionError("walked the triple")
+
+        monkeypatch.setattr(enumeration, "_masks", refuse)
+        code, out, err = run(capsys, "count", "--moduli", "15,16,17", "--no-cache", "--format", "csv")
+        assert (code, out.splitlines(), err) == (0, ["count", "310572"], "")
+
     def test_distinct_walk_stops_at_its_visit_budget(self, capsys, monkeypatch):
         # (25,33) is off t = ±1 (mod s), so its 6,471,200 distinct cores are walked: the walk is refused
         # on the core after its budget, the same on every run

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -30,10 +31,10 @@ def grid_b(s: int, k: int) -> frozenset:
     return frozenset((i, j) for i in range(1, s - k) for j in range(s - i - k))
 
 
-def grid_wedge(grids, s: int) -> Abacus:
-    """Wedge of s-runner position sets, each offset by the runners before it."""
-    positions = frozenset((i + block * s, j) for block, grid in enumerate(grids) for i, j in grid)
-    return Abacus(len(grids) * s, positions)
+def grid_wedge(grids, runners) -> Abacus:
+    """Wedge of position sets of the given runner counts, each offset by the runners before it."""
+    offsets = itertools.accumulate([0] + runners)
+    return Abacus(sum(runners), frozenset((i + offset, j) for offset, grid in zip(offsets, grids) for i, j in grid))
 
 
 def grid_pyramid(a: Abacus):
@@ -106,7 +107,7 @@ class TestRowsMatchTheCellByCellRoute:
                 cx.build_l: [a & b0] * (m - 1) + [a & b1],
             }
             for build, grids in routes.items():
-                built, oracle = build(s, m), grid_wedge(grids, s)
+                built, oracle = build(s, m), grid_wedge(grids, [s] * m)
                 assert built.runners == oracle.runners and built.mask == oracle.mask, (build.__name__, s, m)
 
 
@@ -169,8 +170,9 @@ class TestWedge:
             assert built == [joined], k
 
     def test_m_fold_is_the_wedge_of_its_blocks(self):
-        # the m-fold's digit rows against `wedge_all` block by block: every pair of the named s-runner abaci and the
-        # empty one, and random masks whose body and last differ in rows, at m = 1 and beyond
+        # the m-fold, a run of m - 1 bodies beside one last block, and `wedge_all` of its blocks, each against the
+        # cell-by-cell wedge: every pair of the named s-runner abaci and the empty one, and random masks whose body
+        # and last differ in rows, at m = 1 and beyond
         rng = random.Random(20)
         for s in range(1, 9):
             named = [cx.build_a(s), cx.build_b(s, 0), cx.build_b(s, 1), cx.build_c(s, 0), cx.build_c(s, 1),
@@ -179,7 +181,20 @@ class TestWedge:
             pairs = [(body, last) for body in named for last in named] + list(zip(randoms, randoms[::-1]))
             for body, last in pairs:
                 for m in (1, 2, 3, 7, 40):
-                    assert cx._m_fold(m, body, last) == cx.wedge_all([body] * (m - 1) + [last]), (s, m)
+                    oracle = grid_wedge([body.positions] * (m - 1) + [last.positions], [s] * m)
+                    assert cx._m_fold(m, body, last) == oracle, (s, m)
+                    assert cx.wedge_all([body] * (m - 1) + [last]) == oracle, (s, m)
+
+    def test_wedge_all_of_mixed_runner_counts_is_the_cell_by_cell_wedge(self):
+        # random block lists whose runner counts and rows differ, with runs of repeated neighbours, some empty
+        rng = random.Random(35)
+        for _ in range(400):
+            blocks = []
+            for _ in range(rng.randint(1, 6)):
+                r = rng.randint(1, 8)
+                blocks += [Abacus._trusted(r, rng.getrandbits(r * rng.randint(0, 6)))] * rng.choice((1, 2, 5))
+            oracle = grid_wedge([b.positions for b in blocks], [b.runners for b in blocks])
+            assert cx.wedge_all(blocks) == oracle and cx.wedge_all(iter(blocks)) == oracle, blocks
 
     def test_e_plus_is_wedge_power_of_a(self):
         assert cx.build_e_plus(5, 3) == cx.wedge_all([cx.build_a(5)] * 3)

@@ -257,6 +257,15 @@ class TestMultiCores:
     def test_nonpositive_modulus(self):
         with pytest.raises(ValueError):
             en.enumerate_multi_cores({0, 3})
+        for route in (en.family_stats, en.enumerate_multi_cores):
+            with pytest.raises(ValueError, match="moduli must be positive"):
+                route([3, -2, 5])
+        # an empty family is refused by name under every filter set, before any route reads a first modulus
+        for moduli in [(), [], set()]:
+            for filters in itertools.product((False, True), repeat=2):
+                for route in (en.family_stats, en.enumerate_multi_cores):
+                    with pytest.raises(ValueError, match="at least one modulus is required"):
+                        route(moduli, *filters)
 
     def test_guard_rail_on_full_walk(self, monkeypatch):
         # a build is railed on its parts, count x most parts: (12,13) builds 208,012 x 66, (13,14) 742,900 x 78
@@ -298,7 +307,7 @@ class TestMultiCores:
         # members, so (8, 23, 25) and (10, 19, 21) answer though their pairs hold 254,475 and 690,690 cores
         k = next(s for s in range(1, 20) if en.count_st_cores(s, s + 1) > en.FAMILY_MAX_CORES)
         assert k == 13 and en.count_st_cores(k - 1, k) <= en.FAMILY_MAX_CORES
-        assert en.family_stats((k - 2, k - 1, k)).count > 0  # (12, 11, 13) is walked on (11,12)
+        assert en.family_stats((k - 2, k - 1, k)).count > 0  # (11, 12, 13) is m = 1, read off the runner DP
         assert (en.count_st_cores(8, 23), en.count_st_cores(10, 19)) == (254475, 690690)
         assert en.family_stats((8, 23, 25))[:3] == (49106, 408, 44)
         assert en.family_stats((10, 19, 21))[:3] == (83710, 425, 45)
@@ -392,9 +401,9 @@ class TestMultiCores:
 
     def test_route_table(self):
         # the first route that applies answers: the staircases, the closed form, the runner DP, then the walk.
-        # The runner DP takes a distinct (s, ms ± 1) pair and an (s, ms - 1, ms + 1) triple with m >= 2 unless it
+        # The runner DP takes a distinct (s, ms ± 1) pair and an (s, ms - 1, ms + 1) triple at every m unless it
         # is filtered for self-conjugacy; (4, 9, 11) is (4, 2*4 + 1, 2*4 + 3), (8, 23, 27) is (8, 3*8 - 1, 3*8 + 3),
-        # and (5, 6, 7) is m = 1, sorted
+        # and (5, 6, 7) and (1, 2, 3) are m = 1, sorted (s - 1, s, s + 1)
         assert [route.name for route in en._ROUTES] == ["staircases", "closed form", "runner DP", "walk"]
         for moduli, distinct, self_conjugate, name in [
             ((6, 9), True, True, "staircases"), ((20, 21), False, True, "closed form"),
@@ -404,7 +413,9 @@ class TestMultiCores:
             ((8, 23, 25), False, False, "runner DP"), ((8, 23, 25), True, False, "runner DP"),
             ((8, 23, 25), True, True, "staircases"), ((1, 2, 4), False, False, "runner DP"),
             ((2, 3, 5), True, False, "runner DP"), ((4, 9, 11), False, False, "walk"),
-            ((8, 23, 27), True, False, "walk"), ((5, 6, 7), False, False, "walk"),
+            ((8, 23, 27), True, False, "walk"), ((5, 6, 7), False, False, "runner DP"),
+            ((5, 6, 7), True, False, "runner DP"), ((5, 6, 7), False, True, "walk"),
+            ((1, 2, 3), False, False, "runner DP"), ((5, 6, 8), False, False, "walk"),
         ]:
             assert en._route(moduli, distinct, self_conjugate).name == name, moduli
 
