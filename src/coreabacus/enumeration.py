@@ -7,10 +7,14 @@ children are the window of `abacus._mask_core_window`, in one tree from the
 empty core.  A family's members are built in one eager pass with the cyclic
 garbage collector paused: a `Partition` is a tuple subclass, which the
 collector never untracks, so each collection would traverse every member built
-so far, and the members hold no reference cycles.  The pause is process-wide
-and restores the collector's earlier state; a built family keeps its
-self-conjugate members by `filter_self_conjugate`.  A family's statistics and
-its rail come from the first row of `_ROUTES` that applies; `_runner_paths`
+so far, and the members hold no reference cycles.  The pause is process-wide,
+restores the collector's earlier state and ends by moving every tracked object,
+the caller's young ones too, to the oldest generation, so no young collection
+walks the members after it and a cycle among the caller's moved objects waits
+for a full collection; nothing moves when the caller has frozen objects
+(`gc.freeze`).  A built family keeps its self-conjugate members by
+`filter_self_conjugate`.  A family's statistics and its rail come from the
+first row of `_ROUTES` that applies; `_runner_paths`
 reads a coprime pair, a distinct (s, ms±1) pair or an (s, ms-1, ms+1) triple
 off the stack heights of the s-abacus runners, visiting no core; `_walk_stats`,
 folded from the same tree walked depth first with no `Partition` built, is the
@@ -158,12 +162,18 @@ def gap_poset(s: int, t: int) -> GapPoset:
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector, process-wide, for the block (why: see the module
-    docstring); afterwards, also when the block raises, re-enable it only if it was on before."""
+    docstring); afterwards, also when the block raises, re-enable it only if it was on before.
+    It ends by moving every tracked object to the oldest generation in O(1), zeroing the young count
+    the block ran up; that includes the caller's young objects, whose cycles then wait for a full
+    collection.  Nothing moves when the caller has frozen objects."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:  # else unfreezing would undo the caller's freeze
+            gc.freeze()
+            gc.unfreeze()
         if enabled:
             gc.enable()
 
@@ -339,13 +349,11 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
 
 
 def filter_distinct(f: CoreFamily) -> CoreFamily:
-    members = tuple(p for p in f.members if pt.has_distinct_parts(p))
-    return CoreFamily(f.moduli, members, True, f.self_conjugate)
+    return CoreFamily(f.moduli, tuple(filter(pt.has_distinct_parts, f.members)), True, f.self_conjugate)
 
 
 def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
-    members = tuple(p for p in f.members if pt.is_self_conjugate(p))
-    return CoreFamily(f.moduli, members, f.distinct, True)
+    return CoreFamily(f.moduli, tuple(filter(pt.is_self_conjugate, f.members)), f.distinct, True)
 
 
 def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> CoreFamily:
@@ -479,7 +487,7 @@ def longest_member(f: CoreFamily) -> Partition:
     """The unique member with the most parts; ties are surfaced loudly."""
     if not f.members:
         raise ValueError("family is empty")
-    top = max(len(p) for p in f.members)
+    top = max(map(len, f.members))
     best = [p for p in f.members if len(p) == top]
     if len(best) > 1:
         raise AmbiguousLongestError(best)

@@ -124,7 +124,11 @@ def hook_length_multiset(p: Partition) -> Counter:
 
 
 def has_distinct_parts(p: Partition) -> bool:
-    return len(set(p)) == len(p)
+    """True iff no part repeats; `p` must be weakly decreasing, as a partition's parts are.
+
+    Then the last step falling and the parts spanning at least len(p) - 1 are necessary for distinct
+    parts, and reject most members in O(1) before the set of all the parts is built."""
+    return len(p) < 2 or p[-2] > p[-1] and p[0] - p[-1] >= len(p) - 1 and len(set(p)) == len(p)
 
 
 def is_self_conjugate(p: Partition) -> bool:

@@ -196,6 +196,18 @@ class TestFilters:
             EMPTY, P(1), P(2, 1), P(3, 2, 1), P(4, 3, 2, 1)
         }
 
+    @pytest.mark.parametrize("distinct, self_conjugate", itertools.product([False, True], repeat=2))
+    def test_filters_keep_the_input_order(self, distinct, self_conjugate):
+        # members out of lexicographic order, kept and dropped ones mixed
+        members = (P(3, 1, 1), P(2, 2), EMPTY, P(4, 3, 2, 1), P(1), P(3, 3), P(2, 1), P(5, 1))
+        family = en.CoreFamily((5, 7), members, distinct, self_conjugate)
+        kept = en.filter_distinct(family)
+        assert kept == en.CoreFamily((5, 7), (EMPTY, P(4, 3, 2, 1), P(1), P(2, 1), P(5, 1)), True, self_conjugate)
+        assert kept.members == tuple(p for p in members if len(set(p)) == len(p))
+        kept = en.filter_self_conjugate(family)
+        assert kept == en.CoreFamily((5, 7), (P(3, 1, 1), P(2, 2), EMPTY, P(4, 3, 2, 1), P(1), P(2, 1)), distinct, True)
+        assert kept.members == tuple(p for p in members if pt.conjugate(p) == p)
+
 
 class TestMultiCores:
     def test_5_14_16(self):
@@ -806,6 +818,30 @@ class TestCollectorPause:
             with pytest.raises(ArithmeticError):
                 build()
             assert gc.isenabled() is enabled, route
+
+    def test_no_young_collection_walks_a_built_family(self, collector_state):
+        # the pause ends by moving the members to the oldest generation and zeroing the young count, so
+        # the first tracked allocation after a build (here the list `get_stats` returns) starts no collection
+        collector_state(True)
+        threshold = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        try:
+            before = gc.get_stats()[0]["collections"]
+            family = en.enumerate_st_cores(9, 13)
+            assert gc.get_stats()[0]["collections"] == before
+        finally:
+            gc.set_threshold(*threshold)
+        assert len(family) == 22610
+
+    def test_a_callers_freeze_stands(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            family = en.enumerate_st_cores(7, 9)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+        assert len(family) == 715
 
     def test_built_families_hold_no_cycles(self):
         # the premise of the pause: what a build leaves for the collector is freed by reference counts alone

@@ -197,6 +197,22 @@ class TestPredicates:
         assert pt.has_distinct_parts(EMPTY)
         assert pt.has_distinct_parts(P(4, 3, 2, 1))
 
+    @pytest.mark.parametrize("parts, distinct", [
+        ((5, 5, 3, 1), False),  # a tie at the first step passes both O(1) tests
+        ((4, 2, 2), False),  # a tie at the last step
+        ((3, 2, 2, 1), False),  # a tie in the middle: the parts span less than len - 1
+        ((6, 4, 3, 3, 2), False),  # a tie in the middle only, passing both O(1) tests
+        ((6, 4, 3, 2), True),
+        ((7,), True),
+    ])
+    def test_distinct_parts_hand_cases(self, parts, distinct):
+        assert pt.has_distinct_parts(P(*parts)) is distinct
+        assert pt.has_distinct_parts(list(parts)) is distinct  # `two-conj` passes its rows as a list
+
+    def test_distinct_parts_is_the_set_test(self):
+        for p in pt.partitions_up_to(30):
+            assert pt.has_distinct_parts(p) == (len(set(p)) == len(p)), p
+
     def test_self_conjugate(self):
         assert pt.is_self_conjugate(P(3, 1, 1))
         assert not pt.is_self_conjugate(P(3, 1))
