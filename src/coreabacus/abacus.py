@@ -102,13 +102,17 @@ def beadset_to_partition(x: BeadSet) -> Partition:
 def _beads_mask(x: Iterable[int]) -> int:
     """The bitmask of a bead set: bit b is set iff b is a bead.
 
-    Summing many beads re-adds the growing mask per bead, quadratic in the
-    largest bead, so beyond a few they are written as binary digits instead.
+    Below 64 beads each one is ORed in.  Each OR copies the growing mask, so
+    the cost is beads times the largest bead; from 64 beads on they are
+    written as binary digits instead, one pass over the largest bead.
     """
     if not hasattr(x, "__len__"):  # an iterator: read it once
         x = list(x)
     if len(x) < 64:
-        return sum(map((1).__lshift__, x))
+        mask = 0
+        for b in x:
+            mask |= 1 << b
+        return mask
     top = max(x)
     if min(x) < 0:  # `1 << b` rejects a negative bead; a digit index would not
         raise ValueError("bead positions must be non-negative")

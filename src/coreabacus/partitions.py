@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from itertools import chain, count, repeat
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -73,10 +73,10 @@ def conjugate(p: Partition) -> Partition:
 
     Part i exceeds part i+1 by the number of columns of height exactly i.
     """
-    cols, below = [], 0
-    for i in range(len(p), 0, -1):
-        cols += [i] * (p[i - 1] - below)
-        below = p[i - 1]
+    cols = []
+    for i in range(len(p), 0, -1):  # bottom row first; a row no longer than the one below adds no column
+        if p[i - 1] > len(cols):
+            cols += [i] * (p[i - 1] - len(cols))
     return Partition._trusted(cols)
 
 
@@ -90,32 +90,25 @@ def first_column_hooks(p: Partition) -> frozenset[int]:
     return frozenset(_first_column(p))
 
 
-def _hook_rows(p: Partition) -> Iterator[Iterator[int]]:
-    """Each row's hook lengths, left to right: row i adds p_i - i + 1 to d_j = conj_j - j, j <= p_i."""
-    conj = conjugate(p)
-    d = list(map(operator.sub, conj, range(1, len(conj) + 1)))
-    return (map((part - i).__add__, d[:part]) for i, part in enumerate(p))
+def _hooks(p: Partition) -> list[int]:
+    """Every hook length of the Young diagram, row by row and left to right.
 
-
-def _hooks(p: Partition) -> Iterator[int]:
-    """Every hook length of the Young diagram, row by row; see `_hook_rows`."""
-    return chain.from_iterable(_hook_rows(p))
+    Box (i, j) has arm p_i - j and leg conj_j - i, so its hook arm + leg + 1 is
+    (p_i - i + 1) + d_j with d_j = conj_j - j, read through the conjugate.
+    """
+    d = [c - j for j, c in enumerate(conjugate(p), start=1)]
+    return [part - i + dj for i, part in enumerate(p) for dj in d[:part]]  # i counts rows from 0
 
 
 def hook_lengths(p: Partition) -> tuple[HookLength, ...]:
-    """All hook lengths of the Young diagram, one entry per box, in row-major order.
-
-    Box (i, j) has arm p_i - j and leg conj_j - i, so its hook arm + leg + 1 is
-    (p_i - i + 1) + (conj_j - j), computed a whole row at a time (`_hook_rows`).
-    """
-    hooks = []
-    for i, row in enumerate(_hook_rows(p), start=1):
-        hooks += map(HookLength, repeat(i), count(1), row)
-    return tuple(hooks)
+    """All hook lengths of the Young diagram, one entry per box, in row-major order (see `_hooks`)."""
+    rows = [i for i, part in enumerate(p, start=1) for _ in range(part)]
+    cols = [j for part in p for j in range(1, part + 1)]
+    return tuple(map(HookLength, rows, cols, _hooks(p)))
 
 
 def hook_length_multiset(p: Partition) -> Counter:
-    """Multiset of hook lengths, arm + leg + 1 per box, a whole row at a time (see `hook_lengths`).
+    """Multiset of hook lengths, arm + leg + 1 per box (see `_hooks`).
 
     This is the Young-diagram oracle for the abacus core tests: t is a hook
     length iff p is not a t-core, read through the conjugate, never a bead mask.

@@ -320,6 +320,10 @@ class TestBeadsMask:
             sets.append(frozenset(rng.sample(range(2 * size + 5), size)))
             sets.append(rng.sample(range(10 * size), size))
         sets.append(ab.from_abacus(build_l(40, 5)))
+        # far beads on both sides of the 64-bead switch from the OR loop to the binary digits
+        sets.append({10**6, 3})
+        sets.append(set(rng.sample(range(10**5), 62)) | {10**5})
+        sets.append(set(rng.sample(range(10**5), 63)) | {10**5})
         for x in sets:
             assert ab._beads_mask(x) == sum(1 << b for b in x), sorted(x)[:5]
             assert ab._beads_mask(b for b in x) == sum(1 << b for b in x), sorted(x)[:5]

@@ -75,6 +75,11 @@ def reference_conjugate(parts):
     return tuple(cols)
 
 
+# (300,) and (1,)*300 take a part, an arm or leg and a hook past 255, where a kernel packing them
+# into bytes would wrap
+LONG_SHAPES = [P(300), P(*[1] * 300), pt.staircase(30), P(*[20] * 20)]
+
+
 class TestPartition:
     def test_validation_rejects_increasing_parts(self):
         with pytest.raises(ValueError):
@@ -300,16 +305,15 @@ class TestAgainstReferences:
         assert [sum(1 for _ in pt.partitions_of(n)) for n in range(41)] == p
 
     def test_conjugate_and_self_conjugacy(self):
-        for p in pt.partitions_up_to(30):
+        # the long shapes hold long runs of equal parts, the rows that add no column
+        for p in [*pt.partitions_up_to(30), *LONG_SHAPES]:
             expected = reference_conjugate(p.parts)
             assert pt.conjugate(p).parts == expected, p
             assert pt.is_self_conjugate(p) == (expected == p.parts), p
 
     def test_hooks_match_the_definition(self):
-        # weight <= 20 is 2,714 partitions; (300,) and (1,)*300 take a part, an arm or leg and a
-        # hook past 255, where a kernel packing them into bytes would wrap
-        long = [P(300), P(*[1] * 300), pt.staircase(30), P(*[20] * 20)]
-        for p in [*pt.partitions_up_to(20), *long]:
+        # weight <= 20 is 2,714 partitions
+        for p in [*pt.partitions_up_to(20), *LONG_SHAPES]:
             expected = reference_hooks(p.parts)
             assert pt.hook_lengths(p) == expected, p
             assert pt.hook_length_multiset(p) == Counter(h for _, _, h in expected), p
