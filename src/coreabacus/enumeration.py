@@ -20,9 +20,10 @@ off the stack heights of the s-abacus runners, visiting no core; `_walk_stats`,
 folded from the same tree walked depth first with no `Partition` built, is the
 reference every other route is tested against and the last row, railed before
 the walk on its largest possible bead and during it on the cores it visits.
-The slow route keeps the partitions up to a weight bound with no hook length
-among the moduli, read off the Young diagram and never off a bead mask; it
-exists only as an independent oracle for the tests.
+The hook oracle grows the partitions up to a weight bound with no hook length
+among the moduli a first row at a time, testing each one's hooks read off the
+Young diagram and never off a bead mask; it exists only as an independent
+oracle for the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import partitions as pt
 from .abacus import _beads_mask, _mask_core_window, _mask_is_self_conjugate, _mask_to_partition
 from .partitions import Partition
 
-ORACLE_MAX_WEIGHT = 40  # guard rail for the brute-force route
+ORACLE_MAX_WEIGHT = 40  # guard rail on the hook oracle's weight bound
 FAMILY_MAX_BITS = 14_000  # guard rail on the bits of a family's answers: 4,215 digits, within Python's print limit
 FAMILY_MAX_CORES = 250_000  # guard rail on the cores the walk visits
 FAMILY_MAX_PARTS = 15_000_000  # guard rail on the parts a built family holds: (12,13) holds 13,728,792
@@ -331,7 +332,16 @@ def maximal_st_core(s: int, t: int) -> Partition:
 
 
 def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
-    """Brute force: all partitions up to max_weight whose hooks avoid the moduli."""
+    """Every partition of weight at most max_weight with no hook length among the moduli, read off the Young
+    diagram, in lexicographic order.
+
+    Removing the first row of a Young diagram leaves every other box its arm and its leg, so each such
+    partition is (a,) + q for such a q and a >= q[0]; the boxes of the first row past column q[0] have hooks
+    1, ..., a - q[0], so a - q[0] is below the smallest modulus.  The search grows each survivor q by every
+    such first row within the weight bound, which reaches each such partition once, and keeps a candidate
+    when its hooks avoid the moduli.  Survivors go into buckets by first part, read in ascending order, each
+    while it grows, so each bucket receives its members in lexicographic order.
+    """
     moduli = tuple(sorted(set(moduli)))
     if not moduli:
         raise ValueError("at least one modulus is required")
@@ -341,11 +351,18 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
         raise GuardRailError(
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
         )
-    avoided = set(moduli)
-    tuples = itertools.chain.from_iterable(map(pt._partition_tuples, range(max_weight + 1)))
+    avoided, smallest = set(moduli), moduli[0]
+    buckets = [[()]] + [[] for _ in range(max_weight)] if max_weight >= 0 else []  # first part -> its members
     with _collector_paused():
-        members = sorted(p for p in tuples if avoided.isdisjoint(pt._hooks(p)))
-        return CoreFamily(moduli=moduli, members=tuple(map(Partition._trusted, members)))
+        for below, bucket in enumerate(buckets):
+            for q in bucket:  # grows while it is read: (below,) + q sorts after every member already there
+                room = max_weight - sum(q)
+                for a in range(max(below, 1), min(below + smallest - 1, room) + 1):
+                    p = (a,) + q
+                    if avoided.isdisjoint(pt._hooks(p)):
+                        buckets[a].append(p)
+        members = map(Partition._trusted, itertools.chain.from_iterable(buckets))
+        return CoreFamily(moduli=moduli, members=tuple(members))
 
 
 def filter_distinct(f: CoreFamily) -> CoreFamily:

@@ -29,8 +29,8 @@ class Partition(tuple):
     skips that check; only routes whose output is valid by construction
     (`partitions_of` on the tuples of `_partition_tuples`, `conjugate`,
     `abacus._mask_to_partition`, the first-part walk of `enumeration._lex_walk`
-    and the members `enumeration.oracle_enumerate` keeps from those tuples) may
-    call it, always with a tuple or list of positive, weakly decreasing ints.
+    and the members `enumeration.oracle_enumerate` grows a first row at a time)
+    may call it, always with a tuple or list of positive, weakly decreasing ints.
     """
 
     __slots__ = ()

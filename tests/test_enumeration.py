@@ -123,10 +123,15 @@ class TestEnumerateStCores:
             assert not hooks & {5, 6}
 
     def test_agrees_with_oracle(self):
-        for s, t in [(3, 4), (3, 5), (4, 5), (5, 6), (2, 7)]:
+        # every coprime pair whose maximal core, of weight (s^2 - 1)(t^2 - 1)/24, is within the oracle's rail
+        top = math.isqrt(8 * en.ORACLE_MAX_WEIGHT + 1)  # the largest t beside s = 2
+        pairs = [(s, t) for s, t in itertools.combinations(range(2, top + 1), 2)
+                 if math.gcd(s, t) == 1 and (s * s - 1) * (t * t - 1) <= 24 * en.ORACLE_MAX_WEIGHT]
+        assert len(pairs) == 17 and (2, 17) in pairs
+        for s, t in pairs:
             fast = set(en.enumerate_st_cores(s, t).members)
             slow = set(en.oracle_enumerate({s, t}, max(p.weight for p in fast)).members)
-            assert fast == slow
+            assert fast == slow, (s, t)
 
     def test_closed_under_conjugation(self):
         for s, t in [(3, 4), (4, 5), (5, 6)]:
@@ -168,6 +173,9 @@ class TestOracle:
 
     def test_weight_zero(self):
         assert en.oracle_enumerate({5}, 0).members == (EMPTY,)
+
+    def test_negative_weight_keeps_not_even_the_empty_partition(self):
+        assert en.oracle_enumerate({5}, -1).members == ()
 
     def test_weight_one(self):
         assert set(en.oracle_enumerate({3, 2, 4}, 1).members) == {EMPTY, P(1)}
