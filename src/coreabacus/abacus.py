@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .partitions import Partition, _first_column, first_column_hooks
+from .partitions import Partition, _first_column, _moduli, first_column_hooks
 
 BeadSet = frozenset  # frozenset[int]
 
@@ -208,11 +208,7 @@ def is_t_core(p: Partition, t: int) -> bool:
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
     """True iff p is a t-core for every t in `ts`, read off one minimal bead mask."""
-    moduli = set(ts)
-    if not moduli:
-        raise ValueError("at least one modulus is required")
-    if min(moduli) < 1:
-        raise ValueError(f"runner count must be positive, got {min(moduli)}")
+    moduli = _moduli(ts)
     mask = _beads_mask(_first_column(p))
     return all(_mask_is_core(mask, t) for t in moduli)
 

@@ -26,6 +26,7 @@ from .abacus import _mask_to_partition, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, _named_rows, build_l, build_named
 from .enumeration import (MASK_MAX_POSITIONS, GuardRailError, _check_rail, enumerate_multi_cores, family_stats,
                           maximal_st_core)
+from .partitions import _moduli
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
@@ -100,12 +101,13 @@ def _cached(args) -> tuple[int, str | list]:
 
 def _parse_moduli(text: str) -> tuple:
     try:
-        moduli = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse moduli {text!r}")
-    if not moduli:
-        raise argparse.ArgumentTypeError("at least one modulus is required")
-    return moduli
+    try:
+        return _moduli(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_grid(text: str) -> dict:

@@ -342,11 +342,7 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
     when its hooks avoid the moduli.  Survivors go into buckets by first part, read in ascending order, each
     while it grows, so each bucket receives its members in lexicographic order.
     """
-    moduli = tuple(sorted(set(moduli)))
-    if not moduli:
-        raise ValueError("at least one modulus is required")
-    if moduli[0] < 1:
-        raise ValueError(f"moduli must be positive, got {moduli}")
+    moduli = pt._moduli(moduli)
     if max_weight > ORACLE_MAX_WEIGHT:
         raise GuardRailError(
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
@@ -376,7 +372,7 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
 def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> CoreFamily:
     """Every core for all of `moduli`, or with `distinct` every one with distinct parts, in lexicographic order;
     with `self_conjugate`, `filter_self_conjugate` of it, or with `distinct` the `_staircases`; see `_check_build`."""
-    moduli = tuple(sorted(set(moduli)))
+    moduli = pt._moduli(moduli)
     _check_build(moduli, distinct, self_conjugate)
     if distinct and self_conjugate:
         return CoreFamily(moduli, tuple(map(pt.staircase, range(_staircases(moduli).count))), True, True)
@@ -467,14 +463,10 @@ _ROUTES = (
 
 
 def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
-    """The first of `_ROUTES` that applies to the family of sorted `moduli`, refused if its cost is beyond its limit,
-    or if no pair is coprime and the moduli share a factor, as the family may then be infinite."""
-    if not moduli:
-        raise ValueError("at least one modulus is required")
-    if moduli[0] < 1:
-        raise ValueError(f"moduli must be positive, got {moduli}")
+    """The first of `_ROUTES` that applies to the family of `moduli`, as `pt._moduli` gives them, refused if its cost
+    is beyond its limit, or if the moduli share a factor (so no pair is coprime), as the family may then be infinite."""
     route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
-    if route.name != "staircases" and _coprime_pair(moduli) is None and math.gcd(*moduli) > 1:
+    if route.name != "staircases" and math.gcd(*moduli) > 1:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     if (cost := route.cost(moduli, distinct, self_conjugate)) is None or cost > route.limit:
         raise GuardRailError(f"moduli {moduli} take the {route.name} route, whose {'' if cost is None else f'{cost} '}"
@@ -484,7 +476,7 @@ def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
 
 def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> FamilyStats:
     """The statistics of `enumerate_multi_cores(...)`, with no `Partition` built, from `_route`'s row."""
-    moduli = tuple(sorted(set(moduli)))
+    moduli = pt._moduli(moduli)
     return _route(moduli, distinct, self_conjugate).stats(moduli, distinct, self_conjugate)
 
 
@@ -518,7 +510,5 @@ def _coprime_pair(moduli: tuple) -> tuple | None:
 
 
 def _check_coprime(s: int, t: int) -> None:
-    if s < 1 or t < 1:
-        raise ValueError(f"moduli must be positive, got ({s}, {t})")
-    if math.gcd(s, t) != 1:
+    if math.gcd(*pt._moduli((s, t))) != 1:
         raise ValueError(f"moduli must be coprime, got ({s}, {t})")

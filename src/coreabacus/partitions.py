@@ -1,4 +1,5 @@
-"""Integer partitions, Young-diagram hooks, and structural predicates."""
+"""Integer partitions, Young-diagram hooks, structural predicates, and `_moduli`, the one check of a set of moduli:
+here, not in `abacus`, as the hook oracle `enumeration.oracle_enumerate` reads it and may use no name of `abacus`."""
 
 from __future__ import annotations
 
@@ -66,6 +67,15 @@ class Partition(tuple):
 
 
 EMPTY = Partition()
+
+
+def _moduli(values: Iterable[int]) -> tuple:
+    moduli = tuple(sorted(set(values)))
+    if not moduli:
+        raise ValueError("at least one modulus is required")
+    if moduli[0] < 1:
+        raise ValueError(f"moduli must be positive, got {moduli}")
+    return moduli
 
 
 def conjugate(p: Partition) -> Partition:

@@ -25,6 +25,8 @@ from typing import Iterator
 from . import partitions as pt
 from .abacus import _mask_to_partition
 from .constructions import (
+    _check_m,
+    _check_s,
     build_e_minus,
     build_e_plus,
     build_l,
@@ -64,8 +66,8 @@ def straub_plus(m: int, s: int) -> int:
 
 
 def _two_term(m: int, s: int, seed1: int, seed2: int) -> int:
-    if m < 1 or s < 1:
-        raise ValueError(f"m and s must be at least 1, got ({m}, {s})")
+    _check_m(m)
+    _check_s(s)
     a, b = seed1, seed2
     for _ in range(s - 1):
         a, b = b, b + m * a
@@ -90,8 +92,8 @@ def max_weight_formula(s: int, t: int) -> int:
 
 def longest_weight_formula(s: int, m: int) -> int:
     """Weight of the longest (s, ms-1, ms+1)-core, cased on the parity of s."""
-    if s < 1 or m < 1:
-        raise ValueError(f"s and m must be at least 1, got ({s}, {m})")
+    _check_s(s)
+    _check_m(m)
     if s % 2:  # s = 2t - 1
         t = (s + 1) // 2
         num = m * m * t * (t - 1) * (t * t - t + 1)
@@ -109,10 +111,10 @@ def self_conjugate_counts(kind: str, m: int, s: int) -> int:
     """Piecewise counts of self-conjugate distinct-part cores.
 
     kind selects the family: "plain" for (s, s+1), "minus" for (s, ms-1),
-    "plus" for (s, ms+1); "plain" is "plus" at m = 1, so m is ignored for it.
+    "plus" for (s, ms+1); "plain" is "plus" at m = 1, whatever m >= 1 is given.
     """
-    if s < 1 or m < 1:
-        raise ValueError(f"s and m must be at least 1, got ({s}, {m})")
+    _check_m(m)
+    _check_s(s)
     if kind == "plain":
         kind, m = "plus", 1
     if kind not in ("minus", "plus"):
@@ -131,9 +133,7 @@ def staircase_core_count(moduli) -> int:
     k, so the scan stops at the first failure (bounded by the largest modulus
     as a safety net).
     """
-    moduli = sorted(set(moduli))
-    if any(t < 1 for t in moduli):
-        raise ValueError(f"moduli must be positive, got {moduli}")
+    moduli = pt._moduli(moduli)
     if all(t % 2 == 0 for t in moduli):
         raise ValueError(f"all moduli even: infinitely many staircase cores {moduli}")
     count = 0
@@ -146,6 +146,8 @@ def staircase_core_count(moduli) -> int:
 
 def corollary3_check(s: int, m: int) -> bool:
     """For even s: does m^2 divide the largest weight of the (s, ms-1, ms+1)-cores, from `family_stats`?"""
+    _check_s(s)
+    _check_m(m)
     if s % 2:
         raise ValueError(f"s must be even, got {s}")
     return family_stats(_triple_moduli(s, m)).max_weight % (m * m) == 0

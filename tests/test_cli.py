@@ -375,7 +375,9 @@ class TestEnumerateAndCount:
     def test_unparsable_moduli_is_a_usage_error(self, capsys):
         # argparse reads --moduli, so a parse error is a usage error, printed before any command runs
         for text, message in [("4,x", "cannot parse moduli '4,x'"), ("", "at least one modulus is required"),
-                              (" , ", "at least one modulus is required")]:
+                              (" , ", "at least one modulus is required"),
+                              ("0,3", "moduli must be positive, got (0, 3)"),
+                              ("3,-2", "moduli must be positive, got (-2, 3)")]:
             for command in ("count", "enumerate"):
                 with pytest.raises(SystemExit) as exc:
                     main([command, "--moduli", text])
@@ -629,6 +631,23 @@ def test_only_abacus_reads_the_positions_grid():
         if is_grid_read(node)
     ]
     assert reads == []
+
+
+def test_each_input_contract_is_stated_once():
+    # a family's moduli pass `partitions._moduli` and an (s, m) point `constructions._check_s` and `_check_m`,
+    # so an entry point calls them rather than restating a refusal in words of its own
+    package = Path(coreabacus.__file__).parent
+    raises = [
+        (f"{path.name}:{node.lineno}", [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)])
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+    ]
+    for message, home in [("at least one modulus is required", "partitions.py"),
+                          ("moduli must be positive", "partitions.py"),
+                          ("s must be at least 1", "constructions.py"), ("m must be at least 1", "constructions.py")]:
+        stating = [place for place, texts in raises if any(message in str(text) for text in texts)]
+        assert len(stating) == 1 and stating[0].startswith(f"{home}:"), (message, stating)
 
 
 def test_the_hook_oracle_reads_no_bead_set():

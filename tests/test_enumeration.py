@@ -1,22 +1,25 @@
+import argparse
 import collections
 import gc
 import inspect
 import itertools
 import math
 import operator
+import re
 import sys
 from itertools import repeat
 from types import SimpleNamespace
 
 import pytest
 
+from coreabacus import abacus as ab
 from coreabacus import cli
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
 from coreabacus.abacus import _mask_core_window, _mask_is_core, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
-from coreabacus.verification import fib_count, staircase_core_count, straub_minus, straub_plus
+from coreabacus.verification import fib_count, max_weight_formula, staircase_core_count, straub_minus, straub_plus
 
 
 def P(*parts):
@@ -438,6 +441,58 @@ class TestMultiCores:
             ((1, 2, 3), False, False, "runner DP"), ((5, 6, 8), False, False, "walk"),
         ]:
             assert en._route(moduli, distinct, self_conjugate).name == name, moduli
+
+
+# every entry point that names a family by a set of moduli, each reading it through `partitions._moduli`;
+# `_route` reads the moduli `family_stats` and `enumerate_multi_cores` have passed through it
+MODULI_ENTRY_POINTS = {
+    "_moduli": pt._moduli,
+    "family_stats": en.family_stats,
+    "enumerate_multi_cores": en.enumerate_multi_cores,
+    "oracle_enumerate": lambda moduli: en.oracle_enumerate(moduli, 10),
+    "is_simultaneous_core": lambda moduli: ab.is_simultaneous_core(EMPTY, moduli),
+    "staircase_core_count": staircase_core_count,
+    "_parse_moduli": lambda moduli: cli._parse_moduli(",".join(map(str, moduli))),
+}
+BAD_MODULI = {  # each a fresh iterable per test, so the iterator is read once
+    "empty": (lambda: (), "^at least one modulus is required$"),
+    "zero": (lambda: [0, 3], r"^moduli must be positive, got \(0, 3\)$"),
+    "negative": (lambda: (3, -2, 5), r"^moduli must be positive, got \(-2, 3, 5\)$"),
+    "iterator": (lambda: iter([5, 0]), r"^moduli must be positive, got \(0, 5\)$"),
+}
+
+
+class TestModuliGate:
+    @pytest.mark.parametrize("bad", BAD_MODULI)
+    @pytest.mark.parametrize("entry", MODULI_ENTRY_POINTS)
+    def test_every_entry_point_refuses_in_the_gates_words(self, entry, bad):
+        values, message = BAD_MODULI[bad]
+        with pytest.raises((ValueError, argparse.ArgumentTypeError), match=message):
+            MODULI_ENTRY_POINTS[entry](values())
+
+    def test_the_gate_sorts_and_removes_repeats(self):
+        assert pt._moduli(iter([14, 5, 14])) == pt._moduli({5, 14}) == (5, 14)
+        assert cli._parse_moduli("14, 5,14,") == (5, 14)
+
+    def test_a_pair_is_refused_by_the_gate_before_its_coprimality(self):
+        routes = [en._check_coprime, en.count_st_cores, en.enumerate_st_cores, en.st_core_weight_profile,
+                  en.maximal_st_core, en.gap_poset, max_weight_formula]
+        for (s, t), shown in [((0, 3), "(0, 3)"), ((3, -2), "(-2, 3)"), ((5, 0), "(0, 5)"), ((-4, -4), "(-4,)")]:
+            for route in routes:
+                with pytest.raises(ValueError, match=f"^moduli must be positive, got {re.escape(shown)}$"):
+                    route(s, t)
+        for route in routes:
+            with pytest.raises(ValueError, match=r"^moduli must be coprime, got \(4, 6\)$"):
+                route(4, 6)
+
+    def test_the_finiteness_test_is_the_gcd(self):
+        # a coprime pair forces gcd 1, so `_route` refuses just the moduli that share a factor
+        for moduli in [(4,), (4, 6), (2, 4, 8), (6, 10, 14), (6, 9, 15)]:
+            for route in (en.family_stats, en.enumerate_multi_cores):
+                with pytest.raises(ValueError, match="no coprime pair.*may be infinite"):
+                    route(moduli)
+        for moduli in [(1,), (1, 1), (6, 10, 15), (4, 6, 9), (2, 3, 4)]:
+            assert en.family_stats(moduli) == stats_of(en.enumerate_multi_cores(moduli)), moduli
 
 
 class TestLongestMember:

@@ -1,9 +1,11 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from coreabacus import abacus, enumeration
+from coreabacus import constructions as cx
 from coreabacus import partitions as pt
 from coreabacus import verification as vf
 from coreabacus.abacus import Abacus
@@ -149,6 +151,11 @@ class TestStaircaseOracle:
         with pytest.raises(ValueError):
             vf.staircase_core_count((2, 4))
 
+    def test_no_moduli_is_refused_as_empty(self):
+        # all() of no moduli is True, so the parity test reported "all moduli even" for ()
+        with pytest.raises(ValueError, match="^at least one modulus is required$"):
+            vf.staircase_core_count(())
+
 
 class TestCorollary3:
     def test_4_2(self):
@@ -164,6 +171,48 @@ class TestCorollary3:
     def test_odd_s_rejected(self):
         with pytest.raises(ValueError):
             vf.corollary3_check(5, 2)
+
+    @pytest.mark.parametrize("s, m, message", [(2, 0, "m must be at least 1, got 0"),
+                                               (0, 1, "s must be at least 1, got 0"),
+                                               (-2, 1, "s must be at least 1, got -2")])
+    def test_a_point_below_1_is_refused_by_name(self, s, m, message):
+        # (2, 0) divided by m * m = 0, (0, 1) answered True and (-2, 1) named a modulus the caller never passed
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vf.corollary3_check(s, m)
+
+
+# every entry point that takes an (s, m) grid point, each checked by `constructions._check_s` and `_check_m`
+# and called by keyword; s = 2 and m = 1 are valid for all of them, corollary3_check's even s included
+S_M_ENTRY_POINTS = [vf.straub_minus, vf.straub_plus, vf.longest_weight_formula, vf.corollary3_check,
+                    *(partial(vf.self_conjugate_counts, kind) for kind in ("plain", "minus", "plus")),
+                    *(partial(cx.build_named, name) for name in cx._M_FOLDS),
+                    cx.e_minus_from_coordinates, cx.e_plus_from_coordinates]
+# the entry points that read s alone; fib_count is straub_plus(1, s), whose refusal named an m its caller never passed
+S_ENTRY_POINTS = [vf.fib_count, *(partial(cx.build_named, name) for name in cx.CONSTRUCTIONS if name not in cx._M_FOLDS)]
+
+
+def entry_name(f):
+    return f"{f.func.__name__}[{f.args[0]}]" if isinstance(f, partial) else f.__name__
+
+
+class TestGridPointGate:
+    @pytest.mark.parametrize("entry", S_M_ENTRY_POINTS, ids=entry_name)
+    def test_s_and_m_below_1_are_refused_by_name(self, entry):
+        entry(s=2, m=1)
+        with pytest.raises(ValueError, match="^s must be at least 1, got 0$"):
+            entry(s=0, m=1)
+        with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+            entry(s=2, m=0)
+
+    @pytest.mark.parametrize("entry", S_ENTRY_POINTS, ids=entry_name)
+    def test_s_below_1_is_refused_by_name(self, entry):
+        entry(s=2)
+        with pytest.raises(ValueError, match="^s must be at least 1, got 0$"):
+            entry(s=0)
+
+    def test_middle_identity_names_m(self):
+        with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+            vf.middle_identity_check(0, 3)
 
 
 class TestHarness:
