@@ -39,9 +39,7 @@ class Abacus(namedtuple("Abacus", "runners mask")):
     __slots__ = ()
 
     def __new__(cls, runners: int, positions: Iterable[tuple[int, int]]):
-        if operator.index(runners) < 1:
-            raise ValueError(f"runner count must be positive, got {runners}")
-        positions = frozenset(positions)
+        runners, positions = _runner_count(runners), frozenset(positions)
         for i, j in positions:
             if not (0 <= operator.index(i) < runners and operator.index(j) >= 0):
                 raise ValueError(f"position {(i, j)} outside {runners}-runner grid")
@@ -81,10 +79,17 @@ class AxisTheta(namedtuple("AxisTheta", "twice_theta")):
         return self.twice_theta / 2
 
 
+def _runner_count(r: int) -> int:
+    """r, refused unless it is a positive runner count: the one statement of that rule."""
+    if operator.index(r) < 1:
+        raise ValueError(f"runner count must be positive, got {r}")
+    return r
+
+
 def beadset(values: Iterable[int]) -> BeadSet:
-    """Validated bead set: a finite set of non-negative integers."""
+    """Validated bead set: a finite set of non-negative integers, the one statement of that rule."""
     beads = frozenset(map(operator.index, values))
-    if any(v < 0 for v in beads):
+    if min(beads, default=0) < 0:
         raise ValueError("bead positions must be non-negative")
     return beads
 
@@ -104,22 +109,26 @@ def _beads_mask(x: Iterable[int]) -> int:
 
     Below 64 beads each one is ORed in.  Each OR copies the growing mask, so
     the cost is beads times the largest bead; from 64 beads on they are
-    written as binary digits instead, one pass over the largest bead.
+    written as binary digits instead, one pass over the largest bead.  Either
+    path fails on a negative bead b, `1 << b` and the digit index past the
+    top, at no cost to the rest, and `beadset` then refuses it by name.
     """
     if not hasattr(x, "__len__"):  # an iterator: read it once
         x = list(x)
-    if len(x) < 64:
-        mask = 0
+    try:
+        if len(x) < 64:
+            mask = 0
+            for b in x:
+                mask |= 1 << b
+            return mask
+        top = max(x)
+        digits = bytearray(b"0") * (top + 1)
         for b in x:
-            mask |= 1 << b
-        return mask
-    top = max(x)
-    if min(x) < 0:  # `1 << b` rejects a negative bead; a digit index would not
-        raise ValueError("bead positions must be non-negative")
-    digits = bytearray(b"0") * (top + 1)
-    for b in x:
-        digits[top - b] = 49  # ord("1")
-    return int(digits, 2)
+            digits[top - b] = 49  # ord("1")
+        return int(digits, 2)
+    except (ValueError, IndexError):
+        beadset(x)
+        raise
 
 
 def _mask_to_partition(mask: int) -> Partition:
@@ -169,7 +178,7 @@ def _mask_is_self_conjugate(mask: int, n: int) -> bool:
 
 def normalize(x: BeadSet) -> BeadSet:
     """Minimal form: strip the solid prefix {0..k-1} and shift down by k."""
-    k = 0
+    x, k = beadset(x), 0
     while k in x:
         k += 1
     return frozenset(b - k for b in x if b >= k)
@@ -177,9 +186,7 @@ def normalize(x: BeadSet) -> BeadSet:
 
 def to_abacus(x: BeadSet, s: int) -> Abacus:
     """Arrange a bead set on s runners: bead b sits at (b mod s, b div s)."""
-    if operator.index(s) < 1:
-        raise ValueError(f"runner count must be positive, got {s}")
-    return Abacus._trusted(s, _beads_mask(x))
+    return Abacus._trusted(_runner_count(s), _beads_mask(x))
 
 
 def from_abacus(a: Abacus) -> BeadSet:
@@ -201,9 +208,7 @@ def is_core_abacus(a: Abacus) -> bool:
 
 def is_t_core(p: Partition, t: int) -> bool:
     """True iff p has no hook of length t, read off its minimal bead set."""
-    if t < 1:
-        raise ValueError(f"runner count must be positive, got {t}")
-    return _mask_is_core(_beads_mask(_first_column(p)), t)
+    return _mask_is_core(_beads_mask(_first_column(p)), _runner_count(t))
 
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
@@ -216,11 +221,12 @@ def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:
     """Mirror axis theta with beads and spacers exchanged, if one exists; see `_mask_is_self_conjugate`.
 
-    That rule puts exactly one bead in the mirror pair (0, 2n - 1), so a set
-    with both or neither is refused before any mask is built.
+    That rule puts exactly one bead in the mirror pair (0, 2n - 1), so a mask
+    with both or neither is refused before its digits are reversed.
     """
-    n, top = len(x), max(x, default=-1)
-    if not x or (top < 2 * n and (top == 2 * n - 1) != (0 in x) and _mask_is_self_conjugate(_beads_mask(x), n)):
+    mask, n = _beads_mask(x), len(x)
+    top = mask.bit_length() - 1
+    if not x or (top < 2 * n and (top == 2 * n - 1) != (mask & 1) and _mask_is_self_conjugate(mask, n)):
         return AxisTheta(2 * n - 1)
     return None
 
@@ -251,4 +257,4 @@ def render_abacus(a: Abacus, rows: int | None = None) -> str:
 
 def beadset_to_json(x: BeadSet) -> str:
     """Sorted ascending JSON array of bead values."""
-    return json.dumps(sorted(x))
+    return json.dumps(sorted(beadset(x)))

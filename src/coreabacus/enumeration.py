@@ -310,6 +310,15 @@ def count_st_cores(s: int, t: int) -> int:
     return math.comb(s + t, s) // (s + t)
 
 
+def max_weight_formula(s: int, t: int) -> int:
+    """Weight of the unique maximal (s,t)-core: (s^2-1)(t^2-1)/24."""
+    _check_coprime(s, t)
+    num = (s * s - 1) * (t * t - 1)
+    if num % 24:
+        raise ArithmeticError(f"({s}^2-1)({t}^2-1) = {num} is not divisible by 24")
+    return num // 24
+
+
 def enumerate_st_cores(s: int, t: int, distinct: bool = False) -> CoreFamily:
     """Every (s,t)-core, or with `distinct` every one with distinct parts, in lexicographic order."""
     _check_coprime(s, t)
@@ -393,11 +402,11 @@ def _staircases(moduli: tuple, *_) -> FamilyStats:
 def _closed_form(moduli: tuple, distinct: bool, self_conjugate: bool) -> FamilyStats:
     """One modulus or a coprime pair without `distinct`: the count is Anderson's C(s+t, s)/(s+t), or Ford-Mai-Sze's
     C(s//2 + t//2, s//2) of the self-conjugate cores, and every bead set lies inside the gap set of <s, t>, so the
-    full-gap-set core, the unique heaviest and hence self-conjugate, is extreme on the rest: weight (s^2-1)(t^2-1)/24,
+    full-gap-set core, the unique heaviest and hence self-conjugate, is extreme on the rest: `max_weight_formula`,
     (s - 1)(t - 1)/2 parts and largest bead st - s - t.  Each is below both (s + t)^s and 2^(s + t) > C(s + t, s)."""
     s, t = moduli[0], moduli[-1]
     count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
-    return FamilyStats(count, (s * s - 1) * (t * t - 1) // 24, (s - 1) * (t - 1) // 2, s * t - s - t)
+    return FamilyStats(count, max_weight_formula(s, t), (s - 1) * (t - 1) // 2, s * t - s - t)
 
 
 def _frobenius_bound(a: int, b: int) -> int:

@@ -1,11 +1,13 @@
 """Closed forms, recurrences, and the claim-checking harness.
 
 Every identity is checked with exact integer arithmetic; a formula producing a
-non-integer on valid input is a hard failure, never a rounding event.  The
-(s, ms±1) claims share one walker over their (m, s) grid points and signs, and
-`xiong` and `fstar` are its m = 1 rows, on the `straub-plus` and `e-plus-star`
-formulas: the (s, s+1)-cores are the (s, ms+1)-cores at m = 1.  `two-conj`
-compares two sets, each read off its definition: the 2-cores, which are the
+non-integer on valid input is a hard failure, never a rounding event.  Every
+claim but `two-conj` is a cell function on one of two walkers: `_walk`, over
+the (m, s) grid points and the signs of t = ms ± 1, and `_pairs`, over the
+coprime pairs (s, t) with t on the grid.  `xiong` and `fstar` are `_walk`'s
+m = 1 rows, on the `straub-plus` and `e-plus-star` formulas: the (s, s+1)-cores
+are the (s, ms+1)-cores at m = 1.  `two-conj` has one cell, comparing two
+sets, each read off its definition: the 2-cores, which are the
 (2, 2hi+1)-cores of the first-part tree from the empty core, and the
 self-conjugate partitions with distinct parts.  `sylvester` and `berger` read
 the runner DP, of the pair and of the (s, ms+1, ms-1) triple, and build no
@@ -19,7 +21,6 @@ import json
 import math
 import time
 from functools import partial
-from itertools import product
 from typing import Iterator
 
 from . import partitions as pt
@@ -35,11 +36,11 @@ from .constructions import (
 )
 from .enumeration import (
     GuardRailError,
-    _check_coprime,
     _masks,
     _runner_paths,
     _walk_stats,
     family_stats,
+    max_weight_formula,
     maximal_st_core,
     st_core_weight_profile,
 )
@@ -74,20 +75,17 @@ def _two_term(m: int, s: int, seed1: int, seed2: int) -> int:
     return a
 
 
+def _middle_sides(m: int, s: int) -> tuple[int, int]:
+    """The mixed recurrence's two sides: straub_minus(m, s), and the plus counts at s - 1 and s - 2 it is tied to."""
+    return straub_minus(m, s), straub_plus(m, s - 1) + (m - 1) * straub_plus(m, s - 2)
+
+
 def middle_identity_check(m: int, s: int) -> bool:
     """Mixed recurrence tying the minus counts to the plus counts (s >= 3)."""
     if s < 3:
         raise ValueError(f"s must be at least 3, got {s}")
-    return straub_minus(m, s) == straub_plus(m, s - 1) + (m - 1) * straub_plus(m, s - 2)
-
-
-def max_weight_formula(s: int, t: int) -> int:
-    """Weight of the unique maximal (s,t)-core: (s^2-1)(t^2-1)/24."""
-    _check_coprime(s, t)
-    num = (s * s - 1) * (t * t - 1)
-    if num % 24:
-        raise ArithmeticError(f"({s}^2-1)({t}^2-1) = {num} is not divisible by 24")
-    return num // 24
+    minus, plus = _middle_sides(m, s)
+    return minus == plus
 
 
 def longest_weight_formula(s: int, m: int) -> int:
@@ -235,32 +233,31 @@ def _span(grid: dict, key: str) -> range:
     return range(lo, hi + 1)
 
 
-def _points(grid: dict) -> Iterator[tuple[dict, int, int]]:
-    """(params, m, s) at every grid point, m outermost; a grid with no m rail means m = 1."""
-    if "m" not in grid:
-        return (({"s": s}, 1, s) for s in _span(grid, "s"))
-    return (({"m": m, "s": s}, m, s) for m, s in product(_span(grid, "m"), _span(grid, "s")))
+def _walk(cell_of, signs: tuple = (0,)):
+    """The (m, s) walker: `cell_of(params, m, s, t)` at every grid point, m outermost and 1 on a grid with no m rail,
+    and every sign, t = ms + sign, a claim with no sign taking 0 alone, so once a point; params carry the sign only
+    when the claim takes both, and t < 1 is the one UNTESTED cell."""
+
+    def cells(grid: dict) -> Iterator[Cell]:
+        for m in _span(grid, "m") if "m" in grid else (1,):
+            for s in _span(grid, "s"):
+                point = {"m": m, "s": s} if "m" in grid else {"s": s}
+                for sign in signs:
+                    params, t = {**point, "sign": sign} if len(signs) > 1 else point, m * s + sign
+                    yield (cell_of(params, m, s, t) if t >= 1
+                           else Cell(params, None, None, True, status="UNTESTED", note=f"degenerate modulus {t}"))
+
+    return cells
 
 
-def _walk(grid: dict, signs: tuple, cell_of) -> Iterator[Cell]:
-    """`cell_of(params, m, s, t)` at every grid point and sign, t = ms + sign.
-
-    params carry the sign only when the claim takes both; t < 1 is an UNTESTED cell.
-    """
-    for params, m, s in _points(grid):
-        for sign in signs:
-            at = {**params, "sign": sign} if len(signs) > 1 else params
-            t = m * s + sign
-            if t < 1:
-                yield Cell(at, None, None, True, status="UNTESTED", note=f"degenerate modulus {t}")
-            else:
-                yield cell_of(at, m, s, t)
+def _pairs(cell_of):
+    """The pair walker: `cell_of(s, t)` at every coprime pair 2 <= s < t, t outermost and on the grid."""
+    return lambda grid: (cell_of(s, t) for t in _span(grid, "t") for s in range(2, t) if math.gcd(s, t) == 1)
 
 
-def _count_claim(formula, sign: int, self_conjugate: bool = False):
-    """Cells comparing formula(m, s) with the number of distinct-part (s, ms + sign)-cores,
-    only the self-conjugate ones if `self_conjugate`: those are counted by `_walk_stats`, since
-    `family_stats` counts them as staircases, the formula in another form."""
+def _count_cell(formula, self_conjugate: bool = False):
+    """Cells comparing formula(m, s) with the number of distinct-part (s, t)-cores, only the self-conjugate ones
+    if `self_conjugate`, counted by `_walk_stats`: `family_stats` counts them as staircases, the formula restated."""
 
     def cell_of(params: dict, m: int, s: int, t: int) -> Cell:
         expected = formula(m, s)
@@ -271,47 +268,35 @@ def _count_claim(formula, sign: int, self_conjugate: bool = False):
         note = "bead-mask route" if self_conjugate else ""
         return Cell(params, expected, observed, expected == observed, note=note)
 
-    return lambda grid: _walk(grid, (sign,), cell_of)
+    return cell_of
 
 
-def _claim_middle(grid: dict) -> Iterator[Cell]:
-    for params, m, s in _points(grid):
-        expected = straub_minus(m, s)
-        observed = straub_plus(m, s - 1) + (m - 1) * straub_plus(m, s - 2)
-        yield Cell(params, expected, observed, expected == observed)
+def _middle_cell(params: dict, m: int, s: int, _) -> Cell:
+    expected, observed = _middle_sides(m, s)
+    return Cell(params, expected, observed, expected == observed)
 
 
-def _coprime_pairs(grid: dict) -> Iterator[tuple[int, int]]:
-    for t in _span(grid, "t"):
-        for s in range(2, t):
-            if math.gcd(s, t) == 1:
-                yield s, t
+def _olsson_stanton_cell(s: int, t: int) -> Cell:
+    expected = max_weight_formula(s, t)
+    best, hits = st_core_weight_profile(s, t)
+    return Cell({"s": s, "t": t}, {"max_weight": expected, "attained_by": 1},
+                {"max_weight": best, "attained_by": hits}, best == expected and hits == 1)
 
 
-def _claim_olsson_stanton(grid: dict) -> Iterator[Cell]:
-    for s, t in _coprime_pairs(grid):
-        expected = max_weight_formula(s, t)
-        best, hits = st_core_weight_profile(s, t)
-        yield Cell(
-            {"s": s, "t": t},
-            {"max_weight": expected, "attained_by": 1},
-            {"max_weight": best, "attained_by": hits},
-            best == expected and hits == 1,
-        )
+def _sylvester_cell(s: int, t: int) -> Cell:
+    expected = s * t - s - t
+    observed = _runner_paths(s, t)[0].largest_bead  # the runner DP: the closed form returns st - s - t
+    return Cell({"s": s, "t": t}, expected, observed, expected == observed)
 
 
-def _claim_sylvester(grid: dict) -> Iterator[Cell]:
-    for s, t in _coprime_pairs(grid):
-        expected = s * t - s - t
-        observed = _runner_paths(s, t)[0].largest_bead  # the runner DP: the closed form returns st - s - t
-        yield Cell({"s": s, "t": t}, expected, observed, expected == observed)
+def _envelope(m: int, s: int, t: int) -> tuple:
+    """(wedge builder, coordinate route) of the (s, t)-cores' envelope, E-minus at t = ms - 1 and E-plus at ms + 1."""
+    return (build_e_minus, e_minus_from_coordinates) if t < m * s else (build_e_plus, e_plus_from_coordinates)
 
 
 def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
-    if t < m * s:
-        built, coords = build_e_minus(s, m), e_minus_from_coordinates(s, m)
-    else:
-        built, coords = build_e_plus(s, m), e_plus_from_coordinates(s, m)
+    build, from_coordinates = _envelope(m, s, t)
+    built, coords = build(s, m), from_coordinates(s, m)
     part = _mask_to_partition(built.mask)
     expected = max_weight_formula(s, t)
     observed = part.weight
@@ -329,15 +314,14 @@ def _emax_cell(params: dict, m: int, s: int, t: int) -> Cell:
     return Cell(params, expected, observed, passed, note="; ".join(problems))
 
 
-def _claim_longest_m2(grid: dict) -> Iterator[Cell]:
-    for params, m, s in _points(grid):
-        expected = longest_weight_formula(s, m)
-        observed = _mask_to_partition(build_l(s, m).mask).weight
-        yield Cell(params, expected, observed, expected == observed)
+def _longest_m2_cell(params: dict, m: int, s: int, _) -> Cell:
+    expected = longest_weight_formula(s, m)
+    observed = _mask_to_partition(build_l(s, m).mask).weight
+    return Cell(params, expected, observed, expected == observed)
 
 
 def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
-    envelope = build_e_minus(s, m) if t < m * s else build_e_plus(s, m)
+    envelope = _envelope(m, s, t)[0](s, m)
     # a core's beads must sit in row 0 of the ms-abacus, inside the envelope's row 0
     row0 = envelope.mask & ((1 << m * s) - 1)
     violations = sum(1 for mask, _, _ in _masks((s, t), True) if mask & ~row0)
@@ -374,53 +358,52 @@ def _triple_moduli(s: int, m: int) -> tuple:
     return tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
 
 
-def _claim_berger(grid: dict) -> Iterator[Cell]:
+def _berger_cell(params: dict, m: int, s: int, _) -> Cell:
     """The runner DP's largest weight of the (s, ms-1, ms+1)-cores and how many members reach it: when Lm and its
     conjugate are cores of that weight by the hook oracle, and the DP counts as many heaviest members as they are,
     they are every heaviest member, so no family is built."""
-    for params, m, s in _points(grid):
-        stats, hits = _runner_paths(s, m * s + 1, m * s - 1)
-        expected, best = longest_weight_formula(s, m), stats.max_weight
-        longest = _mask_to_partition(build_l(s, m).mask)
-        named = {"L": longest, "L'": pt.conjugate(longest)}
-        conj_pair, moduli = set(named.values()), set(_triple_moduli(s, m))
-        failed = [name for name, p in named.items() if p.weight != best or not moduli.isdisjoint(pt._hooks(p))]
-        supported = best == expected and hits == len(conj_pair) and not failed
-        status = "SUPPORTED" if supported else f"REFUTED-AT({s},{m})"
-        if supported:
-            notes = [f"maximal members: {sorted(list(p.parts) for p in conj_pair)}"]
-        else:
-            notes = [f"{hits} heaviest members by the runner DP", f"{' and '.join(failed)} not a core of weight {best}"
-                     if failed else f"L and L' are cores of weight {best}"]
-        if s % 2 == 0:
-            notes.append(f"m^2 divides max weight: {best % (m * m) == 0}")
-        yield Cell(
-            params,
-            {"max_weight": expected, "maximal_members": len(conj_pair)},
-            {"max_weight": best, "maximal_members": hits},
-            supported,
-            status=status,
-            note="; ".join(notes),
-        )
+    stats, hits = _runner_paths(s, m * s + 1, m * s - 1)
+    expected, best = longest_weight_formula(s, m), stats.max_weight
+    longest = _mask_to_partition(build_l(s, m).mask)
+    named = {"L": longest, "L'": pt.conjugate(longest)}
+    conj_pair, moduli = set(named.values()), set(_triple_moduli(s, m))
+    failed = [name for name, p in named.items() if p.weight != best or not moduli.isdisjoint(pt._hooks(p))]
+    supported = best == expected and hits == len(conj_pair) and not failed
+    status = "SUPPORTED" if supported else f"REFUTED-AT({s},{m})"
+    if supported:
+        notes = [f"maximal members: {sorted(list(p.parts) for p in conj_pair)}"]
+    else:
+        notes = [f"{hits} heaviest members by the runner DP", f"{' and '.join(failed)} not a core of weight {best}"
+                 if failed else f"L and L' are cores of weight {best}"]
+    if s % 2 == 0:
+        notes.append(f"m^2 divides max weight: {best % (m * m) == 0}")
+    return Cell(
+        params,
+        {"max_weight": expected, "maximal_members": len(conj_pair)},
+        {"max_weight": best, "maximal_members": hits},
+        supported,
+        status=status,
+        note="; ".join(notes),
+    )
 
 
-# every claim: id -> (cell generator, guard rails {parameter: (lo, hi)}), in `cores verify` order
+# every claim: id -> (a walker over its cell function, guard rails {parameter: (lo, hi)}), in `cores verify` order
 _CLAIMS = {
-    "xiong": (_count_claim(straub_plus, +1), {"s": (1, 10)}),
-    "straub-minus": (_count_claim(straub_minus, -1), {"s": (1, 6), "m": (1, 3)}),
-    "straub-plus": (_count_claim(straub_plus, +1), {"s": (1, 6), "m": (1, 3)}),
-    "middle": (_claim_middle, {"s": (3, 20), "m": (1, 6)}),
-    "olsson-stanton": (_claim_olsson_stanton, {"t": (2, 12)}),
-    "sylvester": (_claim_sylvester, {"t": (2, 10)}),
-    "emax": (lambda g: _walk(g, (-1, +1), _emax_cell), {"s": (1, 6), "m": (1, 3)}),
-    "longest-m2": (_claim_longest_m2, {"s": (1, 8), "m": (1, 3)}),
-    "row-structure": (lambda g: _walk(g, (-1, +1), _row_structure_cell), {"s": (1, 6), "m": (1, 3)}),
+    "xiong": (_walk(_count_cell(straub_plus), (+1,)), {"s": (1, 10)}),
+    "straub-minus": (_walk(_count_cell(straub_minus), (-1,)), {"s": (1, 6), "m": (1, 3)}),
+    "straub-plus": (_walk(_count_cell(straub_plus), (+1,)), {"s": (1, 6), "m": (1, 3)}),
+    "middle": (_walk(_middle_cell), {"s": (3, 20), "m": (1, 6)}),
+    "olsson-stanton": (_pairs(_olsson_stanton_cell), {"t": (2, 12)}),
+    "sylvester": (_pairs(_sylvester_cell), {"t": (2, 10)}),
+    "emax": (_walk(_emax_cell, (-1, +1)), {"s": (1, 6), "m": (1, 3)}),
+    "longest-m2": (_walk(_longest_m2_cell), {"s": (1, 8), "m": (1, 3)}),
+    "row-structure": (_walk(_row_structure_cell, (-1, +1)), {"s": (1, 6), "m": (1, 3)}),
     "two-conj": (_claim_two_conj, {"w": (0, 40)}),
-    "fstar": (_count_claim(partial(self_conjugate_counts, "plus"), +1, True), {"s": (1, 9)}),
-    "e-minus-star": (_count_claim(partial(self_conjugate_counts, "minus"), -1, True),
+    "fstar": (_walk(_count_cell(partial(self_conjugate_counts, "plus"), True), (+1,)), {"s": (1, 9)}),
+    "e-minus-star": (_walk(_count_cell(partial(self_conjugate_counts, "minus"), True), (-1,)),
                      {"s": (1, 9), "m": (1, 3)}),
-    "e-plus-star": (_count_claim(partial(self_conjugate_counts, "plus"), +1, True),
+    "e-plus-star": (_walk(_count_cell(partial(self_conjugate_counts, "plus"), True), (+1,)),
                     {"s": (1, 9), "m": (1, 3)}),
-    "berger": (_claim_berger, {"s": (1, 6), "m": (1, 3)}),
+    "berger": (_walk(_berger_cell), {"s": (1, 6), "m": (1, 3)}),
 }
 CLAIM_IDS = tuple(_CLAIMS)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from functools import partial
 
 import pytest
 
@@ -53,12 +54,14 @@ class TestBeadSetConversions:
             ab.beadset([-1, 2])
 
     def test_negative_bead_is_a_value_error_on_both_mask_paths(self):
-        # fewer than 64 beads go through 1 << b, 64 or more through binary digits
-        for x in (frozenset({-1, 2}), frozenset(range(-1, 70)), frozenset(range(-100, -30))):
-            with pytest.raises(ValueError):
-                ab.beadset_to_partition(x)
-            with pytest.raises(ValueError):
-                ab.to_abacus(x, 3)
+        # fewer than 64 beads go through 1 << b, 64 or more through binary digits; every bead-set entry point,
+        # the adapters that build no mask first included, refuses a negative bead in the one rule's words
+        for x in (frozenset({-1, 2}), frozenset(range(-1, 70)), frozenset(range(-100, -30)), frozenset({-1, 0}),
+                  frozenset({-1})):
+            for refuse in (ab.beadset, ab.beadset_to_partition, partial(ab.to_abacus, s=3), ab.normalize,
+                           ab.self_conjugate_axis_check, ab.beadset_to_json):
+                with pytest.raises(ValueError, match="^bead positions must be non-negative$"):
+                    refuse(x)
 
     def test_beadset_rejects_non_integers(self):
         with pytest.raises(TypeError):

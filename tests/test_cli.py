@@ -634,8 +634,9 @@ def test_only_abacus_reads_the_positions_grid():
 
 
 def test_each_input_contract_is_stated_once():
-    # a family's moduli pass `partitions._moduli` and an (s, m) point `constructions._check_s` and `_check_m`,
-    # so an entry point calls them rather than restating a refusal in words of its own
+    # a family's moduli pass `partitions._moduli`, an (s, m) point `constructions._check_s` and `_check_m`, a
+    # runner count `abacus._runner_count` and a bead set `abacus.beadset`, so an entry point calls them rather
+    # than restating a refusal in words of its own
     package = Path(coreabacus.__file__).parent
     raises = [
         (f"{path.name}:{node.lineno}", [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)])
@@ -645,7 +646,9 @@ def test_each_input_contract_is_stated_once():
     ]
     for message, home in [("at least one modulus is required", "partitions.py"),
                           ("moduli must be positive", "partitions.py"),
-                          ("s must be at least 1", "constructions.py"), ("m must be at least 1", "constructions.py")]:
+                          ("s must be at least 1", "constructions.py"), ("m must be at least 1", "constructions.py"),
+                          ("runner count must be positive", "abacus.py"),
+                          ("bead positions must be non-negative", "abacus.py")]:
         stating = [place for place, texts in raises if any(message in str(text) for text in texts)]
         assert len(stating) == 1 and stating[0].startswith(f"{home}:"), (message, stating)
 

@@ -1,3 +1,4 @@
+import ast
 import json
 from functools import partial
 from pathlib import Path
@@ -305,6 +306,28 @@ class TestHarness:
     def test_guardrails_cover_all_claims(self):
         rails = vf.claim_guardrails()
         assert set(rails) == set(vf.CLAIM_IDS)
+
+    def test_the_two_walkers_are_the_only_grid_loops(self):
+        # every claim but `two-conj` is a cell function on the (m, s) walker or the pair walker, which alone
+        # read a grid's spans
+        tree = ast.parse(Path(vf.__file__).read_text())
+        readers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                   for call in ast.walk(node) if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "_span"}
+        assert readers == {"_walk", "_pairs"}
+
+    def test_middle_claim_and_check_read_one_recurrence(self, monkeypatch):
+        monkeypatch.setattr(vf, "_middle_sides", lambda m, s: (0, int((m, s) == (2, 4))))
+        assert not vf.middle_identity_check(2, 4) and vf.middle_identity_check(2, 5)
+        cells = vf.verify_claim("middle", {"s": (3, 5), "m": (1, 2)}).cells
+        assert [c.params for c in cells if not c.passed] == [{"m": 2, "s": 4}]
+
+    @pytest.mark.parametrize("claim", ["emax", "row-structure"])
+    def test_each_sign_reads_its_own_envelope(self, monkeypatch, claim):
+        # E-minus bounds the (s, ms - 1)-cores and E-plus the (s, ms + 1)-cores: an empty E-minus fails only sign -1
+        monkeypatch.setattr(vf, "build_e_minus", lambda s, m: Abacus._trusted(m * s, 0))
+        cells = vf.verify_claim(claim, {"s": (3, 4), "m": (1, 2)}).cells
+        assert [c.params["sign"] for c in cells if not c.passed] == [-1] * 4
+        assert len(cells) == 8
 
 
 class TestTwoConj:
