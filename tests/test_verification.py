@@ -323,11 +323,14 @@ class TestHarness:
 
     @pytest.mark.parametrize("claim", ["emax", "row-structure"])
     def test_each_sign_reads_its_own_envelope(self, monkeypatch, claim):
-        # E-minus bounds the (s, ms - 1)-cores and E-plus the (s, ms + 1)-cores: an empty E-minus fails only sign -1
+        # E-minus bounds the (s, ms - 1)-cores and E-plus the (s, ms + 1)-cores, both chosen by `_envelope` alone:
+        # an empty E-minus fails only sign -1, and every cell asks `_envelope`
+        envelope, asked = vf._envelope, []
+        monkeypatch.setattr(vf, "_envelope", lambda m, s, t: asked.append(t) or envelope(m, s, t))
         monkeypatch.setattr(vf, "build_e_minus", lambda s, m: Abacus._trusted(m * s, 0))
         cells = vf.verify_claim(claim, {"s": (3, 4), "m": (1, 2)}).cells
         assert [c.params["sign"] for c in cells if not c.passed] == [-1] * 4
-        assert len(cells) == 8
+        assert asked == [c.params["m"] * c.params["s"] + c.params["sign"] for c in cells] and len(cells) == 8
 
 
 class TestTwoConj:
