@@ -221,12 +221,12 @@ def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
 def self_conjugate_axis_check(x: BeadSet) -> Optional[AxisTheta]:
     """Mirror axis theta with beads and spacers exchanged, if one exists; see `_mask_is_self_conjugate`.
 
-    That rule puts exactly one bead in the mirror pair (0, 2n - 1), so a mask
-    with both or neither is refused before its digits are reversed.
+    That rule puts exactly one bead in the mirror pair (0, 2n - 1), n the mask's bead
+    count, so a mask with both or neither is refused before its digits are reversed.
     """
-    mask, n = _beads_mask(x), len(x)
-    top = mask.bit_length() - 1
-    if not x or (top < 2 * n and (top == 2 * n - 1) != (mask & 1) and _mask_is_self_conjugate(mask, n)):
+    mask = _beads_mask(x)
+    n, top = mask.bit_count(), mask.bit_length() - 1
+    if top < 2 * n and (top == 2 * n - 1) != (mask & 1) and _mask_is_self_conjugate(mask, n):
         return AxisTheta(2 * n - 1)
     return None
 

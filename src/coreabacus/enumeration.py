@@ -45,8 +45,8 @@ FAMILY_MAX_BITS = 14_000  # guard rail on the bits of a family's answers: 4,215 
 FAMILY_MAX_CORES = 250_000  # guard rail on the cores the walk visits
 FAMILY_MAX_PARTS = 15_000_000  # guard rail on the parts a built family holds: (12,13) holds 13,728,792
 RUNNER_MAX_WORK = 5_000_000  # guard rail on the runner DP's work units: 1.3 to 1.9 s for a triple at the rail
-MASK_MAX_POSITIONS = 1_000_000  # guard rail on the bead positions one mask may span: the st - s - t values
-# (`_frobenius_bound`) `maximal_st_core` sieves and the walk's beads stay within, and the cells `show`, `longest` build
+MASK_MAX_POSITIONS = 1_000_000  # guard rail on the bead positions one mask may span: the st - s - t positions
+# (`_frobenius_bound`) the gaps of `_gaps` and the walk's beads stay within, and the cells `show`, `longest` build
 _SPACER_COST = 10  # the work units of one spacer step of the runner DP, in row updates (measured)
 
 
@@ -91,7 +91,7 @@ class FamilyStats(NamedTuple):
 
 
 class GapPoset(namedtuple("GapPoset", "s t gaps")):
-    """Non-representable values of <s, t> ordered by subtracting s or t; unpickling and `_replace` re-validate."""
+    """<s, t>'s gaps, ascending, ordered by subtracting s or t; unpickling and `_replace` re-validate their count."""
 
     __slots__ = ()
 
@@ -147,17 +147,19 @@ class CoreFamily:
         return max(map(sum, self.members), default=0)
 
 
-def gap_poset(s: int, t: int) -> GapPoset:
-    """Sieve the gaps of <s, t> up to the Frobenius number st - s - t."""
+def _gaps(s: int, t: int) -> Iterator[int]:
+    """The gaps of <s, t>, unsorted and lazily, refused at the call unless coprime with st - s - t within the rail:
+    for a < b the sorted pair, a positive value on runner jb mod a of the a-abacus, 0 < j < a, is a gap iff below jb."""
     _check_coprime(s, t)
-    frob = s * t - s - t
-    if frob < 0:  # s or t is 1: every value is representable
-        return GapPoset(s, t, ())
-    reachable = [False] * (frob + 1)
-    reachable[0] = True
-    for v in range(1, frob + 1):
-        reachable[v] = (v >= s and reachable[v - s]) or (v >= t and reachable[v - t])
-    return GapPoset(s, t, tuple(v for v in range(frob + 1) if not reachable[v]))
+    _check_rail(lambda v: _frobenius_bound(s, v["t"]), [("t", t)], MASK_MAX_POSITIONS,
+                f"the st - s - t bead positions the gaps of <{s}, {t}> span")
+    a, b = sorted((s, t))
+    return itertools.chain.from_iterable(range(j * b - a, 0, -a) for j in range(1, a))
+
+
+def gap_poset(s: int, t: int) -> GapPoset:
+    """The gaps of <s, t>, railed as `_gaps` rails them."""
+    return GapPoset(s, t, tuple(sorted(_gaps(s, t))))
 
 
 @contextmanager
@@ -333,11 +335,8 @@ def st_core_weight_profile(s: int, t: int) -> tuple[int, int]:
 
 
 def maximal_st_core(s: int, t: int) -> Partition:
-    """The core whose bead set is the full gap set of <s, t>, railed on the st - s - t values sieved."""
-    _check_coprime(s, t)
-    _check_rail(lambda v: _frobenius_bound(s, v["t"]), [("t", t)], MASK_MAX_POSITIONS,
-                f"the st - s - t values sieved for the maximal ({s},{t})-core")
-    return _mask_to_partition(_beads_mask(gap_poset(s, t).gaps))
+    """The core whose bead set is the full gap set of <s, t>, railed as `_gaps` rails it."""
+    return _mask_to_partition(_beads_mask(_gaps(s, t)))
 
 
 def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
@@ -406,7 +405,7 @@ def _closed_form(moduli: tuple, distinct: bool, self_conjugate: bool) -> FamilyS
     (s - 1)(t - 1)/2 parts and largest bead st - s - t.  Each is below both (s + t)^s and 2^(s + t) > C(s + t, s)."""
     s, t = moduli[0], moduli[-1]
     count = math.comb(s // 2 + t // 2, s // 2) if self_conjugate else count_st_cores(s, t)
-    return FamilyStats(count, max_weight_formula(s, t), (s - 1) * (t - 1) // 2, s * t - s - t)
+    return FamilyStats(count, max_weight_formula(s, t), ((top := _frobenius_bound(s, t)) + 1) // 2, top)
 
 
 def _frobenius_bound(a: int, b: int) -> int:

@@ -63,6 +63,19 @@ class TestBeadSetConversions:
                 with pytest.raises(ValueError, match="^bead positions must be non-negative$"):
                     refuse(x)
 
+    def test_a_repeated_bead_answers_as_the_set(self):
+        # below 64 beads and from 64 on (`_beads_mask`'s two paths), with and without a mirror axis; 40 beads
+        # repeated reach the second path, 67 start on it
+        entry_points = [ab.beadset, ab.normalize, ab.beadset_to_partition, partial(ab.to_abacus, s=5),
+                        ab.self_conjugate_axis_check, ab.beadset_to_json]
+        staircases = [ab.partition_to_minimal_beadset(pt.staircase(k)) for k in (1, 3, 40, 70)]
+        for x in staircases + [frozenset({0, 2, 3}), frozenset(range(0, 200, 3))]:
+            repeated = sorted(x) * 2
+            for entry in entry_points:
+                assert entry(repeated) == entry(x), (entry, sorted(x))
+            assert Abacus(5, [(b % 5, b // 5) for b in repeated]) == Abacus(5, {(b % 5, b // 5) for b in x})
+        assert ab.self_conjugate_axis_check([1, 1]) == ab.AxisTheta(1)
+
     def test_beadset_rejects_non_integers(self):
         with pytest.raises(TypeError):
             ab.beadset([1.5, 2.9])

@@ -186,7 +186,7 @@ class TestEnumerateAndCount:
         monkeypatch.setattr(Partition, "_trusted", refuse)
         monkeypatch.setattr(abacus, "_mask_to_partition", refuse)
         monkeypatch.setattr(enumeration, "_mask_to_partition", refuse)
-        monkeypatch.setattr(enumeration, "gap_poset", refuse)  # a coprime pair's statistics are closed forms
+        monkeypatch.setattr(enumeration, "_gaps", refuse)  # a coprime pair's statistics are closed forms
         for argv, count in [(["10,11"], 16796), (["5,14,16"], 284), (["10,13", "--self-conjugate"], 462),
                             (["2,499999"], 250000), (["6,9", "--distinct", "--self-conjugate"], 5),
                             (["9,28", "--distinct"], 1159), (["9,28", "--distinct", "--self-conjugate"], 5),
@@ -739,16 +739,16 @@ class TestMaximalAndLongest:
         assert code == 2
 
     def test_maximal_rail_boundary(self, capsys, monkeypatch):
-        # the rail is on st - s - t: (1000,1001) sieves 998,999 values, (1001,1002) would sieve 1,000,999
+        # the rail is on st - s - t: (1000,1001) spans 998,999 positions, (1001,1002) would span 1,000,999
         code, out, err = run(capsys, "maximal", "--s", "1000", "--t", "1001", "--format", "json")
         payload = json.loads(out)
         assert (code, err, len(payload["partition"])) == (0, "", 999 * 1000 // 2)
         assert payload["weight"] == max_weight_formula(1000, 1001)
 
-        def gap_poset(s, t):
-            raise AssertionError(f"the rail sieved <{s}, {t}>")
+        def beads_mask(gaps):  # `_gaps` rails at the call and lists only when consumed, so an admitted pair fails here
+            raise AssertionError("the rail let the work start")
 
-        monkeypatch.setattr(enumeration, "gap_poset", gap_poset)
+        monkeypatch.setattr(enumeration, "_beads_mask", beads_mask)
         for s, t, largest in [(1001, 1002, 1001), (2, 1000003, 1000002), (100000, 100001, 11)]:
             code, out, err = run(capsys, "maximal", "--s", str(s), "--t", str(t))
             assert (code, out) == (2, ""), (s, t)

@@ -32,11 +32,24 @@ SMALL_PAIRS = [
 ]
 
 
+def reference_gaps(s, t):
+    """The gaps of <s, t> ascending, sieved up to the Frobenius number st - s - t without the
+    s-abacus runners: v > 0 is representable iff v - s or v - t is."""
+    frob = s * t - s - t
+    if frob < 0:  # s or t is 1: every value is representable
+        return ()
+    reachable = [False] * (frob + 1)
+    reachable[0] = True
+    for v in range(1, frob + 1):
+        reachable[v] = (v >= s and reachable[v - s]) or (v >= t and reachable[v - t])
+    return tuple(v for v in range(frob + 1) if not reachable[v])
+
+
 def reference_masks(s, t):
     """Order ideals of the gap poset as value-indexed masks, built without the
     first-part tree: each gap in ascending order joins every ideal that already
     holds its lower covers, the values g - s and g - t that are gaps."""
-    gaps = en.gap_poset(s, t).gaps
+    gaps = reference_gaps(s, t)
     ideals = [0]
     for g in gaps:
         need = sum(1 << c for c in (g - s, g - t) if c in gaps)
@@ -94,6 +107,29 @@ class TestGapPoset:
             en.gap_poset(4, 6)
         with pytest.raises(ValueError):
             en.gap_poset(0, 3)
+
+    def test_runners_match_the_sieve(self):
+        # the runners' gaps, sorted by `gap_poset` and as `maximal_st_core`'s first-column hooks, in both orders
+        pairs = [(s, t) for s in range(1, 61) for t in range(s, 61) if math.gcd(s, t) == 1]
+        for s, t in pairs + [(1000, 1001), (2, 999999)]:
+            gaps = reference_gaps(s, t)
+            for x, y in {(s, t), (t, s)}:
+                assert en.gap_poset(x, y).gaps == gaps, (x, y)
+                assert pt.first_column_hooks(en.maximal_st_core(x, y)) == frozenset(gaps), (x, y)
+
+    def test_rail_boundary(self, monkeypatch):
+        # the rail is `maximal_st_core`'s, on st - s - t: (1000,1001) spans 998,999 positions, (1001,1002) would
+        # span 1,000,999; the gaps are checked at the call and listed lazily, so a refused pair sorts none
+        assert len(en.gap_poset(1000, 1001).gaps) == 999 * 1000 // 2
+
+        def refuse(*args):
+            raise AssertionError("the rail let the work start")
+
+        monkeypatch.setattr(en, "sorted", refuse, raising=False)
+        for s, t, largest in [(1001, 1002, 1001), (2, 1000003, 1000002), (100000, 100001, 11)]:
+            for route in (en.gap_poset, en.maximal_st_core):
+                with pytest.raises(en.GuardRailError, match=f"of 1000000; the largest admissible t here is {largest}$"):
+                    route(s, t)
 
 
 class TestEnumerateStCores:
