@@ -177,11 +177,8 @@ def _mask_is_self_conjugate(mask: int, n: int) -> bool:
 
 
 def normalize(x: BeadSet) -> BeadSet:
-    """Minimal form: strip the solid prefix {0..k-1} and shift down by k."""
-    x, k = beadset(x), 0
-    while k in x:
-        k += 1
-    return frozenset(b - k for b in x if b >= k)
+    """Minimal form: strip the solid prefix {0..k-1} and shift down by k, the first-column hooks of x's partition."""
+    return first_column_hooks(beadset_to_partition(x))
 
 
 def to_abacus(x: BeadSet, s: int) -> Abacus:

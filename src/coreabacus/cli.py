@@ -125,16 +125,17 @@ def _parse_grid(text: str) -> dict:
     return grid
 
 
-def _check_cells(name: str, label: str, s: int, m: int, rows: int | None = None) -> None:
-    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, at `MASK_MAX_POSITIONS`."""
+def _check_cells(name: str, s: int, m: int, rows: int | None = None) -> str:
+    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, and return its label."""
+    label = f"{name}(s={s}" + (f", m={m}" if name in _M_FOLDS else "") + ")"
     inputs = [("s", s)] + [("--rows", rows)] * (rows is not None) + [("m", m)] * (name in _M_FOLDS)
     _check_rail(lambda v: v["s"] * v.get("m", 1) * max(v.get("--rows", 0), _named_rows(name, v["s"], v.get("m", 1)), 1),
                 inputs, MASK_MAX_POSITIONS, f"the runners x rows of {label}")
+    return label
 
 
 def cmd_show(args) -> tuple[int, str]:
-    label = f"{args.name}(s={args.s}" + (f", m={args.m}" if args.name in _M_FOLDS else "") + ")"
-    _check_cells(args.name, label, args.s, args.m, args.rows)
+    label = _check_cells(args.name, args.s, args.m, args.rows)
     abacus = build_named(args.name, args.s, args.m)
     grid = render_abacus(abacus, rows=args.rows)
     return EXIT_OK, "\n".join([label, *["(no beads)"] * (not abacus.mask), grid]) + "\n"
@@ -198,7 +199,7 @@ def cmd_maximal(args) -> tuple[int, str]:
 
 
 def cmd_longest(args) -> tuple[int, str]:
-    _check_cells("L", f"L(s={args.s}, m={args.m})", args.s, args.m)
+    _check_cells("L", args.s, args.m)
     p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
         return EXIT_OK, json.dumps({"s": args.s, "m": args.m, "partition": list(p),

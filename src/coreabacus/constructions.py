@@ -4,8 +4,8 @@ A(s) carries the maximal (s, s+1)-core, B1(s) the maximal (s-1, s)-core, and
 the intersections C0/C1 of A with B0/B1 are pyramids.  E-(s, m), E+(s, m) and
 L(s, m) carry the maximal (s, ms-1)- and (s, ms+1)-cores and the longest
 (s, ms-1, ms+1)-core: m-fold wedges, a run of m - 1 copies of B0, A or C0, then
-B1, A or C1, so m = 1 gives B1, A and C1 themselves.  Each is a bead mask whose
-rows are runner intervals, and one writer sets every wedge's rows side by side.
+B1, A or C1, so m = 1 gives B1, A and C1 themselves.  `_BLOCKS` declares the
+blocks by their runner-interval rows and `_M_FOLDS` the m-folds by their blocks.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ class Pyramid(NamedTuple):
 
 def build_a(s: int) -> Abacus:
     """Triangle abacus: beads at (i, j) for 0 < i <= s-1 and 0 <= j <= i-1."""
-    _check_s(s)
-    return _interval_rows(s, 1, s - 1, 1, 0)
+    return build_named("A", s)
 
 
 def build_b(s: int, k: int) -> Abacus:
@@ -34,15 +33,12 @@ def build_b(s: int, k: int) -> Abacus:
     The row bound drops with k so that B1(s) is B0(s) with its top-left
     diagonal removed; only k in {0, 1} is supported.
     """
-    _check_s(s)
-    if k not in (0, 1):
-        raise ValueError(f"only k in {{0, 1}} is supported, got {k}")
-    return _interval_rows(s, 1, s - 1 - k, 0, 1)
+    return build_named(_k_name("B", s, k), s)
 
 
 def build_c(s: int, k: int) -> Abacus:
     """Pyramid abacus C_k(s) = A(s) intersected with B_k(s)."""
-    return intersect(build_a(s), build_b(s, k))
+    return build_named(_k_name("C", s, k), s)
 
 
 def wedge(a: Abacus, b: Abacus) -> Abacus:
@@ -65,13 +61,12 @@ def intersect(a: Abacus, b: Abacus) -> Abacus:
 
 def build_e_minus(s: int, m: int) -> Abacus:
     """ms-runner abacus of the maximal (s, ms-1)-core: (m-1) B0 wedges then B1."""
-    return _m_fold(m, build_b(s, 0), build_b(s, 1))
+    return build_named("E-", s, m)
 
 
 def build_e_plus(s: int, m: int) -> Abacus:
     """ms-runner abacus of the maximal (s, ms+1)-core: m wedge copies of A(s)."""
-    a = build_a(s)
-    return _m_fold(m, a, a)
+    return build_named("E+", s, m)
 
 
 def e_minus_from_coordinates(s: int, m: int) -> Abacus:
@@ -104,7 +99,7 @@ def e_plus_from_coordinates(s: int, m: int) -> Abacus:
 
 def build_l(s: int, m: int) -> Abacus:
     """ms-runner abacus of the longest (s, ms-1, ms+1)-core: pyramid wedges."""
-    return _m_fold(m, build_c(s, 0), build_c(s, 1))
+    return build_named("L", s, m)
 
 
 def _m_fold(m: int, body: Abacus, last: Abacus) -> Abacus:
@@ -155,31 +150,37 @@ def _interval_rows(runners: int, lo: int, hi: int, lo_step: int, hi_step: int) -
     return Abacus._trusted(runners, mask)
 
 
-# CLI name -> builder of (s, m); only the m-fold wedges read m
-_M_FOLDS = {"E-": build_e_minus, "E+": build_e_plus, "L": build_l}
-_BUILDERS = {
-    "A": lambda s, m: build_a(s),
-    "B0": lambda s, m: build_b(s, 0),
-    "B1": lambda s, m: build_b(s, 1),
-    "C0": lambda s, m: build_c(s, 0),
-    "C1": lambda s, m: build_c(s, 1),
-    **_M_FOLDS,
-}
-CONSTRUCTIONS = tuple(_BUILDERS)
+# CLI name -> (k, lo_step, hi_step) of an s-runner block: row j >= 0 holds the runners
+# 1 + j*lo_step .. s - 1 - k - j*hi_step, while that interval is non-empty
+_BLOCKS = {"A": (0, 1, 0), "B0": (0, 0, 1), "B1": (1, 0, 1), "C0": (0, 1, 1), "C1": (1, 1, 1)}
+# CLI name -> (body, last): the wedge of m - 1 copies of block body, then block last
+_M_FOLDS = {"E-": ("B0", "B1"), "E+": ("A", "A"), "L": ("C0", "C1")}
+CONSTRUCTIONS = (*_BLOCKS, *_M_FOLDS)
 
 
 def build_named(name: str, s: int, m: int = 1) -> Abacus:
-    """Look up a construction by its CLI name."""
-    if name not in _BUILDERS:
+    """A construction by its CLI name: a block of `_BLOCKS`, or an m-fold of `_M_FOLDS`; s is checked before m."""
+    if name in _M_FOLDS:
+        return _m_fold(m, *(build_named(block, s) for block in _M_FOLDS[name]))
+    if name not in _BLOCKS:
         raise ValueError(f"unknown construction {name!r}; expected one of {CONSTRUCTIONS}")
-    return _BUILDERS[name](s, m)
+    _check_s(s)
+    k, lo_step, hi_step = _BLOCKS[name]
+    return _interval_rows(s, 1, s - 1 - k, lo_step, hi_step)
 
 
 def _named_rows(name: str, s: int, m: int) -> int:
-    """Rows `build_named(name, s, m)` occupies, from s and m alone: A and B0 have s - 1, a pyramid
-    (C0, C1, L) about half as many, and B1, C1 and the m = 1 wedges that are them one fewer."""
-    k = name in ("B1", "C1") or (name in ("E-", "L") and m == 1)
-    return max((s - k) // 2 if name in ("C0", "C1", "L") else s - 1 - k, 0)
+    """Rows `build_named(name, s, m)` occupies, from s and m alone: a block's row j is non-empty while
+    j*(lo_step + hi_step) <= s - 2 - k, and an m-fold has its last block's rows at m = 1, else its body's, no fewer."""
+    k, lo_step, hi_step = _BLOCKS[_M_FOLDS.get(name, (name, name))[m == 1]]
+    return max((s - 2 - k) // (lo_step + hi_step) + 1, 0)
+
+
+def _k_name(letter: str, s: int, k: int) -> str:
+    _check_s(s)  # s is refused before k
+    if k not in (0, 1):
+        raise ValueError(f"only k in {{0, 1}} is supported, got {k}")
+    return (f"{letter}0", f"{letter}1")[k]
 
 
 def _check_s(s: int) -> None:

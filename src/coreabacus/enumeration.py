@@ -151,8 +151,8 @@ def _gaps(s: int, t: int) -> Iterator[int]:
     """The gaps of <s, t>, unsorted and lazily, refused at the call unless coprime with st - s - t within the rail:
     for a < b the sorted pair, a positive value on runner jb mod a of the a-abacus, 0 < j < a, is a gap iff below jb."""
     _check_coprime(s, t)
-    _check_rail(lambda v: _frobenius_bound(s, v["t"]), [("t", t)], MASK_MAX_POSITIONS,
-                f"the st - s - t bead positions the gaps of <{s}, {t}> span")
+    _check_rail(lambda v: _frobenius_bound(v["s"], v["t"]), [("s", s), ("t", t)][::1 if s > t else -1],
+                MASK_MAX_POSITIONS, f"the st - s - t bead positions the gaps of <{s}, {t}> span")
     a, b = sorted((s, t))
     return itertools.chain.from_iterable(range(j * b - a, 0, -a) for j in range(1, a))
 

@@ -1,0 +1,129 @@
+"""Mutation check: each listed mutant of `src/` must make the tests named beside it fail.
+
+    python tests/mutants.py
+
+For each mutant the script copies `src/`, `tests/` and `pyproject.toml` to a temporary directory, replaces the
+mutant's old text, which must occur exactly once in its file, with its new text, and runs
+`python -m pytest -x -q <tests>` there.  The mutant is killed when pytest reports a failed test.  It survives
+when the tests pass, and the script then exits 1; so it does on a stale or repeated old text, on an unmutated
+copy that fails its tests, and on any other pytest outcome, such as a test id that names no test.
+Equivalent mutants are listed with the reason no test can kill them, and are not run.
+
+Standard library only; the file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple  # pytest ids, at least one of which must fail
+
+
+class Equivalent(NamedTuple):
+    file: str
+    old: str
+    new: str
+    reason: str
+
+
+CONSTRUCTIONS, ENUMERATION, ABACUS = (f"src/coreabacus/{m}.py" for m in ("constructions", "enumeration", "abacus"))
+ROWS = "tests/test_constructions.py::TestRowsMatchTheCellByCellRoute"
+NAMED_ROWS = "tests/test_constructions.py::TestNamedLookup::test_rows_and_beads_read_off_s_and_m_match_the_builders"
+SHOW_RAIL = "tests/test_cli.py::TestShow::test_rail_boundary"
+
+MUTANTS = [
+    # the block table: A becomes the pyramid C0, and B1 loses its k
+    Mutant(CONSTRUCTIONS, '"A": (0, 1, 0)', '"A": (0, 1, 1)', (f"{ROWS}::test_a_b_and_c_rows",)),
+    Mutant(CONSTRUCTIONS, '"B1": (1, 0, 1)', '"B1": (0, 0, 1)', (f"{ROWS}::test_a_b_and_c_rows",)),
+    # the m-fold table: E- with its blocks swapped, L ending on its body
+    Mutant(CONSTRUCTIONS, '"E-": ("B0", "B1")', '"E-": ("B1", "B0")', (f"{ROWS}::test_m_fold_masks",)),
+    Mutant(CONSTRUCTIONS, '"L": ("C0", "C1")', '"L": ("C0", "C0")', (f"{ROWS}::test_m_fold_masks",)),
+    # the row count: an m-fold read off its last block at every m, and a block's k dropped
+    Mutant(CONSTRUCTIONS, "(name, name))[m == 1]", "(name, name))[1]", (NAMED_ROWS, SHOW_RAIL)),
+    Mutant(CONSTRUCTIONS, "max((s - 2 - k) //", "max((s - 2) //", (NAMED_ROWS, SHOW_RAIL)),
+    # the gaps rail without its s input names t even where only s can be lowered
+    Mutant(ENUMERATION, '_frobenius_bound(v["s"], v["t"]), [("s", s), ("t", t)][::1 if s > t else -1]',
+           '_frobenius_bound(s, v["t"]), [("t", t)]',
+           ("tests/test_enumeration.py::TestGapPoset::test_rail_boundary",
+            "tests/test_cli.py::TestMaximalAndLongest::test_maximal_rail_boundary")),
+    # `normalize` as the bead set itself, solid prefix kept
+    Mutant(ABACUS, "return first_column_hooks(beadset_to_partition(x))", "return beadset(x)",
+           ("tests/test_abacus.py::TestBeadSetConversions::test_partition_of_any_beadset_passes_validation",)),
+    # the parts rail refusing a family of exactly its limit
+    Mutant(ENUMERATION, "if count * longest > FAMILY_MAX_PARTS:", "if count * longest >= FAMILY_MAX_PARTS:",
+           ("tests/test_enumeration.py::TestMultiCores::test_parts_rail_boundary",)),
+]
+
+EQUIVALENTS = [
+    Equivalent(ENUMERATION, "target[n + k] = (value, old[1] + hits)", "target[n + k] = (value, old[1])",
+               "`_runner_paths`' tie branch: on the 627 pair cells and 286 pivot-triple runs searched, the mutant "
+               "returned the same (stats, hits); the branch stays because it is what makes `hits == 1` a check"),
+]
+
+
+def _mutated_copy(dest: Path, mutant: Mutant | None) -> None:
+    """`src/`, `tests/` and `pyproject.toml` under `dest`, with `mutant` applied to its file."""
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    if mutant is not None:
+        path = dest / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+
+
+def _pytest(dest: Path, tests) -> int:
+    """pytest's exit code for `tests` run in `dest`, stopping at the first failure."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=dest, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _stale(entries) -> list:
+    """The entries whose old text does not occur exactly once in their file, or that change nothing."""
+    return [e for e in entries if (ROOT / e.file).read_text().count(e.old) != 1 or e.old == e.new]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    stale = _stale(MUTANTS + EQUIVALENTS)
+    for entry in stale:
+        print(f"STALE  {entry.file}: {entry.old!r} must occur exactly once")
+    if stale:
+        return 1
+    for entry in EQUIVALENTS:
+        print(f"EQUIV  {entry.file}: {entry.old!r} -> {entry.new!r}: {entry.reason}")
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = Path(tmp) / "baseline"
+        _mutated_copy(baseline, None)
+        named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        if _pytest(baseline, named) != 0:
+            print("ERROR  the unmutated copy fails the named tests")
+            return 1
+        for number, mutant in enumerate(MUTANTS):
+            dest = Path(tmp) / str(number)
+            _mutated_copy(dest, mutant)
+            code = _pytest(dest, mutant.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            failures += code != 1
+            print(f"{verdict:8} {mutant.file}: {mutant.old!r} -> {mutant.new!r}")
+            shutil.rmtree(dest)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed, {len(EQUIVALENTS)} equivalent not run, "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,6 +33,14 @@ def reference_axis(x):
     return None
 
 
+def reference_normalize(x):
+    """Minimal form by stripping the solid prefix {0..k-1} bead by bead and shifting down by k."""
+    x, k = ab.beadset(x), 0
+    while k in x:
+        k += 1
+    return frozenset(b - k for b in x if b >= k)
+
+
 class TestBeadSetConversions:
     def test_minimal_beadset_examples(self):
         assert ab.partition_to_minimal_beadset(P(4, 3, 2)) == {2, 4, 6}
@@ -90,6 +98,7 @@ class TestBeadSetConversions:
             p = ab.beadset_to_partition(x)
             assert Partition(p.parts) == p
             assert p == reference_partition(x), sorted(x)
+            assert ab.normalize(x) == reference_normalize(x), sorted(x)
 
     def test_shift_invariance(self):
         x = ab.partition_to_minimal_beadset(P(4, 3, 2))

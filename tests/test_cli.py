@@ -96,10 +96,18 @@ class TestShow:
         monkeypatch.setattr(cli, "build_named", refuse)
         monkeypatch.setattr(cli, "render_abacus", refuse)
         for argv, largest in [(["A", "--s", "1001"], 1000), (["L", "--s", "317", "--m", "20"], 316),
-                              (["A", "--s", "5", "--rows", "200001"], 4), (["E+", "--s", "10" * 2000], 1000)]:
+                              (["A", "--s", "5", "--rows", "200001"], 4), (["E+", "--s", "10" * 2000], 1000),
+                              (["B0", "--s", "1001"], 1000), (["B1", "--s", "1002"], 1001),
+                              (["C0", "--s", "1415"], 1414), (["C1", "--s", "1415"], 1414),
+                              (["E-", "--s", "1002"], 1001), (["E-", "--s", "708", "--m", "2"], 707),
+                              (["E+", "--s", "708", "--m", "2"], 707), (["L", "--s", "1001", "--m", "2"], 1000)]:
             code, out, err = run(capsys, "show", *argv)
             assert (code, out) == (2, ""), argv
             assert err.endswith(f"guard rail of 1000000; the largest admissible s here is {largest}\n"), err
+        # each block's row rule at its edge: B0 and B1 tell k apart, and E- at m = 2 reads its body, not its last block
+        for name, s, m in [("B0", 1000, 1), ("B1", 1001, 1), ("C0", 1414, 1), ("C1", 1414, 1), ("E-", 1001, 1),
+                           ("E-", 707, 2), ("E+", 707, 2), ("L", 1000, 2)]:
+            assert cli._check_cells(name, s, m).startswith(f"{name}(s={s}"), (name, s, m)
 
     def test_rail_names_rows_when_rows_alone_break_it(self, capsys):
         # 10,000,000 rows are beyond the rail at every s, so the message names --rows, with s kept
@@ -734,6 +742,12 @@ class TestMaximalAndLongest:
         assert payload["weight"] == 35
         assert sum(payload["partition"]) == 35
 
+    def test_maximal_table_line(self, capsys):
+        # the README's `cores maximal --s 5 --t 6`, and the empty (1,1)-core
+        assert run(capsys, "maximal", "--s", "5", "--t", "6") == (
+            0, "maximal (5,6)-core: [10, 6, 6, 3, 3, 3, 1, 1, 1, 1] weight=35\n", "")
+        assert run(capsys, "maximal", "--s", "1", "--t", "1") == (0, "maximal (1,1)-core: [] weight=0\n", "")
+
     def test_maximal_non_coprime(self, capsys):
         code, _, err = run(capsys, "maximal", "--s", "4", "--t", "6")
         assert code == 2
@@ -749,10 +763,13 @@ class TestMaximalAndLongest:
             raise AssertionError("the rail let the work start")
 
         monkeypatch.setattr(enumeration, "_beads_mask", beads_mask)
-        for s, t, largest in [(1001, 1002, 1001), (2, 1000003, 1000002), (100000, 100001, 11)]:
+        # the larger modulus is named first
+        for s, t, named in [(1001, 1002, "t here is 1001"), (2, 1000003, "t here is 1000002"),
+                            (100000, 100001, "t here is 11"), (1000003, 2, "s here is 1000002"),
+                            (1002, 1001, "s here is 1001")]:
             code, out, err = run(capsys, "maximal", "--s", str(s), "--t", str(t))
             assert (code, out) == (2, ""), (s, t)
-            assert err.endswith(f"guard rail of 1000000; the largest admissible t here is {largest}\n"), err
+            assert err.endswith(f"guard rail of 1000000; the largest admissible {named}\n"), err
             with pytest.raises(enumeration.GuardRailError):
                 enumeration.maximal_st_core(s, t)
 

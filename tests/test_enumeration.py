@@ -119,16 +119,19 @@ class TestGapPoset:
 
     def test_rail_boundary(self, monkeypatch):
         # the rail is `maximal_st_core`'s, on st - s - t: (1000,1001) spans 998,999 positions, (1001,1002) would
-        # span 1,000,999; the gaps are checked at the call and listed lazily, so a refused pair sorts none
+        # span 1,000,999; the gaps are checked at the call and listed lazily, so a refused pair sorts none. The
+        # larger modulus is tried first, so (1000003, 2) names s = 1000002, not the trivial t = 1
         assert len(en.gap_poset(1000, 1001).gaps) == 999 * 1000 // 2
 
         def refuse(*args):
             raise AssertionError("the rail let the work start")
 
         monkeypatch.setattr(en, "sorted", refuse, raising=False)
-        for s, t, largest in [(1001, 1002, 1001), (2, 1000003, 1000002), (100000, 100001, 11)]:
+        for s, t, named in [(1001, 1002, "t here is 1001"), (2, 1000003, "t here is 1000002"),
+                            (100000, 100001, "t here is 11"), (1000003, 2, "s here is 1000002"),
+                            (1002, 1001, "s here is 1001")]:
             for route in (en.gap_poset, en.maximal_st_core):
-                with pytest.raises(en.GuardRailError, match=f"of 1000000; the largest admissible t here is {largest}$"):
+                with pytest.raises(en.GuardRailError, match=f"of 1000000; the largest admissible {named}$"):
                     route(s, t)
 
 
