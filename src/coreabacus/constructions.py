@@ -161,7 +161,9 @@ CONSTRUCTIONS = (*_BLOCKS, *_M_FOLDS)
 def build_named(name: str, s: int, m: int = 1) -> Abacus:
     """A construction by its CLI name: a block of `_BLOCKS`, or an m-fold of `_M_FOLDS`; s is checked before m."""
     if name in _M_FOLDS:
-        return _m_fold(m, *(build_named(block, s) for block in _M_FOLDS[name]))
+        body, last = _M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2  # m = 1 copies its body zero times
+        built = {block: build_named(block, s) for block in {body, last}}  # each distinct block once
+        return _m_fold(m, built[body], built[last])
     if name not in _BLOCKS:
         raise ValueError(f"unknown construction {name!r}; expected one of {CONSTRUCTIONS}")
     _check_s(s)

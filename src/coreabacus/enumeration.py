@@ -4,7 +4,12 @@ A core travels as its minimal bead set (first-column hook lengths), a bitmask
 indexed by bead value.  Members come from the first-part walk, in
 lexicographic order: a core is its first part on top of a smaller core, whose
 children are the window of `abacus._mask_core_window`, in one tree from the
-empty core.  A family's members are built in one eager pass with the cyclic
+empty core.  The walk keeps the cores of first part a as their masks and
+parents, the members they extend, and builds them when it reads their bucket,
+a batch at a time, in one `map` of `(a,) + parent` into `Partition`s: the
+build takes no interpreter step per member, and a batch's members are
+allocated side by side, so the filters that read them in order run faster.
+A family's members are built in one eager pass with the cyclic
 garbage collector paused: a `Partition` is a tuple subclass, which the
 collector never untracks, so each collection would traverse every member built
 so far, and the members hold no reference cycles.  The pause is process-wide,
@@ -190,23 +195,32 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
     `_mask_core_window(q's mask, a + n, ...)` is set.  Cores go into buckets
     by first part, and the buckets are read in ascending order, each while it
     grows, so each core is read after every smaller one and lands in its
-    bucket after every smaller core there.  The tree starts at the empty core, first part 0.
+    bucket after every smaller core there.  A bucket holds its cores' masks
+    and their parents, the member q each one extends, and builds its own
+    members from them a batch at a time as it is read, in one `map` each:
+    the first batch is every core the smaller buckets put there, and each
+    later one the cores with a repeated first part (i = 0) that the batch
+    before added.  The tree starts at the empty core, whose first part 0 adds no part.
     """
-    buckets = defaultdict(lambda: ([], []), {0: ([0], [pt.EMPTY])})  # first part -> its cores as (masks, parts)
+    buckets = defaultdict(lambda: ([], []), {0: ([0], [()])})  # first part a -> (masks, parents): cores (a,) + parent
     out, a = [], 0
     with _collector_paused():
         while buckets:
-            masks, members = buckets.get(a, ((), ()))
-            for mask, p in zip(masks, members):
-                top = a + len(p)
-                window = _mask_core_window(mask, top, moduli, distinct)
-                while window:
-                    i = (window & -window).bit_length() - 1
-                    window &= window - 1
-                    bucket = buckets[a + i]
-                    bucket[0].append(mask | 1 << top + i)
-                    bucket[1].append(Partition._trusted((a + i,) + p))
-            out += members
+            masks, parents = buckets.get(a, ((), ()))
+            head, done = (a,) if a else (), 0
+            while done < len(parents):
+                batch = list(map(Partition._trusted, map(head.__add__, parents[done:])))
+                for mask, p in zip(masks[done:], batch):
+                    top = a + len(p)
+                    window = _mask_core_window(mask, top, moduli, distinct)
+                    while window:
+                        i = (window & -window).bit_length() - 1
+                        window &= window - 1
+                        bucket = buckets[a + i]
+                        bucket[0].append(mask | 1 << top + i)
+                        bucket[1].append(p)
+                out += batch
+                done += len(batch)
             buckets.pop(a, None)
             a += 1
     return out

@@ -135,8 +135,10 @@ def has_distinct_parts(p: Partition) -> bool:
 
 
 def is_self_conjugate(p: Partition) -> bool:
-    # the conjugate's first part is the number of parts
-    return not p or p[0] == len(p) and conjugate(p) == p
+    """True iff `p` is its own conjugate, whose first two parts are the number of parts and the number of parts
+    above 1: testing those first rejects most partitions before the conjugate is built."""
+    n = len(p)
+    return not p or p[0] == n and (n == 1 or p[1] == n - p.count(1) and conjugate(p) == p)
 
 
 def is_two_core(p: Partition) -> bool:

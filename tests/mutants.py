@@ -39,8 +39,10 @@ class Equivalent(NamedTuple):
     reason: str
 
 
-CONSTRUCTIONS, ENUMERATION, ABACUS = (f"src/coreabacus/{m}.py" for m in ("constructions", "enumeration", "abacus"))
+CONSTRUCTIONS, ENUMERATION, ABACUS, PARTITIONS = (
+    f"src/coreabacus/{m}.py" for m in ("constructions", "enumeration", "abacus", "partitions"))
 ROWS = "tests/test_constructions.py::TestRowsMatchTheCellByCellRoute"
+WALK = "tests/test_enumeration.py::TestLatticePathStream"
 NAMED_ROWS = "tests/test_constructions.py::TestNamedLookup::test_rows_and_beads_read_off_s_and_m_match_the_builders"
 SHOW_RAIL = "tests/test_cli.py::TestShow::test_rail_boundary"
 
@@ -65,6 +67,18 @@ MUTANTS = [
     # the parts rail refusing a family of exactly its limit
     Mutant(ENUMERATION, "if count * longest > FAMILY_MAX_PARTS:", "if count * longest >= FAMILY_MAX_PARTS:",
            ("tests/test_enumeration.py::TestMultiCores::test_parts_rail_boundary",)),
+    # the first-part walk reading each bucket once, missing the cores with a repeated first part it added
+    Mutant(ENUMERATION, "while done < len(parents):", "if done < len(parents):",
+           (f"{WALK}::test_parts_field_is_the_partition_of_the_mask",)),
+    # each batch of a bucket built from its first parent, repeating the members of the batches before
+    Mutant(ENUMERATION, "map(head.__add__, parents[done:])", "map(head.__add__, parents[0:])",
+           (f"{WALK}::test_members_are_strictly_increasing",)),
+    # the self-conjugate second-row test counting the parts 2 where the parts 1 are the ones not above 1
+    Mutant(PARTITIONS, "p[1] == n - p.count(1)", "p[1] == n - p.count(2)",
+           ("tests/test_partitions.py::TestPredicates::test_self_conjugate",)),
+    # an m-fold at m = 1 building the body it copies zero times
+    Mutant(CONSTRUCTIONS, "_M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2", "_M_FOLDS[name]",
+           ("tests/test_constructions.py::TestNamedLookup::test_each_distinct_block_is_built_once",)),
 ]
 
 EQUIVALENTS = [

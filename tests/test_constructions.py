@@ -356,6 +356,24 @@ class TestNamedLookup:
         with pytest.raises(ValueError):
             cx.build_named("Z", 5)
 
+    def test_each_distinct_block_is_built_once(self, monkeypatch):
+        # E+ is A beside A, and an m-fold at m = 1 is its last block alone, with no body
+        blocks = {"E-": ("B0", "B1"), "E+": ("A",), "L": ("C0", "C1")}
+        calls, rows = [], cx._interval_rows
+        monkeypatch.setattr(cx, "_interval_rows", lambda *args: calls.append(args) or rows(*args))
+        for s in (1, 2, 5, 9):
+            for m in (1, 2, 3):
+                for name in cx.CONSTRUCTIONS:
+                    calls.clear()
+                    cx.build_named(name, s, m)
+                    used = (name,) if name not in blocks else blocks[name][-1:] if m == 1 else blocks[name]
+                    assert len(calls) == len(used), (name, s, m)
+
+    def test_s_is_refused_before_m(self):
+        for name in cx._M_FOLDS:
+            with pytest.raises(ValueError, match="^s must be at least 1, got 0$"):
+                cx.build_named(name, 0, 0)
+
     def test_rows_and_beads_read_off_s_and_m_match_the_builders(self):
         # the `show` and `longest` rails predict the rows before anything is built, for large m too
         cells = [(s, m) for s in range(1, 14) for m in range(1, 5)] + [(s, m) for s in (1, 2, 3) for m in (50, 1000)]
