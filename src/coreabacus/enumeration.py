@@ -227,38 +227,35 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
 
 
 def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
-    """Yield (mask, n, bead sum) for every core of all `moduli`: `_lex_walk`'s tree, depth first.
+    """Yield (bead mask, part count n, weight) for every core of all `moduli`: `_lex_walk`'s tree, depth first.
 
     A stack replaces the buckets and no parts are built, so the cores come in
     a fixed order that is not lexicographic.  A core that is not an r-core has
     no r-core above it in the tree, so a modulus prunes whole subtrees.  The tree starts at the empty core.
     """
-    stack = [(0, 0, 0, 0)]  # (mask, n, bead sum, first part)
+    stack = [(0, 0, 0, 0)]  # (mask, n, weight, first part a): a child prepends the part a + i, adding it to the weight
     while stack:
-        mask, n, total, a = stack.pop()
-        yield mask, n, total
+        mask, n, weight, a = stack.pop()
+        yield mask, n, weight
         window = _mask_core_window(mask, a + n, moduli, distinct)
         while window:
             i = (window & -window).bit_length() - 1
             window &= window - 1
-            b = a + n + i
-            stack.append((mask | 1 << b, n + 1, total + b, a + i))
+            stack.append((mask | 1 << a + n + i, n + 1, weight + a + i, a + i))
 
 
 def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False, budget=None) -> FamilyStats:
     """The statistics folded from `_masks`, keeping the masks that pass the mirror test if
-    `self_conjugate`: the walk's one answer, the reference for every other route.  A minimal bead
-    set holds one bead per part, so a mask with n beads and bead sum S weighs S - n(n-1)/2.  With a
+    `self_conjugate`: the walk's one answer, the reference for every other route.  With a
     `budget`, a walk that visits one core more is refused there: the walk row's rail on its count,
     which nothing predicts, decided during the work and the same for the same input.
     """
     count = max_weight = longest = top = 0  # the largest mask has the largest bead
     nodes = _masks(moduli, distinct)
-    for mask, n, total in itertools.islice(nodes, budget):
+    for mask, n, weight in itertools.islice(nodes, budget):
         if self_conjugate and not _mask_is_self_conjugate(mask, n):
             continue
         count += 1
-        weight = total - n * (n - 1) // 2
         if weight > max_weight:
             max_weight = weight
         if n > longest:

@@ -63,7 +63,9 @@ class Partition(tuple):
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
-        return cls(json.loads(text))
+        if type(parts := json.loads(text)) is not list:  # the constructor would take `{}` or `""` as no parts
+            raise TypeError(f"a partition is a JSON array of parts, got {text!r}")
+        return cls(parts)
 
 
 EMPTY = Partition()

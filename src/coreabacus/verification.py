@@ -67,8 +67,8 @@ def straub_plus(m: int, s: int) -> int:
 
 
 def _two_term(m: int, s: int, seed1: int, seed2: int) -> int:
-    _check_m(m)
     _check_s(s)
+    _check_m(m)
     a, b = seed1, seed2
     for _ in range(s - 1):
         a, b = b, b + m * a
@@ -111,8 +111,8 @@ def self_conjugate_counts(kind: str, m: int, s: int) -> int:
     kind selects the family: "plain" for (s, s+1), "minus" for (s, ms-1),
     "plus" for (s, ms+1); "plain" is "plus" at m = 1, whatever m >= 1 is given.
     """
-    _check_m(m)
     _check_s(s)
+    _check_m(m)
     if kind == "plain":
         kind, m = "plus", 1
     if kind not in ("minus", "plus"):
@@ -331,8 +331,7 @@ def _row_structure_cell(params: dict, m: int, s: int, t: int) -> Cell:
 def _two_cores(lo: int, hi: int) -> set:
     """The 2-cores of weight lo..hi by the definition: the first-part walk's (2, 2hi + 1)-cores in that weight range.
     No hook of a partition of weight at most hi is longer than hi, so the odd modulus drops none of them."""
-    return {_mask_to_partition(mask) for mask, n, total in _masks((2, 2 * hi + 1), False)
-            if lo <= total - n * (n - 1) // 2 <= hi}
+    return {_mask_to_partition(mask) for mask, _, weight in _masks((2, 2 * hi + 1), False) if lo <= weight <= hi}
 
 
 def _self_conjugate_distinct(lo: int, hi: int) -> set:

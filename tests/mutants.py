@@ -43,6 +43,7 @@ CONSTRUCTIONS, ENUMERATION, ABACUS, PARTITIONS = (
     f"src/coreabacus/{m}.py" for m in ("constructions", "enumeration", "abacus", "partitions"))
 ROWS = "tests/test_constructions.py::TestRowsMatchTheCellByCellRoute"
 WALK = "tests/test_enumeration.py::TestLatticePathStream"
+SMALL_PAIR_WALKS = f"{WALK}::test_small_pair_walks"
 NAMED_ROWS = "tests/test_constructions.py::TestNamedLookup::test_rows_and_beads_read_off_s_and_m_match_the_builders"
 SHOW_RAIL = "tests/test_cli.py::TestShow::test_rail_boundary"
 
@@ -68,11 +69,17 @@ MUTANTS = [
     Mutant(ENUMERATION, "if count * longest > FAMILY_MAX_PARTS:", "if count * longest >= FAMILY_MAX_PARTS:",
            ("tests/test_enumeration.py::TestMultiCores::test_parts_rail_boundary",)),
     # the first-part walk reading each bucket once, missing the cores with a repeated first part it added
-    Mutant(ENUMERATION, "while done < len(parents):", "if done < len(parents):",
-           (f"{WALK}::test_parts_field_is_the_partition_of_the_mask",)),
+    Mutant(ENUMERATION, "while done < len(parents):", "if done < len(parents):", (SMALL_PAIR_WALKS,)),
     # each batch of a bucket built from its first parent, repeating the members of the batches before
-    Mutant(ENUMERATION, "map(head.__add__, parents[done:])", "map(head.__add__, parents[0:])",
-           (f"{WALK}::test_members_are_strictly_increasing",)),
+    Mutant(ENUMERATION, "map(head.__add__, parents[done:])", "map(head.__add__, parents[0:])", (SMALL_PAIR_WALKS,)),
+    # a depth-first child weighing its parent plus i, not plus its first part a + i
+    Mutant(ENUMERATION, "weight + a + i", "weight + i", (SMALL_PAIR_WALKS,)),
+    # the child rule admitting a part 0 at the empty core
+    Mutant(ABACUS, "window = -2 if distinct or not mask else -1", "window = -2 if distinct else -1",
+           (f"{WALK}::test_child_rule_is_the_core_test",)),
+    # the walk's visit budget never refusing a walk that visits more cores than it
+    Mutant(ENUMERATION, "if next(nodes, None) is not None:", "if False:",
+           ("tests/test_enumeration.py::TestMultiCores::test_distinct_walk_visit_budget_boundary",)),
     # the self-conjugate second-row test counting the parts 2 where the parts 1 are the ones not above 1
     Mutant(PARTITIONS, "p[1] == n - p.count(1)", "p[1] == n - p.count(2)",
            ("tests/test_partitions.py::TestPredicates::test_self_conjugate",)),

@@ -58,10 +58,9 @@ def reference_masks(s, t):
 
 
 def node_of(p):
-    """A member's (mask, n, bead sum), as `_masks` yields it, from its first-column hook lengths:
+    """A member's (mask, n, weight), as `_masks` yields it, its mask from its first-column hook lengths:
     part k (from 0) of n has hook length p_k + n - 1 - k."""
-    beads = list(map(operator.add, p, range(len(p) - 1, -1, -1)))
-    return sum(map((1).__lshift__, beads)), len(p), sum(beads)
+    return sum(map((1).__lshift__, map(operator.add, p, range(len(p) - 1, -1, -1)))), len(p), sum(p)
 
 
 def parts_of(beads):
@@ -69,6 +68,22 @@ def parts_of(beads):
     (from 0) is part k's hook length, so the part is that bead less n - 1 - k."""
     beads = sorted(beads, reverse=True)
     return Partition(b - (len(beads) - 1 - k) for k, b in enumerate(beads))
+
+
+def assert_child_rule(moduli, distinct, streams):
+    """Bit i of the window is set exactly when the child with top bead top + i is a core of every modulus (and, with
+    `distinct` or at the empty core, i > 0), at every node of each (order, stream) of `streams`, the walks of `moduli`
+    in its orders; beyond i = min(moduli) no child is a core.  The empty core's window is bits 1..min(moduli) - 1,
+    none for a modulus 1."""
+    assert _mask_core_window(0, 0, moduli, distinct) == (1 << min(moduli)) - 2, (moduli, distinct)
+    windows = {}  # mask -> the oracle's window, computed once for every order
+    for order, stream in streams:
+        for mask, _, _ in stream:
+            top = mask.bit_length()  # a + n: the top bead of first part a and n parts is a + n - 1
+            if mask not in windows:
+                windows[mask] = sum(1 << i for i in range(distinct or not mask, min(moduli) + 1)
+                                    if all(map(_mask_is_core, repeat(mask | 1 << top + i), moduli)))
+            assert _mask_core_window(mask, top, order, distinct) == windows[mask], (order, distinct, mask)
 
 
 def stats_of(family):
@@ -554,38 +569,31 @@ class TestLongestMember:
 
 
 class TestLatticePathStream:
-    def test_matches_ideal_list(self):
-        # without `distinct`, the depth-first walk yields each order ideal of the gap poset once
+    def test_small_pair_walks(self):
+        # each pair, walked once per filter by the first-part walk and once per order and filter depth first: the
+        # first-part walk builds valid parts, strictly increasing as its buckets are read in first-part order, each
+        # while it grows, which the one beads-to-parts formula reads back; both depth-first orders yield the same
+        # cores once each, without `distinct` every order ideal of the gap poset, and keep the child rule at each one
         for s, t in SMALL_PAIRS:
-            masks = [mask for mask, _, _ in en._masks((s, t), False)]
-            assert len(masks) == len(set(masks)), (s, t)
-            assert set(masks) == set(reference_masks(s, t)), (s, t)
-
-    def test_parts_field_is_the_partition_of_the_mask(self):
-        # the first-part walk builds valid parts, which the one beads-to-parts formula reads back; the
-        # depth-first walk, in both orders, yields the same cores once each
-        for s, t in SMALL_PAIRS:
-            if s <= t:  # (s,t)- and (t,s)-cores coincide; `TestFamilyRoutes` builds both orders
-                for distinct in (False, True):
-                    at = (s, t, distinct)
-                    members = en._lex_walk((s, t), distinct)
-                    if not distinct:
-                        assert list(map(Partition, members)) == members, at
-                    triples = [node_of(p) for p in members]
-                    assert members == [_mask_to_partition(mask) for mask, _, _ in triples], at
-                    nodes = set(triples)
-                    assert len(nodes) == len(triples), at
-                    for order in ((s, t), (t, s)):
-                        stack = list(en._masks(order, distinct))
-                        assert len(stack) == len(triples) and set(stack) == nodes, (order, distinct)
-
-    def test_members_are_strictly_increasing(self):
-        # the buckets are read in first-part order, each while it grows, so the walk needs no sort
-        for s, t in SMALL_PAIRS:
-            if s <= t:  # the (t,s) stream is the (s,t) one: see the test above
-                for distinct in (False, True):
-                    members = en._lex_walk((s, t), distinct)
-                    assert all(map(operator.lt, members, members[1:])), (s, t, distinct)
+            if s > t:  # (s,t)- and (t,s)-cores coincide, and the (t,s) walk is read below
+                continue
+            ideals = set(reference_masks(s, t))
+            for distinct in (False, True):
+                at = (s, t, distinct)
+                members = en._lex_walk((s, t), distinct)
+                # members are compared one by one, so no second family is held: a full collection would walk it
+                if not distinct:
+                    assert all(map(operator.eq, map(Partition, members), members)), at
+                assert all(map(operator.lt, members, members[1:])), at
+                nodes = list(map(node_of, members))
+                assert all(map(operator.eq, (_mask_to_partition(mask) for mask, _, _ in nodes), members)), at
+                masks = {mask for mask, _, _ in nodes}
+                assert len(masks) == len(nodes) and (distinct or masks == ideals), at
+                streams = {order: list(en._masks(order, distinct)) for order in ((s, t), (t, s))}
+                node_set = set(nodes)
+                for order, stream in streams.items():
+                    assert len(stream) == len(nodes) and set(stream) == node_set, (order, distinct)
+                assert_child_rule((s, t), distinct, streams.items())
 
     def test_pruned_walk_is_the_filtered_pair_walk(self):
         # a core that is not an r-core has no r-core descendant in either walk, so pruning keeps the stream and its order
@@ -603,21 +611,13 @@ class TestLatticePathStream:
                 assert sorted(stack) == sorted(map(node_of, kept)), (moduli, distinct)
 
     def test_child_rule_is_the_core_test(self):
-        # bit i of the window is set exactly when the child with top bead top + i is a core of every modulus (and,
-        # with `distinct` or at the empty core, i > 0), at every node of the walk in both orders; beyond
-        # i = min(moduli) no child is a core.  The empty core's window is bits 1..min(moduli) - 1, none for a modulus 1
+        # the rule of `assert_child_rule` on the walks of the triples and one-modulus cells, in both orders; the
+        # small pairs keep it in `test_small_pair_walks`
         triples = [tuple(sorted({s, m * s - 1, m * s + 1} - {0})) for s in range(1, 7) for m in range(1, 4)]
-        for moduli in [p for p in SMALL_PAIRS if p[0] <= p[1]] + triples + [(4, 11, 13), (5, 14, 16), (1,), (1, 4)]:
+        for moduli in triples + [(4, 11, 13), (5, 14, 16), (1,), (1, 4)]:
             for distinct in (False, True):
-                assert _mask_core_window(0, 0, moduli, distinct) == (1 << min(moduli)) - 2, (moduli, distinct)
-                windows = {}  # mask -> the oracle's window, computed once for both orders
-                for order in (moduli, moduli[::-1]):
-                    for mask, _, _ in en._masks(order, distinct):
-                        top = mask.bit_length()  # a + n: the top bead of first part a and n parts is a + n - 1
-                        if mask not in windows:
-                            windows[mask] = sum(1 << i for i in range(distinct or not mask, min(moduli) + 1)
-                                                if all(map(_mask_is_core, repeat(mask | 1 << top + i), moduli)))
-                        assert _mask_core_window(mask, top, order, distinct) == windows[mask], (order, distinct, mask)
+                orders = (moduli, moduli[::-1])
+                assert_child_rule(moduli, distinct, ((order, en._masks(order, distinct)) for order in orders))
 
     def test_a_huge_modulus_costs_no_shift(self):
         # a modulus above every bead of a node clears none of its children, so the rule skips it: (5, 7, 10^400 + 1)

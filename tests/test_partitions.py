@@ -93,7 +93,7 @@ class TestPartition:
         for parts in ([2.7, 1], ["3", "1"], [True], [2, False], (x for x in [3, True])):
             with pytest.raises(TypeError):
                 Partition(parts)
-        for text in ("[2.7, 1.2]", "[true]", "[2, true]"):
+        for text in ("[2.7, 1.2]", "[true]", "[2, true]", "{}", '""'):
             with pytest.raises(TypeError):
                 Partition.from_json(text)
         with pytest.raises(TypeError):

@@ -74,10 +74,11 @@ def test_bead_mask_stream_beyond_exhaustive_grid(pair, swap):
     stream = list(en._masks((s, t), False))
     masks = [mask for mask, _, _ in stream]
     assert len(set(masks)) == len(masks) == en.count_st_cores(s, t)
-    for mask, n, total in stream:
+    for mask, n, weight in stream:
         assert not mask & 1
         beads = {b for b in range(mask.bit_length()) if mask >> b & 1}
-        assert (n, total) == (len(beads), sum(beads))
+        # bead k from the bottom, from 0, is its part plus k
+        assert (n, weight) == (len(beads), sum(beads) - n * (n - 1) // 2)
         for r in (s, t):
             assert all(b - r in beads for b in beads if b >= r), (sorted(beads), r)
     assert list(en._masks((s, t), True)) == [x for x in stream if not x[0] & x[0] >> 1]

@@ -204,6 +204,8 @@ class TestGridPointGate:
             entry(s=0, m=1)
         with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
             entry(s=2, m=0)
+        with pytest.raises(ValueError, match="^s must be at least 1, got 0$"):
+            entry(s=0, m=0)
 
     @pytest.mark.parametrize("entry", S_ENTRY_POINTS, ids=entry_name)
     def test_s_below_1_is_refused_by_name(self, entry):
