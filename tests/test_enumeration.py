@@ -569,31 +569,30 @@ class TestLongestMember:
 
 
 class TestLatticePathStream:
-    def test_small_pair_walks(self):
-        # each pair, walked once per filter by the first-part walk and once per order and filter depth first: the
-        # first-part walk builds valid parts, strictly increasing as its buckets are read in first-part order, each
-        # while it grows, which the one beads-to-parts formula reads back; both depth-first orders yield the same
-        # cores once each, without `distinct` every order ideal of the gap poset, and keep the child rule at each one
+    @pytest.mark.parametrize("distinct", [False, True], ids=["plain", "distinct"])
+    def test_small_pair_walks(self, distinct):
+        # each pair, walked once by the first-part walk and once per order depth first: the first-part walk builds
+        # valid parts, strictly increasing as its buckets are read in first-part order, each while it grows, which the
+        # one beads-to-parts formula reads back; both depth-first orders yield the same cores once each, without
+        # `distinct` every order ideal of the gap poset, and keep the child rule at each one
         for s, t in SMALL_PAIRS:
             if s > t:  # (s,t)- and (t,s)-cores coincide, and the (t,s) walk is read below
                 continue
-            ideals = set(reference_masks(s, t))
-            for distinct in (False, True):
-                at = (s, t, distinct)
-                members = en._lex_walk((s, t), distinct)
-                # members are compared one by one, so no second family is held: a full collection would walk it
-                if not distinct:
-                    assert all(map(operator.eq, map(Partition, members), members)), at
-                assert all(map(operator.lt, members, members[1:])), at
-                nodes = list(map(node_of, members))
-                assert all(map(operator.eq, (_mask_to_partition(mask) for mask, _, _ in nodes), members)), at
-                masks = {mask for mask, _, _ in nodes}
-                assert len(masks) == len(nodes) and (distinct or masks == ideals), at
-                streams = {order: list(en._masks(order, distinct)) for order in ((s, t), (t, s))}
-                node_set = set(nodes)
-                for order, stream in streams.items():
-                    assert len(stream) == len(nodes) and set(stream) == node_set, (order, distinct)
-                assert_child_rule((s, t), distinct, streams.items())
+            at = (s, t, distinct)
+            members = en._lex_walk((s, t), distinct)
+            # members are compared one by one, so no second family is held: a full collection would walk it
+            if not distinct:
+                assert all(map(operator.eq, map(Partition, members), members)), at
+            assert all(map(operator.lt, members, members[1:])), at
+            nodes = list(map(node_of, members))
+            assert all(map(operator.eq, (_mask_to_partition(mask) for mask, _, _ in nodes), members)), at
+            masks = {mask for mask, _, _ in nodes}
+            assert len(masks) == len(nodes) and (distinct or masks == set(reference_masks(s, t))), at
+            streams = {order: list(en._masks(order, distinct)) for order in ((s, t), (t, s))}
+            node_set = set(nodes)
+            for order, stream in streams.items():
+                assert len(stream) == len(nodes) and set(stream) == node_set, (order, distinct)
+            assert_child_rule((s, t), distinct, streams.items())
 
     def test_pruned_walk_is_the_filtered_pair_walk(self):
         # a core that is not an r-core has no r-core descendant in either walk, so pruning keeps the stream and its order

@@ -99,6 +99,12 @@ class TestPartition:
         with pytest.raises(TypeError):
             pickle.loads(pickle.dumps(Partition._trusted((True,))))
 
+    def test_from_json_refuses_every_value_but_an_array(self):
+        # a JSON object, string, number or null is no list of parts, even where it iterates to one or to none
+        for text in ("{}", '""', '{"3": 1}', '"31"', '"[3, 1]"', "3", "null", "true"):
+            with pytest.raises(TypeError, match="JSON array"):
+                Partition.from_json(text)
+
     def test_weight_and_empty(self):
         assert P(8, 6, 5, 5, 3, 2, 2, 2, 1).weight == 34
         assert EMPTY.weight == 0
