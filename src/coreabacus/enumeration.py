@@ -4,11 +4,22 @@ A core travels as its minimal bead set (first-column hook lengths), a bitmask
 indexed by bead value.  Members come from the first-part walk, in
 lexicographic order: a core is its first part on top of a smaller core, whose
 children are the window of `abacus._mask_core_window`, in one tree from the
-empty core.  The walk keeps the cores of first part a as their masks and
+empty core.  The walk keeps the cores of first part a as their states and
 parents, the members they extend, and builds them when it reads their bucket,
 a batch at a time, in one `map` of `(a,) + parent` into `Partition`s: the
 build takes no interpreter step per member, and a batch's members are
 allocated side by side, so the filters that read them in order run faster.
+A core's state is its last m bead positions below its top a + n (first part
+a, n parts), m the largest kept modulus, a position below 0 counting as a
+bead: one row of its m-abacus.  Three facts make the state enough:
+the rule reads only positions top - r + i with r <= m and i < min(moduli),
+since the smallest modulus clears every larger i; a modulus above the
+family's largest possible bead B plus min(moduli) clears nothing, since
+top <= B + 1 puts position top - r + i below 0, so it is dropped; and the
+state of a core whose top is below m belongs to that core alone, since
+position 0 is always a spacer (no hook length is 0), so the fill below it
+gives the top.  So the walk reads the rule once per core below m and once
+per state at or above m, where (11,13)'s 104,006 cores share 2,391 reads.
 A family's members are built in one eager pass with the cyclic
 garbage collector paused: a `Partition` is a tuple subclass, which the
 collector never untracks, so each collection would traverse every member built
@@ -195,29 +206,67 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
     `_mask_core_window(q's mask, a + n, ...)` is set.  Cores go into buckets
     by first part, and the buckets are read in ascending order, each while it
     grows, so each core is read after every smaller one and lands in its
-    bucket after every smaller core there.  A bucket holds its cores' masks
+    bucket after every smaller core there.  A bucket holds its cores' states
     and their parents, the member q each one extends, and builds its own
     members from them a batch at a time as it is read, in one `map` each:
     the first batch is every core the smaller buckets put there, and each
     later one the cores with a repeated first part (i = 0) that the batch
     before added.  The tree starts at the empty core, whose first part 0 adds no part.
+
+    A core's state is an m-bit mask, m the largest kept modulus: bit k is
+    position top - m + k, top = a + n, a position below 0 counting as a bead,
+    so the empty core's state is all ones.  The walk rests on three facts:
+
+    - The rule reads only positions top - r + i with r <= m and i < min(moduli):
+      bit i of `mask >> top - r` is position top - r + i, and the smallest
+      modulus clears every i >= min(moduli).  So the rule read on the state at
+      top m gives the core's children, and a child's state is the state with
+      the bead top + i added, shifted down by i + 1 to the child's top.
+    - A dropped modulus clears nothing: every bead is at most the family's
+      largest possible bead B (`_frobenius_bound`), so top <= B + 1, and for
+      r > B + min(moduli) position top - r + i is below 0, a bead.  Without
+      the drop, (5, 7, 10**400 + 1) would need a 10**400-bit state.
+    - The state of a core whose top is below m belongs to that core alone:
+      position 0 is always a spacer, as no hook length is 0, so the fill
+      below it gives the top, and the bits above it every bead.  Such a state
+      is read directly: caching it would never hit, and wide periodic states
+      hash alike.  A state at or above m is a row of the m-abacus, which many
+      cores share, so its children are read once per walk and cached.
     """
-    buckets = defaultdict(lambda: ([], []), {0: ([0], [()])})  # first part a -> (masks, parents): cores (a,) + parent
+    low = min(moduli)  # bounds the window, so it is kept even where 1 is a modulus and no bead is possible
+    bound = _frobenius_bound(*(_coprime_pair(moduli) or (low, max(moduli)))) + low
+    kept = tuple(r for r in moduli if r == low or r <= bound)
+    m = max(kept)
+
+    def children(state, no_repeat):  # ((i, child state), ...) of a core's state
+        window = _mask_core_window(state, m, kept, no_repeat)
+        found = []
+        while window:
+            i = (window & -window).bit_length() - 1
+            window &= window - 1
+            found.append((i, (state | 1 << m + i) >> i + 1))
+        return found
+
+    cache = {}  # state of a core at or above m -> its children
+    buckets = defaultdict(lambda: ([], []), {0: ([(1 << m) - 1], [()])})  # first part a -> (states, parents)
     out, a = [], 0
     with _collector_paused():
         while buckets:
-            masks, parents = buckets.get(a, ((), ()))
+            states, parents = buckets.get(a, ((), ()))
             head, done = (a,) if a else (), 0
             while done < len(parents):
                 batch = list(map(Partition._trusted, map(head.__add__, parents[done:])))
-                for mask, p in zip(masks[done:], batch):
+                for state, p in zip(states[done:], batch):
                     top = a + len(p)
-                    window = _mask_core_window(mask, top, moduli, distinct)
-                    while window:
-                        i = (window & -window).bit_length() - 1
-                        window &= window - 1
+                    if top >= m:
+                        found = cache.get(state)
+                        if found is None:
+                            found = cache[state] = children(state, distinct)
+                    else:  # the empty core (top 0) adds no part 0
+                        found = children(state, distinct or not top)
+                    for i, child in found:
                         bucket = buckets[a + i]
-                        bucket[0].append(mask | 1 << top + i)
+                        bucket[0].append(child)
                         bucket[1].append(p)
                 out += batch
                 done += len(batch)

@@ -44,6 +44,7 @@ CONSTRUCTIONS, ENUMERATION, ABACUS, PARTITIONS = (
 ROWS = "tests/test_constructions.py::TestRowsMatchTheCellByCellRoute"
 WALK = "tests/test_enumeration.py::TestLatticePathStream"
 SMALL_PAIR_WALKS = f"{WALK}::test_small_pair_walks"
+ROW_READS = f"{WALK}::test_child_rule_is_read_once_per_row"
 NAMED_ROWS = "tests/test_constructions.py::TestNamedLookup::test_rows_and_beads_read_off_s_and_m_match_the_builders"
 SHOW_RAIL = "tests/test_cli.py::TestShow::test_rail_boundary"
 
@@ -72,6 +73,12 @@ MUTANTS = [
     Mutant(ENUMERATION, "while done < len(parents):", "if done < len(parents):", (SMALL_PAIR_WALKS,)),
     # each batch of a bucket built from its first parent, repeating the members of the batches before
     Mutant(ENUMERATION, "map(head.__add__, parents[done:])", "map(head.__add__, parents[0:])", (SMALL_PAIR_WALKS,)),
+    # the first-part walk's child state shifted down by i, one position short of the child's top
+    Mutant(ENUMERATION, "(state | 1 << m + i) >> i + 1", "(state | 1 << m + i) >> i", (ROW_READS,)),
+    # the first-part walk caching no state of a core whose top is exactly m
+    Mutant(ENUMERATION, "if top >= m:", "if top > m:", (ROW_READS,)),
+    # the first-part walk's empty core admitting a part 0, so bucket 0 never ends
+    Mutant(ENUMERATION, "children(state, distinct or not top)", "children(state, distinct)", (ROW_READS,)),
     # a depth-first child weighing its parent plus i, not plus its first part a + i
     Mutant(ENUMERATION, "weight + a + i", "weight + i", (SMALL_PAIR_WALKS,)),
     # the child rule admitting a part 0 at the empty core
@@ -92,6 +99,10 @@ EQUIVALENTS = [
     Equivalent(ENUMERATION, "target[n + k] = (value, old[1] + hits)", "target[n + k] = (value, old[1])",
                "`_runner_paths`' tie branch: on the 627 pair cells and 286 pivot-triple runs searched, the mutant "
                "returned the same (stats, hits); the branch stays because it is what makes `hits == 1` a check"),
+    Equivalent(ENUMERATION, "r == low or r <= bound", "r == low or r < bound",
+               "the first-part walk's kept moduli: a modulus of B + min(moduli) is above the largest possible bead B, "
+               "so by Sylvester (by Schur without a coprime pair) it lies in the semigroup the moduli generate and "
+               "every core of the rest is a core of it; dropping it changes no member"),
 ]
 
 

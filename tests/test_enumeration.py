@@ -609,6 +609,33 @@ class TestLatticePathStream:
                 assert list(en._masks(moduli, distinct)) == stack, (moduli, distinct)
                 assert sorted(stack) == sorted(map(node_of, kept)), (moduli, distinct)
 
+    def test_child_rule_is_read_once_per_row(self, monkeypatch):
+        # with m the largest kept modulus, the first-part walk reads the rule once for each core whose top a + n is
+        # below m, and once for each state, the last m positions below the top, among the cores at or above m, read
+        # here off the members' first-column hooks as the depth-first walk yields them; (5, 7, 10^400 + 1) keeps
+        # m = 7, and above m = 61, (3, 400), wide states hash alike.  A walk that builds a member more than the
+        # family holds fails there, so a walk that never ends stops too
+        cells = []
+        for moduli, m in [((7, 9), 9), ((7, 13, 15), 15), ((5, 7, 10 ** 400 + 1), 7), ((3, 400), 400)]:
+            for distinct in (False, True):
+                masks = [mask for mask, _, _ in en._masks(moduli, distinct)]
+                below = sum(mask.bit_length() < m for mask in masks)  # a core's top is its largest bead plus 1
+                rows = {mask >> mask.bit_length() - m for mask in masks if mask.bit_length() >= m}
+                cells.append((moduli, distinct, sorted(map(_mask_to_partition, masks)), below + len(rows)))
+        rule, trusted, calls = en._mask_core_window, Partition._trusted, []
+
+        def built(parts):
+            assert next(made) < len(family), (moduli, distinct)
+            return trusted(parts)
+
+        monkeypatch.setattr(en, "_mask_core_window", lambda *args: calls.append(args) or rule(*args))
+        monkeypatch.setattr(Partition, "_trusted", built)
+        for moduli, distinct, family, reads in cells:
+            calls.clear()
+            made = itertools.count()
+            assert en._lex_walk(moduli, distinct) == family, (moduli, distinct)
+            assert len(calls) == reads, (moduli, distinct)
+
     def test_child_rule_is_the_core_test(self):
         # the rule of `assert_child_rule` on the walks of the triples and one-modulus cells, in both orders; the
         # small pairs keep it in `test_small_pair_walks`

@@ -209,11 +209,14 @@ class TestPredicates:
         assert pt.has_distinct_parts(P(4, 3, 2, 1))
 
     @pytest.mark.parametrize("parts, distinct", [
-        ((5, 5, 3, 1), False),  # a tie at the first step passes both O(1) tests
+        ((5, 5, 3, 1), False),  # a tie at the first step passes the three O(1) tests
         ((4, 2, 2), False),  # a tie at the last step
-        ((3, 2, 2, 1), False),  # a tie in the middle: the parts span less than len - 1
-        ((6, 4, 3, 3, 2), False),  # a tie in the middle only, passing both O(1) tests
+        ((6, 4, 3, 3, 2), False),  # a tie at the step before the last
+        ((4, 4, 3, 2, 1), False),  # the last two steps fall, but the parts span less than len - 1
+        ((7, 5, 5, 3, 2), False),  # a tie in the middle only, passing the three O(1) tests
         ((6, 4, 3, 2), True),
+        ((3, 3), False),  # two parts, read by their one step
+        ((3, 2), True),
         ((7,), True),
     ])
     def test_distinct_parts_hand_cases(self, parts, distinct):
