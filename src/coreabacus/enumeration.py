@@ -37,9 +37,9 @@ folded from the same tree walked depth first with no `Partition` built, is the
 reference every other route is tested against and the last row, railed before
 the walk on its largest possible bead and during it on the cores it visits.
 The hook oracle grows the partitions up to a weight bound with no hook length
-among the moduli a first row at a time, testing each one's hooks read off the
-Young diagram and never off a bead mask; it exists only as an independent
-oracle for the tests.
+among the moduli a first row at a time, testing only the hooks of the row it
+adds, read off the Young diagram and never off a bead mask, as the rows below
+keep their hooks; it exists only as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -404,27 +404,35 @@ def oracle_enumerate(moduli: Iterable[int], max_weight: int) -> CoreFamily:
     diagram, in lexicographic order.
 
     Removing the first row of a Young diagram leaves every other box its arm and its leg, so each such
-    partition is (a,) + q for such a q and a >= q[0]; the boxes of the first row past column q[0] have hooks
-    1, ..., a - q[0], so a - q[0] is below the smallest modulus.  The search grows each survivor q by every
-    such first row within the weight bound, which reaches each such partition once, and keeps a candidate
-    when its hooks avoid the moduli.  Survivors go into buckets by first part, read in ascending order, each
-    while it grows, so each bucket receives its members in lexicographic order.
+    partition is (a,) + q for such a q and a >= q[0], and (a,) + q is one exactly when the a hooks of its
+    first row avoid the moduli: the box in column j + 1 (j < a) has arm a - j - 1 and leg legs[j], the
+    number of parts of q above j, so its hook is a - j + legs[j], and no other box needs testing.  The boxes
+    past column q[0] have hooks 1, ..., a - q[0], so a - q[0] is below the smallest modulus.  The search
+    reads each survivor q's column lengths once, grows it by every such first row within the weight bound,
+    which reaches each such partition once, and keeps the hooks of the row as a bit set: widening the row
+    by one box raises each hook by 1 and adds the new box's 1 + legs[a].  Survivors go into buckets by
+    first part, read in ascending order, each while it grows, so each bucket receives its members in
+    lexicographic order.
     """
     moduli = pt._moduli(moduli)
     if max_weight > ORACLE_MAX_WEIGHT:
         raise GuardRailError(
             f"oracle weight bound {max_weight} exceeds guard rail {ORACLE_MAX_WEIGHT}"
         )
-    avoided, smallest = set(moduli), moduli[0]
+    # a hook is at most the weight, so a modulus above the bound is never hit and sets no bit
+    avoided, smallest = sum(1 << r for r in moduli if r <= max_weight), moduli[0]
     buckets = [[()]] + [[] for _ in range(max_weight)] if max_weight >= 0 else []  # first part -> its members
     with _collector_paused():
         for below, bucket in enumerate(buckets):
             for q in bucket:  # grows while it is read: (below,) + q sorts after every member already there
-                room = max_weight - sum(q)
-                for a in range(max(below, 1), min(below + smallest - 1, room) + 1):
-                    p = (a,) + q
-                    if avoided.isdisjoint(pt._hooks(p)):
-                        buckets[a].append(p)
+                widest = min(below + smallest - 1, max_weight - sum(q))
+                if widest < below:
+                    continue
+                hooks = 0  # bit h is set when the first row tried so far has a hook h
+                for a, leg in enumerate(pt._columns(q) + [0] * (widest - below), start=1):
+                    hooks = hooks << 1 | 2 << leg
+                    if a >= below and not hooks & avoided:
+                        buckets[a].append((a,) + q)
         members = map(Partition._trusted, itertools.chain.from_iterable(buckets))
         return CoreFamily(moduli=moduli, members=tuple(members))
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -80,16 +80,25 @@ def _moduli(values: Iterable[int]) -> tuple:
     return moduli
 
 
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: column lengths become parts.
+def _columns(p: Partition) -> list[int]:
+    """The column lengths of the Young diagram, longest first.
 
-    Part i exceeds part i+1 by the number of columns of height exactly i.
+    Column j holds one box of each part of at least j, so with c_v the number of parts equal to v, its
+    length is the suffix sum c_j + ... + c_p[0]: the parts are counted once, and the column lengths are
+    the running sums of the counts from the largest part value down, read back largest first.
     """
-    cols = []
-    for i in range(len(p), 0, -1):  # bottom row first; a row no longer than the one below adds no column
-        if p[i - 1] > len(cols):
-            cols += [i] * (p[i - 1] - len(cols))
-    return Partition._trusted(cols)
+    counts = [0] * (p[0] if p else 0)
+    for part in p:
+        counts[part - 1] += 1
+    columns = list(accumulate(reversed(counts)))
+    columns.reverse()
+    return columns
+
+
+def conjugate(p: Partition) -> Partition:
+    """Transpose of the Young diagram: the column lengths, suffix sums of the part counts (see `_columns`),
+    become parts."""
+    return Partition._trusted(_columns(p))
 
 
 def _first_column(p: Partition) -> Iterator[int]:
@@ -106,9 +115,9 @@ def _hooks(p: Partition) -> list[int]:
     """Every hook length of the Young diagram, row by row and left to right.
 
     Box (i, j) has arm p_i - j and leg conj_j - i, so its hook arm + leg + 1 is
-    (p_i - i + 1) + d_j with d_j = conj_j - j, read through the conjugate.
+    (p_i - i + 1) + d_j with d_j = conj_j - j, read through the column lengths.
     """
-    d = [c - j for j, c in enumerate(conjugate(p), start=1)]
+    d = [c - j for j, c in enumerate(_columns(p), start=1)]
     return [part - i + dj for i, part in enumerate(p) for dj in d[:part]]  # i counts rows from 0
 
 
@@ -123,7 +132,7 @@ def hook_length_multiset(p: Partition) -> Counter:
     """Multiset of hook lengths, arm + leg + 1 per box (see `_hooks`).
 
     This is the Young-diagram oracle for the abacus core tests: t is a hook
-    length iff p is not a t-core, read through the conjugate, never a bead mask.
+    length iff p is not a t-core, read through the column lengths, never a bead mask.
     """
     return Counter(_hooks(p))
 

@@ -9,11 +9,17 @@ when the tests pass, and the script then exits 1; so it does on a stale or repea
 copy that fails its tests, and on any other pytest outcome, such as a test id that names no test.
 Equivalent mutants are listed with the reason no test can kill them, and are not run.
 
+Each pytest run is bounded: it is stopped after `TIME_LIMIT_S` seconds, and its address space is capped at
+`MEMORY_LIMIT_BYTES`, so an allocation past the cap raises `MemoryError`.  A run that hits either limit kills
+its mutant only when the mutant is marked `hangs`, as one that can make a walk endless; on any other mutant,
+or on the unmutated copy, it makes the script exit 1.
+
 Standard library only; the file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import resource
 import shutil
 import subprocess
 import sys
@@ -23,6 +29,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIME_LIMIT_S = 120  # the slowest named test, `test_small_pair_walks[plain]`, takes about 20 s
+MEMORY_LIMIT_BYTES = 2 << 30
 
 
 class Mutant(NamedTuple):
@@ -30,6 +38,7 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in the file
     new: str
     tests: tuple  # pytest ids, at least one of which must fail
+    hangs: bool = False  # may run without end: a limit hit then counts as its kill
 
 
 class Equivalent(NamedTuple):
@@ -47,6 +56,8 @@ SMALL_PAIR_WALKS = f"{WALK}::test_small_pair_walks"
 ROW_READS = f"{WALK}::test_child_rule_is_read_once_per_row"
 NAMED_ROWS = "tests/test_constructions.py::TestNamedLookup::test_rows_and_beads_read_off_s_and_m_match_the_builders"
 SHOW_RAIL = "tests/test_cli.py::TestShow::test_rail_boundary"
+ORACLE = "tests/test_partitions.py::TestAgainstReferences::test_oracle_enumerate_keeps_the_hook_free_members"
+CONJUGATE = "tests/test_partitions.py::TestAgainstReferences::test_conjugate_and_self_conjugacy"
 
 MUTANTS = [
     # the block table: A becomes the pyramid C0, and B1 loses its k
@@ -74,7 +85,7 @@ MUTANTS = [
     # each batch of a bucket built from its first parent, repeating the members of the batches before
     Mutant(ENUMERATION, "map(head.__add__, parents[done:])", "map(head.__add__, parents[0:])", (SMALL_PAIR_WALKS,)),
     # the first-part walk's child state shifted down by i, one position short of the child's top
-    Mutant(ENUMERATION, "(state | 1 << m + i) >> i + 1", "(state | 1 << m + i) >> i", (ROW_READS,)),
+    Mutant(ENUMERATION, "(state | 1 << m + i) >> i + 1", "(state | 1 << m + i) >> i", (ROW_READS,), hangs=True),
     # the first-part walk caching no state of a core whose top is exactly m
     Mutant(ENUMERATION, "if top >= m:", "if top > m:", (ROW_READS,)),
     # the first-part walk's empty core admitting a part 0, so bucket 0 never ends
@@ -90,6 +101,15 @@ MUTANTS = [
     # the self-conjugate second-row test counting the parts 2 where the parts 1 are the ones not above 1
     Mutant(PARTITIONS, "p[1] == n - p.count(1)", "p[1] == n - p.count(2)",
            ("tests/test_partitions.py::TestPredicates::test_self_conjugate",)),
+    # the hook oracle's new first-row box one short of its hook 1 + legs[a], so every first-row hook is one short
+    Mutant(ENUMERATION, "hooks = hooks << 1 | 2 << leg", "hooks = hooks << 1 | 1 << leg", (ORACLE,)),
+    # the hook oracle reading q's column lengths shifted by one column
+    Mutant(ENUMERATION, "pt._columns(q) + [0] * (widest - below)", "pt._columns(q)[1:] + [0] * (widest - below + 1)",
+           (ORACLE,)),
+    # the conjugate's column lengths summed from the smallest part value up, not as suffix sums
+    Mutant(PARTITIONS, "accumulate(reversed(counts))", "accumulate(counts)", (CONJUGATE,)),
+    # the conjugate counting part v at index v, not v - 1
+    Mutant(PARTITIONS, "counts[part - 1] += 1", "counts[part] += 1", (CONJUGATE,)),
     # an m-fold at m = 1 building the body it copies zero times
     Mutant(CONSTRUCTIONS, "_M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2", "_M_FOLDS[name]",
            ("tests/test_constructions.py::TestNamedLookup::test_each_distinct_block_is_built_once",)),
@@ -116,10 +136,20 @@ def _mutated_copy(dest: Path, mutant: Mutant | None) -> None:
         path.write_text(path.read_text().replace(mutant.old, mutant.new))
 
 
-def _pytest(dest: Path, tests) -> int:
-    """pytest's exit code for `tests` run in `dest`, stopping at the first failure."""
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
+
+
+def _pytest(dest: Path, tests) -> int | str:
+    """pytest's exit code for `tests` run in `dest`, stopping at the first failure, or the limit the run hit:
+    "time" when it ran past `TIME_LIMIT_S`, "memory" when it raised `MemoryError` under the address-space cap."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=dest, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        run = subprocess.run(command, cwd=dest, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                             timeout=TIME_LIMIT_S, preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return "time"
+    return "memory" if b"MemoryError" in run.stdout else run.returncode
 
 
 def _stale(entries) -> list:
@@ -141,16 +171,23 @@ def main() -> int:
         baseline = Path(tmp) / "baseline"
         _mutated_copy(baseline, None)
         named = sorted({test for mutant in MUTANTS for test in mutant.tests})
-        if _pytest(baseline, named) != 0:
-            print("ERROR  the unmutated copy fails the named tests")
+        if (code := _pytest(baseline, named)) != 0:
+            print(f"ERROR  the unmutated copy fails the named tests ({code})")
             return 1
         for number, mutant in enumerate(MUTANTS):
             dest = Path(tmp) / str(number)
             _mutated_copy(dest, mutant)
+            begin = time.perf_counter()
             code = _pytest(dest, mutant.tests)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            failures += code != 1
-            print(f"{verdict:8} {mutant.file}: {mutant.old!r} -> {mutant.new!r}")
+            if isinstance(code, str):
+                killed = mutant.hangs
+                verdict = f"killed by the {code} limit" if killed else f"ERROR (hit the {code} limit)"
+            else:
+                killed = code == 1
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            failures += not killed
+            print(f"{verdict:8} {mutant.file}: {mutant.old!r} -> {mutant.new!r} "
+                  f"({time.perf_counter() - begin:.1f} s)")
             shutil.rmtree(dest)
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed, {len(EQUIVALENTS)} equivalent not run, "
           f"in {time.perf_counter() - start:.1f} s")

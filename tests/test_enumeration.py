@@ -241,6 +241,11 @@ class TestOracle:
         with pytest.raises(en.GuardRailError):
             en.oracle_enumerate({3, 4}, 41)
 
+    def test_a_modulus_above_the_weight_bound_prunes_nothing(self):
+        # no hook exceeds the weight, so a modulus past the bound, however large, is never tested
+        members = en.oracle_enumerate({3, 10 ** 400 + 1}, 12).members
+        assert members == en.oracle_enumerate({3}, 12).members
+
     def test_modulus_below_one_is_refused(self):
         for moduli in ([0], [-2, 3], [0, 4, 5]):
             with pytest.raises(ValueError, match="positive"):

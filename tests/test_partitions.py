@@ -330,6 +330,16 @@ class TestAgainstReferences:
             assert pt.hook_lengths(p) == expected, p
             assert pt.hook_length_multiset(p) == Counter(h for _, _, h in expected), p
 
+    def test_first_row_hooks_leave_the_rows_below_their_own(self):
+        # the fact `oracle_enumerate` rests on: in (a,) + q the box in column j + 1 of the first row has hook
+        # a - j + #{parts of q above j}, and the rows below keep q's hooks; weight <= 25 is 9,295 such (a, q)
+        for p in pt.partitions_up_to(25):
+            if p:
+                a, q = p[0], Partition(p[1:])
+                hooks = pt._hooks(p)
+                assert hooks[:a] == [a - j + sum(part > j for part in q) for j in range(a)], p
+                assert hooks[a:] == pt._hooks(q), p
+
     def test_trusted_outputs_pass_validation(self):
         for p in pt.partitions_up_to(30):
             assert Partition(p.parts) == p
