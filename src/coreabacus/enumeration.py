@@ -2,38 +2,31 @@
 
 A core travels as its minimal bead set (first-column hook lengths), a bitmask
 indexed by bead value.  Members come from the first-part walk, in
-lexicographic order: a core is its first part on top of a smaller core, whose
-children are the window of `abacus._mask_core_window`, in one tree from the
-empty core.  The walk keeps the cores of first part a as their states and
-parents, the members they extend, and builds them when it reads their bucket,
-a batch at a time, in one `map` of `(a,) + parent` into `Partition`s: the
-build takes no interpreter step per member, and a batch's members are
-allocated side by side, so the filters that read them in order run faster.
-A core's state is its last m bead positions below its top a + n (first part
-a, n parts), m the largest kept modulus, a position below 0 counting as a
-bead: one row of its m-abacus.  Three facts make the state enough:
-the rule reads only positions top - r + i with r <= m and i < min(moduli),
-since the smallest modulus clears every larger i; a modulus above the
-family's largest possible bead B plus min(moduli) clears nothing, since
-top <= B + 1 puts position top - r + i below 0, so it is dropped; and the
-state of a core whose top is below m belongs to that core alone, since
-position 0 is always a spacer (no hook length is 0), so the fill below it
-gives the top.  So the walk reads the rule once per core below m and once
-per state at or above m, where (11,13)'s 104,006 cores share 2,391 reads.
-A family's members are built in one eager pass with the cyclic
-garbage collector paused: a `Partition` is a tuple subclass, which the
-collector never untracks, so each collection would traverse every member built
-so far, and the members hold no reference cycles.  The pause is process-wide,
-restores the collector's earlier state and ends by moving every tracked object,
-the caller's young ones too, to the oldest generation, so no young collection
-walks the members after it and a cycle among the caller's moved objects waits
-for a full collection; nothing moves when the caller has frozen objects
-(`gc.freeze`).  A built family keeps its self-conjugate members by
-`filter_self_conjugate`.  A family's statistics and its rail come from the
-first row of `_ROUTES` that applies; `_runner_paths`
-reads a coprime pair, a distinct (s, ms±1) pair or an (s, ms-1, ms+1) triple
-off the stack heights of the s-abacus runners, visiting no core; `_walk_stats`,
-folded from the same tree walked depth first with no `Partition` built, is the
+lexicographic order: a core is its first part on top of a smaller core, in
+one tree from the empty core.  Both walks of the tree, `_lex_walk` by first
+part and `_masks` depth first, read a core's children off one row table,
+`_tree`: a core's key is its bead mask while its top is below m, the largest
+kept modulus, and then its last m bead positions, one row of its m-abacus,
+so the child rule, `abacus._mask_core_window`, is read once per core below m
+and once per row, where (11,13)'s 104,006 cores share 2,391 reads.
+`_lex_walk` keeps the cores of first part a as their keys and parents, the
+members they extend, and builds them when it reads their bucket, a batch at
+a time, in one `map` of `(a,) + parent` into `Partition`s: the build takes no
+interpreter step per member, and a batch's members are allocated side by
+side, so the filters that read them in order run faster.
+A family's members are built in one eager pass with the cyclic garbage
+collector paused: a `Partition` is a tuple subclass, which the collector never
+untracks, so each collection would traverse every member built so far, and the
+members hold no reference cycles.  The pause is process-wide, restores the
+collector's earlier state and ends by moving every tracked object, the caller's
+young ones too, to the oldest generation, so no young collection walks the
+members after it and a cycle among the caller's moved objects waits for a full
+collection; nothing moves when the caller has frozen objects (`gc.freeze`).  A
+built family keeps its self-conjugate members by `filter_self_conjugate`.  A
+family's statistics and its rail come from the first row of `_ROUTES` that
+applies; `_runner_paths` reads a coprime pair, a distinct (s, ms±1) pair or an
+(s, ms-1, ms+1) triple off the stack heights of the s-abacus runners, visiting
+no core; `_walk_stats`, folded from `_masks` with no `Partition` built, is the
 reference every other route is tested against and the last row, railed before
 the walk on its largest possible bead and during it on the cores it visits.
 The hook oracle grows the partitions up to a weight bound with no hook length
@@ -197,73 +190,74 @@ def _collector_paused():
             gc.enable()
 
 
-def _lex_walk(moduli: tuple, distinct: bool) -> list:
-    """Every core of all `moduli` as a `Partition`, in lexicographic part order.
+def _tree(moduli: tuple, distinct: bool) -> tuple:
+    """(m, rows, children): the first-part tree of the cores of all `moduli`, with distinct parts if `distinct`.
 
-    A core with its first part removed is still a core: its minimal bead set
-    loses only the top bead, which no lower bead needs.  So every core is
-    (a + i,) + q for a core q with first part a and n parts, where bit i of
-    `_mask_core_window(q's mask, a + n, ...)` is set.  Cores go into buckets
-    by first part, and the buckets are read in ascending order, each while it
-    grows, so each core is read after every smaller one and lands in its
-    bucket after every smaller core there.  A bucket holds its cores' states
-    and their parents, the member q each one extends, and builds its own
-    members from them a batch at a time as it is read, in one `map` each:
-    the first batch is every core the smaller buckets put there, and each
-    later one the cores with a repeated first part (i = 0) that the batch
-    before added.  The tree starts at the empty core, whose first part 0 adds no part.
+    A core less its first part is a core, as its minimal bead set loses only the top bead, which no lower bead
+    needs.  So every core is (a + i,) + q for a core q of first part a and n parts, top a + n, where bit i of
+    `_mask_core_window(q's mask, a + n, ...)` is set: one tree from the empty core.  A core's key is its bead mask
+    while its top is below m, the largest kept modulus, and then its last m bead positions, bit k being position
+    top - m + k: one row of its m-abacus.  Its top bead is top - 1, so `key.bit_length()` is w = min(top, m), and
+    the empty core is key 0, the one mask the rule gives no part 0.  `children(key)` is [(i, child key), ...], i
+    ascending, off the rule at width w: the key with bead w + i added, shifted down to its last m positions where
+    it is wider.  Three facts make the key enough:
 
-    A core's state is an m-bit mask, m the largest kept modulus: bit k is
-    position top - m + k, top = a + n, a position below 0 counting as a bead,
-    so the empty core's state is all ones.  The walk rests on three facts:
-
-    - The rule reads only positions top - r + i with r <= m and i < min(moduli):
-      bit i of `mask >> top - r` is position top - r + i, and the smallest
-      modulus clears every i >= min(moduli).  So the rule read on the state at
-      top m gives the core's children, and a child's state is the state with
-      the bead top + i added, shifted down by i + 1 to the child's top.
-    - A dropped modulus clears nothing: every bead is at most the family's
-      largest possible bead B (`_frobenius_bound`), so top <= B + 1, and for
-      r > B + min(moduli) position top - r + i is below 0, a bead.  Without
-      the drop, (5, 7, 10**400 + 1) would need a 10**400-bit state.
-    - The state of a core whose top is below m belongs to that core alone:
-      position 0 is always a spacer, as no hook length is 0, so the fill
-      below it gives the top, and the bits above it every bead.  Such a state
-      is read directly: caching it would never hit, and wide periodic states
-      hash alike.  A state at or above m is a row of the m-abacus, which many
-      cores share, so its children are read once per walk and cached.
+    - The rule reads only positions top - r + i with r <= m and i < min(moduli): bit i of `mask >> top - r` is
+      position top - r + i, and the smallest modulus clears every i >= min(moduli).  So a core's last m positions,
+      read at width m, give its children.
+    - A dropped modulus clears nothing: every bead is at most the family's largest possible bead B
+      (`_frobenius_bound`), so top <= B + 1, and for r > B + min(moduli) position top - r + i is below 0, a bead.
+      Without the drop, (5, 7, 10**400 + 1) would need a 10**400-bit key.
+    - A key below m is its core's whole mask, so it belongs to that core alone: storing it would never hit, and
+      hashing it costs its width, up to 10**6 bits on (2, 999999, 1000003).  A key m bits wide is a row that many
+      cores share, so `children` stores its children in `rows`, and a walk looks a core up there once its top
+      reaches m, calling `children` on a miss: `rows.get` gives None, as a stored leaf is [].
     """
     low = min(moduli)  # bounds the window, so it is kept even where 1 is a modulus and no bead is possible
     bound = _frobenius_bound(*(_coprime_pair(moduli) or (low, max(moduli)))) + low
     kept = tuple(r for r in moduli if r == low or r <= bound)
     m = max(kept)
+    rows = {}  # key m bits wide -> its children
 
-    def children(state, no_repeat):  # ((i, child state), ...) of a core's state
-        window = _mask_core_window(state, m, kept, no_repeat)
+    def children(key):
+        w = key.bit_length()
+        window = _mask_core_window(key, w, kept, distinct)
         found = []
         while window:
             i = (window & -window).bit_length() - 1
             window &= window - 1
-            found.append((i, (state | 1 << m + i) >> i + 1))
+            child, past = key | 1 << w + i, w + i + 1 - m  # past: its bits below its last m positions
+            found.append((i, child >> past if past > 0 else child))  # a shift by 0 would copy a wide mask
+        if w == m:
+            rows[key] = found
         return found
 
-    cache = {}  # state of a core at or above m -> its children
-    buckets = defaultdict(lambda: ([], []), {0: ([(1 << m) - 1], [()])})  # first part a -> (states, parents)
+    return m, rows, children
+
+
+def _lex_walk(moduli: tuple, distinct: bool) -> list:
+    """Every core of all `moduli` as a `Partition`, in lexicographic part order: `_tree`'s tree by first part.
+
+    Buckets by first part are read in ascending order, each while it grows, so
+    each core is read after every smaller one and lands in its bucket after
+    every smaller core there.  A bucket holds its cores' keys and parents, the
+    member each extends, and builds its members a batch at a time, in one
+    `map` each: first every core the smaller buckets put there, then each
+    batch of repeated first parts (i = 0) that the batch before added.
+    """
+    m, rows, children = _tree(moduli, distinct)
+    buckets = defaultdict(lambda: ([], []), {0: ([0], [()])})  # first part a -> (keys, parents)
     out, a = [], 0
     with _collector_paused():
         while buckets:
-            states, parents = buckets.get(a, ((), ()))
+            keys, parents = buckets.get(a, ((), ()))
             head, done = (a,) if a else (), 0
             while done < len(parents):
                 batch = list(map(Partition._trusted, map(head.__add__, parents[done:])))
-                for state, p in zip(states[done:], batch):
-                    top = a + len(p)
-                    if top >= m:
-                        found = cache.get(state)
-                        if found is None:
-                            found = cache[state] = children(state, distinct)
-                    else:  # the empty core (top 0) adds no part 0
-                        found = children(state, distinct or not top)
+                for key, p in zip(keys[done:], batch):
+                    found = rows.get(key) if a + len(p) >= m else None
+                    if found is None:
+                        found = children(key)
                     for i, child in found:
                         bucket = buckets[a + i]
                         bucket[0].append(child)
@@ -276,21 +270,23 @@ def _lex_walk(moduli: tuple, distinct: bool) -> list:
 
 
 def _masks(moduli: tuple, distinct: bool) -> Iterator[tuple]:
-    """Yield (bead mask, part count n, weight) for every core of all `moduli`: `_lex_walk`'s tree, depth first.
+    """Yield (bead mask, part count n, weight) for every core of all `moduli`: `_tree`'s tree, depth first.
 
-    A stack replaces the buckets and no parts are built, so the cores come in
-    a fixed order that is not lexicographic.  A core that is not an r-core has
-    no r-core above it in the tree, so a modulus prunes whole subtrees.  The tree starts at the empty core.
+    A stack replaces `_lex_walk`'s buckets and no parts are built, so the cores come in a fixed order that is not
+    lexicographic.  A core that is not an r-core has no r-core above it in the tree, so a modulus prunes whole
+    subtrees.  A child whose top is at most m takes its key as its mask, so a wide mask is built once.
     """
-    stack = [(0, 0, 0, 0)]  # (mask, n, weight, first part a): a child prepends the part a + i, adding it to the weight
+    m, rows, children = _tree(moduli, distinct)
+    stack = [(0, 0, 0, 0, 0)]  # (key, mask, n, weight, first part a): a child prepends the part a + i
     while stack:
-        mask, n, weight, a = stack.pop()
+        key, mask, n, weight, a = stack.pop()
         yield mask, n, weight
-        window = _mask_core_window(mask, a + n, moduli, distinct)
-        while window:
-            i = (window & -window).bit_length() - 1
-            window &= window - 1
-            stack.append((mask | 1 << a + n + i, n + 1, weight + a + i, a + i))
+        top = a + n
+        found = rows.get(key) if top >= m else None
+        if found is None:
+            found = children(key)
+        for i, child in found:
+            stack.append((child, child if top + i < m else mask | 1 << top + i, n + 1, weight + a + i, a + i))
 
 
 def _walk_stats(moduli: tuple, distinct: bool, self_conjugate: bool = False, budget=None) -> FamilyStats:

@@ -84,17 +84,21 @@ MUTANTS = [
     Mutant(ENUMERATION, "while done < len(parents):", "if done < len(parents):", (SMALL_PAIR_WALKS,)),
     # each batch of a bucket built from its first parent, repeating the members of the batches before
     Mutant(ENUMERATION, "map(head.__add__, parents[done:])", "map(head.__add__, parents[0:])", (SMALL_PAIR_WALKS,)),
-    # the first-part walk's child state shifted down by i, one position short of the child's top
-    Mutant(ENUMERATION, "(state | 1 << m + i) >> i + 1", "(state | 1 << m + i) >> i", (ROW_READS,), hangs=True),
-    # the first-part walk caching no state of a core whose top is exactly m
-    Mutant(ENUMERATION, "if top >= m:", "if top > m:", (ROW_READS,)),
-    # the first-part walk's empty core admitting a part 0, so bucket 0 never ends
-    Mutant(ENUMERATION, "children(state, distinct or not top)", "children(state, distinct)", (ROW_READS,)),
+    # the tree's child key shifted down one position short of the child's top, so no key above m is a row
+    Mutant(ENUMERATION, "w + i + 1 - m", "w + i - m", (ROW_READS,), hangs=True),
+    # the tree storing no row, so every core at or above m reads the rule again
+    Mutant(ENUMERATION, "if w == m:", "if w > m:", (ROW_READS,)),
+    # the tree's child key switching from mask to row only where it has two bits below its last m positions
+    Mutant(ENUMERATION, "child >> past if past > 0 else child", "child >> past if past > 1 else child", (ROW_READS,)),
+    # the depth-first walk switching from mask to row one position past m: a core with top m is not looked up
+    Mutant(ENUMERATION, "rows.get(key) if top >= m else None", "rows.get(key) if top > m else None", (ROW_READS,)),
+    # a depth-first child whose top passes m taking its key, a row, as its mask where its parent's top is below m
+    Mutant(ENUMERATION, "child if top + i < m else", "child if top < m else", (SMALL_PAIR_WALKS,)),
     # a depth-first child weighing its parent plus i, not plus its first part a + i
     Mutant(ENUMERATION, "weight + a + i", "weight + i", (SMALL_PAIR_WALKS,)),
-    # the child rule admitting a part 0 at the empty core
+    # the child rule admitting a part 0 at the empty core, the root of both walks, so bucket 0 never ends
     Mutant(ABACUS, "window = -2 if distinct or not mask else -1", "window = -2 if distinct else -1",
-           (f"{WALK}::test_child_rule_is_the_core_test",)),
+           (f"{WALK}::test_child_rule_is_the_core_test", ROW_READS)),
     # the walk's visit budget never refusing a walk that visits more cores than it
     Mutant(ENUMERATION, "if next(nodes, None) is not None:", "if False:",
            ("tests/test_enumeration.py::TestMultiCores::test_distinct_walk_visit_budget_boundary",)),
@@ -120,9 +124,13 @@ EQUIVALENTS = [
                "`_runner_paths`' tie branch: on the 627 pair cells and 286 pivot-triple runs searched, the mutant "
                "returned the same (stats, hits); the branch stays because it is what makes `hits == 1` a check"),
     Equivalent(ENUMERATION, "r == low or r <= bound", "r == low or r < bound",
-               "the first-part walk's kept moduli: a modulus of B + min(moduli) is above the largest possible bead B, "
+               "the tree's kept moduli: a modulus of B + min(moduli) is above the largest possible bead B, "
                "so by Sylvester (by Schur without a coprime pair) it lies in the semigroup the moduli generate and "
                "every core of the rest is a core of it; dropping it changes no member"),
+    Equivalent(ENUMERATION, "rows.get(key) if a + len(p) >= m", "rows.get(key) if a + len(p) > m",
+               "the first-part walk's lookup at top m: a core of top m reads its row before any other core that "
+               "shares it, whose top T > m puts the same beads T - m higher above at most T - m - 1 beads (position "
+               "0 is a spacer), so its first part is larger and its bucket is read later; the lookup never hits"),
 ]
 
 

@@ -16,7 +16,7 @@ from coreabacus import abacus as ab
 from coreabacus import cli
 from coreabacus import enumeration as en
 from coreabacus import partitions as pt
-from coreabacus.abacus import _mask_core_window, _mask_is_core, _mask_to_partition
+from coreabacus.abacus import _mask_core_window, _mask_is_core, _mask_is_self_conjugate, _mask_to_partition
 from coreabacus.enumeration import FamilyStats
 from coreabacus.partitions import EMPTY, Partition
 from coreabacus.verification import fib_count, max_weight_formula, staircase_core_count, straub_minus, straub_plus
@@ -55,6 +55,28 @@ def reference_masks(s, t):
         need = sum(1 << c for c in (g - s, g - t) if c in gaps)
         ideals.extend([m | 1 << g for m in ideals if m & need == need])
     return ideals
+
+
+def reference_walk(moduli, distinct):
+    """Yield (mask, n, weight) of every core of all `moduli`, depth first in `en._masks`' order, reading the child
+    rule on each core's whole mask with every modulus and storing nothing, so it shares no row table with the walks
+    it checks; it passes `distinct` at the empty core itself, so a rule that admits a part 0 there leaves it finite."""
+    stack = [(0, 0, 0, 0)]  # (mask, n, weight, first part a)
+    while stack:
+        mask, n, weight, a = stack.pop()
+        yield mask, n, weight
+        window = _mask_core_window(mask, a + n, moduli, distinct or not mask)
+        while window:
+            i = (window & -window).bit_length() - 1
+            window &= window - 1
+            stack.append((mask | 1 << a + n + i, n + 1, weight + a + i, a + i))
+
+
+def reference_stats(nodes, self_conjugate):
+    """FamilyStats folded from (mask, n, weight) `nodes`, keeping the self-conjugate ones if `self_conjugate`."""
+    kept = [(mask, n, weight) for mask, n, weight in nodes if not self_conjugate or _mask_is_self_conjugate(mask, n)]
+    return FamilyStats(len(kept), max((w for _, _, w in kept), default=0), max((n for _, n, _ in kept), default=0),
+                       max((mask for mask, _, _ in kept), default=0).bit_length() - 1)
 
 
 def node_of(p):
@@ -615,15 +637,15 @@ class TestLatticePathStream:
                 assert sorted(stack) == sorted(map(node_of, kept)), (moduli, distinct)
 
     def test_child_rule_is_read_once_per_row(self, monkeypatch):
-        # with m the largest kept modulus, the first-part walk reads the rule once for each core whose top a + n is
-        # below m, and once for each state, the last m positions below the top, among the cores at or above m, read
-        # here off the members' first-column hooks as the depth-first walk yields them; (5, 7, 10^400 + 1) keeps
-        # m = 7, and above m = 61, (3, 400), wide states hash alike.  A walk that builds a member more than the
-        # family holds fails there, so a walk that never ends stops too
+        # with m the largest kept modulus, both walks read the rule once for each core whose top a + n is below m,
+        # and once for each row, the last m positions below the top, among the cores at or above m, read here off
+        # `reference_walk`'s masks; (5, 7, 10^400 + 1) keeps m = 7, and (3, 400) has wide rows.  A first-part walk
+        # that builds a member more than the family holds fails there, and a depth-first one that visits a core
+        # more meets its visit budget, so a walk that never ends stops too
         cells = []
         for moduli, m in [((7, 9), 9), ((7, 13, 15), 15), ((5, 7, 10 ** 400 + 1), 7), ((3, 400), 400)]:
             for distinct in (False, True):
-                masks = [mask for mask, _, _ in en._masks(moduli, distinct)]
+                masks = [mask for mask, _, _ in reference_walk(moduli, distinct)]
                 below = sum(mask.bit_length() < m for mask in masks)  # a core's top is its largest bead plus 1
                 rows = {mask >> mask.bit_length() - m for mask in masks if mask.bit_length() >= m}
                 cells.append((moduli, distinct, sorted(map(_mask_to_partition, masks)), below + len(rows)))
@@ -639,6 +661,9 @@ class TestLatticePathStream:
             calls.clear()
             made = itertools.count()
             assert en._lex_walk(moduli, distinct) == family, (moduli, distinct)
+            assert len(calls) == reads, (moduli, distinct)
+            calls.clear()
+            assert en._walk_stats(moduli, distinct, budget=len(family)).count == len(family), (moduli, distinct)
             assert len(calls) == reads, (moduli, distinct)
 
     def test_child_rule_is_the_core_test(self):
@@ -720,11 +745,16 @@ class TestFamilyRoutes:
         # `_walk_stats`, in both orders for a pair, is the reference for each route that applies: `family_stats`;
         # the built family (`enumerate_multi_cores`, `enumerate_st_cores` in both orders, the filters of the
         # unfiltered build); `_runner_paths` and its hits, of a pair and of a triple; the gap set's closed forms;
-        # and the staircases
+        # and the staircases.  It is held in turn to `reference_walk`, which shares no row table with it: `_masks`
+        # yields that walk's stream in its order, and `_walk_stats` is its fold
         orders = [moduli, moduli[::-1]] if len(moduli) == 2 else [moduli]
         walked, built = {}, {}
+        streams = {distinct: list(reference_walk(moduli, distinct)) for distinct, _ in filter_sets}
+        for distinct, stream in streams.items():
+            assert list(en._masks(moduli, distinct)) == stream, distinct
         for filters in filter_sets:
             walked[filters] = en._walk_stats(moduli, *filters)
+            assert walked[filters] == reference_stats(streams[filters[0]], filters[1]), filters
             assert en._walk_stats(orders[-1], *filters) == walked[filters], filters
             assert en.family_stats(orders[-1], *filters) == walked[filters], filters
         for distinct in (False, True):
