@@ -24,8 +24,7 @@ from pathlib import Path
 
 from .abacus import _mask_to_partition, render_abacus
 from .constructions import _M_FOLDS, CONSTRUCTIONS, _named_rows, build_l, build_named
-from .enumeration import (MASK_MAX_POSITIONS, GuardRailError, _check_rail, enumerate_multi_cores, family_stats,
-                          maximal_st_core)
+from .enumeration import MASK_MAX_POSITIONS, _check_rail, enumerate_multi_cores, family_stats, maximal_st_core
 from .partitions import _moduli
 from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
@@ -64,7 +63,8 @@ def _cached(args) -> tuple[int, str | list]:
     An entry is the source hash, the exit code and the stdout, each of the first two ending in a
     newline, zlib-compressed, in the file of `_cache_dir()` named by the sha256 of the key. The key
     is the parsed arguments but `func` and `no_cache`, `--format` included; `--moduli` is parsed
-    sorted and de-duplicated, so a family has one entry however it is spelled. A hit needs the
+    sorted and de-duplicated, so a family has one entry however it is spelled, and `--grid` is
+    parsed too, so `s=3..4` and ` s = 3..4` share one. A hit needs the
     stored source hash to be `_source_hash()`, and replays the exit code and stdout as stored,
     elapsed times included. Anything else is a miss: an entry from other sources, or an
     unreadable, truncated or damaged one (zlib checks its end and its Adler-32 checksum). The
@@ -111,16 +111,17 @@ def _parse_moduli(text: str) -> tuple:
 
 
 def _parse_grid(text: str) -> dict:
+    """`--grid`'s {parameter: (lo, hi)}, from its k=lo..hi clauses; "" is the claim's default grid."""
     grid = {}
-    for clause in text.split(","):
+    for clause in text.split(",") if text else ():
         try:
             key, span = clause.split("=")
             lo, hi = span.split("..")
             key, bounds = key.strip(), (int(lo), int(hi))
         except ValueError:
-            raise GuardRailError(f"cannot parse grid clause {clause!r}; expected k=lo..hi")
+            raise argparse.ArgumentTypeError(f"cannot parse grid clause {clause!r}; expected k=lo..hi")
         if key in grid:
-            raise GuardRailError(f"grid parameter {key!r} is given more than once in {text!r}")
+            raise argparse.ArgumentTypeError(f"grid parameter {key!r} is given more than once in {text!r}")
         grid[key] = bounds
     return grid
 
@@ -175,7 +176,7 @@ def cmd_enumerate(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    report = verify_claim(args.claim, _parse_grid(args.grid) if args.grid else None)
+    report = verify_claim(args.claim, args.grid)
     code = EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
     if args.format == "json":
         return code, report.to_json() + "\n"
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check a claim against enumeration")
     verify.add_argument("--claim", required=True, choices=CLAIM_IDS)
-    verify.add_argument("--grid", default=None, help="e.g. s=1..10,m=1..3")
+    verify.add_argument("--grid", type=_parse_grid, default=None, help="e.g. s=1..10,m=1..3")
     verify.add_argument("--format", choices=("table", "json"), default="table")
     verify.add_argument("--no-cache", action="store_true")
     verify.set_defaults(func=cmd_verify)

@@ -443,11 +443,19 @@ def filter_self_conjugate(f: CoreFamily) -> CoreFamily:
 
 def enumerate_multi_cores(moduli: Iterable[int], distinct: bool = False, self_conjugate: bool = False) -> CoreFamily:
     """Every core for all of `moduli`, or with `distinct` every one with distinct parts, in lexicographic order;
-    with `self_conjugate`, `filter_self_conjugate` of it, or with `distinct` the `_staircases`; see `_check_build`."""
+    with `self_conjugate`, `filter_self_conjugate` of it, or with `distinct` the staircases.  Refused, before any
+    work, when the build would hold more than `FAMILY_MAX_PARTS` parts, bounded by count x most parts of the family
+    built before `filter_self_conjugate`: read off its route, or on the walk without `distinct` off the smallest
+    coprime pair's closed forms, so the walk walks once."""
     moduli = pt._moduli(moduli)
-    _check_build(moduli, distinct, self_conjugate)
+    route, pair = _route(moduli, distinct, distinct and self_conjugate), _coprime_pair(moduli)
+    count, _, longest, _ = (_closed_form(pair, False, False) if route.name == "walk" and pair and not distinct
+                            else route.stats(moduli, distinct, distinct and self_conjugate))
+    if count * longest > FAMILY_MAX_PARTS:
+        raise GuardRailError(f"moduli {moduli} build up to {count} members of up to {longest} parts, "
+                             f"beyond the guard rail of {FAMILY_MAX_PARTS} parts")
     if distinct and self_conjugate:
-        return CoreFamily(moduli, tuple(map(pt.staircase, range(_staircases(moduli).count))), True, True)
+        return CoreFamily(moduli, tuple(map(pt.staircase, range(count))), True, True)
     family = CoreFamily(moduli, tuple(_lex_walk(moduli, distinct)), distinct)
     return filter_self_conjugate(family) if self_conjugate else family
 
@@ -516,19 +524,20 @@ def _runner_moduli(moduli: tuple, distinct: bool, self_conjugate: bool) -> tuple
 
 
 # A family takes the first route that applies, refused before any work if its cost, in `unit`s (None: uncounted), is
-# beyond its limit; `applies`, `stats` and `cost` take (sorted moduli, distinct, self_conjugate).
+# beyond its limit; `applies`, `stats` and `cost` take (sorted moduli, distinct, self_conjugate).  Every row but the
+# staircases needs gcd 1, which a runner DP shape has, as t = ±1 (mod s).
 _Route = namedtuple("_Route", "name applies stats cost unit limit")
 _ROUTES = (
     _Route("staircases", lambda moduli, distinct, self_conjugate: distinct and self_conjugate, _staircases,
            lambda moduli, *_: 2 * _staircases(moduli).longest_parts.bit_length(), "answer bits", FAMILY_MAX_BITS),
-    _Route("closed form", lambda moduli, distinct, _: not distinct and len(moduli) <= 2, _closed_form,
-           lambda moduli, *_: min(moduli[0] * (st := moduli[0] + moduli[-1]).bit_length(), st), "answer bits",
-           FAMILY_MAX_BITS),
+    _Route("closed form", lambda moduli, distinct, _: not distinct and len(moduli) <= 2 and math.gcd(*moduli) == 1,
+           _closed_form, lambda moduli, *_: min(moduli[0] * (st := moduli[0] + moduli[-1]).bit_length(), st),
+           "answer bits", FAMILY_MAX_BITS),
     _Route("runner DP", lambda *family: _runner_moduli(*family) is not None,
            lambda *family: _runner_paths(*_runner_moduli(*family), distinct=family[1])[0],
            lambda *family: _runner_work(RUNNER_MAX_WORK, *_runner_moduli(*family), distinct=family[1]), "work units",
            RUNNER_MAX_WORK),
-    _Route("walk", lambda *_: True, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
+    _Route("walk", lambda moduli, *_: math.gcd(*moduli) == 1, functools.partial(_walk_stats, budget=FAMILY_MAX_CORES),
            lambda moduli, *_: _frobenius_bound(*(_coprime_pair(moduli) or (moduli[0], moduli[-1]))),
            "possible bead values", MASK_MAX_POSITIONS),
 )
@@ -536,9 +545,9 @@ _ROUTES = (
 
 def _route(moduli: tuple, distinct: bool, self_conjugate: bool) -> _Route:
     """The first of `_ROUTES` that applies to the family of `moduli`, as `pt._moduli` gives them, refused if its cost
-    is beyond its limit, or if the moduli share a factor (so no pair is coprime), as the family may then be infinite."""
-    route = next(row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate))
-    if route.name != "staircases" and math.gcd(*moduli) > 1:
+    is beyond its limit, or if none applies: the moduli then share a factor, and the family may be infinite."""
+    route = next((row for row in _ROUTES if row.applies(moduli, distinct, self_conjugate)), None)
+    if route is None:
         raise ValueError(f"no coprime pair in {moduli}; the family may be infinite")
     if (cost := route.cost(moduli, distinct, self_conjugate)) is None or cost > route.limit:
         raise GuardRailError(f"moduli {moduli} take the {route.name} route, whose {'' if cost is None else f'{cost} '}"
@@ -550,18 +559,6 @@ def family_stats(moduli: Iterable[int], distinct: bool = False, self_conjugate: 
     """The statistics of `enumerate_multi_cores(...)`, with no `Partition` built, from `_route`'s row."""
     moduli = pt._moduli(moduli)
     return _route(moduli, distinct, self_conjugate).stats(moduli, distinct, self_conjugate)
-
-
-def _check_build(moduli: tuple, distinct: bool, self_conjugate: bool) -> None:
-    """Refuse, before any work, a family of sorted `moduli` whose build would hold more than `FAMILY_MAX_PARTS`
-    parts, bounded by count x most parts of the family built before `filter_self_conjugate`: read off its route,
-    or on the walk without `distinct` off the smallest coprime pair's closed forms, so the walk walks once."""
-    route, pair = _route(moduli, distinct, distinct and self_conjugate), _coprime_pair(moduli)
-    count, _, longest, _ = (_closed_form(pair, False, False) if route.name == "walk" and pair and not distinct
-                            else route.stats(moduli, distinct, distinct and self_conjugate))
-    if count * longest > FAMILY_MAX_PARTS:
-        raise GuardRailError(f"moduli {moduli} build up to {count} members of up to {longest} parts, "
-                             f"beyond the guard rail of {FAMILY_MAX_PARTS} parts")
 
 
 def longest_member(f: CoreFamily) -> Partition:

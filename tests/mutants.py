@@ -57,6 +57,9 @@ ROW_READS = f"{WALK}::test_child_rule_is_read_once_per_row"
 NAMED_ROWS = "tests/test_constructions.py::TestNamedLookup::test_rows_and_beads_read_off_s_and_m_match_the_builders"
 SHOW_RAIL = "tests/test_cli.py::TestShow::test_rail_boundary"
 ORACLE = "tests/test_partitions.py::TestAgainstReferences::test_oracle_enumerate_keeps_the_hook_free_members"
+FINITENESS = "tests/test_enumeration.py::TestModuliGate::test_the_finiteness_test_is_the_gcd"
+ROUTE_TABLE = "tests/test_enumeration.py::TestMultiCores::test_route_table"
+AGREES = "tests/test_enumeration.py::TestFamilyRoutes::test_every_route_agrees_with_the_walk"
 CONJUGATE = "tests/test_partitions.py::TestAgainstReferences::test_conjugate_and_self_conjugacy"
 
 MUTANTS = [
@@ -80,6 +83,27 @@ MUTANTS = [
     # the parts rail refusing a family of exactly its limit
     Mutant(ENUMERATION, "if count * longest > FAMILY_MAX_PARTS:", "if count * longest >= FAMILY_MAX_PARTS:",
            ("tests/test_enumeration.py::TestMultiCores::test_parts_rail_boundary",)),
+    # a distinct walk's build railed on its smallest pair's plain closed forms, refusing the distinct (5, 7) at its size
+    Mutant(ENUMERATION, "and pair and not distinct", "and pair",
+           ("tests/test_enumeration.py::TestMultiCores::test_parts_rail_boundary",)),
+    # the closed form taking a pair that shares a factor, which `count_st_cores` refuses in other words
+    Mutant(ENUMERATION, "len(moduli) <= 2 and math.gcd(*moduli) == 1", "len(moduli) <= 2", (FINITENESS,)),
+    # the closed form answering a distinct pair with the counts of every core
+    Mutant(ENUMERATION, "_: not distinct and len(moduli)", "_: len(moduli)", (f"{AGREES}[(5, 7)]",)),
+    # the walk taking moduli that share a factor, whose family it walks until the visit budget refuses it
+    Mutant(ENUMERATION, "lambda moduli, *_: math.gcd(*moduli) == 1, functools", "lambda moduli, *_: True, functools",
+           (FINITENESS,)),
+    # the staircases row needing gcd 1, so (6, 9) with both filters, which no other row takes, is refused
+    Mutant(ENUMERATION, "self_conjugate: distinct and self_conjugate,",
+           "self_conjugate: distinct and self_conjugate and math.gcd(*moduli) == 1,",
+           ("tests/test_enumeration.py::TestMultiCores::test_distinct_self_conjugate_members_are_staircases",)),
+    # the runner DP recognising only the distinct (s, ms + 1) pairs, so (5, 14) is walked
+    Mutant(ENUMERATION, "distinct and t % s in (1, s - 1)", "distinct and t % s in (1,)", (ROUTE_TABLE,)),
+    # the runner DP taking a self-conjugate triple, and counting every core of it
+    Mutant(ENUMERATION, "len(moduli) == 3 and not self_conjugate and", "len(moduli) == 3 and",
+           (f"{AGREES}[(3, 5, 7)]",)),
+    # the triple's residue read as 1 where s = 1, so (1, m - 1, m + 1) is walked
+    Mutant(ENUMERATION, "== 1 % r:", "== 1:", (ROUTE_TABLE,)),
     # the first-part walk reading each bucket once, missing the cores with a repeated first part it added
     Mutant(ENUMERATION, "while done < len(parents):", "if done < len(parents):", (SMALL_PAIR_WALKS,)),
     # each batch of a bucket built from its first parent, repeating the members of the batches before
@@ -127,6 +151,9 @@ EQUIVALENTS = [
                "the tree's kept moduli: a modulus of B + min(moduli) is above the largest possible bead B, "
                "so by Sylvester (by Schur without a coprime pair) it lies in the semigroup the moduli generate and "
                "every core of the rest is a core of it; dropping it changes no member"),
+    Equivalent(ENUMERATION, "len(moduli) == 2 and distinct and t % s", "len(moduli) == 2 and t % s",
+               "the runner DP's pair recognition without `distinct`: the closed form, an earlier row, takes every "
+               "pair of gcd 1 without `distinct`, and a pair of gcd above 1 has no t = ±1 (mod s)"),
     Equivalent(ENUMERATION, "rows.get(key) if a + len(p) >= m", "rows.get(key) if a + len(p) > m",
                "the first-part walk's lookup at top m: a core of top m reads its row before any other core that "
                "shares it, whose top T > m puts the same beads T - m higher above at most T - m - 1 beads (position "

@@ -325,7 +325,7 @@ class TestEnumerateAndCount:
             argv = ["enumerate", "--moduli", ",".join(map(str, moduli)), *flags, "--no-cache", "--format"]
             filters = {"distinct": "--distinct" in flags, "self_conjugate": "--self-conjugate" in flags}
             try:
-                enumeration._check_build(moduli, *filters.values())
+                enumerate_multi_cores(moduli, **filters)
             except enumeration.GuardRailError as exc:
                 for fmt in ("json", "csv", "table"):
                     assert run(capsys, *argv, fmt) == (2, "", f"error: {exc}\n"), (flags, fmt)
@@ -516,6 +516,8 @@ class TestEnumerateAndCount:
         assert cold[0] == 1 and "FAILURES PRESENT" in cold[1]
         monkeypatch.setattr(cli, "verify_claim", None)
         assert run(capsys, *argv) == cold
+        # the key holds the parsed grid, so another spelling of it is the same entry
+        assert run(capsys, "verify", "--claim", "middle", "--grid", " s = 3..4") == cold
 
     def test_cache_ignores_entry_from_other_sources(self, capsys, tmp_path, monkeypatch):
         _, first, _ = run(capsys, "count", "--moduli", "5,14", "--format", "json")
@@ -643,8 +645,8 @@ def test_only_abacus_reads_the_positions_grid():
 
 def test_each_input_contract_is_stated_once():
     # a family's moduli pass `partitions._moduli`, an (s, m) point `constructions._check_s` and `_check_m`, a
-    # runner count `abacus._runner_count` and a bead set `abacus.beadset`, so an entry point calls them rather
-    # than restating a refusal in words of its own
+    # runner count `abacus._runner_count` and a bead set `abacus.beadset`, and a family no route takes is refused
+    # by `enumeration._route`, so an entry point calls them rather than restating a refusal in words of its own
     package = Path(coreabacus.__file__).parent
     raises = [
         (f"{path.name}:{node.lineno}", [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)])
@@ -656,7 +658,8 @@ def test_each_input_contract_is_stated_once():
                           ("moduli must be positive", "partitions.py"),
                           ("s must be at least 1", "constructions.py"), ("m must be at least 1", "constructions.py"),
                           ("runner count must be positive", "abacus.py"),
-                          ("bead positions must be non-negative", "abacus.py")]:
+                          ("bead positions must be non-negative", "abacus.py"),
+                          ("the family may be infinite", "enumeration.py")]:
         stating = [place for place, texts in raises if any(message in str(text) for text in texts)]
         assert len(stating) == 1 and stating[0].startswith(f"{home}:"), (message, stating)
 
@@ -723,13 +726,14 @@ class TestVerify:
             assert claim in err and "t=2..2" in err, claim
 
     def test_bad_grid_syntax(self, capsys):
-        code, _, err = run(capsys, "verify", "--claim", "xiong", "--grid", "nonsense")
+        # argparse reads --grid, so a clause it cannot parse is a usage error
+        code, _, err = outcome(capsys, ["verify", "--claim", "xiong", "--grid", "nonsense"])
         assert code == 2
 
     def test_repeated_grid_parameter_exit_two(self, capsys):
         # a repeated key once kept only its last clause, so s=1..2 went unverified behind exit 0
         for grid in ("s=1..2,s=3..4", "s=3..4, s =3..4", "s=3..4,m=1..2,m=1..3"):
-            code, out, err = run(capsys, "verify", "--claim", "middle", "--grid", grid)
+            code, out, err = outcome(capsys, ["verify", "--claim", "middle", "--grid", grid])
             assert (code, out) == (2, ""), grid
             assert "grid parameter" in err and grid in err, grid
 

@@ -1,6 +1,8 @@
 """Hypothesis round trips: bead set <-> partition <-> abacus, conjugation, mirror axes;
-and the depth-first bead-mask walk on pairs beyond the exhaustive st <= 150 grid."""
+the depth-first bead-mask walk on pairs beyond the exhaustive st <= 150 grid; and every
+route of a family held to the walk on drawn sets of moduli."""
 
+import itertools
 import math
 
 import pytest
@@ -25,6 +27,40 @@ large_pairs = st.sampled_from([
     (s, t) for s in range(2, 201) for t in range(s + 1, 201)
     if math.gcd(s, t) == 1 and s * t > 150 and en.count_st_cores(s, t) <= 20_000
 ])
+
+
+def _family_sets():
+    """Lists of sets of 1-4 moduli from 1..40 that the walk ends on: for each number of moduli, those whose smallest
+    coprime pair has at most 3,000 cores; those with gcd 1 but no coprime pair, as (6, 10, 15), whose Schur bound on
+    the largest bead is at most 125 (at most 4,203 cores); and those of gcd above 1 with an odd modulus, whose
+    families with distinct parts and self-conjugate only the staircases row answers."""
+    paired, pairless, shared = ([], [], [], []), [], []
+    for k in range(1, 5):
+        for moduli in itertools.combinations(range(1, 41), k):
+            pair = en._coprime_pair(moduli)
+            if pair:
+                if math.comb(sum(pair), pair[0]) <= 3000 * sum(pair):  # Anderson's count, at most 3,000
+                    paired[k - 1].append(moduli)
+            elif math.gcd(*moduli) == 1:
+                if en._frobenius_bound(moduli[0], moduli[-1]) <= 125:
+                    pairless.append(moduli)
+            elif any(r % 2 for r in moduli):
+                shared.append(moduli)
+    return paired, pairless, shared
+
+
+# each list sampled, not filtered, as `large_pairs` is, so a list of few sets, such as the pairs among the 42,996 sets
+# with a small coprime pair, is drawn as often as the rest; the last list only under both filters
+paired, pairless, shared = _family_sets()
+filter_sets = st.tuples(st.booleans(), st.booleans())
+family_cells = st.one_of(*(st.tuples(st.sampled_from(sets), filter_sets) for sets in [*paired, pairless]),
+                         st.tuples(st.sampled_from(shared), st.just((True, True))))
+
+
+def stats_of(members):
+    """`FamilyStats` read off members; a member's largest bead is its largest first-column hook."""
+    return en.FamilyStats(len(members), max(map(sum, members), default=0), max(map(len, members), default=0),
+                          max((p[0] + len(p) for p in members if p), default=0) - 1)
 
 
 def symmetrize(p):
@@ -82,3 +118,21 @@ def test_bead_mask_stream_beyond_exhaustive_grid(pair, swap):
         for r in (s, t):
             assert all(b - r in beads for b in beads if b >= r), (sorted(beads), r)
     assert list(en._masks((s, t), True)) == [x for x in stream if not x[0] & x[0] >> 1]
+
+
+@settings
+@hypothesis.given(family_cells)
+def test_every_route_agrees_with_the_walk_on_drawn_families(cell):
+    # `family_stats`, the built family and, within its weight rail, the filtered hook oracle all equal the walk.
+    # Where the moduli share a factor the walk does not end; every staircase is a 2-core, so the walk of the moduli
+    # and 2 keeps the staircases the family holds, and within its rail the oracle checks that it holds no other
+    moduli, (distinct, self_conjugate) = cell
+    walked = en._walk_stats(moduli if math.gcd(*moduli) == 1 else tuple(sorted(moduli + (2,))), distinct,
+                            self_conjugate)
+    assert en.family_stats(moduli, distinct, self_conjugate) == walked
+    family = en.enumerate_multi_cores(moduli, distinct, self_conjugate)
+    assert stats_of(family.members) == walked
+    if walked.max_weight <= en.ORACLE_MAX_WEIGHT:
+        swept = en.oracle_enumerate(moduli, walked.max_weight)
+        swept = en.filter_distinct(swept) if distinct else swept
+        assert (en.filter_self_conjugate(swept) if self_conjugate else swept).members == family.members
