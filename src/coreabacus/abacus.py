@@ -3,7 +3,8 @@
 Internally a bead set is a bitmask whose bit b is bead b, and each bead rule
 is stated once, on masks (the first-part walk's child rule, `_mask_core_window`,
 too); an `Abacus` is a runner count and such a mask.  Frozensets and the (i, j)
-grids of `positions` are adapters at the public edge (`_beads_mask`, `from_abacus`).
+grids of `positions` are adapters at the public edge (`_beads_mask`, `from_abacus`),
+and `_partition_mask` is the one conversion from a partition to its minimal bead mask.
 """
 
 from __future__ import annotations
@@ -104,19 +105,22 @@ def beadset_to_partition(x: BeadSet) -> Partition:
     return _mask_to_partition(_beads_mask(x))
 
 
+_DIGIT_PATH_BEADS = 64  # from this many beads on, a mask is written as binary digits, not ORed a bead at a time
+
+
 def _beads_mask(x: Iterable[int]) -> int:
     """The bitmask of a bead set: bit b is set iff b is a bead.
 
-    Below 64 beads each one is ORed in.  Each OR copies the growing mask, so
-    the cost is beads times the largest bead; from 64 beads on they are
-    written as binary digits instead, one pass over the largest bead.  Either
-    path fails on a negative bead b, `1 << b` and the digit index past the
-    top, at no cost to the rest, and `beadset` then refuses it by name.
+    Below `_DIGIT_PATH_BEADS` beads each one is ORed in.  Each OR copies the
+    growing mask, so the cost is beads times the largest bead; from there on
+    they are written as binary digits instead, one pass over the largest bead.
+    Either path fails on a negative bead b, `1 << b` and the digit index past
+    the top, at no cost to the rest, and `beadset` then refuses it by name.
     """
     if not hasattr(x, "__len__"):  # an iterator: read it once
         x = list(x)
     try:
-        if len(x) < 64:
+        if len(x) < _DIGIT_PATH_BEADS:
             mask = 0
             for b in x:
                 mask |= 1 << b
@@ -129,6 +133,24 @@ def _beads_mask(x: Iterable[int]) -> int:
     except (ValueError, IndexError):
         beadset(x)
         raise
+
+
+def _partition_mask(p: Partition) -> int:
+    """The minimal bead mask of p, bit b set iff b is a first-column hook: the one partition -> mask conversion.
+
+    Part i's bead is the part plus the rows below it.  Below `_DIGIT_PATH_BEADS`
+    parts each bead is ORed in, with no iterator or list built; from there on
+    the ORs would cost parts times the largest bead, so the beads go to
+    `_beads_mask`'s digit path.
+    """
+    below = len(p)
+    if below >= _DIGIT_PATH_BEADS:
+        return _beads_mask(_first_column(p))
+    mask = 0
+    for part in p:
+        below -= 1
+        mask |= 1 << part + below
+    return mask
 
 
 def _mask_to_partition(mask: int) -> Partition:
@@ -205,13 +227,13 @@ def is_core_abacus(a: Abacus) -> bool:
 
 def is_t_core(p: Partition, t: int) -> bool:
     """True iff p has no hook of length t, read off its minimal bead set."""
-    return _mask_is_core(_beads_mask(_first_column(p)), _runner_count(t))
+    return _mask_is_core(_partition_mask(p), _runner_count(t))
 
 
 def is_simultaneous_core(p: Partition, ts: Iterable[int]) -> bool:
     """True iff p is a t-core for every t in `ts`, read off one minimal bead mask."""
     moduli = _moduli(ts)
-    mask = _beads_mask(_first_column(p))
+    mask = _partition_mask(p)
     return all(_mask_is_core(mask, t) for t in moduli)
 
 

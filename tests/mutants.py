@@ -61,6 +61,7 @@ FINITENESS = "tests/test_enumeration.py::TestModuliGate::test_the_finiteness_tes
 ROUTE_TABLE = "tests/test_enumeration.py::TestMultiCores::test_route_table"
 AGREES = "tests/test_enumeration.py::TestFamilyRoutes::test_every_route_agrees_with_the_walk"
 CONJUGATE = "tests/test_partitions.py::TestAgainstReferences::test_conjugate_and_self_conjugacy"
+PARTITION_MASK = "tests/test_abacus.py::TestPartitionMask"
 
 MUTANTS = [
     # the block table: A becomes the pyramid C0, and B1 loses its k
@@ -138,6 +139,13 @@ MUTANTS = [
     Mutant(PARTITIONS, "accumulate(reversed(counts))", "accumulate(counts)", (CONJUGATE,)),
     # the conjugate counting part v at index v, not v - 1
     Mutant(PARTITIONS, "counts[part - 1] += 1", "counts[part] += 1", (CONJUGATE,)),
+    # a partition's bead mask with `below` counted down after each OR, so every bead sits one position high
+    Mutant(ABACUS, "        below -= 1\n        mask |= 1 << part + below\n",
+           "        mask |= 1 << part + below\n        below -= 1\n",
+           (f"{PARTITION_MASK}::test_is_the_mask_of_the_first_column_hooks",)),
+    # a partition's bead mask ORed a bead at a time at every length, quadratic in a long partition
+    Mutant(ABACUS, "if below >= _DIGIT_PATH_BEADS:", "if False:",
+           (f"{PARTITION_MASK}::test_from_64_parts_the_beads_take_the_digit_path",)),
     # an m-fold at m = 1 building the body it copies zero times
     Mutant(CONSTRUCTIONS, "_M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2", "_M_FOLDS[name]",
            ("tests/test_constructions.py::TestNamedLookup::test_each_distinct_block_is_built_once",)),

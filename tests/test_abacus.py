@@ -355,6 +355,38 @@ class TestBeadsMask:
         assert ab._beads_mask(iter([])) == 0
 
 
+def long_partitions():
+    """Partitions of 63, 64 and 65 parts: either side of `_partition_mask`'s switch to the digit path, and on it."""
+    for n in (63, 64, 65):
+        yield P(*[1] * n)
+        yield pt.staircase(n)
+        yield P(200, *[7] * (n - 3), 2, 1)
+
+
+class TestPartitionMask:
+    def test_is_the_mask_of_the_first_column_hooks(self):
+        for p in [*pt.partitions_up_to(30), *long_partitions()]:
+            assert ab._partition_mask(p) == ab._beads_mask(pt.first_column_hooks(p)), p
+
+    def test_from_64_parts_the_beads_take_the_digit_path(self, monkeypatch):
+        # the OR loop copies the growing mask at each part, quadratic in a long partition; `_beads_mask` writes
+        # 64 or more beads as binary digits
+        calls, beads_mask = [], ab._beads_mask
+
+        def spy(x):
+            x = list(x)
+            calls.append(len(x))
+            return beads_mask(x)
+
+        monkeypatch.setattr(ab, "_beads_mask", spy)
+        for p in long_partitions():
+            hooks = set(pt.hook_length_multiset(p))
+            calls.clear()
+            assert ab.is_t_core(p, 2) == (2 not in hooks), p
+            assert ab.is_simultaneous_core(p, (3, 5)) == hooks.isdisjoint({3, 5}), p
+            assert calls == ([] if len(p) < 64 else [len(p)] * 2), (len(p), calls)
+
+
 class TestRendering:
     def test_single_row(self):
         a = ab.to_abacus(frozenset({1, 3}), 4)
