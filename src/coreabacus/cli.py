@@ -8,30 +8,54 @@ prints the text once. `count`, `enumerate` and `verify` run through a cache
 that replays the exit code and stdout an earlier run stored for the same
 arguments.
 
-`build_parser` builds the parser once per process; every `main` call shares it.
+`build_parser` builds the parser once per process; every `main` call shares it. It needs only
+`partitions`: each library name a command calls is imported on its first access or first command, so a
+run loads the modules its command uses, and a cache hit none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
+import importlib
 import json
 import os
 import sys
 import zlib
 from pathlib import Path
 
-from .abacus import _mask_to_partition, render_abacus
-from .constructions import _M_FOLDS, CONSTRUCTIONS, _named_rows, build_l, build_named
-from .enumeration import MASK_MAX_POSITIONS, _check_rail, enumerate_multi_cores, family_stats, maximal_st_core
 from .partitions import _moduli
-from .verification import CLAIM_IDS, _triple_moduli, verify_claim
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# submodule -> the names of it the commands call, each bound here by `_load` on its first access or first command
+_LIBRARY = {
+    "abacus": ("_mask_to_partition", "render_abacus"),
+    "constructions": ("_M_FOLDS", "_named_rows", "_triple_moduli", "build_l", "build_named"),
+    "enumeration": ("MASK_MAX_POSITIONS", "_check_rail", "enumerate_multi_cores", "family_stats", "maximal_st_core"),
+    "verification": ("verify_claim",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import `modules` and bind their `_LIBRARY` names here; a name already bound, as by a test or a tracer that
+    replaced it, keeps its value, which is what the commands then call."""
+    for module in modules:
+        library = importlib.import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    """A `_LIBRARY` name not bound yet, loaded with its module's (PEP 562)."""
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +73,8 @@ def _cache_dir() -> Path:
 @functools.cache
 def _source_hash() -> str:
     """sha256 of the package's sources, guard rails included, so no entry outlives the code that wrote it."""
+    import hashlib  # the cache's alone: a command run without it never imports it
+
     package = Path(__file__).parent
     digest = hashlib.sha256()
     for path in sorted(package.glob("*.py")):
@@ -73,6 +99,8 @@ def _cached(args) -> tuple[int, str | list]:
     """
     if args.no_cache:
         return args.func(args)
+    import hashlib
+
     key = json.dumps({k: v for k, v in vars(args).items() if k not in ("func", "no_cache")}, sort_keys=True)
     path = _cache_dir() / hashlib.sha256(key.encode()).hexdigest()
     try:
@@ -127,7 +155,9 @@ def _parse_grid(text: str) -> dict:
 
 
 def _check_cells(name: str, s: int, m: int, rows: int | None = None) -> str:
-    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, and return its label."""
+    """Rail the runners x rows of the abacus `name`, its own rows or `rows` if more, and return its label;
+    `_named_rows` refuses a name that is no construction's before the rail counts anything."""
+    _load("constructions", "enumeration")
     label = f"{name}(s={s}" + (f", m={m}" if name in _M_FOLDS else "") + ")"
     inputs = [("s", s)] + [("--rows", rows)] * (rows is not None) + [("m", m)] * (name in _M_FOLDS)
     _check_rail(lambda v: v["s"] * v.get("m", 1) * max(v.get("--rows", 0), _named_rows(name, v["s"], v.get("m", 1)), 1),
@@ -136,6 +166,7 @@ def _check_cells(name: str, s: int, m: int, rows: int | None = None) -> str:
 
 
 def cmd_show(args) -> tuple[int, str]:
+    _load("abacus", "constructions")
     label = _check_cells(args.name, args.s, args.m, args.rows)
     abacus = build_named(args.name, args.s, args.m)
     grid = render_abacus(abacus, rows=args.rows)
@@ -145,6 +176,7 @@ def cmd_show(args) -> tuple[int, str]:
 def cmd_enumerate(args) -> tuple[int, str]:
     """The family's text; `count` reads `family_stats`, and `enumerate` builds the members and
     reads the count, largest weight and most parts off them, except for csv, which prints none."""
+    _load("enumeration")
     moduli = args.moduli
     filters = {"distinct": args.distinct, "self_conjugate": args.self_conjugate}
     members = None
@@ -176,6 +208,7 @@ def cmd_enumerate(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    _load("verification")
     report = verify_claim(args.claim, args.grid)
     code = EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
     if args.format == "json":
@@ -192,6 +225,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_maximal(args) -> tuple[int, str]:
+    _load("enumeration")
     p = maximal_st_core(args.s, args.t)
     if args.format == "json":
         return EXIT_OK, json.dumps({"s": args.s, "t": args.t, "partition": list(p),
@@ -200,6 +234,7 @@ def cmd_maximal(args) -> tuple[int, str]:
 
 
 def cmd_longest(args) -> tuple[int, str]:
+    _load("abacus", "constructions")
     _check_cells("L", args.s, args.m)
     p = _mask_to_partition(build_l(args.s, args.m).mask)
     if args.format == "json":
@@ -217,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser("show", help="render a named construction as an ASCII abacus")
-    show.add_argument("name", choices=CONSTRUCTIONS)
+    show.add_argument("name", help="e.g. A, B0 or L; an unknown name is refused with the list")
     show.add_argument("--s", type=int, required=True)
     show.add_argument("--m", type=int, default=1)
     show.add_argument("--rows", type=int, default=None)
@@ -233,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=cmd_enumerate)
 
     verify = sub.add_parser("verify", help="check a claim against enumeration")
-    verify.add_argument("--claim", required=True, choices=CLAIM_IDS)
+    verify.add_argument("--claim", required=True, help="e.g. xiong; an unknown claim is refused with the list")
     verify.add_argument("--grid", type=_parse_grid, default=None, help="e.g. s=1..10,m=1..3")
     verify.add_argument("--format", choices=("table", "json"), default="table")
     verify.add_argument("--no-cache", action="store_true")

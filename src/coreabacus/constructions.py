@@ -102,6 +102,11 @@ def build_l(s: int, m: int) -> Abacus:
     return build_named("L", s, m)
 
 
+def _triple_moduli(s: int, m: int) -> tuple:
+    """The moduli (s, ms - 1, ms + 1) of the core L(s, m) carries, less any below 1."""
+    return tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
+
+
 def _m_fold(m: int, body: Abacus, last: Abacus) -> Abacus:
     """Wedge of m - 1 copies of body, then last: one run of body and one of last."""
     _check_m(m)
@@ -164,18 +169,24 @@ def build_named(name: str, s: int, m: int = 1) -> Abacus:
         body, last = _M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2  # m = 1 copies its body zero times
         built = {block: build_named(block, s) for block in {body, last}}  # each distinct block once
         return _m_fold(m, built[body], built[last])
-    if name not in _BLOCKS:
-        raise ValueError(f"unknown construction {name!r}; expected one of {CONSTRUCTIONS}")
+    k, lo_step, hi_step = _block(name)
     _check_s(s)
-    k, lo_step, hi_step = _BLOCKS[name]
     return _interval_rows(s, 1, s - 1 - k, lo_step, hi_step)
 
 
 def _named_rows(name: str, s: int, m: int) -> int:
     """Rows `build_named(name, s, m)` occupies, from s and m alone: a block's row j is non-empty while
     j*(lo_step + hi_step) <= s - 2 - k, and an m-fold has its last block's rows at m = 1, else its body's, no fewer."""
-    k, lo_step, hi_step = _BLOCKS[_M_FOLDS.get(name, (name, name))[m == 1]]
+    k, lo_step, hi_step = _block(_M_FOLDS.get(name, (name, name))[m == 1])
     return max((s - 2 - k) // (lo_step + hi_step) + 1, 0)
+
+
+def _block(name: str) -> tuple:
+    """`_BLOCKS[name]`: the one refusal of a name that is no construction's, as an m-fold's name reaches here
+    only as its blocks'."""
+    if name not in _BLOCKS:
+        raise ValueError(f"unknown construction {name!r}; expected one of {CONSTRUCTIONS}")
+    return _BLOCKS[name]
 
 
 def _k_name(letter: str, s: int, k: int) -> str:

@@ -28,6 +28,7 @@ from .abacus import _mask_to_partition
 from .constructions import (
     _check_m,
     _check_s,
+    _triple_moduli,
     build_e_minus,
     build_e_plus,
     build_l,
@@ -351,10 +352,6 @@ def _self_conjugate_distinct(lo: int, hi: int) -> set:
 def _claim_two_conj(grid: dict) -> Iterator[Cell]:
     mismatches = len(_two_cores(*grid["w"]) ^ _self_conjugate_distinct(*grid["w"]))
     yield Cell({"w": grid["w"][1]}, 0, mismatches, mismatches == 0)
-
-
-def _triple_moduli(s: int, m: int) -> tuple:
-    return tuple(t for t in (s, m * s - 1, m * s + 1) if t >= 1)
 
 
 def _berger_cell(params: dict, m: int, s: int, _) -> Cell:

@@ -48,8 +48,8 @@ class Equivalent(NamedTuple):
     reason: str
 
 
-CONSTRUCTIONS, ENUMERATION, ABACUS, PARTITIONS = (
-    f"src/coreabacus/{m}.py" for m in ("constructions", "enumeration", "abacus", "partitions"))
+CONSTRUCTIONS, ENUMERATION, ABACUS, PARTITIONS, CLI = (
+    f"src/coreabacus/{m}.py" for m in ("constructions", "enumeration", "abacus", "partitions", "cli"))
 ROWS = "tests/test_constructions.py::TestRowsMatchTheCellByCellRoute"
 WALK = "tests/test_enumeration.py::TestLatticePathStream"
 SMALL_PAIR_WALKS = f"{WALK}::test_small_pair_walks"
@@ -149,6 +149,16 @@ MUTANTS = [
     # an m-fold at m = 1 building the body it copies zero times
     Mutant(CONSTRUCTIONS, "_M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2", "_M_FOLDS[name]",
            ("tests/test_constructions.py::TestNamedLookup::test_each_distinct_block_is_built_once",)),
+    # the deferred load of `cli`'s library names overwriting a name a tracer or a test assigned before it
+    Mutant(CLI, "globals().setdefault(name, getattr(library, name))", "globals()[name] = getattr(library, name)",
+           ("tests/test_cli.py::test_a_name_assigned_before_its_load_is_what_the_command_calls",)),
+    # `cli` importing `verification` with the parser, so every run compiles it
+    Mutant(CLI, "from .partitions import _moduli\n", "from .partitions import _moduli\nfrom . import verification\n",
+           ("tests/test_cli.py::test_parser_start_imports_no_introspection_modules",
+            "tests/test_cli.py::test_a_command_imports_only_its_modules")),
+    # no refusal of an unknown construction name: `show` reads it from the block table, a KeyError and exit 1
+    Mutant(CONSTRUCTIONS, "    if name not in _BLOCKS:\n        raise", "    if False:\n        raise",
+           ("tests/test_cli.py::test_an_unknown_name_is_refused_by_the_library",)),
 ]
 
 EQUIVALENTS = [

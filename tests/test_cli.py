@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from coreabacus import abacus, cli, enumeration
 from coreabacus.cli import main
 from coreabacus.enumeration import enumerate_multi_cores, longest_member
 from coreabacus.partitions import Partition
-from coreabacus.verification import _triple_moduli, max_weight_formula
+from coreabacus.verification import CLAIM_IDS, _triple_moduli, max_weight_formula
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -615,13 +616,79 @@ def test_package_states_invariants_without_assert():
     assert asserts == []
 
 
+COMPUTE_MODULES = [f"coreabacus.{m}" for m in ("abacus", "constructions", "enumeration", "verification")]
+
+
+def loaded(code, modules, cache=None):
+    """The `modules` a fresh interpreter holds after running `code`, which sees `coreabacus` and the `cache`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(coreabacus.__file__).parent.parent))
+    if cache is not None:
+        env["COREABACUS_CACHE"] = str(cache)
+    code += f"; import json, sys; print(json.dumps(sorted(set({modules!r}) & sys.modules.keys())))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_parser_start_imports_no_introspection_modules():
-    # every `cores` run pays the parser's imports; `dataclasses` alone pulls in `inspect`, `ast` and `dis`
-    code = ("import sys, coreabacus.cli as c; c.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & sys.modules.keys()))")
+    # every `cores` run pays the parser's imports, compiled anew where bytecode is not written: the parser needs only
+    # `partitions`, and `dataclasses` alone would pull in `inspect`, `ast` and `dis`
+    assert loaded("import coreabacus.cli as c; c.build_parser()",
+                  ["dataclasses", "inspect", "ast", "hashlib", *COMPUTE_MODULES]) == []
+
+
+def test_a_command_imports_only_its_modules(tmp_path):
+    # show never imports verification; a verify hit replays its entry without importing any module that computes
+    run = "import coreabacus.cli as c; c.main({})".format
+    assert loaded(run(["show", "A", "--s", "5"]), COMPUTE_MODULES) == COMPUTE_MODULES[:3]
+    argv = ["verify", "--claim", "xiong", "--grid", "s=1..3"]
+    assert loaded(run(argv), COMPUTE_MODULES, tmp_path) == COMPUTE_MODULES
+    assert loaded(run(argv), COMPUTE_MODULES + ["hashlib"], tmp_path) == ["hashlib"]
+
+
+def test_a_name_assigned_before_its_load_is_what_the_command_calls():
+    # a tracer or a test may replace a library name of `cli` before any command has imported it
+    code = ("import coreabacus.cli as c, coreabacus.verification as v\n"
+            "def traced(claim, grid=None):\n"
+            "    print('traced', claim)\n"
+            "    return v.verify_claim(claim, grid)\n"
+            "c.verify_claim = traced\n"
+            "c.main(['verify', '--claim', 'xiong', '--grid', 's=1..3', '--no-cache'])")
     env = dict(os.environ, PYTHONPATH=str(Path(coreabacus.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert out.stdout.startswith("traced xiong\nclaim: xiong\n") and "all cells pass" in out.stdout
+
+
+def test_lazy_exports_are_their_submodules_objects():
+    # each exported name is imported from its submodule on first access, and is that submodule's object
+    assert len(coreabacus.__all__) == len(set(coreabacus.__all__)) == 68
+    for name in coreabacus.__all__:
+        module = importlib.import_module(f"coreabacus.{coreabacus._EXPORTS[name]}")
+        assert getattr(coreabacus, name) is getattr(module, name), name
+    assert set(coreabacus.__all__) <= set(dir(coreabacus)) and "enumeration" in dir(coreabacus)
+    assert isinstance(coreabacus.__version__, str)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        coreabacus.nonexistent  # noqa: B018
+    with pytest.raises(ImportError):
+        from coreabacus import nonexistent  # noqa: F401
+    # importing the package imports no submodule; a name imports its own, and a submodule imports as one
+    assert loaded("import coreabacus", COMPUTE_MODULES + ["coreabacus.partitions"]) == []
+    assert loaded("from coreabacus import Partition", COMPUTE_MODULES) == []
+    assert loaded("from coreabacus import GapPoset", COMPUTE_MODULES) == ["coreabacus.abacus", "coreabacus.enumeration"]
+    assert loaded("import coreabacus; coreabacus.abacus", COMPUTE_MODULES) == ["coreabacus.abacus"]
+
+
+@pytest.mark.parametrize("argv, refusal, names", [
+    (["show", "Z", "--s", "5"], "unknown construction 'Z'", ("A", "B0", "B1", "C0", "C1", "E-", "E+", "L")),
+    (["show", "Z", "--s", "10" * 2000], "unknown construction 'Z'", ("A", "L")),
+    (["verify", "--claim", "bogus"], "unknown claim 'bogus'", CLAIM_IDS),
+])
+def test_an_unknown_name_is_refused_by_the_library(capsys, tmp_path, argv, refusal, names):
+    # the parser takes any name; the construction table and the claim table are the one gate, and their refusal
+    # is a usage error that names every valid value and stores nothing
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith(f"error: {refusal}; expected one of ("), err
+    assert all(repr(name) in err for name in names), err
+    assert not (tmp_path / "cache").exists() or list((tmp_path / "cache").iterdir()) == []
 
 
 def test_only_abacus_reads_the_positions_grid():
@@ -659,7 +726,8 @@ def test_each_input_contract_is_stated_once():
                           ("s must be at least 1", "constructions.py"), ("m must be at least 1", "constructions.py"),
                           ("runner count must be positive", "abacus.py"),
                           ("bead positions must be non-negative", "abacus.py"),
-                          ("the family may be infinite", "enumeration.py")]:
+                          ("the family may be infinite", "enumeration.py"),
+                          ("unknown construction", "constructions.py"), ("unknown claim", "verification.py")]:
         stating = [place for place, texts in raises if any(message in str(text) for text in texts)]
         assert len(stating) == 1 and stating[0].startswith(f"{home}:"), (message, stating)
 
