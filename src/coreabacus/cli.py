@@ -8,9 +8,9 @@ prints the text once. `count`, `enumerate` and `verify` run through a cache
 that replays the exit code and stdout an earlier run stored for the same
 arguments.
 
-`build_parser` builds the parser once per process; every `main` call shares it. It needs only
-`partitions`: each library name a command calls is imported on its first access or first command, so a
-run loads the modules its command uses, and a cache hit none of them.
+`build_parser` builds the parser once per process; every `main` call shares it. It imports no module
+of the library: each library name the parser or a command calls is imported on its first access or first
+use, so a run imports the modules its command uses, and a cache hit none but the one `--moduli` needs.
 """
 
 from __future__ import annotations
@@ -24,15 +24,14 @@ import sys
 import zlib
 from pathlib import Path
 
-from .partitions import _moduli
-
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# submodule -> the names of it the commands call, each bound here by `_load` on its first access or first command
+# submodule -> the names of it the parser and the commands call, each bound here by `_load` on its first access or use
 _LIBRARY = {
+    "partitions": ("_moduli",),
     "abacus": ("_mask_to_partition", "render_abacus"),
     "constructions": ("_M_FOLDS", "_named_rows", "_triple_moduli", "build_l", "build_named"),
     "enumeration": ("MASK_MAX_POSITIONS", "_check_rail", "enumerate_multi_cores", "family_stats", "maximal_st_core"),
@@ -132,6 +131,7 @@ def _parse_moduli(text: str) -> tuple:
         values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse moduli {text!r}")
+    _load("partitions")
     try:
         return _moduli(values)
     except ValueError as exc:

@@ -153,7 +153,7 @@ MUTANTS = [
     Mutant(CLI, "globals().setdefault(name, getattr(library, name))", "globals()[name] = getattr(library, name)",
            ("tests/test_cli.py::test_a_name_assigned_before_its_load_is_what_the_command_calls",)),
     # `cli` importing `verification` with the parser, so every run compiles it
-    Mutant(CLI, "from .partitions import _moduli\n", "from .partitions import _moduli\nfrom . import verification\n",
+    Mutant(CLI, "from pathlib import Path\n", "from pathlib import Path\n\nfrom . import verification\n",
            ("tests/test_cli.py::test_parser_start_imports_no_introspection_modules",
             "tests/test_cli.py::test_a_command_imports_only_its_modules")),
     # no refusal of an unknown construction name: `show` reads it from the block table, a KeyError and exit 1
