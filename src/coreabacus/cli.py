@@ -41,11 +41,13 @@ _LIBRARY = {
 
 def _load(*modules: str) -> None:
     """Import `modules` and bind their `_LIBRARY` names here; a name already bound, as by a test or a tracer that
-    replaced it, keeps its value, which is what the commands then call."""
+    replaced it, keeps its value, which is what the commands then call. A module whose names are all bound is not
+    looked up again, so a command run again in the same process pays about 1 us here."""
     for module in modules:
-        library = importlib.import_module(f".{module}", __package__)
-        for name in _LIBRARY[module]:
-            globals().setdefault(name, getattr(library, name))
+        unbound = [name for name in _LIBRARY[module] if name not in globals()]
+        if unbound:
+            library = importlib.import_module(f".{module}", __package__)
+            globals().update((name, getattr(library, name)) for name in unbound)
 
 
 def __getattr__(name: str):

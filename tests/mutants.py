@@ -150,7 +150,7 @@ MUTANTS = [
     Mutant(CONSTRUCTIONS, "_M_FOLDS[name] if m > 1 else _M_FOLDS[name][1:] * 2", "_M_FOLDS[name]",
            ("tests/test_constructions.py::TestNamedLookup::test_each_distinct_block_is_built_once",)),
     # the deferred load of `cli`'s library names overwriting a name a tracer or a test assigned before it
-    Mutant(CLI, "globals().setdefault(name, getattr(library, name))", "globals()[name] = getattr(library, name)",
+    Mutant(CLI, "for name in _LIBRARY[module] if name not in globals()]", "for name in _LIBRARY[module]]",
            ("tests/test_cli.py::test_a_name_assigned_before_its_load_is_what_the_command_calls",)),
     # `cli` importing `verification` with the parser, so every run compiles it
     Mutant(CLI, "from pathlib import Path\n", "from pathlib import Path\n\nfrom . import verification\n",
