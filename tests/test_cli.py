@@ -619,14 +619,19 @@ def test_package_states_invariants_without_assert():
 COMPUTE_MODULES = [f"coreabacus.{m}" for m in ("abacus", "constructions", "enumeration", "verification")]
 
 
-def loaded(code, modules, cache=None):
-    """The `modules` a fresh interpreter holds after running `code`, which sees `coreabacus` and the `cache`."""
+def fresh(code, cache=None) -> str:
+    """The stdout of `code` run in a fresh interpreter that sees `coreabacus` and the `cache`."""
     env = dict(os.environ, PYTHONPATH=str(Path(coreabacus.__file__).parent.parent))
     if cache is not None:
         env["COREABACUS_CACHE"] = str(cache)
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def loaded(code, modules, cache=None):
+    """The `modules` a fresh interpreter holds after running `code`."""
     code += f"; import json, sys; print(json.dumps(sorted(set({modules!r}) & sys.modules.keys())))"
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    return json.loads(fresh(code, cache).splitlines()[-1])
 
 
 def test_parser_start_imports_no_introspection_modules():
@@ -653,9 +658,8 @@ def test_a_name_assigned_before_its_load_is_what_the_command_calls():
             "    return v.verify_claim(claim, grid)\n"
             "c.verify_claim = traced\n"
             "c.main(['verify', '--claim', 'xiong', '--grid', 's=1..3', '--no-cache'])")
-    env = dict(os.environ, PYTHONPATH=str(Path(coreabacus.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.startswith("traced xiong\nclaim: xiong\n") and "all cells pass" in out.stdout
+    out = fresh(code)
+    assert out.startswith("traced xiong\nclaim: xiong\n") and "all cells pass" in out
 
 
 def test_lazy_exports_are_their_submodules_objects():
