@@ -182,8 +182,8 @@ def _named_rows(name: str, s: int, m: int) -> int:
 
 
 def _block(name: str) -> tuple:
-    """`_BLOCKS[name]`: the one refusal of a name that is no construction's, as an m-fold's name reaches here
-    only as its blocks'."""
+    """`_BLOCKS[name]`, refusing a name that is no construction's: the one check of a construction name, as
+    `build_named` and `_named_rows` pass an m-fold here only as its blocks."""
     if name not in _BLOCKS:
         raise ValueError(f"unknown construction {name!r}; expected one of {CONSTRUCTIONS}")
     return _BLOCKS[name]
